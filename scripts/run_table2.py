@@ -13,15 +13,10 @@ import time
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from c2patch.assembly import convergence_study, reports_to_csv
+from c2patch.fields import FIELDS
 from c2patch.geometry import geometry_from_dict
 from c2patch.gluing import GluingData
-
-
-def field42(x1, x2):
-    return 2.0 * np.cos(2.0 * x1) * np.sin(2.0 * x2)
 
 
 def main():
@@ -39,7 +34,8 @@ def main():
         g = GluingData.from_dict(gluing_raw)
         for space in ("v2", "w2"):
             t0 = time.time()
-            reports = convergence_study(geo, g, space, args.levels, field42)
+            reports = convergence_study(geo, g, space, args.levels,
+                                        FIELDS["cos2sin2"])
             path = outdir / f"{name}_{space}.csv"
             path.write_text(reports_to_csv(reports))
             print(f"{path}  [{time.time() - t0:.1f}s]")

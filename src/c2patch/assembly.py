@@ -17,11 +17,12 @@ import scipy.sparse.linalg as spla
 
 from .bspline import KnotVector, SplineSpace1D, make_knot_vector, uniform_inner_knots
 from .geometry import (Patch, TwoPatchGeometry, bilinear_from_vertices,
-                       refine_geometry)
-from .gluing import GluingData, gluing_invariants
+                       refine_geometry, represent_geometry, square_patch_space)
+from .gluing import GluingData, gluing_from_bilinear, gluing_invariants
 from .smooth import SmoothBasis, build_basis_v2, build_basis_w2, dim_v1
 
 DENSE_EIG_CUTOFF = 6000
+FIT_POINTS_PER_CELL = 8
 
 
 @dataclass(frozen=True)
@@ -316,31 +317,10 @@ class DomainAssembler:
         return float(np.sqrt(err / ref))
 
 
-def assemble_mass(F: TwoPatchGeometry, basis: SmoothBasis,
-                  points_per_cell: int | None = None) -> sp.csr_matrix:
-    """Mass matrix of the full smooth space over the two-patch domain."""
-    return DomainAssembler(F, basis, points_per_cell).mass()
-
-
-def assemble_load(F: TwoPatchGeometry, basis: SmoothBasis, f,
-                  points_per_cell: int | None = None) -> np.ndarray:
-    return DomainAssembler(F, basis, points_per_cell).load(f)
-
-
 def solve_spd(M, rhs: np.ndarray) -> np.ndarray:
     if M.shape[0] <= 1200:
         return np.linalg.solve(M.toarray() if sp.issparse(M) else M, rhs)
     return spla.spsolve(M.tocsc(), rhs)
-
-
-def l2_project(F: TwoPatchGeometry, basis: SmoothBasis, f,
-               points_per_cell: int | None = None) -> tuple[np.ndarray, float]:
-    """Least-squares coefficients of f in the smooth space + relative L2 error."""
-    asm = DomainAssembler(F, basis, points_per_cell)
-    M = asm.mass()
-    rhs = asm.load(f)
-    b = solve_spd(M, rhs)
-    return b, asm.relative_l2_error(b, f)
 
 
 def scaled_condition_number(M, tol: float = 1e-6) -> float:
@@ -463,60 +443,63 @@ def discrete_relative_error(F_tilde: TwoPatchGeometry,
     return num / den
 
 
-def fit_bilinear_like(F_tilde: TwoPatchGeometry,
-                      F_hat: TwoPatchGeometry | None = None,
-                      gluing: GluingData | None = None,
-                      weighted: bool = True,
-                      points_per_cell: int = 8) -> FitResult:
-    """Approximate a generic two-patch input by a smooth biquintic geometry.
+def reference_projection(F_tilde: TwoPatchGeometry, F_hat: TwoPatchGeometry,
+                         gluing: GluingData, weighted: bool = True
+                         ) -> tuple[DomainAssembler, np.ndarray, np.ndarray]:
+    """L2 projection system of a two-patch input onto the biquintic C2 space.
 
-    Each coordinate of the input is least-squares projected onto the full
-    C2 space built over the bilinear vertex interpolant; the projection
-    weight is the bilinear reference Jacobian (``weighted=False`` projects
-    in the parameter domain instead).
+    The space is V2 at k = 0 over the bilinear reference ``F_hat``.  The
+    weight is the reference Jacobian (``weighted=False`` projects in the
+    parameter domain instead).  Returns the assembler, the dense mass
+    matrix and the loads of both input coordinates, shape (2, dim).
     """
-    from .gluing import gluing_from_bilinear
-
-    if F_hat is None:
-        F_hat = bilinear_from_vertices(F_tilde)
-    if gluing is None:
-        gluing = gluing_from_bilinear(F_hat)
-    p, r, k = 5, 2, 0
-    kv = make_knot_vector(p, r, k)
-    inv = gluing_invariants(gluing, kv)
-    basis = build_basis_v2(gluing, inv, p, r, k)
-
-    from .geometry import represent_geometry
-    ref = represent_geometry(F_hat, kv)
-    if not weighted:
-        identity = _identity_geometry(kv)
-        asm = DomainAssembler(identity, basis, points_per_cell)
-    else:
-        asm = DomainAssembler(ref, basis, points_per_cell)
-
-    M = asm.mass().toarray()
-    sol = np.empty((2, asm.dim))
-    grids = {side: np.empty((kv.dim, kv.dim, 2)) for side in ("L", "R")}
+    kv = make_knot_vector(5, 2, 0)
+    basis = build_basis_v2(gluing, gluing_invariants(gluing, kv), 5, 2, 0)
+    domain = represent_geometry(F_hat, kv) if weighted else _identity_geometry(kv)
+    asm = DomainAssembler(domain, basis, FIT_POINTS_PER_CELL)
+    loads = np.zeros((2, asm.dim))
     for c in (0, 1):
-        rhs = np.zeros(asm.dim)
         for side in ("L", "R"):
             patch = F_tilde.patch(side)
             pa = asm.asm[side]
             values = pa.sample_parametric(lambda u, v: patch.eval(u, v)[c])
-            rhs += asm.C[side] @ pa.load(values=values)
-        sol[c] = np.linalg.solve(M, rhs)
-        for side in ("L", "R"):
-            grids[side][:, :, c] = asm.patch_coefficients(sol[c], side).reshape(
-                kv.dim, kv.dim)
+            loads[c] += asm.C[side] @ pa.load(values=values)
+    return asm, asm.mass().toarray(), loads
 
-    space = ref.patch_L.space
-    fitted = TwoPatchGeometry(Patch(space, grids["L"]), Patch(space, grids["R"]))
+
+def geometry_from_solutions(asm: DomainAssembler,
+                            sol: np.ndarray) -> TwoPatchGeometry:
+    """The geometry whose two coordinates have coefficient vectors ``sol``."""
+    n = asm.basis.n
+    space = asm.F.patch_L.space
+    patches = [Patch(space, np.stack([asm.patch_coefficients(sol[c], side)
+                                      .reshape(n, n) for c in (0, 1)], axis=-1))
+               for side in ("L", "R")]
+    return TwoPatchGeometry(*patches)
+
+
+def fit_bilinear_like(F_tilde: TwoPatchGeometry,
+                      F_hat: TwoPatchGeometry | None = None,
+                      gluing: GluingData | None = None,
+                      weighted: bool = True) -> FitResult:
+    """Approximate a generic two-patch input by a smooth biquintic geometry.
+
+    Each coordinate of the input is least-squares projected onto the full
+    C2 space built over the bilinear vertex interpolant (see
+    ``reference_projection``).
+    """
+    if F_hat is None:
+        F_hat = bilinear_from_vertices(F_tilde)
+    if gluing is None:
+        gluing = gluing_from_bilinear(F_hat)
+    asm, M, loads = reference_projection(F_tilde, F_hat, gluing, weighted)
+    sol = np.array([np.linalg.solve(M, rhs) for rhs in loads])
+    fitted = geometry_from_solutions(asm, sol)
     return FitResult(fitted, discrete_relative_error(F_tilde, fitted), sol)
 
 
 def _identity_geometry(kv: KnotVector) -> TwoPatchGeometry:
     """Two unit-square patches mirrored across x = 0 (|det J| = 1)."""
-    from .geometry import square_patch_space
     space = square_patch_space(kv)
     s = SplineSpace1D(kv)
     xi = s.greville()

@@ -126,11 +126,6 @@ def make_knot_vector(p: int, r: int, k: int, inner_knots=()) -> KnotVector:
     return KnotVector(p, bp, mult)
 
 
-def elevate_multiplicity(kv: KnotVector, which: int, times: int = 1) -> KnotVector:
-    """Raise the multiplicity of a single interior knot (1-based index)."""
-    return kv.with_raised_multiplicity(which, times)
-
-
 def uniform_inner_knots(k: int) -> tuple[float, ...]:
     """k uniformly spaced interior knots i/(k+1); exact dyadics for k = 2^L - 1."""
     return tuple((i + 1) / (k + 1) for i in range(k))
@@ -236,15 +231,6 @@ class SplineSpace1D:
             ders = np.vstack([ders, np.zeros((max_deriv - nd, self.degree + 1))])
         return span - self.degree, ders
 
-    def eval_basis_many(self, xs, max_deriv: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized ``eval_basis``: (firsts, ders[len(xs), max_deriv+1, p+1])."""
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        firsts = np.empty(len(xs), dtype=int)
-        ders = np.empty((len(xs), max_deriv + 1, self.degree + 1))
-        for i, x in enumerate(xs):
-            firsts[i], ders[i] = self.eval_basis(x, max_deriv)
-        return firsts, ders
-
     def eval_function(self, coeffs, xs, max_deriv: int = 0) -> np.ndarray:
         """Evaluate a spline (given by its coefficients) and derivatives.
 
@@ -325,21 +311,6 @@ def unit_spline(space: SplineSpace1D, index: int) -> SplineFunction1D:
     return SplineFunction1D(space, c)
 
 
-def eval_basis(space: SplineSpace1D, x: float, max_deriv: int = 0):
-    """Functional form of SplineSpace1D.eval_basis."""
-    return space.eval_basis(x, max_deriv)
-
-
-def greville_abscissae(space: SplineSpace1D) -> np.ndarray:
-    """Functional form of SplineSpace1D.greville."""
-    return space.greville()
-
-
-def interpolate_at_greville(space: SplineSpace1D, samples) -> SplineFunction1D:
-    """Spline matching the samples at the Greville abscissae."""
-    return SplineFunction1D(space, space.interpolate(samples))
-
-
 @dataclass(frozen=True)
 class TensorSplineSpace:
     """Tensor-product spline space on the unit square."""
@@ -374,11 +345,6 @@ class TensorSplineSpace:
         pv = self.space_v.degree
         block = coeffs[fu:fu + pu + 1, fv:fv + pv + 1]
         return np.einsum("ai,ij,bj->ab", bu, block, bv)
-
-
-def eval_tensor(space: TensorSplineSpace, coeffs, u: float, v: float,
-                du: int = 0, dv: int = 0) -> float:
-    return space.eval(coeffs, u, v, du, dv)
 
 
 def insert_knot(kv: KnotVector, coeffs: np.ndarray, x: float) -> tuple[KnotVector, np.ndarray]:

@@ -193,30 +193,22 @@ def reference_fitted_geometry(name: str) -> TwoPatchGeometry:
 
     The interface data (first three coefficient rows of both patches) is
     taken verbatim from the pinned tables; the interior rows complete the
-    patches by per-patch weighted least squares against the bicubic input.
+    patches by weighted least squares against the bicubic input.
     The result is exactly smooth across the interface for the bundled
     gluing data.
     """
-    from .assembly import DomainAssembler
-    from .geometry import bilinear_from_vertices, represent_geometry
-    from .gluing import gluing_from_bilinear, gluing_invariants
-    from .smooth import build_basis_v2
+    from .assembly import geometry_from_solutions, reference_projection
+    from .geometry import bilinear_from_vertices
+    from .gluing import gluing_from_bilinear
 
     geo = initial_geometry(name)
     fhat = bilinear_from_vertices(geo)
-    g = gluing_from_bilinear(fhat)
-    kv = make_knot_vector(5, 2, 0)
-    inv = gluing_invariants(g, kv)
-    ref = represent_geometry(fhat, kv)
-    basis = build_basis_v2(g, inv, 5, 2, 0)
+    asm, M, loads = reference_projection(geo, fhat, gluing_from_bilinear(fhat))
+    basis = asm.basis
     dim2 = basis.num_basis
     rows = reference_interface_rows(name)
-
-    asm = DomainAssembler(ref, basis, 8)
-    M = asm.mass().toarray()
     A = np.hstack([basis.A_L, basis.A_R]).T
-    n = kv.dim
-    grids = {s: np.zeros((n, n, 2)) for s in ("L", "R")}
+    sol = np.zeros((2, asm.dim))
     for coord, c in (("x", 0), ("y", 1)):
         target = np.concatenate([rows[("L", coord)].ravel(),
                                  rows[("R", coord)].ravel()])
@@ -226,17 +218,7 @@ def reference_fitted_geometry(name: str) -> TwoPatchGeometry:
             raise RuntimeError(
                 f"pinned interface rows of {name!r}/{coord} are not smooth "
                 f"(span residual {resid:.2e})")
-        b = np.zeros(asm.dim)
-        b[:dim2] = cint
-        rhs = np.zeros(asm.dim)
-        for s in ("L", "R"):
-            patch = geo.patch(s)
-            pa = asm.asm[s]
-            vals = pa.sample_parametric(lambda u, v: patch.eval(u, v)[c])
-            rhs += asm.C[s] @ pa.load(values=vals)
-        r = rhs - M @ b
-        b[dim2:] = np.linalg.solve(M[dim2:, dim2:], r[dim2:])
-        for s in ("L", "R"):
-            grids[s][:, :, c] = asm.patch_coefficients(b, s).reshape(n, n)
-    space = ref.patch_L.space
-    return TwoPatchGeometry(Patch(space, grids["L"]), Patch(space, grids["R"]))
+        sol[c, :dim2] = cint
+        r = loads[c] - M @ sol[c]
+        sol[c, dim2:] = np.linalg.solve(M[dim2:, dim2:], r[dim2:])
+    return geometry_from_solutions(asm, sol)

@@ -154,6 +154,8 @@ def cmd_basis(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise CommandError(f"--samples must be at least 1, got {args.samples}")
     geo, gluing_raw, file_r = _load(args.geometry)
     g = _gluing_for(geo, gluing_raw)
     ok = verify_sign_condition(g)
@@ -165,7 +167,6 @@ def cmd_verify(args) -> int:
     all_ok = report.passed
 
     basis, inv, geo = _build_basis(geo, g, args, file_r)
-    worst = smooth.C2Report(0.0, 0.0, 0.0, args.tol)
     worst_vals = [0.0, 0.0, 0.0]
     for m in range(basis.num_basis):
         rep = smooth.verify_c2_at_interface(
@@ -224,6 +225,8 @@ def cmd_bilinear(args) -> int:
 
 
 def cmd_table2(args) -> int:
+    if args.levels < 0:
+        raise CommandError(f"--levels must be at least 0, got {args.levels}")
     geo, gluing_raw, _file_r = _load(args.geometry)
     g = _gluing_for(geo, gluing_raw)
     f = fields.resolve_field(args.function)

@@ -126,22 +126,13 @@ class TwoPatchGeometry:
                             worst = min(worst, abs(det))
         return float(worst)
 
-    def validate(self, check_regularity: bool = True) -> None:
+    def validate(self) -> None:
         mism = self.interface_mismatch()
         if mism > INTERFACE_TOL * max(self.diameter, 1e-30):
             raise GeometryError(
                 f"patch interfaces disagree: max |F_L(0,v) - F_R(0,v)| = {mism:.3e}")
-        if check_regularity and self.min_abs_jacobian() <= 0.0:
+        if self.min_abs_jacobian() <= 0.0:
             raise GeometryError("patch Jacobian vanishes on the sample grid")
-
-
-def two_patch_geometry(patch_L: Patch, patch_R: Patch,
-                       validate: bool = True,
-                       check_regularity: bool = True) -> TwoPatchGeometry:
-    geo = TwoPatchGeometry(patch_L, patch_R)
-    if validate:
-        geo.validate(check_regularity=check_regularity)
-    return geo
 
 
 def refine_geometry(geo: TwoPatchGeometry, target_kv: KnotVector) -> TwoPatchGeometry:
@@ -241,7 +232,7 @@ def geometry_to_dict(geo: TwoPatchGeometry, gluing=None,
     return out
 
 
-def geometry_from_dict(data: dict, validate: bool = True) -> tuple[TwoPatchGeometry, dict | None]:
+def geometry_from_dict(data: dict) -> tuple[TwoPatchGeometry, dict | None]:
     """Parse the geometry schema; returns (geometry, raw gluing dict or None)."""
     try:
         p = int(data["degree"])
@@ -252,6 +243,8 @@ def geometry_from_dict(data: dict, validate: bool = True) -> tuple[TwoPatchGeome
         raise GeometryError(f"malformed geometry record: {exc}") from exc
     if not 0 <= r <= p - 1:
         raise GeometryError(f"regularity {r} invalid for degree {p}")
+    if not np.isfinite(inner).all():
+        raise GeometryError("non-finite interior knot")
     kv = make_knot_vector(p, r, len(inner), inner)
     space = square_patch_space(kv)
     n = kv.dim
@@ -260,13 +253,14 @@ def geometry_from_dict(data: dict, validate: bool = True) -> tuple[TwoPatchGeome
         if side not in patches_raw:
             raise GeometryError(f"missing patch {side!r}")
         pts = np.asarray(patches_raw[side]["control_points"], dtype=float)
+        if not np.isfinite(pts).all():
+            raise GeometryError(f"patch {side!r}: non-finite control point")
         if pts.shape != (n * n, 2):
             raise GeometryError(
                 f"patch {side!r}: expected {n * n} control points, got {pts.shape}")
         patches[side] = Patch(space, pts.reshape(n, n, 2))
     geo = TwoPatchGeometry(patches["L"], patches["R"])
-    if validate:
-        geo.validate()
+    geo.validate()
     return geo, data.get("gluing")
 
 

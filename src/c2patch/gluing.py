@@ -40,9 +40,6 @@ class LinearPoly:
     def poly(self) -> Polynomial:
         return Polynomial([self.const, self.slope])
 
-    def derivative(self) -> float:
-        return self.slope
-
     def degree(self, scale: float | None = None) -> int:
         scale = scale if scale else max(abs(self.const), abs(self.slope), 1.0)
         return 1 if abs(self.slope) > COEF_TOL * scale else 0
@@ -60,8 +57,10 @@ class LinearPoly:
 
     @staticmethod
     def from_list(data) -> "LinearPoly":
-        a, b = (list(data) + [0.0, 0.0])[:2]
-        return LinearPoly(float(a), float(b))
+        a, b = (float(x) for x in (list(data) + [0.0, 0.0])[:2])
+        if not (np.isfinite(a) and np.isfinite(b)):
+            raise ValueError(f"non-finite coefficients {[a, b]}")
+        return LinearPoly(a, b)
 
 
 @dataclass(frozen=True)
@@ -99,11 +98,8 @@ def verify_sign_condition(g: GluingData) -> bool:
     for lin in (g.alpha_L, g.alpha_R):
         if lin.is_zero():
             return False
-        if lin.degree() == 1:
-            r = lin.root()
-            if -ROOT_TOL < r < 1.0 + ROOT_TOL and -1e-6 < r < 1.0 + 1e-6:
-                if 0.0 <= r <= 1.0:
-                    return False
+        if lin.degree() == 1 and 0.0 <= lin.root() <= 1.0:
+            return False
     return bool(g.alpha_L(0.0) * g.alpha_R(0.0) < 0.0
                 and g.alpha_L(1.0) * g.alpha_R(1.0) < 0.0)
 
@@ -129,6 +125,8 @@ def gluing_from_bilinear(fhat: TwoPatchGeometry) -> GluingData:
     cp_L = fhat.patch_L.control_points
     edge = cp_L[0, 1] - cp_L[0, 0]          # F0'(v), constant for bilinear
     edge_sq = float(edge @ edge)
+    if edge_sq <= (COEF_TOL * fhat.diameter) ** 2:
+        raise GluingError("interface edge has zero length")
 
     alphas = {}
     betas = {}
@@ -290,44 +288,55 @@ class ResidualReport:
                 f"c2={self.c2:.3e} (tol {self.tol:.1e}) {status}")
 
 
+def matching_weights(g: GluingData, vs) -> np.ndarray:
+    """Weights of the three interface matching equations at the samples ``vs``.
+
+    Returns ``W`` of shape (len(vs), 3, 2, 3, 3) such that equation ``eq`` at
+    ``vs[m]`` reads sum_{side, a, b} W[m, eq, side, a, b] D_u^a D_v^b
+    f_side(0, vs[m]) = 0, with side 0 = L and side 1 = R.  Equation 0 is
+    interface agreement, equation 1 couples D_u of both patches through
+    (alpha, beta), and equation 2 couples the second-order jets through the
+    derived factors eta = 2 alpha_L' alpha_R beta and
+    theta = 2 (alpha_L beta_L' - alpha_L' beta_L) alpha_R beta.
+    """
+    vs = np.atleast_1d(np.asarray(vs, dtype=float))
+    aL, aR, bv = g.alpha_L(vs), g.alpha_R(vs), beta_from_gluing(g)(vs)
+    eta = 2.0 * g.alpha_L.slope * aR * bv
+    theta = 2.0 * (aL * g.beta_L.slope - g.alpha_L.slope * g.beta_L(vs)) * aR * bv
+    W = np.zeros((len(vs), 3, 2, 3, 3))
+    W[:, 0, 0, 0, 0] = 1.0
+    W[:, 0, 1, 0, 0] = -1.0
+    W[:, 1, 0, 1, 0] = aR
+    W[:, 1, 1, 1, 0] = -aL
+    W[:, 1, 0, 0, 1] = bv
+    W[:, 2, 1, 2, 0] = aL ** 3
+    W[:, 2, 0, 2, 0] = -aL * aR ** 2
+    W[:, 2, 0, 1, 1] = -2.0 * aL * aR * bv
+    W[:, 2, 0, 0, 2] = -aL * bv ** 2
+    W[:, 2, 0, 1, 0] = eta
+    W[:, 2, 0, 0, 1] = theta
+    return W
+
+
 def verify_bilinear_like(F: TwoPatchGeometry, g: GluingData,
                          n_samples: int | None = None,
                          tol: float = 1e-9) -> ResidualReport:
     """Sampled residuals of the three vector matching equations along u = 0.
 
-    The zeroth equation is interface agreement, the first couples D_u of
-    both patches through (alpha, beta), and the second couples the full
-    second-order jets through the derived (eta, theta) factors.  Residuals
-    are scaled by the domain diameter.
+    The equations are those of ``matching_weights``.  Residuals are scaled
+    by the domain diameter.
     """
     p = F.patch_L.degree
     k = F.patch_L.space.space_u.kv.num_inner
     if n_samples is None:
         n_samples = 2 * (p + 1) * (k + 1)
     vs = np.linspace(0.0, 1.0, n_samples)
-    beta = beta_from_gluing(g)
-    dalpha_L = g.alpha_L.derivative()
-    # theta = 2 (alpha_L * beta_L' - alpha_L' * beta_L) * alpha_R * beta
-    theta_lin = (g.alpha_L.poly * g.beta_L.derivative()
-                 - dalpha_L * g.beta_L.poly)
-
-    diam = max(F.diameter, 1e-30)
-    worst = [0.0, 0.0, 0.0]
-    for v in vs:
-        dL = F.patch_L.derivs(0.0, v, 2, 2)
-        dR = F.patch_R.derivs(0.0, v, 2, 2)
-        aL, aR, bv = g.alpha_L(v), g.alpha_R(v), beta(v)
-
-        r0 = dL[0, 0] - dR[0, 0]
-        r1 = aR * dL[1, 0] - aL * dR[1, 0] + bv * dL[0, 1]
-        Z = (aL ** 2 * dR[2, 0]
-             - (aR ** 2 * dL[2, 0] + 2.0 * aR * bv * dL[1, 1] + bv ** 2 * dL[0, 2]))
-        eta = 2.0 * dalpha_L * aR * bv
-        theta = 2.0 * theta_lin(v) * aR * bv
-        r2 = aL * Z + eta * dL[1, 0] + theta * dL[0, 1]
-
-        worst[0] = max(worst[0], float(np.hypot(*r0)))
-        worst[1] = max(worst[1], float(np.hypot(*r1)))
-        worst[2] = max(worst[2], float(np.hypot(*r2)))
-
-    return ResidualReport(worst[0] / diam, worst[1] / diam, worst[2] / diam, tol)
+    W = matching_weights(g, vs)
+    worst = np.zeros(3)
+    for m, v in enumerate(vs):
+        jets = np.stack([F.patch_L.derivs(0.0, v, 2, 2),
+                         F.patch_R.derivs(0.0, v, 2, 2)])
+        r = np.einsum("esab,sabc->ec", W[m], jets)
+        worst = np.maximum(worst, np.hypot(r[:, 0], r[:, 1]))
+    c0, c1, c2 = (float(w) for w in worst / max(F.diameter, 1e-30))
+    return ResidualReport(c0, c1, c2, tol)

@@ -19,10 +19,11 @@ from numpy.polynomial import Polynomial
 from .bspline import (KnotVector, SplineFunction1D, SplineSpace1D,
                       make_knot_vector, unit_spline)
 from .geometry import TwoPatchGeometry
-from .gluing import (GluingData, GluingInvariants, beta_from_gluing,
-                     ttilde_knot_vector)
+from .gluing import GluingData, GluingInvariants, matching_weights
 
 TRACE_RESID_TOL = 1e-9
+ORACLE_OVERSAMPLE = 4     # the oracle collocates 4 (p + 1) points per knot span
+ORACLE_ZERO_TOL = 1e-9    # singular values below this times the largest are zero
 
 
 class DegreeBudgetError(ValueError):
@@ -183,15 +184,9 @@ class BasisTriplet:
 # ---------------------------------------------------------------------------
 # refined B-spline selection
 
-# Tie-break among certified candidates.  The central choice reproduces the
-# conditioning benchmarks of the bundled experiments; "first" (smallest
-# index) is the simplest alternative and changes only the basis, not the
-# space.
-SELECTION_RULE = "center"
 
-
-def select_refined_bspline(base: KnotVector, which: int, extra_mult: int,
-                           rule: str | None = None) -> SplineFunction1D:
+def select_refined_bspline(base: KnotVector, which: int,
+                           extra_mult: int) -> SplineFunction1D:
     """A B-spline of the multiplicity-raised space that is genuinely new.
 
     The returned function is nonzero at the raised knot and exhibits the
@@ -225,73 +220,45 @@ def select_refined_bspline(base: KnotVector, which: int, extra_mult: int,
     if not candidates:
         raise ValueError(
             f"no refined B-spline with a defect of order {jump_order} at {tau}")
-    rule = rule or SELECTION_RULE
-    if rule == "first":
-        pick = candidates[0]
-    elif rule == "last":
-        pick = candidates[-1]
-    elif rule == "center":
-        pick = candidates[(len(candidates) - 1) // 2]
-    elif rule == "peak":
-        pick = max(candidates, key=lambda i: values[i])
-    else:
-        raise ValueError(f"unknown selection rule {rule!r}")
-    return unit_spline(space, pick)
+    # Tie-break among certified candidates: the central one reproduces the
+    # conditioning benchmarks of the bundled experiments; any other choice
+    # changes only the basis, not the space.
+    return unit_spline(space, candidates[(len(candidates) - 1) // 2])
 
 
 # ---------------------------------------------------------------------------
 # triplet -> per-patch interface coefficient rows
 
 
-def _component_derivs(comp: TripletComponent | None, xs, max_deriv: int,
-                      n: int | None = None) -> np.ndarray | None:
-    if comp is None:
-        return None
-    return comp.derivs(xs, max_deriv)
-
-
 def _interface_jets(t: BasisTriplet, g: GluingData, inv: GluingInvariants,
                     side: str, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sampled trace, D_u trace and D_uu trace of the patch function."""
+    """Sampled trace, D_u trace and D_uu trace of the patch function.
+
+    V2 triplets are scaled by the reduced alpha and the common factor q; W2
+    triplets are the same expressions with alpha in place of atilde and
+    q = 1.
+    """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     zero = np.zeros(len(xs))
     beta_s = g.beta(side)(xs)
-
     if t.kind in W2_FAMILIES:
-        alpha_s = g.alpha(side)(xs)
-        g0 = _component_derivs(t.g0t, xs, 2)
-        g1 = _component_derivs(t.g1t, xs, 1)
-        g2 = _component_derivs(t.g2t, xs, 0)
-        val = g0[0] if g0 is not None else zero
-        du = zero.copy()
-        duu = zero.copy()
-        if g0 is not None:
-            du = du + beta_s * g0[1]
-            duu = duu + beta_s ** 2 * g0[2]
-        if g1 is not None:
-            du = du + alpha_s * g1[0]
-            duu = duu + 2.0 * alpha_s * beta_s * g1[1]
-        if g2 is not None:
-            duu = duu + alpha_s ** 2 * g2[0]
-        return val, du, duu
+        alpha_s, qv, qd = g.alpha(side)(xs), np.ones(len(xs)), zero
+    else:
+        alpha_s, qv = inv.atilde(side)(xs), inv.q(xs)
+        qd = inv.q.deriv()(xs) if inv.q.degree() >= 1 else zero
 
-    atilde_s = inv.atilde(side)(xs)
-    qv = inv.q(xs)
-    qd = inv.q.deriv()(xs) if inv.q.degree() >= 1 else zero
-    g0 = _component_derivs(t.g0t, xs, 2)
-    g1 = _component_derivs(t.g1t, xs, 1)
-    g2 = _component_derivs(t.g2t, xs, 0)
-    val = g0[0] if g0 is not None else zero
-    du = zero.copy()
-    duu = zero.copy()
-    if g0 is not None:
+    val = du = duu = zero
+    if t.g0t is not None:
+        g0 = t.g0t.derivs(xs, 2)
+        val = g0[0]
         du = du + beta_s * g0[1]
         duu = duu + beta_s ** 2 * g0[2]
-    if g1 is not None:
-        du = du + atilde_s * g1[0]
-        duu = duu + 2.0 * atilde_s * beta_s * (g1[1] - g1[0] * qd / qv)
-    if g2 is not None:
-        duu = duu + atilde_s ** 2 * g2[0]
+    if t.g1t is not None:
+        g1 = t.g1t.derivs(xs, 1)
+        du = du + alpha_s * g1[0]
+        duu = duu + 2.0 * alpha_s * beta_s * (g1[1] - g1[0] * qd / qv)
+    if t.g2t is not None:
+        duu = duu + alpha_s ** 2 * t.g2t.derivs(xs, 0)[0]
     return val, du, duu
 
 
@@ -364,11 +331,6 @@ class SmoothBasis:
     def rows(self, side: str, m: int) -> np.ndarray:
         A = self.A_L if side == "L" else self.A_R
         return A[m].reshape(3, self.n)
-
-    def interior_indices(self) -> list[tuple[str, int, int]]:
-        """Index triples (side, i, j) of the interface-untouched basis."""
-        return [(side, i, j) for side in ("L", "R")
-                for i in range(3, self.n) for j in range(self.n)]
 
     def stacked_matrix(self) -> np.ndarray:
         """[A_L | A_R] with the shared trace block identified (num x 5n)."""
@@ -490,10 +452,10 @@ def build_basis_v2(g: GluingData, inv: GluingInvariants, p: int, r: int,
 
 
 def build_basis_w2(g: GluingData, inv: GluingInvariants, p: int, r: int,
-                   k: int, d_alpha: int | None = None) -> SmoothBasis:
+                   k: int) -> SmoothBasis:
     """Basis of the uniformly constructible interface subspace."""
     _check_params(p, r, k)
-    d_alpha = inv.d_alpha if d_alpha is None else d_alpha
+    d_alpha = inv.d_alpha
     if p - 2 * d_alpha < r:
         raise DegreeBudgetError("triplet spaces degenerate: p - 2*d_alpha < r")
     inner = inv.ttilde.inner_knots
@@ -531,14 +493,13 @@ class OracleResult:
 
 
 def constraint_nullspace_dim(F: TwoPatchGeometry, g: GluingData, p: int,
-                             r: int, k: int, oversample: int = 4,
-                             zero_tol: float = 1e-9,
+                             r: int, k: int,
                              min_gap: float = 1e2) -> OracleResult:
     """Nullspace dimension of the collocated interface smoothness system.
 
-    Collocates the continuity, first-order and second-order matching
-    equations in the 6n interface coefficients of both patches and counts
-    the numerical nullspace (singular values below ``zero_tol`` times the
+    Collocates the matching equations of ``gluing.matching_weights`` in the
+    6n interface coefficients of both patches and counts the numerical
+    nullspace (singular values below ``ORACLE_ZERO_TOL`` times the
     largest).  Raises IndeterminateRankError when the spectral gap between
     kept and dropped singular values is smaller than ``min_gap``.
     """
@@ -549,68 +510,23 @@ def constraint_nullspace_dim(F: TwoPatchGeometry, g: GluingData, p: int,
     trace = SplineSpace1D(kv)
     n = trace.dim
 
-    beta = beta_from_gluing(g)
-    dalpha_L = g.alpha_L.derivative()
-    theta_lin = (g.alpha_L.poly * g.beta_L.derivative()
-                 - dalpha_L * g.beta_L.poly)
-
-    n_pts = oversample * (p + 1) * (k + 1)
-    vs = np.linspace(0.0, 1.0, n_pts)
-
-    # transversal derivative factors of the first three u-basis functions at u = 0
+    vs = np.linspace(0.0, 1.0, ORACLE_OVERSAMPLE * (p + 1) * (k + 1))
+    W = matching_weights(g, vs)
+    # u-jets of the first three u-basis functions at u = 0; the others vanish
     _, du_ders = trace.eval_basis(0.0, 2)
-    N0_d = du_ders[1, :3]     # first derivatives of N_0, N_1, N_2 at 0
-    N0_dd = du_ders[2, :3]
-
-    def vrow(v, der):
-        first, ders = trace.eval_basis(v, der)
-        out = np.zeros(n)
-        out[first:first + p + 1] = ders[der]
-        return out
+    Nu = du_ders[:, :3]
+    Nv = np.zeros((len(vs), 3, n))
+    for m, v in enumerate(vs):
+        first, ders = trace.eval_basis(v, 2)
+        Nv[m, :, first:first + p + 1] = ders
 
     # unknown layout: d[(side, i, j)] -> side * 3n + i * n + j
-    rows = []
-    for v in vs:
-        Nv = vrow(v, 0)
-        Nv1 = vrow(v, 1)
-        Nv2 = vrow(v, 2)
-        aL, aR, bv = g.alpha_L(v), g.alpha_R(v), beta(v)
-
-        # value agreement
-        row = np.zeros(6 * n)
-        row[0:n] = Nv
-        row[3 * n:4 * n] = -Nv
-        rows.append(row)
-
-        # first-order matching
-        row = np.zeros(6 * n)
-        for i in range(2):
-            row[i * n:(i + 1) * n] += aR * N0_d[i] * Nv
-            row[(3 + i) * n:(4 + i) * n] += -aL * N0_d[i] * Nv
-        row[0:n] += bv * Nv1
-        rows.append(row)
-
-        # second-order matching
-        row = np.zeros(6 * n)
-        eta = 2.0 * dalpha_L * aR * bv
-        theta = 2.0 * theta_lin(v) * aR * bv
-        for i in range(3):
-            # w-term: aL^2 Duu g_R - aR^2 Duu g_L
-            row[(3 + i) * n:(4 + i) * n] += aL * aL ** 2 * N0_dd[i] * Nv
-            row[i * n:(i + 1) * n] += -aL * aR ** 2 * N0_dd[i] * Nv
-        for i in range(2):
-            row[i * n:(i + 1) * n] += -aL * 2.0 * aR * bv * N0_d[i] * Nv1
-            row[i * n:(i + 1) * n] += eta * N0_d[i] * Nv
-        row[0:n] += -aL * bv ** 2 * Nv2
-        row[0:n] += theta * Nv1
-        rows.append(row)
-
-    C = np.array(rows)
+    C = np.einsum("vesab,ai,vbj->vesij", W, Nu, Nv).reshape(3 * len(vs), 6 * n)
     norms = np.linalg.norm(C, axis=1)
     C = C[norms > 0.0] / norms[norms > 0.0, None]
 
     sv = np.linalg.svd(C, compute_uv=False)
-    cutoff = zero_tol * sv[0]
+    cutoff = ORACLE_ZERO_TOL * sv[0]
     rank = int((sv > cutoff).sum())
     nullity = 6 * n - rank
     if rank == len(sv) or rank == 0:

@@ -13,6 +13,7 @@ from c2patch.assembly import convergence_study, fit_bilinear_like
 from c2patch.bspline import (SplineSpace1D, insert_knot, make_knot_vector,
                              uniform_inner_knots)
 from c2patch.builtin import (initial_geometry, reference_interface_jets)
+from c2patch.fields import FIELDS
 from c2patch.geometry import refine_geometry, represent_geometry
 from c2patch.gluing import gluing_invariants
 from c2patch.smooth import (build_basis_v2, build_basis_w2,
@@ -46,10 +47,6 @@ PRINTED = {
 }
 PRINTED_DIM_V1 = [36, 108, 360, 1296, 4896, 19008]
 PRINTED_EPS = {"a": 4.27e-05, "b": 2.37e-05}
-
-
-def field42(x1, x2):
-    return 2.0 * np.cos(2.0 * x1) * np.sin(2.0 * x2)
 
 
 def report(num, name, ok, detail=""):
@@ -179,7 +176,7 @@ def table2_results(fitted_a, fitted_b, gluing_a, gluing_b):
         for space in ("v2", "w2"):
             t0 = time.time()
             results[(name, space)] = convergence_study(geo, g, space, 5,
-                                                       field42)
+                                                       FIELDS["cos2sin2"])
             timings[(name, space)] = time.time() - t0
     return results, timings
 

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from c2patch.bspline import (KnotVector, SplineFunction1D, SplineSpace1D,
-                             TensorSplineSpace, elevate_multiplicity,
-                             eval_tensor, insert_knot, make_knot_vector,
+                             TensorSplineSpace, insert_knot, make_knot_vector,
                              refine_to, uniform_inner_knots, unit_spline)
 
 
@@ -51,26 +50,26 @@ class TestKnotVector:
 
     def test_elevate_single(self):
         kv = make_knot_vector(5, 2, 3, (0.25, 0.5, 0.75))
-        up = elevate_multiplicity(kv, 1, 1)
+        up = kv.with_raised_multiplicity(1, 1)
         assert up.multiplicities == (6, 4, 3, 3, 6)
         assert up.dim == kv.dim + 1
 
     def test_elevate_twice_drops_smoothness(self):
         kv = make_knot_vector(5, 2, 3, (0.25, 0.5, 0.75))
-        up = elevate_multiplicity(kv, 2, 2)
+        up = kv.with_raised_multiplicity(2, 2)
         assert up.multiplicities == (6, 3, 5, 3, 6)
         assert up.dim == kv.dim + 2
 
     def test_elevate_composition_matches_direct(self):
         kv = make_knot_vector(5, 4, 3, (0.25, 0.5, 0.75))
-        two = elevate_multiplicity(elevate_multiplicity(kv, 1, 1), 3, 1)
+        two = kv.with_raised_multiplicity(1, 1).with_raised_multiplicity(3, 1)
         direct = KnotVector(5, kv.breakpoints, (6, 2, 1, 2, 6))
         assert two == direct
 
     def test_elevate_overflow(self):
         kv = make_knot_vector(5, 2, 1, (0.5,))
         with pytest.raises(ValueError):
-            elevate_multiplicity(kv, 1, 3)
+            kv.with_raised_multiplicity(1, 3)
 
 
 class TestBasisEvaluation:
@@ -129,7 +128,8 @@ class TestBasisEvaluation:
     def test_smoothness_jumps_at_knots(self):
         # C^{p-m} at a knot of multiplicity m: jumps vanish up to p-m,
         # the next order jumps for at least one basis function
-        kv = elevate_multiplicity(make_knot_vector(5, 2, 3, (0.25, 0.5, 0.75)), 2, 1)
+        kv = make_knot_vector(5, 2, 3, (0.25, 0.5, 0.75))
+        kv = kv.with_raised_multiplicity(2, 1)
         s = SplineSpace1D(kv)
         tau, mult = 0.5, 4
         for order in range(5 - mult + 1):
@@ -210,7 +210,7 @@ class TestTensor:
         ts = TensorSplineSpace(s, s)
         coeffs = np.ones(ts.shape)
         for u, v in [(0.0, 0.3), (0.7, 0.7), (1.0, 1.0)]:
-            assert eval_tensor(ts, coeffs, u, v) == pytest.approx(1.0)
+            assert ts.eval(coeffs, u, v) == pytest.approx(1.0)
 
     def test_separable(self):
         s = space(5, 2, 1, (0.5,))
@@ -220,9 +220,9 @@ class TestTensor:
         fu = SplineFunction1D(s, cu)
         fv = SplineFunction1D(s, cv)
         for u, v in [(0.1, 0.9), (0.55, 0.2)]:
-            assert eval_tensor(ts, coeffs, u, v) == pytest.approx(
+            assert ts.eval(coeffs, u, v) == pytest.approx(
                 float(fu(u)) * float(fv(v)))
-            assert eval_tensor(ts, coeffs, u, v, du=1) == pytest.approx(
+            assert ts.eval(coeffs, u, v, du=1) == pytest.approx(
                 float(fu(u, 1)) * float(fv(v)))
 
     def test_linear_precision_derivative(self):
@@ -230,8 +230,8 @@ class TestTensor:
         ts = TensorSplineSpace(s, s)
         xi = s.greville()
         coeffs = np.tile(s.interpolate(xi)[:, None], (1, s.dim))
-        assert eval_tensor(ts, coeffs, 0.3, 0.8, du=1) == pytest.approx(1.0)
-        assert eval_tensor(ts, coeffs, 0.3, 0.8, dv=1) == pytest.approx(0.0, abs=1e-12)
+        assert ts.eval(coeffs, 0.3, 0.8, du=1) == pytest.approx(1.0)
+        assert ts.eval(coeffs, 0.3, 0.8, dv=1) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestInsertion:
@@ -311,14 +311,3 @@ def test_unit_spline():
     first, d = s.eval_basis(0.3)
     assert f(0.3) == pytest.approx(d[0][3 - first])
 
-
-def test_functional_wrappers():
-    from c2patch.bspline import (eval_basis, greville_abscissae,
-                                 interpolate_at_greville)
-    s = space(5, 2, 1, (0.5,))
-    first, d = eval_basis(s, 0.25, 1)
-    assert d.shape == (2, 6)
-    xi = greville_abscissae(s)
-    assert_allclose(xi, s.greville())
-    f = interpolate_at_greville(s, xi)
-    assert f(0.37) == pytest.approx(0.37)  # linear precision

@@ -1,6 +1,7 @@
 """Tests for the command line interface and the geometry file format."""
 
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -198,6 +199,33 @@ class TestExitCodes:
     def test_degree_mismatch_exits_one(self):
         assert run_cli("basis", "--geometry", "builtin:fitted_a",
                        "--p", "6") == 1
+
+    def test_non_finite_input_exits_one(self, tmp_path, capsys):
+        ref = resources.files("c2patch") / "assets" / "bilinear_a.json"
+        for key, value in (("control_points", [float("nan"), 0.0]),
+                           ("alpha_L", float("inf"))):
+            data = json.loads(ref.read_text())
+            if key == "control_points":
+                data["patches"]["L"]["control_points"][0] = value
+            else:
+                data["gluing"][key][0] = value
+            path = tmp_path / "nonfinite.json"
+            path.write_text(json.dumps(data))
+            assert run_cli("gluing", "--geometry", str(path)) == 1
+            assert "non-finite" in capsys.readouterr().err
+
+    def test_verify_without_samples_exits_one(self, capsys):
+        assert run_cli("verify", "--geometry", "builtin:fitted_a",
+                       "--samples", "0") == 1
+        out = capsys.readouterr()
+        assert "--samples" in out.err and "PASS" not in out.out
+
+    def test_table2_negative_levels_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert run_cli("table2", "--geometry", "builtin:fitted_a",
+                       "--levels", "-1", "--out", str(out)) == 1
+        assert "--levels" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_bundled_assets_consistent(fitted_a, fitted_b):

@@ -118,6 +118,14 @@ class TestGluingExtraction:
         with pytest.raises(GluingError):
             gluing_from_bilinear(geo)
 
+    def test_collapsed_interface_edge_raises(self):
+        # F0' = 0: both interface corners coincide
+        geo = bilinear(
+            {(0, 0): (0, 0), (0, 1): (0, 0), (1, 0): (-1, 0), (1, 1): (-1, 1)},
+            {(0, 0): (0, 0), (0, 1): (0, 0), (1, 0): (1, 0), (1, 1): (1, 1)})
+        with pytest.raises(GluingError, match="zero length"):
+            gluing_from_bilinear(geo)
+
 
 class TestBeta:
     def test_geometry_a(self, gluing_a):

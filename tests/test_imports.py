@@ -1,0 +1,35 @@
+"""Every name a c2patch module imports is used in that module."""
+
+import ast
+from pathlib import Path
+
+import c2patch
+
+SOURCES = sorted(Path(c2patch.__file__).parent.glob("*.py"))
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each imported name that the module never references."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.append((node.lineno, name))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in imported if name not in used]
+
+
+def test_guard_detects_unused_import():
+    assert unused_imports("import os\nfrom math import pi, tau\nprint(pi)\n") \
+        == [(1, "os"), (2, "tau")]
+
+
+def test_no_unused_imports():
+    assert SOURCES
+    found = [f"{path.name}:{line} {name}" for path in SOURCES
+             for line, name in unused_imports(path.read_text())]
+    assert not found, f"unused imports: {found}"

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from c2patch.bspline import (SplineSpace1D, elevate_multiplicity,
-                             make_knot_vector, uniform_inner_knots)
+from c2patch.bspline import SplineSpace1D, make_knot_vector, uniform_inner_knots
 from c2patch.geometry import refine_geometry, represent_geometry
 from c2patch.gluing import gluing_from_bilinear, gluing_invariants
 from c2patch.smooth import (DegreeBudgetError, IndeterminateRankError,
@@ -134,7 +133,7 @@ class TestSelectRefinedBspline:
     def test_single_insertion_is_new_function(self):
         base = make_knot_vector(5, 4, 3, (0.25, 0.5, 0.75))
         f = select_refined_bspline(base, 1, 1)
-        raised = elevate_multiplicity(base, 1, 1)
+        raised = base.with_raised_multiplicity(1, 1)
         assert f.space.kv == raised
         assert f(0.25) > 1e-6
 
