@@ -79,15 +79,9 @@ class _BasisOnCells:
 
 def _basis_on_cells(space: SplineSpace1D, rule: QuadratureRule,
                     max_deriv: int = 1) -> _BasisOnCells:
-    ncells, q = rule.nodes.shape
-    first = np.empty(ncells, dtype=int)
-    values = np.empty((ncells, q, max_deriv + 1, space.degree + 1))
-    for c in range(ncells):
-        for i in range(q):
-            f, d = space.eval_basis(rule.nodes[c, i], max_deriv)
-            values[c, i] = d
-        first[c] = f
-    return _BasisOnCells(first, values)
+    first, values = space.eval_basis(rule.nodes, max_deriv)
+    # Gauss nodes lie inside their cell, so one span serves the whole cell
+    return _BasisOnCells(first[:, 0], values)
 
 
 class PatchAssembler:
@@ -165,19 +159,6 @@ class PatchAssembler:
     def sample_physical(self, f) -> np.ndarray:
         """f(x1, x2) sampled at every quadrature point: (ncu, ncv, q, r)."""
         return f(self.phys[..., 0], self.phys[..., 1])
-
-    def sample_parametric(self, fn) -> np.ndarray:
-        """fn(u, v) sampled at every parametric quadrature point."""
-        ncu, q = self.rule_u.nodes.shape
-        ncv, r = self.rule_v.nodes.shape
-        out = np.empty((ncu, ncv, q, r))
-        for cu in range(ncu):
-            for cv in range(ncv):
-                for a in range(q):
-                    for b in range(r):
-                        out[cu, cv, a, b] = fn(self.rule_u.nodes[cu, a],
-                                               self.rule_v.nodes[cv, b])
-        return out
 
     def load(self, f=None, values: np.ndarray | None = None) -> np.ndarray:
         """Integrals of the field against every tensor B-spline.
@@ -428,19 +409,10 @@ class FitResult:
 def discrete_relative_error(F_tilde: TwoPatchGeometry,
                             F: TwoPatchGeometry) -> float:
     """Relative squared-component mismatch on the 11 x 11 parameter grid."""
-    num = 0.0
-    den = 0.0
-    for side in ("L", "R"):
-        pt = F_tilde.patch(side)
-        pf = F.patch(side)
-        for i in range(11):
-            for j in range(11):
-                u, v = i / 10.0, j / 10.0
-                a = pt.eval(u, v)
-                b = pf.eval(u, v)
-                num += float(((a - b) ** 2).sum())
-                den += float((a ** 2).sum())
-    return num / den
+    grid = np.arange(11) / 10.0
+    a = np.stack([F_tilde.patch(side).eval(grid, grid) for side in ("L", "R")])
+    b = np.stack([F.patch(side).eval(grid, grid) for side in ("L", "R")])
+    return float(((a - b) ** 2).sum() / (a ** 2).sum())
 
 
 def reference_projection(F_tilde: TwoPatchGeometry, F_hat: TwoPatchGeometry,
@@ -458,12 +430,13 @@ def reference_projection(F_tilde: TwoPatchGeometry, F_hat: TwoPatchGeometry,
     domain = represent_geometry(F_hat, kv) if weighted else _identity_geometry(kv)
     asm = DomainAssembler(domain, basis, FIT_POINTS_PER_CELL)
     loads = np.zeros((2, asm.dim))
-    for c in (0, 1):
-        for side in ("L", "R"):
-            patch = F_tilde.patch(side)
-            pa = asm.asm[side]
-            values = pa.sample_parametric(lambda u, v: patch.eval(u, v)[c])
-            loads[c] += asm.C[side] @ pa.load(values=values)
+    for side in ("L", "R"):
+        pa = asm.asm[side]
+        # input patch on the quadrature grid, laid out (ncu, ncv, q, r, 2)
+        values = F_tilde.patch(side).eval(pa.rule_u.nodes, pa.rule_v.nodes)
+        values = values.transpose(0, 2, 1, 3, 4)
+        for c in (0, 1):
+            loads[c] += asm.C[side] @ pa.load(values=values[..., c])
     return asm, asm.mass().toarray(), loads
 
 
@@ -502,13 +475,8 @@ def _identity_geometry(kv: KnotVector) -> TwoPatchGeometry:
     """Two unit-square patches mirrored across x = 0 (|det J| = 1)."""
     space = square_patch_space(kv)
     s = SplineSpace1D(kv)
-    xi = s.greville()
-    n = s.dim
-    gx = s.interpolate(xi)
-    cp_R = np.empty((n, n, 2))
-    for i in range(n):
-        for j in range(n):
-            cp_R[i, j] = (gx[i], gx[j])
+    gx = s.interpolate(s.greville())
+    cp_R = np.stack(np.meshgrid(gx, gx, indexing="ij"), axis=-1)
     cp_L = cp_R.copy()
     cp_L[:, :, 0] *= -1.0
     return TwoPatchGeometry(Patch(space, cp_L), Patch(space, cp_R))

@@ -1,9 +1,13 @@
 """Univariate and tensor-product B-spline spaces on [0, 1].
 
 Open knot vectors with per-knot multiplicity bookkeeping, basis evaluation
-with derivatives (Cox-de Boor recurrences), Greville abscissae, collocation
-interpolation and knot insertion.  Everything is immutable after
-construction; operations are pure functions of their inputs.
+with derivatives, Greville abscissae, collocation interpolation and knot
+insertion.  ``SplineSpace1D.eval_basis`` is the one Cox-de Boor evaluator:
+it takes whole arrays of points, and every other evaluation (spline
+functions, dense collocation matrices, tensor-product grids) is built on
+its output with array operations instead of per-point loops.  Everything is
+immutable after construction; operations are pure functions of their
+inputs.
 """
 
 from __future__ import annotations
@@ -131,55 +135,6 @@ def uniform_inner_knots(k: int) -> tuple[float, ...]:
     return tuple((i + 1) / (k + 1) for i in range(k))
 
 
-def _ders_basis_funs(knots: np.ndarray, p: int, span: int, x: float,
-                     nd: int) -> np.ndarray:
-    """Nonzero basis functions and derivatives at ``x`` (orders 0..nd <= p)."""
-    ndu = np.empty((p + 1, p + 1))
-    ndu[0, 0] = 1.0
-    left = np.empty(p + 1)
-    right = np.empty(p + 1)
-    for j in range(1, p + 1):
-        left[j] = x - knots[span + 1 - j]
-        right[j] = knots[span + j] - x
-        saved = 0.0
-        for rr in range(j):
-            ndu[j, rr] = right[rr + 1] + left[j - rr]
-            temp = ndu[rr, j - 1] / ndu[j, rr]
-            ndu[rr, j] = saved + right[rr + 1] * temp
-            saved = left[j - rr] * temp
-        ndu[j, j] = saved
-
-    ders = np.zeros((nd + 1, p + 1))
-    ders[0, :] = ndu[:, p]
-    a = np.empty((2, p + 1))
-    for rr in range(p + 1):
-        s1, s2 = 0, 1
-        a[0, 0] = 1.0
-        for kk in range(1, nd + 1):
-            d = 0.0
-            rk = rr - kk
-            pk = p - kk
-            if rr >= kk:
-                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
-                d = a[s2, 0] * ndu[rk, pk]
-            j1 = 1 if rk >= -1 else -rk
-            j2 = kk - 1 if rr - 1 <= pk else p - rr
-            for j in range(j1, j2 + 1):
-                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
-                d += a[s2, j] * ndu[rk + j, pk]
-            if rr <= pk:
-                a[s2, kk] = -a[s1, kk - 1] / ndu[pk + 1, rr]
-                d += a[s2, kk] * ndu[rr, pk]
-            ders[kk, rr] = d
-            s1, s2 = s2, s1
-
-    fac = float(p)
-    for kk in range(1, nd + 1):
-        ders[kk, :] *= fac
-        fac *= p - kk
-    return ders
-
-
 class SplineSpace1D:
     """Univariate spline space S(T, [0, 1]) over an open knot vector."""
 
@@ -199,52 +154,116 @@ class SplineSpace1D:
     def __hash__(self):
         return hash(self.kv)
 
-    def find_span(self, x: float, side: str = "right") -> int:
-        """Span index i with knots[i] <= x < knots[i+1].
+    def find_span(self, x, side: str = "right"):
+        """Span indices i with knots[i] <= x < knots[i+1], elementwise.
 
         ``side='right'`` gives right limits at knots, except at x = 1 where
-        the left limit is used; ``side='left'`` gives left limits.
+        the left limit is used; ``side='left'`` gives left limits.  Returns
+        an int for a scalar ``x`` and an int array of its shape otherwise.
         """
-        if not -KNOT_TOL <= x <= 1.0 + KNOT_TOL:
-            raise ValueError(f"evaluation point {x} outside [0, 1]")
-        n = self.dim
-        if side == "right":
-            span = int(np.searchsorted(self.knots, x, side="right")) - 1
-        elif side == "left":
-            span = int(np.searchsorted(self.knots, x, side="left")) - 1
-        else:
+        x = np.asarray(x, dtype=float)
+        inside = (x >= -KNOT_TOL) & (x <= 1.0 + KNOT_TOL)
+        if not inside.all():
+            raise ValueError(
+                f"evaluation point {x[~inside].flat[0]} outside [0, 1]")
+        if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        return min(max(span, self.degree), n - 1)
+        span = np.searchsorted(self.knots, x, side=side) - 1
+        span = np.clip(span, self.degree, self.dim - 1)
+        return int(span) if span.ndim == 0 else span
 
-    def eval_basis(self, x: float, max_deriv: int = 0,
-                   side: str = "right") -> tuple[int, np.ndarray]:
-        """Values/derivatives of the <= p+1 basis functions nonzero at ``x``.
+    def eval_basis(self, xs, max_deriv: int = 0, side: str = "right"):
+        """Values/derivatives of the <= p+1 basis functions nonzero at ``xs``.
 
-        Returns ``(first_index, ders)`` where ``ders[m, j]`` is the m-th
-        derivative of basis function ``first_index + j``.  Derivative orders
-        beyond the degree are identically zero.
+        For a scalar ``xs`` returns ``(first_index, ders)`` where
+        ``ders[m, j]`` is the m-th derivative of basis function
+        ``first_index + j``.  For an array ``xs`` returns ``first`` of shape
+        ``xs.shape`` and ``ders`` of shape ``xs.shape + (max_deriv + 1,
+        p + 1)``, indexed the same way per point.  Derivative orders beyond
+        the degree are identically zero.
+
+        The Cox-de Boor recurrences (The NURBS Book, A2.3) run once, with
+        every step taken over all points at the same time.
         """
-        span = self.find_span(x, side=side)
-        nd = min(max_deriv, self.degree)
-        ders = _ders_basis_funs(self.knots, self.degree, span, float(x), nd)
-        if max_deriv > nd:
-            ders = np.vstack([ders, np.zeros((max_deriv - nd, self.degree + 1))])
-        return span - self.degree, ders
+        x = np.asarray(xs, dtype=float)
+        pts = x.reshape(-1)
+        span = self.find_span(pts, side=side)
+        p, t = self.degree, self.knots
+        nd = min(max_deriv, p)
+
+        ndu = np.empty((p + 1, p + 1, len(pts)))
+        ndu[0, 0] = 1.0
+        left = np.empty((p + 1, len(pts)))
+        right = np.empty((p + 1, len(pts)))
+        for j in range(1, p + 1):
+            left[j] = pts - t[span + 1 - j]
+            right[j] = t[span + j] - pts
+            saved = 0.0
+            for rr in range(j):
+                ndu[j, rr] = right[rr + 1] + left[j - rr]
+                temp = ndu[rr, j - 1] / ndu[j, rr]
+                ndu[rr, j] = saved + right[rr + 1] * temp
+                saved = left[j - rr] * temp
+            ndu[j, j] = saved
+
+        ders = np.zeros((max_deriv + 1, p + 1, len(pts)))
+        ders[0] = ndu[:, p]
+        a = np.empty((2, p + 1, len(pts)))
+        for rr in range(p + 1):
+            s1, s2 = 0, 1
+            a[0, 0] = 1.0
+            for kk in range(1, nd + 1):
+                d = 0.0
+                rk = rr - kk
+                pk = p - kk
+                if rr >= kk:
+                    a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
+                    d = a[s2, 0] * ndu[rk, pk]
+                j1 = 1 if rk >= -1 else -rk
+                j2 = kk - 1 if rr - 1 <= pk else p - rr
+                for j in range(j1, j2 + 1):
+                    a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
+                    d = d + a[s2, j] * ndu[rk + j, pk]
+                if rr <= pk:
+                    a[s2, kk] = -a[s1, kk - 1] / ndu[pk + 1, rr]
+                    d = d + a[s2, kk] * ndu[rr, pk]
+                ders[kk, rr] = d
+                s1, s2 = s2, s1
+
+        fac = float(p)
+        for kk in range(1, nd + 1):
+            ders[kk] *= fac
+            fac *= p - kk
+        first = (span - p).reshape(x.shape)
+        ders = np.moveaxis(ders, -1, 0).reshape(x.shape + ders.shape[:2])
+        return (int(first), ders) if x.ndim == 0 else (first, ders)
+
+    def basis_matrix(self, xs, max_deriv: int = 0) -> np.ndarray:
+        """Dense collocation matrices, shape (max_deriv + 1, len(xs), dim).
+
+        Entry ``[m, i, j]`` is the m-th derivative of basis function j at
+        ``xs[i]``.
+        """
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        first, ders = self.eval_basis(xs, max_deriv)
+        out = np.zeros((max_deriv + 1, len(xs), self.dim))
+        cols = first[:, None] + np.arange(self.degree + 1)
+        out[:, np.arange(len(xs))[:, None], cols] = np.moveaxis(ders, 1, 0)
+        return out
 
     def eval_function(self, coeffs, xs, max_deriv: int = 0) -> np.ndarray:
         """Evaluate a spline (given by its coefficients) and derivatives.
 
-        Returns an array of shape ``(max_deriv + 1, len(xs))``.
+        ``coeffs`` has shape ``(dim,) + trailing``; returns an array of
+        shape ``(max_deriv + 1, len(xs)) + trailing``.
         """
         coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (self.dim,):
+        if coeffs.shape[:1] != (self.dim,):
             raise ValueError(f"expected {self.dim} coefficients, got {coeffs.shape}")
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        out = np.empty((max_deriv + 1, len(xs)))
-        for i, x in enumerate(xs):
-            first, ders = self.eval_basis(x, max_deriv)
-            out[:, i] = ders @ coeffs[first:first + self.degree + 1]
-        return out
+        first, ders = self.eval_basis(xs, max_deriv)
+        local = coeffs[first[:, None] + np.arange(self.degree + 1)]
+        return np.einsum("mdj,mj...->dm...", ders, local)
 
     def greville(self) -> np.ndarray:
         """Greville abscissae xi_i = (t_{i+1} + ... + t_{i+p}) / p."""
@@ -258,21 +277,25 @@ class SplineSpace1D:
         """Banded storage of the Greville collocation matrix for solve_banded."""
         p = self.degree
         n = self.dim
+        first, ders = self.eval_basis(self.greville())
+        cols = first[:, None] + np.arange(p + 1)
         ab = np.zeros((2 * p + 1, n))
-        for i, x in enumerate(self.greville()):
-            first, ders = self.eval_basis(x, 0)
-            for loc in range(p + 1):
-                j = first + loc
-                ab[p + i - j, j] = ders[0, loc]
+        ab[p + np.arange(n)[:, None] - cols, cols] = ders[:, 0]
         return ab
 
     def interpolate(self, samples) -> np.ndarray:
-        """Coefficients c with sum_j c_j N_j(xi_i) = samples[i] at Greville points."""
+        """Coefficients c with sum_j c_j N_j(xi_i) = samples[i] at Greville points.
+
+        ``samples`` has shape ``(dim,) + trailing``; every trailing column is
+        interpolated in one banded solve.
+        """
         samples = np.asarray(samples, dtype=float)
         if samples.shape[0] != self.dim:
             raise ValueError(f"expected {self.dim} samples, got {samples.shape[0]}")
         p = self.degree
-        return solve_banded((p, p), self._collocation_banded, samples)
+        cols = solve_banded((p, p), self._collocation_banded,
+                            samples.reshape(self.dim, -1))
+        return cols.reshape(samples.shape)
 
     def spans(self) -> list[tuple[int, float, float]]:
         """Nonempty knot spans as (span_index, left, right)."""
@@ -322,29 +345,31 @@ class TensorSplineSpace:
     def shape(self) -> tuple[int, int]:
         return (self.space_u.dim, self.space_v.dim)
 
-    def eval(self, coeffs, u: float, v: float, du: int = 0, dv: int = 0) -> float:
-        """Value of d_u^du d_v^dv sum_{i,j} c_{i,j} N_i(u) N_j(v)."""
+    def derivs(self, coeffs, us, vs, max_du: int, max_dv: int) -> np.ndarray:
+        """All mixed derivatives d_u^a d_v^b, a <= max_du, b <= max_dv, of
+        sum_{i,j} c_{i,j} N_i(u) N_j(v) on the grid ``us`` x ``vs``.
+
+        ``coeffs`` has shape ``self.shape + trailing``; the result has shape
+        ``(max_du + 1, max_dv + 1) + us.shape + vs.shape + trailing``.
+        """
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape[:2] != self.shape:
             raise ValueError(f"coefficient grid {coeffs.shape} does not match "
                              f"space shape {self.shape}")
-        fu, bu = self.space_u.eval_basis(u, du)
-        fv, bv = self.space_v.eval_basis(v, dv)
-        pu = self.space_u.degree
-        pv = self.space_v.degree
-        block = coeffs[fu:fu + pu + 1, fv:fv + pv + 1]
-        return float(bu[du] @ block @ bv[dv])
+        us = np.asarray(us, dtype=float)
+        vs = np.asarray(vs, dtype=float)
+        Bu = self.space_u.basis_matrix(us.reshape(-1), max_du)
+        Bv = self.space_v.basis_matrix(vs.reshape(-1), max_dv)
+        c = coeffs.reshape(self.shape + (-1,))
+        # (a, u, j, c) x (b, v, j) -> (a, u, c, b, v) -> (a, b, u, v, c)
+        out = np.tensordot(np.tensordot(Bu, c, 1), Bv, (2, 2))
+        out = out.transpose(0, 3, 1, 4, 2)
+        return out.reshape(out.shape[:2] + us.shape + vs.shape + coeffs.shape[2:])
 
-    def eval_derivs(self, coeffs, u: float, v: float,
-                    max_du: int, max_dv: int) -> np.ndarray:
-        """All mixed derivatives up to (max_du, max_dv) at one point."""
-        coeffs = np.asarray(coeffs, dtype=float)
-        fu, bu = self.space_u.eval_basis(u, max_du)
-        fv, bv = self.space_v.eval_basis(v, max_dv)
-        pu = self.space_u.degree
-        pv = self.space_v.degree
-        block = coeffs[fu:fu + pu + 1, fv:fv + pv + 1]
-        return np.einsum("ai,ij,bj->ab", bu, block, bv)
+    def eval(self, coeffs, us, vs, du: int = 0, dv: int = 0) -> np.ndarray:
+        """d_u^du d_v^dv sum_{i,j} c_{i,j} N_i(u) N_j(v) on the grid
+        ``us`` x ``vs``."""
+        return self.derivs(coeffs, us, vs, du, dv)[du, dv]
 
 
 def insert_knot(kv: KnotVector, coeffs: np.ndarray, x: float) -> tuple[KnotVector, np.ndarray]:

@@ -79,6 +79,8 @@ def _space_params(geo, args, file_r):
         k = len(inner)
     else:
         k = args.k
+        if k < 0:
+            raise CommandError(f"--k must be at least 0, got {k}")
         inner = uniform_inner_knots(k)
     return p, r, k, inner
 

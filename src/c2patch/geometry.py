@@ -50,22 +50,15 @@ class Patch:
     def degree(self) -> int:
         return self.space.space_u.degree
 
-    def eval(self, u: float, v: float, du: int = 0, dv: int = 0) -> np.ndarray:
-        return np.array([
-            self.space.eval(self.control_points[:, :, c], u, v, du, dv)
-            for c in (0, 1)])
+    def eval(self, us, vs, du: int = 0, dv: int = 0) -> np.ndarray:
+        """d_u^du d_v^dv F on the grid us x vs:
+        shape us.shape + vs.shape + (2,)."""
+        return self.space.eval(self.control_points, us, vs, du, dv)
 
-    def derivs(self, u: float, v: float, max_du: int, max_dv: int) -> np.ndarray:
-        """All mixed derivatives: shape (max_du+1, max_dv+1, 2)."""
-        out = np.empty((max_du + 1, max_dv + 1, 2))
-        for c in (0, 1):
-            out[:, :, c] = self.space.eval_derivs(
-                self.control_points[:, :, c], u, v, max_du, max_dv)
-        return out
-
-    def jacobian(self, u: float, v: float) -> np.ndarray:
-        d = self.derivs(u, v, 1, 1)
-        return np.column_stack([d[1, 0], d[0, 1]])
+    def derivs(self, us, vs, max_du: int, max_dv: int) -> np.ndarray:
+        """All mixed derivatives on the grid us x vs:
+        shape (max_du+1, max_dv+1) + us.shape + vs.shape + (2,)."""
+        return self.space.derivs(self.control_points, us, vs, max_du, max_dv)
 
 
 def square_patch_space(kv: KnotVector) -> TensorSplineSpace:
@@ -104,35 +97,38 @@ class TwoPatchGeometry:
 
     def interface_mismatch(self, n_samples: int = 64) -> float:
         vs = np.linspace(0.0, 1.0, n_samples)
-        worst = 0.0
-        for v in vs:
-            d = self.patch_L.eval(0.0, v) - self.patch_R.eval(0.0, v)
-            worst = max(worst, float(np.hypot(*d)))
-        return worst
+        d = self.patch_L.eval(0.0, vs) - self.patch_R.eval(0.0, vs)
+        return float(np.hypot(d[:, 0], d[:, 1]).max())
 
     def min_abs_jacobian(self) -> float:
         """Smallest |det J| over Gauss sample grids of both patches."""
-        worst = np.inf
+        dets = []
         for patch in (self.patch_L, self.patch_R):
-            p = patch.degree
-            nodes, _ = np.polynomial.legendre.leggauss(p + 1)
-            for su in patch.space.space_u.spans():
-                us = 0.5 * (su[1] + su[2]) + 0.5 * (su[2] - su[1]) * nodes
-                for sv in patch.space.space_v.spans():
-                    vs = 0.5 * (sv[1] + sv[2]) + 0.5 * (sv[2] - sv[1]) * nodes
-                    for u in us:
-                        for v in vs:
-                            det = np.linalg.det(patch.jacobian(u, v))
-                            worst = min(worst, abs(det))
-        return float(worst)
+            nodes, _ = np.polynomial.legendre.leggauss(patch.degree + 1)
+            us, vs = (_gauss_points(s, nodes)
+                      for s in (patch.space.space_u, patch.space.space_v))
+            d = patch.derivs(us, vs, 1, 1)
+            dets.append(d[1, 0, ..., 0] * d[0, 1, ..., 1]
+                        - d[1, 0, ..., 1] * d[0, 1, ..., 0])
+        return float(np.abs(dets).min())
 
     def validate(self) -> None:
+        for side in self.sides:
+            if not np.isfinite(self.patch(side).control_points).all():
+                raise GeometryError(f"patch {side!r}: non-finite control point")
         mism = self.interface_mismatch()
         if mism > INTERFACE_TOL * max(self.diameter, 1e-30):
             raise GeometryError(
                 f"patch interfaces disagree: max |F_L(0,v) - F_R(0,v)| = {mism:.3e}")
         if self.min_abs_jacobian() <= 0.0:
             raise GeometryError("patch Jacobian vanishes on the sample grid")
+
+
+def _gauss_points(space: SplineSpace1D, nodes: np.ndarray) -> np.ndarray:
+    """The Gauss ``nodes`` mapped into every nonempty knot span, flattened."""
+    spans = np.array([(a, b) for _, a, b in space.spans()])
+    a, b = spans[:, :1], spans[:, 1:]
+    return (0.5 * (a + b) + 0.5 * (b - a) * nodes).ravel()
 
 
 def refine_geometry(geo: TwoPatchGeometry, target_kv: KnotVector) -> TwoPatchGeometry:
@@ -160,26 +156,20 @@ def represent_geometry(geo: TwoPatchGeometry, target_kv: KnotVector,
     space = square_patch_space(target_kv)
     s1 = space.space_u
     xi = s1.greville()
+    check_us, check_vs = np.array([0.37, 0.73]), np.array([0.51, 0.18])
     patches = {}
     for side in geo.sides:
         patch = geo.patch(side)
-        cp = np.empty((s1.dim, s1.dim, 2))
-        samples = np.empty((s1.dim, s1.dim, 2))
-        for a, u in enumerate(xi):
-            for b, v in enumerate(xi):
-                samples[a, b] = patch.eval(u, v)
-        for c in (0, 1):
-            tmp = np.column_stack([s1.interpolate(samples[:, b, c])
-                                   for b in range(s1.dim)])
-            cp[:, :, c] = np.column_stack([s1.interpolate(tmp[a, :])
-                                           for a in range(s1.dim)]).T
+        samples = patch.eval(xi, xi)
+        cp = s1.interpolate(samples)                                 # along u
+        cp = np.swapaxes(s1.interpolate(np.swapaxes(cp, 0, 1)), 0, 1)  # along v
         new = Patch(space, cp)
-        for u, v in ((0.37, 0.51), (0.73, 0.18)):
-            err = np.abs(new.eval(u, v) - patch.eval(u, v)).max()
-            if err > tol * max(np.abs(samples).max(), 1.0):
-                raise GeometryError(
-                    f"patch {side!r} is not representable in the target space "
-                    f"(residual {err:.2e})")
+        err = np.abs(new.eval(check_us, check_vs)
+                     - patch.eval(check_us, check_vs)).max()
+        if err > tol * max(np.abs(samples).max(), 1.0):
+            raise GeometryError(
+                f"patch {side!r} is not representable in the target space "
+                f"(residual {err:.2e})")
         patches[side] = new
     return TwoPatchGeometry(patches["L"], patches["R"])
 
@@ -189,20 +179,14 @@ def bilinear_from_vertices(initial: TwoPatchGeometry) -> TwoPatchGeometry:
     kv1 = make_knot_vector(1, 0, 0)
     space = square_patch_space(kv1)
     corner_tol = INTERFACE_TOL * max(initial.diameter, 1e-30)
-    for j in (0.0, 1.0):
-        d = initial.patch_L.eval(0.0, j) - initial.patch_R.eval(0.0, j)
-        if np.hypot(*d) > corner_tol:
+    ends = np.array([0.0, 1.0])
+    d = initial.patch_L.eval(0.0, ends) - initial.patch_R.eval(0.0, ends)
+    for v, gap in zip(ends, np.hypot(d[:, 0], d[:, 1])):
+        if gap > corner_tol:
             raise GeometryError(
-                f"interface corners disagree at v={j}: |diff| = {np.hypot(*d):.3e}")
-    patches = {}
-    for side in initial.sides:
-        patch = initial.patch(side)
-        cp = np.empty((2, 2, 2))
-        for i in (0, 1):
-            for j in (0, 1):
-                cp[i, j] = patch.eval(float(i), float(j))
-        patches[side] = Patch(space, cp)
-    return TwoPatchGeometry(patches["L"], patches["R"])
+                f"interface corners disagree at v={v}: |diff| = {gap:.3e}")
+    return TwoPatchGeometry(*(Patch(space, initial.patch(side).eval(ends, ends))
+                              for side in initial.sides))
 
 
 # ---------------------------------------------------------------------------

@@ -332,11 +332,9 @@ def verify_bilinear_like(F: TwoPatchGeometry, g: GluingData,
         n_samples = 2 * (p + 1) * (k + 1)
     vs = np.linspace(0.0, 1.0, n_samples)
     W = matching_weights(g, vs)
-    worst = np.zeros(3)
-    for m, v in enumerate(vs):
-        jets = np.stack([F.patch_L.derivs(0.0, v, 2, 2),
-                         F.patch_R.derivs(0.0, v, 2, 2)])
-        r = np.einsum("esab,sabc->ec", W[m], jets)
-        worst = np.maximum(worst, np.hypot(r[:, 0], r[:, 1]))
+    jets = np.stack([F.patch_L.derivs(0.0, vs, 2, 2),
+                     F.patch_R.derivs(0.0, vs, 2, 2)])
+    r = np.einsum("vesab,sabvc->vec", W, jets)
+    worst = np.hypot(r[..., 0], r[..., 1]).max(axis=0)
     c0, c1, c2 = (float(w) for w in worst / max(F.diameter, 1e-30))
     return ResidualReport(c0, c1, c2, tol)

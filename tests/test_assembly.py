@@ -153,7 +153,8 @@ class TestProjection:
             n = basis.n
             grid = grids[s].reshape(n, n)
             ts = geo.patch(s).space
-            vals = pa.sample_parametric(lambda u, v: ts.eval(grid, u, v))
+            vals = ts.eval(grid, pa.rule_u.nodes, pa.rule_v.nodes)
+            vals = vals.transpose(0, 2, 1, 3)       # (ncu, ncv, q, r)
             rhs += asm.C[s] @ pa.load(values=vals)
         b = solve_spd(M, rhs)
         resid = 0.0

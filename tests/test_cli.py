@@ -8,7 +8,9 @@ import pytest
 
 from c2patch import cli
 from c2patch.fields import FieldError, parse_expression, resolve_field
-from c2patch.geometry import (geometry_from_dict, geometry_to_dict,
+from c2patch.builtin import reference_fitted_geometry
+from c2patch.geometry import (GeometryError, Patch, TwoPatchGeometry,
+                              geometry_from_dict, geometry_to_dict,
                               load_geometry, save_geometry)
 from tests.conftest import load_asset
 
@@ -18,6 +20,16 @@ def run_cli(*argv):
 
 
 class TestGeometryFormat:
+    def test_validate_rejects_non_finite_in_memory(self):
+        # a NaN on the interface row must not slip through the sampled
+        # interface and Jacobian checks
+        geo, _ = load_asset("bilinear_a")
+        cp = geo.patch_L.control_points.copy()
+        cp[0, 0, 0] = np.nan
+        bad = TwoPatchGeometry(Patch(geo.patch_L.space, cp), geo.patch_R)
+        with pytest.raises(GeometryError, match="non-finite"):
+            bad.validate()
+
     def test_round_trip_bit_for_bit(self, tmp_path, fitted_a):
         geo, gluing = fitted_a
         path = tmp_path / "geo.json"
@@ -220,6 +232,10 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert "--samples" in out.err and "PASS" not in out.out
 
+    def test_negative_k_exits_one(self, capsys):
+        assert run_cli("dim", "--geometry", "builtin:fitted_a", "--k", "-1") == 1
+        assert "--k must be at least 0, got -1" in capsys.readouterr().err
+
     def test_table2_negative_levels_exits_one(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
         assert run_cli("table2", "--geometry", "builtin:fitted_a",
@@ -235,3 +251,14 @@ def test_bundled_assets_consistent(fitted_a, fitted_b):
         assert raw is not None
         init, _ = load_asset(f"initial_{name}")
         assert init.patch_L.degree == 3
+
+
+@pytest.mark.parametrize("name", ["a", "b"])
+def test_fitted_assets_regenerate_within_tolerance(name):
+    # byte-for-byte equality depends on the BLAS build; the tolerance does not
+    committed, _ = load_asset(f"fitted_{name}")
+    regenerated = reference_fitted_geometry(name)
+    for side in "LR":
+        diff = np.abs(regenerated.patch(side).control_points
+                      - committed.patch(side).control_points).max()
+        assert diff <= 1e-9 * committed.diameter

@@ -1,6 +1,8 @@
 """Every name a c2patch module imports is used in that module."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import c2patch
@@ -33,3 +35,15 @@ def test_no_unused_imports():
     found = [f"{path.name}:{line} {name}" for path in SOURCES
              for line, name in unused_imports(path.read_text())]
     assert not found, f"unused imports: {found}"
+
+
+def test_package_import_does_not_load_scipy_interpolate():
+    # scipy.interpolate costs ~0.3 s and ~17 MB at start-up; it is used only
+    # as an independent reference in the tests
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import c2patch.cli, c2patch.assembly, c2patch.builtin; "
+            "print('scipy.interpolate' in sys.modules)")
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(Path(c2patch.__file__).parents[1])],
+        capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
