@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -21,7 +22,10 @@ from .geometry import (Patch, TwoPatchGeometry, bilinear_from_vertices,
 from .gluing import GluingData, gluing_from_bilinear, gluing_invariants
 from .smooth import SmoothBasis, build_basis_v2, build_basis_w2, dim_v1
 
-DENSE_EIG_CUTOFF = 6000
+# Largest SPD system factored densely.  Measured on Table-2 mass matrices
+# (factor, one solve and the condition number): dense is faster at 133
+# unknowns (3.7 vs 4.2 ms), sparse at 384 (12 vs 14 ms) and beyond.
+DENSE_FACTOR_CUTOFF = 250
 FIT_POINTS_PER_CELL = 8
 
 
@@ -85,7 +89,12 @@ def _basis_on_cells(space: SplineSpace1D, rule: QuadratureRule,
 
 
 class PatchAssembler:
-    """Cell-wise quadrature data of one patch: weights, physical points."""
+    """Quadrature data of one patch: weights, physical points, |det J|.
+
+    Every integral is taken over all cells at once: the cells are leading
+    array axes ``(ncu, ncv)`` and each cell's local B-spline products are
+    contracted with one ``einsum``.
+    """
 
     def __init__(self, patch: Patch, points_per_cell: int | None = None):
         self.patch = patch
@@ -99,62 +108,51 @@ class PatchAssembler:
         self.n_v = sv.dim
         self.p_u = su.degree
         self.p_v = sv.degree
+        # tensor indices (i, j) of the B-splines active on each cell
+        iu = self.bu.first[:, None] + np.arange(self.p_u + 1)
+        iv = self.bv.first[:, None] + np.arange(self.p_v + 1)
+        self._cell_i = iu[:, None, :, None]        # (ncu, 1, pu+1, 1)
+        self._cell_j = iv[None, :, None, :]        # (1, ncv, 1, pv+1)
+        # flat indices i*n_v + j of those B-splines: (ncu, ncv, nloc)
+        self._cell_dofs = (self._cell_i * self.n_v + self._cell_j).reshape(
+            len(iu), len(iv), -1)
+        self._cell_weights = (self.rule_u.weights[:, None, :, None]
+                              * self.rule_v.weights[None, :, None, :])
         self._geometry_data()
+
+    def _on_cells(self, coeffs: np.ndarray, du: int = 0,
+                  dv: int = 0) -> np.ndarray:
+        """Derivative (du, dv) of the tensor spline with coefficient grid
+        ``coeffs`` (n_u, n_v, ...) at every quadrature point:
+        (ncu, ncv, q, r, ...)."""
+        local = coeffs[self._cell_i, self._cell_j]    # (ncu, ncv, pu+1, pv+1, ...)
+        return np.einsum("uqa,uvab...,vrb->uvqr...", self.bu.values[:, :, du],
+                         local, self.bv.values[:, :, dv], optimize=True)
 
     def _geometry_data(self):
         """|det J| and physical coordinates at every quadrature point."""
-        ncu, q = self.rule_u.nodes.shape
-        ncv, r = self.rule_v.nodes.shape
         cp = self.patch.control_points
-        self.absdet = np.empty((ncu, ncv, q, r))
-        self.phys = np.empty((ncu, ncv, q, r, 2))
-        pu, pv = self.p_u, self.p_v
-        for cu in range(ncu):
-            fu = self.bu.first[cu]
-            Bu = self.bu.values[cu, :, 0, :]      # (q, pu+1)
-            Du = self.bu.values[cu, :, 1, :]
-            for cv in range(ncv):
-                fv = self.bv.first[cv]
-                Bv = self.bv.values[cv, :, 0, :]
-                Dv = self.bv.values[cv, :, 1, :]
-                loc = cp[fu:fu + pu + 1, fv:fv + pv + 1, :]
-                F = np.einsum("qa,abc,rb->qrc", Bu, loc, Bv)
-                Fu = np.einsum("qa,abc,rb->qrc", Du, loc, Bv)
-                Fv = np.einsum("qa,abc,rb->qrc", Bu, loc, Dv)
-                det = Fu[..., 0] * Fv[..., 1] - Fu[..., 1] * Fv[..., 0]
-                self.absdet[cu, cv] = np.abs(det)
-                self.phys[cu, cv] = F
+        Fu = self._on_cells(cp, du=1)
+        Fv = self._on_cells(cp, dv=1)
+        self.absdet = np.abs(Fu[..., 0] * Fv[..., 1] - Fu[..., 1] * Fv[..., 0])
+        self.phys = self._on_cells(cp)             # (ncu, ncv, q, r, 2)
 
     def mass(self) -> sp.csr_matrix:
         """Weighted Gram matrix of the tensor B-splines, (n_u*n_v)^2 sparse."""
-        ncu, q = self.rule_u.nodes.shape
-        ncv, r = self.rule_v.nodes.shape
-        pu, pv = self.p_u, self.p_v
-        wu = self.rule_u.weights
-        wv = self.rule_v.weights
-        nloc = (pu + 1) * (pv + 1)
-        data = np.empty(ncu * ncv * nloc * nloc)
-        rows = np.empty_like(data, dtype=np.int64)
-        cols = np.empty_like(data, dtype=np.int64)
-        pos = 0
-        for cu in range(ncu):
-            fu = self.bu.first[cu]
-            Bu = self.bu.values[cu, :, 0, :]
-            for cv in range(ncv):
-                fv = self.bv.first[cv]
-                Bv = self.bv.values[cv, :, 0, :]
-                W = (wu[cu][:, None] * wv[cv][None, :]) * self.absdet[cu, cv]
-                Tu = np.einsum("qa,qb->qab", Bu, Bu)
-                Tv = np.einsum("rc,rd->rcd", Bv, Bv)
-                local = np.einsum("qab,qr,rcd->acbd", Tu, W, Tv)
-                gi = (np.arange(fu, fu + pu + 1)[:, None] * self.n_v
-                      + np.arange(fv, fv + pv + 1)[None, :]).ravel()
-                rows[pos:pos + nloc * nloc] = np.repeat(gi, nloc)
-                cols[pos:pos + nloc * nloc] = np.tile(gi, nloc)
-                data[pos:pos + nloc * nloc] = local.reshape(nloc, nloc).ravel()
-                pos += nloc * nloc
+        Bu = self.bu.values[:, :, 0]
+        Bv = self.bv.values[:, :, 0]
+        Tu = Bu[..., :, None] * Bu[..., None, :]   # (ncu, q, a, b)
+        Tv = Bv[..., :, None] * Bv[..., None, :]   # (ncv, r, c, d)
+        W = self._cell_weights * self.absdet
+        local = np.einsum("uqab,uvqr,vrcd->uvacbd", Tu, W, Tv, optimize=True)
+        dofs = self._cell_dofs
+        nloc = dofs.shape[-1]
+        shape = dofs.shape + (nloc,)
+        rows = np.broadcast_to(dofs[..., :, None], shape).ravel()
+        cols = np.broadcast_to(dofs[..., None, :], shape).ravel()
         n2 = self.n_u * self.n_v
-        return sp.coo_matrix((data, (rows, cols)), shape=(n2, n2)).tocsr()
+        return sp.coo_matrix((local.ravel(), (rows, cols)),
+                             shape=(n2, n2)).tocsr()
 
     def sample_physical(self, f) -> np.ndarray:
         """f(x1, x2) sampled at every quadrature point: (ncu, ncv, q, r)."""
@@ -168,55 +166,22 @@ class PatchAssembler:
         """
         if values is None:
             values = self.sample_physical(f)
-        ncu, q = self.rule_u.nodes.shape
-        ncv, r = self.rule_v.nodes.shape
-        pu, pv = self.p_u, self.p_v
-        wu = self.rule_u.weights
-        wv = self.rule_v.weights
-        out = np.zeros(self.n_u * self.n_v)
-        for cu in range(ncu):
-            fu = self.bu.first[cu]
-            Bu = self.bu.values[cu, :, 0, :]
-            for cv in range(ncv):
-                fv = self.bv.first[cv]
-                Bv = self.bv.values[cv, :, 0, :]
-                W = (wu[cu][:, None] * wv[cv][None, :]) * self.absdet[cu, cv] \
-                    * values[cu, cv]
-                local = np.einsum("qa,qr,rc->ac", Bu, W, Bv)
-                gi = (np.arange(fu, fu + pu + 1)[:, None] * self.n_v
-                      + np.arange(fv, fv + pv + 1)[None, :])
-                out[gi.ravel()] += local.ravel()
-        return out
+        W = self._cell_weights * self.absdet * values
+        local = np.einsum("uqa,uvqr,vrc->uvac", self.bu.values[:, :, 0], W,
+                          self.bv.values[:, :, 0], optimize=True)
+        return np.bincount(self._cell_dofs.ravel(), local.ravel(),
+                           minlength=self.n_u * self.n_v)
 
     def integrate_sq_diff(self, coeffs_flat: np.ndarray,
                           f: Callable[[np.ndarray, np.ndarray], np.ndarray] | None,
                           ) -> tuple[float, float]:
         """(||g - f||^2, ||f||^2) over the patch; f = 0 when f is None."""
-        ncu, q = self.rule_u.nodes.shape
-        ncv, r = self.rule_v.nodes.shape
-        pu, pv = self.p_u, self.p_v
-        wu = self.rule_u.weights
-        wv = self.rule_v.weights
-        grid = coeffs_flat.reshape(self.n_u, self.n_v)
-        err = 0.0
-        ref = 0.0
-        for cu in range(ncu):
-            fu = self.bu.first[cu]
-            Bu = self.bu.values[cu, :, 0, :]
-            for cv in range(ncv):
-                fv = self.bv.first[cv]
-                Bv = self.bv.values[cv, :, 0, :]
-                loc = grid[fu:fu + pu + 1, fv:fv + pv + 1]
-                g = np.einsum("qa,ab,rb->qr", Bu, loc, Bv)
-                W = (wu[cu][:, None] * wv[cv][None, :]) * self.absdet[cu, cv]
-                if f is None:
-                    fvals = 0.0
-                else:
-                    xy = self.phys[cu, cv]
-                    fvals = f(xy[..., 0], xy[..., 1])
-                    ref += float((W * fvals ** 2).sum())
-                err += float((W * (g - fvals) ** 2).sum())
-        return err, ref
+        g = self._on_cells(coeffs_flat.reshape(self.n_u, self.n_v))
+        W = self._cell_weights * self.absdet
+        if f is None:
+            return float((W * g ** 2).sum()), 0.0
+        fvals = self.sample_physical(f)
+        return float((W * (g - fvals) ** 2).sum()), float((W * fvals ** 2).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -298,34 +263,74 @@ class DomainAssembler:
         return float(np.sqrt(err / ref))
 
 
+class SPDFactor:
+    """One factorization of a symmetric positive definite matrix M.
+
+    The matrix is scaled diagonally, A = S M S with S = diag(M)^(-1/2), and
+    A is factored once: by dense Cholesky up to ``DENSE_FACTOR_CUTOFF``
+    unknowns, above it by sparse LU with a symmetric minimum-degree ordering
+    and diagonal pivots, which for an SPD matrix is its LDL^T factorization.
+    The same factor serves every solve and the condition number.  A matrix
+    that is not positive definite raises ``ValueError``: Cholesky fails, or
+    the sparse factor needs an off-diagonal pivot or a pivot <= 0.
+    """
+
+    def __init__(self, M):
+        d = M.diagonal()
+        if not (d > 0.0).all():
+            raise ValueError("matrix has a nonpositive diagonal entry")
+        self.scale = 1.0 / np.sqrt(d)
+        S = sp.diags(self.scale)
+        A = S @ sp.csr_matrix(M) @ S
+        A = (A + A.T) * 0.5
+        if A.shape[0] <= DENSE_FACTOR_CUTOFF:
+            self.A = A.toarray()
+            try:
+                cho = sla.cho_factor(self.A)
+            except np.linalg.LinAlgError:
+                raise ValueError("matrix is not positive definite") from None
+            self._solve = lambda y: sla.cho_solve(cho, y)
+        else:
+            self.A = A.tocsc()
+            lu = spla.splu(self.A, permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.0,
+                           options=dict(SymmetricMode=True))
+            # diagonal pivots: perm_r == perm_c and diag(U) is D of LDL^T
+            if (lu.perm_r != lu.perm_c).any() or not (lu.U.diagonal() > 0.0).all():
+                raise ValueError("matrix is not positive definite")
+            self._solve = lu.solve
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """M^(-1) rhs for a right-hand side of shape (n,) or (n, m)."""
+        s = self.scale.reshape((-1,) + (1,) * (np.ndim(rhs) - 1))
+        return s * self._solve(s * rhs)
+
+    def condition_number(self, tol: float = 1e-6) -> float:
+        """Condition number of A, lambda_max / lambda_min.
+
+        Lanczos iterations (relative tolerance ``tol``, a fixed start
+        vector) find lambda_max of A and 1 / lambda_min as the largest
+        eigenvalue of A^(-1), applied through the factor.
+        """
+        n = self.A.shape[0]
+        v0 = np.random.default_rng(0).standard_normal(n)
+        inv = spla.LinearOperator((n, n), matvec=self._solve, dtype=float)
+
+        def largest(op):
+            return spla.eigsh(op, k=1, which="LA", tol=tol, v0=v0,
+                              return_eigenvectors=False)[0]
+
+        return float(largest(self.A) * largest(inv))
+
+
 def solve_spd(M, rhs: np.ndarray) -> np.ndarray:
-    if M.shape[0] <= 1200:
-        return np.linalg.solve(M.toarray() if sp.issparse(M) else M, rhs)
-    return spla.spsolve(M.tocsc(), rhs)
+    """M^(-1) rhs for an SPD matrix M (one ``SPDFactor``)."""
+    return SPDFactor(M).solve(rhs)
 
 
 def scaled_condition_number(M, tol: float = 1e-6) -> float:
-    """Condition number of the diagonally scaled SPD matrix.
-
-    Dense symmetric eigensolve below DENSE_EIG_CUTOFF, extreme-eigenvalue
-    iterations (relative tolerance ``tol``) above.
-    """
-    if not sp.issparse(M):
-        M = sp.csr_matrix(M)
-    d = M.diagonal()
-    if (d <= 0.0).any():
-        raise ValueError("matrix has a nonpositive diagonal entry")
-    s = 1.0 / np.sqrt(d)
-    A = sp.diags(s) @ M @ sp.diags(s)
-    A = ((A + A.T) * 0.5).tocsc()
-    if A.shape[0] <= DENSE_EIG_CUTOFF:
-        ev = np.linalg.eigvalsh(A.toarray())
-        return float(ev[-1] / ev[0])
-    lmax = spla.eigsh(A, k=1, which="LA", tol=tol,
-                      return_eigenvectors=False)[0]
-    lmin = spla.eigsh(A, k=1, sigma=0.0, which="LM", tol=tol,
-                      return_eigenvectors=False)[0]
-    return float(lmax / lmin)
+    """Condition number of the diagonally scaled SPD matrix (see ``SPDFactor``)."""
+    return SPDFactor(M).condition_number(tol)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +355,9 @@ def convergence_study(F0: TwoPatchGeometry, gluing: GluingData, space: str,
     """Dyadic h-refinement study: levels L = 0..levels, k = 2^L - 1.
 
     The level-0 geometry is refined exactly by knot insertion; the gluing
-    data is level-independent.  ``on_report`` is called with each finished
+    data is level-independent.  Each level's mass matrix is factored once
+    (``SPDFactor``), and the solve and the condition number share that
+    factor.  ``on_report`` is called with each finished
     per-level report, which allows callers to flush partial results.
     """
     if space not in ("v2", "w2"):
@@ -370,10 +377,10 @@ def convergence_study(F0: TwoPatchGeometry, gluing: GluingData, space: str,
         else:
             basis = build_basis_w2(gluing, inv, p, base_r, k)
         asm = DomainAssembler(geo, basis, points_per_cell)
-        M = asm.mass()
-        b = solve_spd(M, asm.load(f))
+        factor = SPDFactor(asm.mass())
+        b = factor.solve(asm.load(f))
         err = asm.relative_l2_error(b, f)
-        cond = scaled_condition_number(M) if with_cond else float("nan")
+        cond = factor.condition_number() if with_cond else float("nan")
         rate = None if prev_err is None else float(np.log2(prev_err / err))
         cond_rate = None if prev_cond is None else float(np.log2(prev_cond / cond))
         report = ApproxReport(L, dim_v1(p, base_r, k), basis.num_basis,
@@ -466,7 +473,7 @@ def fit_bilinear_like(F_tilde: TwoPatchGeometry,
     if gluing is None:
         gluing = gluing_from_bilinear(F_hat)
     asm, M, loads = reference_projection(F_tilde, F_hat, gluing, weighted)
-    sol = np.array([np.linalg.solve(M, rhs) for rhs in loads])
+    sol = SPDFactor(M).solve(loads.T).T
     fitted = geometry_from_solutions(asm, sol)
     return FitResult(fitted, discrete_relative_error(F_tilde, fitted), sol)
 

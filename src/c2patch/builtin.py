@@ -197,7 +197,7 @@ def reference_fitted_geometry(name: str) -> TwoPatchGeometry:
     The result is exactly smooth across the interface for the bundled
     gluing data.
     """
-    from .assembly import geometry_from_solutions, reference_projection
+    from .assembly import SPDFactor, geometry_from_solutions, reference_projection
     from .geometry import bilinear_from_vertices
     from .gluing import gluing_from_bilinear
 
@@ -219,6 +219,6 @@ def reference_fitted_geometry(name: str) -> TwoPatchGeometry:
                 f"pinned interface rows of {name!r}/{coord} are not smooth "
                 f"(span residual {resid:.2e})")
         sol[c, :dim2] = cint
-        r = loads[c] - M @ sol[c]
-        sol[c, dim2:] = np.linalg.solve(M[dim2:, dim2:], r[dim2:])
+    r = loads - sol @ M
+    sol[:, dim2:] = SPDFactor(M[dim2:, dim2:]).solve(r[:, dim2:].T).T
     return geometry_from_solutions(asm, sol)

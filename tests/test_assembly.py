@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from c2patch.assembly import (DomainAssembler, PatchAssembler, _identity_geometry,
-                              convergence_study, discrete_relative_error,
-                              fit_bilinear_like, gauss_rule, reports_to_csv,
+import c2patch.assembly as asm_mod
+from c2patch.assembly import (DomainAssembler, PatchAssembler, SPDFactor,
+                              _identity_geometry, convergence_study,
+                              discrete_relative_error, fit_bilinear_like,
+                              gauss_rule, reports_to_csv,
                               scaled_condition_number, solve_spd)
 from c2patch.bspline import SplineSpace1D, make_knot_vector, uniform_inner_knots
 from c2patch.builtin import initial_geometry, reference_gluing
@@ -89,6 +91,17 @@ class TestMassAndLoad:
         # separable entry ((2,3),(3,2)) = (integral N2 N3)^2 when |det J| = 1
         assert M[2 * n + 3, 3 * n + 2] == pytest.approx(ref * ref, abs=1e-12)
 
+    def test_batched_cells_match_cell_loop(self, fitted_b):
+        from c2patch.geometry import refine_geometry
+        kv = make_knot_vector(5, 2, 3, uniform_inner_knots(3))
+        pa = PatchAssembler(refine_geometry(fitted_b[0], kv).patch_L)
+        values = pa.sample_physical(field_osc)
+        M_ref, load_ref = _cell_loop_reference(pa, values)
+        M = pa.mass().toarray()
+        assert np.abs(M - M_ref).max() <= 1e-13 * np.abs(M_ref).max()
+        load = pa.load(values=values)
+        assert np.abs(load - load_ref).max() <= 1e-13 * np.abs(load_ref).max()
+
     def test_mass_spd_and_permutation(self, fitted_a, unit_setup):
         geo, gluing = fitted_a
         kv = geo.patch_L.space.space_u.kv
@@ -121,6 +134,26 @@ class TestMassAndLoad:
         b = solve_spd(M, rhs)
         assert asm.relative_l2_error(b, field_one) < 1e-12
         assert_allclose(M @ b, rhs, atol=1e-12 * np.abs(rhs).max())
+
+
+def _cell_loop_reference(pa, values):
+    """Mass matrix and load of one patch, one cell at a time (dense)."""
+    n2 = pa.n_u * pa.n_v
+    M = np.zeros((n2, n2))
+    load = np.zeros(n2)
+    for cu, fu in enumerate(pa.bu.first):
+        Bu = pa.bu.values[cu, :, 0, :]
+        for cv, fv in enumerate(pa.bv.first):
+            Bv = pa.bv.values[cv, :, 0, :]
+            W = (pa.rule_u.weights[cu][:, None] * pa.rule_v.weights[cv][None, :]
+                 * pa.absdet[cu, cv])
+            gi = (np.arange(fu, fu + pa.p_u + 1)[:, None] * pa.n_v
+                  + np.arange(fv, fv + pa.p_v + 1)[None, :]).ravel()
+            local = np.einsum("qa,qb,qr,rc,rd->acbd", Bu, Bu, W, Bv, Bv)
+            M[np.ix_(gi, gi)] += local.reshape(len(gi), len(gi))
+            load[gi] += np.einsum("qa,qr,rc->ac", Bu, W * values[cu, cv],
+                                  Bv).ravel()
+    return M, load
 
 
 def _basis_value(space, j, x):
@@ -193,20 +226,92 @@ class TestScaledCondition:
         with pytest.raises(ValueError):
             scaled_condition_number(M)
 
-    def test_iterative_matches_dense(self):
+    def test_iterative_matches_dense(self, monkeypatch):
         import scipy.sparse as sp
         rng = np.random.default_rng(5)
         A = rng.standard_normal((80, 80))
-        M = sp.csr_matrix(A @ A.T + 80 * np.eye(80))
-        dense = scaled_condition_number(M)
-        import c2patch.assembly as asm_mod
-        old = asm_mod.DENSE_EIG_CUTOFF
-        try:
-            asm_mod.DENSE_EIG_CUTOFF = 10
-            it = scaled_condition_number(M, tol=1e-10)
-        finally:
-            asm_mod.DENSE_EIG_CUTOFF = old
+        M = A @ A.T + 80 * np.eye(80)
+        s = 1.0 / np.sqrt(np.diag(M))
+        ev = np.linalg.eigvalsh(s[:, None] * M * s[None, :])
+        dense = scaled_condition_number(sp.csr_matrix(M))
+        monkeypatch.setattr(asm_mod, "DENSE_FACTOR_CUTOFF", 10)
+        it = scaled_condition_number(sp.csr_matrix(M), tol=1e-10)
         assert it == pytest.approx(dense, rel=1e-6)
+        assert it == pytest.approx(ev[-1] / ev[0], rel=1e-8)
+
+
+def _tridiagonal(coupling, n=60):
+    """tridiag(-1, 4, -1) with entries (10, 11) and (11, 10) set to
+    ``coupling``: SPD for |coupling| < 3, indefinite for coupling = 5
+    (the principal block [[4, 5], [5, 4]] has eigenvalue -1)."""
+    import scipy.sparse as sp
+    M = sp.diags([-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)],
+                 [-1, 0, 1]).tolil()
+    M[10, 11] = M[11, 10] = coupling
+    return M.tocsr()
+
+
+@pytest.fixture(scope="module")
+def level3_mass(fitted_a):
+    """Mass matrix and load of Table-2 geometry a, V2, level 3."""
+    from c2patch.geometry import refine_geometry
+    geo0, gluing = fitted_a
+    kv = make_knot_vector(5, 2, 7, uniform_inner_knots(7))
+    basis = build_basis_v2(gluing, gluing_invariants(gluing, kv), 5, 2, 7)
+    asm = DomainAssembler(refine_geometry(geo0, kv), basis)
+    return asm.mass(), asm.load(field_osc)
+
+
+class TestSPDFactor:
+    @pytest.mark.parametrize("cutoff", [0, 10 ** 9])
+    def test_indefinite_rejected(self, cutoff, monkeypatch):
+        monkeypatch.setattr(asm_mod, "DENSE_FACTOR_CUTOFF", cutoff)
+        M = _tridiagonal(5.0)
+        assert (M.diagonal() > 0).all()
+        with pytest.raises(ValueError, match="not positive definite"):
+            solve_spd(M, np.ones(M.shape[0]))
+
+    @pytest.mark.parametrize("cutoff", [0, 10 ** 9])
+    def test_two_column_solve(self, cutoff, monkeypatch):
+        monkeypatch.setattr(asm_mod, "DENSE_FACTOR_CUTOFF", cutoff)
+        M = _tridiagonal(-2.0)
+        rhs = np.random.default_rng(2).standard_normal((M.shape[0], 2))
+        x = solve_spd(M, rhs)
+        assert x.shape == rhs.shape
+        assert_allclose(M @ x, rhs, atol=1e-13)
+
+    def test_level3_sparse_factor_matches_dense(self, level3_mass):
+        M, rhs = level3_mass
+        assert M.shape[0] == 1339 > asm_mod.DENSE_FACTOR_CUTOFF
+        factor = SPDFactor(M)
+        s = 1.0 / np.sqrt(M.diagonal())
+        ev = np.linalg.eigvalsh(s[:, None] * M.toarray() * s[None, :])
+        assert factor.condition_number() == pytest.approx(ev[-1] / ev[0],
+                                                          rel=1e-8)
+        x = factor.solve(rhs)
+        assert np.linalg.norm(M @ x - rhs) < 1e-12 * np.linalg.norm(rhs)
+
+    def test_study_factors_once_per_level(self, fitted_b, monkeypatch):
+        import scipy.linalg as sla
+        import scipy.sparse.linalg as spla
+        sizes = {"sparse": [], "dense": []}
+
+        def counted(kind, factor):
+            def wrapper(A, *args, **kwargs):
+                sizes[kind].append(A.shape[0])
+                return factor(A, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(spla, "splu", counted("sparse", spla.splu))
+        monkeypatch.setattr(sla, "cho_factor", counted("dense", sla.cho_factor))
+        geo, gluing = fitted_b
+        convergence_study(geo, gluing, "v2", 3, field_osc)
+        # levels 0-3 have 54, 133, 399 and 1363 dofs: one factor each
+        assert len(set(sizes["dense"] + sizes["sparse"])) == 4
+        assert len(sizes["dense"]) + len(sizes["sparse"]) == 4
+        cutoff = asm_mod.DENSE_FACTOR_CUTOFF
+        assert all(n <= cutoff for n in sizes["dense"])
+        assert sizes["sparse"] and all(n > cutoff for n in sizes["sparse"])
 
 
 class TestFit:

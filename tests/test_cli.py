@@ -156,15 +156,15 @@ class TestCommands:
         import c2patch.assembly as asm_mod
         out = tmp_path / "t.csv"
         calls = {"n": 0}
-        orig = asm_mod.scaled_condition_number
+        orig = asm_mod.SPDFactor.condition_number
 
-        def failing(M, tol=1e-6):
+        def failing(self, tol=1e-6):
             calls["n"] += 1
             if calls["n"] > 1:
                 raise RuntimeError("synthetic eigensolver failure")
-            return orig(M, tol)
+            return orig(self, tol)
 
-        monkeypatch.setattr(asm_mod, "scaled_condition_number", failing)
+        monkeypatch.setattr(asm_mod.SPDFactor, "condition_number", failing)
         assert run_cli("table2", "--geometry", "builtin:fitted_b",
                        "--levels", "2", "--out", str(out)) == 1
         lines = out.read_text().strip().splitlines()
