@@ -143,6 +143,7 @@ class SplineSpace1D:
         self.degree = kv.degree
         self.knots = kv.knots
         self.dim = kv.dim
+        self._midpoint_jets: dict[int, np.ndarray] = {}
 
     def __repr__(self):
         return (f"SplineSpace1D(p={self.degree}, dim={self.dim}, "
@@ -249,6 +250,25 @@ class SplineSpace1D:
         out = np.zeros((max_deriv + 1, len(xs), self.dim))
         cols = first[:, None] + np.arange(self.degree + 1)
         out[:, np.arange(len(xs))[:, None], cols] = np.moveaxis(ders, 1, 0)
+        return out
+
+    @cached_property
+    def jets_at_zero(self) -> np.ndarray:
+        """Values and first two derivatives at x = 0 of the basis functions
+        0..p, the only ones nonzero there: shape (3, p + 1), read-only."""
+        _, ders = self.eval_basis(0.0, 2)
+        ders.flags.writeable = False
+        return ders
+
+    def midpoint_jets(self, count: int) -> np.ndarray:
+        """``basis_matrix(xs, 2)`` at the midpoints xs = (i + 1/2) / count of
+        ``count`` equal cells: shape (3, count, dim), read-only, computed
+        once per count and space."""
+        out = self._midpoint_jets.get(count)
+        if out is None:
+            out = self.basis_matrix((np.arange(count) + 0.5) / count, 2)
+            out.flags.writeable = False
+            self._midpoint_jets[count] = out
         return out
 
     def eval_function(self, coeffs, xs, max_deriv: int = 0) -> np.ndarray:

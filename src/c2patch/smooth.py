@@ -3,13 +3,15 @@
 The interface-supported part of the C2 space is parameterized by function
 triplets (trace, first and second transversal data).  Each triplet yields,
 per patch, three coefficient rows with respect to the underlying
-tensor-product space; the rows are computed by Greville collocation of the
-three trace combinations.  A constraint-collocation nullspace oracle and a
-numerical C2 interface check provide independent validation.
+tensor-product space; the rows of all triplets are computed together, by
+Greville collocation of the three trace combinations in one banded solve.
+A constraint-collocation nullspace oracle and a numerical C2 interface
+check provide independent validation.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -143,21 +145,6 @@ class TripletComponent:
     poly: Polynomial | None = None
     scalar: float = 1.0
 
-    def derivs(self, xs, max_deriv: int) -> np.ndarray:
-        """Values and derivatives, shape (max_deriv + 1, len(xs))."""
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        svals = self.spline.derivs(xs, self.order + max_deriv)
-        if self.poly is None:
-            out = self.scalar * svals[self.order:self.order + max_deriv + 1]
-            return np.ascontiguousarray(out)
-        pd = [self.poly.deriv(m)(xs) if m <= self.poly.degree() else
-              np.zeros_like(xs) for m in range(max_deriv + 1)]
-        out = np.zeros((max_deriv + 1, len(xs)))
-        for m in range(max_deriv + 1):
-            for j in range(m + 1):
-                out[m] += comb(m, j) * pd[j] * svals[self.order + m - j]
-        return self.scalar * out
-
 
 ZERO = None  # structurally zero triplet component
 
@@ -225,81 +212,75 @@ def select_refined_bspline(base: KnotVector, which: int,
 
 
 # ---------------------------------------------------------------------------
-# triplet -> per-patch interface coefficient rows
+# triplets -> per-patch interface coefficient rows
 
 
-def _interface_jets(t: BasisTriplet, g: GluingData, inv: GluingInvariants,
-                    side: str, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sampled trace, D_u trace and D_uu trace of the patch function.
+def _component_derivs(triplets, xs: np.ndarray) -> list[np.ndarray]:
+    """Derivatives of all triplet components at ``xs``.
+
+    Entry s has shape (3 - s, len(xs), T) and holds derivatives 0..2-s of
+    the s-th component of every triplet, zero where that component is
+    structurally zero.  Components over one spline space come from one
+    ``basis_matrix`` of it, evaluated up to the highest order they need.
+    """
+    out = [np.zeros((3 - s, len(xs), len(triplets))) for s in range(3)]
+    by_space: dict[SplineSpace1D, list] = {}
+    for m, t in enumerate(triplets):
+        for s, c in enumerate((t.g0t, t.g1t, t.g2t)):
+            if c is not None:
+                by_space.setdefault(c.spline.space, []).append((s, m, c))
+    for space, members in by_space.items():
+        slots, index, comps = zip(*members)
+        top = max(c.order + 2 - s for s, c in zip(slots, comps))
+        coeffs = np.stack([c.spline.coefficients for c in comps], axis=1)
+        svals = space.basis_matrix(xs, top) @ coeffs         # (top + 1, x, C)
+        # one group per (slot, order, poly): scalar * D^i (poly * N^(order))
+        groups: dict[tuple, list[int]] = {}
+        for col, (s, c) in enumerate(zip(slots, comps)):
+            groups.setdefault((s, c.order, id(c.poly)), []).append(col)
+        for (s, order, _), cols in groups.items():
+            nd = 2 - s
+            sv = svals[:, :, cols]
+            poly = comps[cols[0]].poly
+            if poly is None:
+                ders = sv[order:order + nd + 1]
+            else:
+                pd = [poly.deriv(i)(xs)[:, None] if i <= poly.degree()
+                      else np.zeros((len(xs), 1)) for i in range(nd + 1)]
+                ders = np.zeros((nd + 1, len(xs), len(cols)))
+                for i in range(nd + 1):
+                    for j in range(i + 1):
+                        ders[i] += comb(i, j) * pd[j] * sv[order + i - j]
+            scalars = np.array([comps[col].scalar for col in cols])
+            out[s][:, :, [index[col] for col in cols]] = scalars * ders
+    return out
+
+
+def interface_jets(kind: str, triplets, g: GluingData, inv: GluingInvariants,
+                   xs) -> np.ndarray:
+    """Sampled trace, D_u trace and D_uu trace of every triplet's patch
+    function on both sides: shape (2, 3, len(xs), T), side L first.
 
     V2 triplets are scaled by the reduced alpha and the common factor q; W2
-    triplets are the same expressions with alpha in place of atilde and
-    q = 1.
+    triplets (``kind == "w2"``) are the same expressions with alpha in
+    place of atilde and q = 1.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    zero = np.zeros(len(xs))
-    beta_s = g.beta(side)(xs)
-    if t.kind in W2_FAMILIES:
-        alpha_s, qv, qd = g.alpha(side)(xs), np.ones(len(xs)), zero
-    else:
-        alpha_s, qv = inv.atilde(side)(xs), inv.q(xs)
-        qd = inv.q.deriv()(xs) if inv.q.degree() >= 1 else zero
-
-    val = du = duu = zero
-    if t.g0t is not None:
-        g0 = t.g0t.derivs(xs, 2)
-        val = g0[0]
-        du = du + beta_s * g0[1]
-        duu = duu + beta_s ** 2 * g0[2]
-    if t.g1t is not None:
-        g1 = t.g1t.derivs(xs, 1)
-        du = du + alpha_s * g1[0]
-        duu = duu + 2.0 * alpha_s * beta_s * (g1[1] - g1[0] * qd / qv)
-    if t.g2t is not None:
-        duu = duu + alpha_s ** 2 * t.g2t.derivs(xs, 0)[0]
-    return val, du, duu
-
-
-def surface_from_triplet(t: BasisTriplet, g: GluingData, inv: GluingInvariants,
-                         side: str, trace_space: SplineSpace1D,
-                         edge: EdgeFunctions) -> np.ndarray:
-    """The three interface coefficient rows (3 x n) of the patch spline.
-
-    Row i holds the coefficients multiplying the i-th u-column of the
-    tensor basis; they are obtained by collocating the value, slope and
-    curvature combinations of the interface jets at the Greville points.
-    """
-    p = trace_space.degree
-    tau1 = edge.tau1
-    n = trace_space.dim
-    xi = trace_space.greville()
-    # off-collocation points for the representability check
-    mids = 0.5 * (xi[:-1] + xi[1:])
-    mids = mids[(mids > 0.0) & (mids < 1.0)]
-    val, du, duu = _interface_jets(t, g, inv, side, np.concatenate([xi, mids]))
-    targets = [val,
-               val + (tau1 / p) * du,
-               val + (2.0 * tau1 / p) * du + (tau1 ** 2 / (p * (p - 1))) * duu]
-    structurally_zero = [t.g0t is None,
-                         t.g0t is None and t.g1t is None,
-                         t.g0t is None and t.g1t is None and t.g2t is None]
-
-    rows = np.zeros((3, n))
-    for i, (target, zero) in enumerate(zip(targets, structurally_zero)):
-        if not zero:
-            rows[i] = trace_space.interpolate(target[:n])
-    approx = trace_space.eval_function(rows.T, mids)[0]
-    for i, (target, zero) in enumerate(zip(targets, structurally_zero)):
-        if zero:
-            continue
-        check = target[n:]
-        scale = max(1.0, np.abs(check).max())
-        resid = np.abs(approx[:, i] - check).max() / scale
-        if resid > TRACE_RESID_TOL:
-            raise RepresentationError(
-                f"trace combination {i} of {t.kind}[{t.j}] not representable "
-                f"in the patch space (residual {resid:.2e})")
-    return rows
+    g0, g1, g2 = _component_derivs(triplets, xs)
+    out = np.empty((2, 3, len(xs), len(triplets)))
+    for i, side in enumerate(("L", "R")):
+        beta = g.beta(side)(xs)[:, None]
+        if kind == "w2":
+            alpha, qv, qd = g.alpha(side)(xs)[:, None], 1.0, 0.0
+        else:
+            alpha, qv = inv.atilde(side)(xs)[:, None], inv.q(xs)[:, None]
+            qd = inv.q.deriv()(xs)[:, None] if inv.q.degree() >= 1 else 0.0
+        out[i, 0] = g0[0]
+        out[i, 1] = beta * g0[1] + alpha * g1[0]
+        out[i, 2] = (beta ** 2 * g0[2]
+                     + 2.0 * alpha * beta * (g1[1] - g1[0] * qd / qv)
+                     + alpha ** 2 * g2[0])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +297,15 @@ class SmoothBasis:
     A_R: np.ndarray
     n: int                               # trace-space dimension
     family_sizes: dict
+    trace_residual: float                # worst trace-representability residual
 
     @property
     def num_basis(self) -> int:
         return len(self.triplets)
 
     def rows(self, side: str, m: int) -> np.ndarray:
+        if side not in ("L", "R"):
+            raise ValueError(f"side must be 'L' or 'R', got {side!r}")
         A = self.A_L if side == "L" else self.A_R
         return A[m].reshape(3, self.n)
 
@@ -337,20 +321,60 @@ class SmoothBasis:
                    "rows_R": self.rows("R", m).tolist()}
 
 
+# the five interpolated trace combinations: (row, side); row 0, the trace,
+# is shared by both patches
+_COMBINATIONS = ((0, "L"), (1, "L"), (2, "L"), (1, "R"), (2, "R"))
+
+
 def _assemble_basis(kind: str, triplets, g, inv, trace_space, edge) -> SmoothBasis:
-    n = trace_space.dim
-    A_L = np.zeros((len(triplets), 3 * n))
-    A_R = np.zeros((len(triplets), 3 * n))
-    sizes: dict[str, int] = {}
-    for m, t in enumerate(triplets):
-        sizes[t.kind] = sizes.get(t.kind, 0) + 1
-        rows_L = surface_from_triplet(t, g, inv, "L", trace_space, edge)
-        rows_R = surface_from_triplet(t, g, inv, "R", trace_space, edge)
-        if t.g0t is not None:
-            rows_R[0] = rows_L[0]         # shared trace, computed once
-        A_L[m] = rows_L.ravel()
-        A_R[m] = rows_R.ravel()
-    return SmoothBasis(kind, tuple(triplets), A_L, A_R, n, sizes)
+    """Interface coefficient rows of all triplets on both patches.
+
+    Row i of a patch holds the coefficients multiplying the i-th u-column
+    of the tensor basis; they are obtained by collocating the value, slope
+    and curvature combinations of the interface jets at the Greville
+    points, all in one banded solve.  Midpoints between Greville points
+    check that every combination is representable in the trace space.
+    """
+    p, n, T = trace_space.degree, trace_space.dim, len(triplets)
+    tau1 = edge.tau1
+    xi = trace_space.greville()
+    mids = 0.5 * (xi[:-1] + xi[1:])
+    mids = mids[(mids > 0.0) & (mids < 1.0)]
+    val, du, duu = interface_jets(kind, triplets, g, inv,
+                                  np.concatenate([xi, mids])).swapaxes(0, 1)
+    rows = [val,
+            val + (tau1 / p) * du,
+            val + (2.0 * tau1 / p) * du + (tau1 ** 2 / (p * (p - 1))) * duu]
+    targets = np.stack([rows[i]["LR".index(side)]
+                        for i, side in _COMBINATIONS], axis=1)   # (x, 5, T)
+
+    has = np.array([[t.g0t is not None, t.g1t is not None, t.g2t is not None]
+                    for t in triplets]).reshape(T, 3)
+    live = np.logical_or.accumulate(has, axis=1).T               # (3, T)
+    live = live[[i for i, _ in _COMBINATIONS]]                   # (5, T)
+
+    coeffs = trace_space.interpolate(targets[:n])                # (n, 5, T)
+    coeffs[:, ~live] = 0.0
+    check = targets[n:]
+    approx = trace_space.eval_function(coeffs, mids)[0]
+    resid = (np.abs(approx - check).max(axis=0)
+             / np.maximum(1.0, np.abs(check).max(axis=0)))
+    resid[~live] = 0.0
+    bad = np.argwhere(~(resid.T <= TRACE_RESID_TOL))
+    if len(bad):
+        m, c = bad[0]
+        i, side = _COMBINATIONS[c]
+        t = triplets[m]
+        raise RepresentationError(
+            f"trace combination {i} of {t.kind}[{t.j}] on side {side} not "
+            f"representable in the patch space (residual {resid[c, m]:.2e})")
+
+    coeffs = coeffs.transpose(2, 1, 0)                           # (T, 5, n)
+    A_L = coeffs[:, [0, 1, 2]].reshape(T, 3 * n)
+    A_R = coeffs[:, [0, 3, 4]].reshape(T, 3 * n)
+    sizes = dict(Counter(t.kind for t in triplets))
+    return SmoothBasis(kind, tuple(triplets), A_L, A_R, n, sizes,
+                       float(resid.max(initial=0.0)))
 
 
 def _spline_space(p: int, r: int, inner) -> SplineSpace1D:
@@ -552,23 +576,21 @@ class C2Report:
                 f"(tol {self.tol:.1e}) {status}")
 
 
-def _physical_jets(patch, coeffs, vs):
-    """Value, gradient and Hessian in physical space of the spline with
-    coefficient grid ``coeffs`` on ``patch``, at the points (0, vs)."""
-    # one tensor evaluation for both geometry coordinates and the function
-    d = patch.space.derivs(np.dstack([patch.control_points, coeffs]),
-                           0.0, vs, 2, 2)                     # (3, 3, m, 3)
-    J = np.stack([d[1, 0, :, :2], d[0, 1, :, :2]], axis=-1)   # (m, 2, 2)
-    Jinv = np.linalg.inv(J)
-    JinvT = np.swapaxes(Jinv, 1, 2)
-    grad_param = np.stack([d[1, 0, :, 2], d[0, 1, :, 2]], axis=-1)
-    grad = (JinvT @ grad_param[..., None])[..., 0]            # (m, 2)
-    # parametric Hessians of x, y and the function: (3, m, 2, 2)
+def _physical_jets(d):
+    """Value, gradient and Hessian in physical space, from the parametric
+    jets ``d[a, b, c, ...]`` = d_u^a d_v^b of (x, y, function)."""
+    # J = [[x_u, x_v], [y_u, y_v]] and its inverse by Cramer's rule
+    J = np.array([[d[1, 0, 0], d[0, 1, 0]], [d[1, 0, 1], d[0, 1, 1]]])
+    Jinv = np.array([[J[1, 1], -J[0, 1]], [-J[1, 0], J[0, 0]]]) \
+        / (J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0])
+    grad = np.einsum("ji...,j...->i...", Jinv, d[[1, 0], [0, 1], 2])   # (2, ...)
+    # parametric Hessians of x, y and the function: (2, 2, 3, ...)
     hess = np.array([[d[2, 0], d[1, 1]], [d[1, 1], d[0, 2]]])
-    hess = hess.transpose(3, 2, 0, 1)
-    H = JinvT @ (hess[2] - grad[:, 0, None, None] * hess[0]
-                 - grad[:, 1, None, None] * hess[1]) @ Jinv
-    return d[0, 0, :, 2], grad, H
+    hf = hess[:, :, 2] - grad[0] * hess[:, :, 0] - grad[1] * hess[:, :, 1]
+    # H = J^-T hf J^-1
+    H = np.einsum("ki...,kl...->il...", Jinv, hf)
+    H = np.einsum("il...,lj...->ij...", H, Jinv)
+    return d[0, 0, 2], grad, H
 
 
 def verify_c2_at_interface(F: TwoPatchGeometry, rows_L: np.ndarray,
@@ -578,21 +600,32 @@ def verify_c2_at_interface(F: TwoPatchGeometry, rows_L: np.ndarray,
 
     ``rows_L`` / ``rows_R`` hold the three interface coefficient rows of the
     respective patch (shape (3, n)); the remaining coefficients are zero.
-    Differences are scaled by the magnitude of the quantity compared.
+    The jets at u = 0 involve only the u-rows 0..p of the control points and
+    of the function, so only those are contracted with the v-collocation
+    matrices of the ``n_samples`` cell midpoints, which each spline space
+    keeps after the first check.  Differences are scaled by the magnitude
+    of the quantity compared.
     """
     n = F.patch_L.space.space_u.dim
-    vs = (np.arange(n_samples) + 0.5) / n_samples
-    jets = {}
+    d = []
     for side, rows in (("L", rows_L), ("R", rows_R)):
         rows = np.asarray(rows, dtype=float)
         if rows.shape == (3 * n,):
             rows = rows.reshape(3, n)
         if rows.shape != (3, n):
             raise ValueError(f"rows_{side} must have shape (3, {n})")
-        grid = np.zeros((n, n))
-        grid[:3] = rows
-        jets[side] = _physical_jets(F.patch(side), grid, vs)
-
-    rel = [np.abs(a - b).max() / max(1.0, np.abs(a).max(), np.abs(b).max())
-           for a, b in zip(jets["L"], jets["R"])]
+        patch = F.patch(side)
+        Nu = patch.space.space_u.jets_at_zero                     # (3, q)
+        Bv = patch.space.space_v.midpoint_jets(n_samples)         # (3, m, n)
+        q = Nu.shape[1]
+        head = np.zeros((q, n, 3))
+        head[..., :2] = patch.control_points[:q]
+        head[:3, :, 2] = rows[:q]
+        # (a, i) x (i, j c) -> (a c, j); (a c, j) x (j, b v) -> (a, c, b, v)
+        X = (Nu @ head.reshape(q, 3 * n)).reshape(3, n, 3).swapaxes(1, 2)
+        d.append((X.reshape(9, n) @ Bv.reshape(-1, n).T).reshape(3, 3, 3, -1))
+    # (side, a, c, b, v) -> (a, b, c, side, v)
+    jets = _physical_jets(np.array(d).transpose(1, 3, 2, 0, 4))
+    rel = [np.abs(a[..., 0, :] - a[..., 1, :]).max() / max(1.0, np.abs(a).max())
+           for a in jets]
     return C2Report(*(float(x) for x in rel), tol)

@@ -11,10 +11,9 @@ from c2patch.assembly import (DomainAssembler, PatchAssembler, SPDFactor,
                               gauss_rule, reports_to_csv,
                               scaled_condition_number, solve_spd)
 from c2patch.bspline import SplineSpace1D, make_knot_vector, uniform_inner_knots
-from c2patch.builtin import initial_geometry, reference_gluing
 from c2patch.geometry import Patch, TwoPatchGeometry, bilinear_from_vertices
 from c2patch.gluing import gluing_from_bilinear, gluing_invariants
-from c2patch.smooth import build_basis_v2, build_basis_w2
+from c2patch.smooth import build_basis_v2
 
 
 def field_one(x1, x2):

@@ -1,4 +1,4 @@
-"""Every name a c2patch module imports is used in that module."""
+"""Every name a c2patch module, test or script imports is used there."""
 
 import ast
 import subprocess
@@ -7,7 +7,12 @@ from pathlib import Path
 
 import c2patch
 
-SOURCES = sorted(Path(c2patch.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = [path for folder in ("src/c2patch", "tests", "scripts")
+           for path in sorted((ROOT / folder).glob("*.py"))]
+# tests/test_acceptance.py is the behaviour contract and changes only together
+# with it; its one unused import goes with the next revision of the contract
+KNOWN_UNUSED = {("test_acceptance.py", "initial_geometry")}
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -31,9 +36,10 @@ def test_guard_detects_unused_import():
 
 
 def test_no_unused_imports():
-    assert SOURCES
+    assert {path.parent.name for path in SOURCES} == {"c2patch", "tests", "scripts"}
     found = [f"{path.name}:{line} {name}" for path in SOURCES
-             for line, name in unused_imports(path.read_text())]
+             for line, name in unused_imports(path.read_text())
+             if (path.name, name) not in KNOWN_UNUSED]
     assert not found, f"unused imports: {found}"
 
 

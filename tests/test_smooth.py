@@ -1,18 +1,24 @@
 """Tests for dimensions, basis construction and smoothness verification."""
 
+from math import comb
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from c2patch.bspline import SplineSpace1D, make_knot_vector, uniform_inner_knots
+from c2patch import smooth
+from c2patch.bspline import (SplineSpace1D, make_knot_vector, uniform_inner_knots,
+                             unit_spline)
 from c2patch.geometry import refine_geometry, represent_geometry
 from c2patch.gluing import gluing_from_bilinear, gluing_invariants
-from c2patch.smooth import (DegreeBudgetError, IndeterminateRankError,
+from c2patch.smooth import (TRACE_RESID_TOL, BasisTriplet,
+                            DegreeBudgetError, IndeterminateRankError,
+                            RepresentationError, TripletComponent,
                             build_basis_v2, build_basis_w2,
                             constraint_nullspace_dim, dim_gamma, dim_v1,
                             dim_v2, dim_v2_from_numbers, dim_w2,
-                            edge_functions, select_refined_bspline,
-                            surface_from_triplet, verify_c2_at_interface)
+                            edge_functions, interface_jets,
+                            select_refined_bspline, verify_c2_at_interface)
 from tests.test_gluing import (mirrored_squares, squares_with_linear_beta,
                                squares_with_quadratic_beta)
 
@@ -237,16 +243,16 @@ class TestBasisConstruction:
     def test_trace_identities(self, gluing_a):
         # the rows reproduce the triplet's value, first and second
         # transversal derivative data along the interface
-        from c2patch.smooth import _interface_jets
         inv = invariants_for(gluing_a, k=1)
         basis = build_basis_v2(gluing_a, inv, 5, 2, 1)
         trace = SplineSpace1D(make_knot_vector(5, 2, 1, (0.5,)))
         vs = np.random.default_rng(1).uniform(0.001, 0.999, 200)
         p, tau1 = 5, 0.5
-        for m, t in enumerate(basis.triplets):
-            for side, A in (("L", basis.A_L), ("R", basis.A_R)):
+        jets = interface_jets("v2", basis.triplets, gluing_a, inv, vs)
+        for m in range(basis.num_basis):
+            for i, A in enumerate((basis.A_L, basis.A_R)):
                 rows = A[m].reshape(3, basis.n)
-                val, du, duu = _interface_jets(t, gluing_a, inv, side, vs)
+                val, du, duu = jets[i, :, :, m]
                 r0 = trace.eval_function(rows[0], vs)[0]
                 r1 = trace.eval_function(rows[1], vs)[0]
                 r2 = trace.eval_function(rows[2], vs)[0]
@@ -299,7 +305,6 @@ class TestSurfaceFromTriplet:
 
     def test_roundtrip_against_triplet_formula(self, gluing_b):
         from c2patch.bspline import TensorSplineSpace
-        from c2patch.smooth import _interface_jets, edge_functions
         k = 1
         kv = make_knot_vector(5, 2, k, (0.5,))
         inv = gluing_invariants(gluing_b, kv)
@@ -309,15 +314,14 @@ class TestSurfaceFromTriplet:
         ts = TensorSplineSpace(trace, trace)
         rng = np.random.default_rng(7)
         pts = rng.uniform(0.0, 1.0, size=(40, 2))
+        val, du, duu = interface_jets("v2", basis.triplets, gluing_b, inv,
+                                      pts[:, 1])[0]
         for m in (0, 8, 12, len(basis.triplets) - 1):
-            t = basis.triplets[m]
             grid = np.zeros((basis.n, basis.n))
             grid[:3] = basis.rows("L", m)
-            for u, v in pts:
-                val, du, duu = _interface_jets(t, gluing_b, inv, "L",
-                                               np.array([v]))
-                direct = (val[0] * ef.M0(u) + du[0] * ef.M1(u)
-                          + duu[0] * ef.M2(u))
+            for i, (u, v) in enumerate(pts):
+                direct = (val[i, m] * ef.M0(u) + du[i, m] * ef.M1(u)
+                          + duu[i, m] * ef.M2(u))
                 assert ts.eval(grid, u, v) == pytest.approx(direct, abs=1e-11)
 
 
@@ -458,3 +462,218 @@ class TestOracle:
         F = represent_geometry(bilinear_a, kv)
         with pytest.raises(IndeterminateRankError):
             constraint_nullspace_dim(F, gluing_a, 5, 2, 0, min_gap=1e30)
+
+
+# ---------------------------------------------------------------------------
+# the per-triplet construction that the batched one replaced, kept as the
+# reference the batched construction must reproduce
+
+
+def _component_derivs_reference(c, xs, max_deriv):
+    """Values and derivatives of one TripletComponent, (max_deriv + 1, len(xs))."""
+    svals = c.spline.derivs(xs, c.order + max_deriv)
+    if c.poly is None:
+        return c.scalar * svals[c.order:c.order + max_deriv + 1]
+    pd = [c.poly.deriv(m)(xs) if m <= c.poly.degree() else np.zeros_like(xs)
+          for m in range(max_deriv + 1)]
+    out = np.zeros((max_deriv + 1, len(xs)))
+    for m in range(max_deriv + 1):
+        for j in range(m + 1):
+            out[m] += comb(m, j) * pd[j] * svals[c.order + m - j]
+    return c.scalar * out
+
+
+def _interface_jets_reference(t, g, inv, side, xs):
+    zero = np.zeros(len(xs))
+    beta_s = g.beta(side)(xs)
+    if t.kind in smooth.W2_FAMILIES:
+        alpha_s, qv, qd = g.alpha(side)(xs), np.ones(len(xs)), zero
+    else:
+        alpha_s, qv = inv.atilde(side)(xs), inv.q(xs)
+        qd = inv.q.deriv()(xs) if inv.q.degree() >= 1 else zero
+    val = du = duu = zero
+    if t.g0t is not None:
+        g0 = _component_derivs_reference(t.g0t, xs, 2)
+        val = g0[0]
+        du = du + beta_s * g0[1]
+        duu = duu + beta_s ** 2 * g0[2]
+    if t.g1t is not None:
+        g1 = _component_derivs_reference(t.g1t, xs, 1)
+        du = du + alpha_s * g1[0]
+        duu = duu + 2.0 * alpha_s * beta_s * (g1[1] - g1[0] * qd / qv)
+    if t.g2t is not None:
+        duu = duu + alpha_s ** 2 * _component_derivs_reference(t.g2t, xs, 0)[0]
+    return val, du, duu
+
+
+def _surface_from_triplet_reference(t, g, inv, side, trace_space):
+    p, n = trace_space.degree, trace_space.dim
+    tau1 = edge_functions(trace_space).tau1
+    val, du, duu = _interface_jets_reference(t, g, inv, side,
+                                             trace_space.greville())
+    targets = [val,
+               val + (tau1 / p) * du,
+               val + (2.0 * tau1 / p) * du + (tau1 ** 2 / (p * (p - 1))) * duu]
+    zero = [t.g0t is None,
+            t.g0t is None and t.g1t is None,
+            t.g0t is None and t.g1t is None and t.g2t is None]
+    rows = np.zeros((3, n))
+    for i in range(3):
+        if not zero[i]:
+            rows[i] = trace_space.interpolate(targets[i])
+    return rows
+
+
+def _basis_reference(basis, g, inv, p=5, r=2):
+    """(A_L, A_R) of ``basis`` built one triplet and one side at a time."""
+    inner = inv.ttilde.inner_knots
+    trace = SplineSpace1D(make_knot_vector(p, r, len(inner), inner))
+    A_L, A_R = np.zeros_like(basis.A_L), np.zeros_like(basis.A_R)
+    for m, t in enumerate(basis.triplets):
+        rows_L = _surface_from_triplet_reference(t, g, inv, "L", trace)
+        rows_R = _surface_from_triplet_reference(t, g, inv, "R", trace)
+        if t.g0t is not None:
+            rows_R[0] = rows_L[0]
+        A_L[m], A_R[m] = rows_L.ravel(), rows_R.ravel()
+    return A_L, A_R
+
+
+def _assert_matches_reference(basis, g, inv):
+    for got, want in zip((basis.A_L, basis.A_R), _basis_reference(basis, g, inv)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _count_eval_basis(monkeypatch):
+    calls = []
+    original = SplineSpace1D.eval_basis
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SplineSpace1D, "eval_basis", counting)
+    return calls
+
+
+class TestBatchedBasis:
+    @pytest.mark.parametrize("k", [0, 1, 3, 31])
+    @pytest.mark.parametrize("build", [build_basis_v2, build_basis_w2])
+    def test_matches_per_triplet_reference(self, gluing_a, gluing_b, build, k):
+        for g in (gluing_a, gluing_b):
+            inv = invariants_for(g, k=k)
+            _assert_matches_reference(build(g, inv, 5, 2, k), g, inv)
+
+    @pytest.mark.parametrize("maker,k", [(squares_with_linear_beta, 1),
+                                         (squares_with_linear_beta, 3),
+                                         (tilted_interface_with_common_factor, 1),
+                                         (tilted_interface_with_common_factor, 3)])
+    def test_special_geometries_match_reference(self, maker, k):
+        g = gluing_from_bilinear(maker())
+        inv = invariants_for(g, k=k)
+        v2 = build_basis_v2(g, inv, 5, 2, k)
+        assert inv.z_beta > 0 or inv.d_h == 1
+        for basis in (v2, build_basis_w2(g, inv, 5, 2, k)):
+            _assert_matches_reference(basis, g, inv)
+
+    @pytest.mark.parametrize("build,most", [(build_basis_w2, 8),
+                                            (build_basis_v2, 170)])
+    def test_eval_basis_calls_per_build(self, gluing_a, gluing_b, monkeypatch,
+                                        build, most):
+        # one evaluation per source space: the families of W2 share three
+        # spaces, V2 adds one refined space per knot function
+        for g in (gluing_a, gluing_b):
+            inv = invariants_for(g, k=31)
+            calls = _count_eval_basis(monkeypatch)
+            build(g, inv, 5, 2, 31)
+            assert 0 < len(calls) <= most
+
+    def test_trace_residual_is_kept(self, gluing_b):
+        inv = invariants_for(gluing_b, k=3)
+        for build in (build_basis_v2, build_basis_w2):
+            basis = build(gluing_b, inv, 5, 2, 3)
+            assert isinstance(basis.trace_residual, float)
+            assert 0.0 <= basis.trace_residual <= TRACE_RESID_TOL
+
+    def test_unrepresentable_trace_raises(self, gluing_a):
+        # a trace component with a knot at 0.3, which the trace space lacks
+        inv = invariants_for(gluing_a, k=1)
+        trace = SplineSpace1D(make_knot_vector(5, 2, 1, (0.5,)))
+        foreign = SplineSpace1D(make_knot_vector(5, 4, 2, (0.3, 0.5)))
+        triplets = [BasisTriplet("W0", 4, TripletComponent(unit_spline(foreign, 4)),
+                                 None, None)]
+        with pytest.raises(RepresentationError,
+                           match=r"combination 0 of W0\[4\] on side L"):
+            smooth._assemble_basis("w2", triplets, gluing_a, inv, trace,
+                                   edge_functions(trace))
+
+    def test_rows_rejects_unknown_side(self, gluing_a):
+        basis = build_basis_w2(gluing_a, invariants_for(gluing_a), 5, 2, 0)
+        assert_allclose(basis.rows("R", 0), basis.A_R[0].reshape(3, basis.n))
+        for side in ("l", "left", "X"):
+            with pytest.raises(ValueError, match="side"):
+                basis.rows(side, 0)
+
+
+def _physical_jets_reference(patch, coeffs, vs):
+    """The full-grid C2 jets: the whole tensor space evaluated at (0, vs)."""
+    d = patch.space.derivs(np.dstack([patch.control_points, coeffs]),
+                           0.0, vs, 2, 2)
+    J = np.stack([d[1, 0, :, :2], d[0, 1, :, :2]], axis=-1)
+    Jinv = np.linalg.inv(J)
+    JinvT = np.swapaxes(Jinv, 1, 2)
+    grad_param = np.stack([d[1, 0, :, 2], d[0, 1, :, 2]], axis=-1)
+    grad = (JinvT @ grad_param[..., None])[..., 0]
+    hess = np.array([[d[2, 0], d[1, 1]], [d[1, 1], d[0, 2]]]).transpose(3, 2, 0, 1)
+    H = JinvT @ (hess[2] - grad[:, 0, None, None] * hess[0]
+                 - grad[:, 1, None, None] * hess[1]) @ Jinv
+    return d[0, 0, :, 2], grad, H
+
+
+def _c2_reference(F, rows_L, rows_R, n_samples):
+    n = F.patch_L.space.space_u.dim
+    vs = (np.arange(n_samples) + 0.5) / n_samples
+    jets = []
+    for side, rows in (("L", rows_L), ("R", rows_R)):
+        grid = np.zeros((n, n))
+        grid[:3] = rows
+        jets.append(_physical_jets_reference(F.patch(side), grid, vs))
+    return [np.abs(a - b).max() / max(1.0, np.abs(a).max(), np.abs(b).max())
+            for a, b in zip(*jets)]
+
+
+class TestC2CheckRows:
+    @pytest.mark.parametrize("k", [0, 1, 3, 7])
+    def test_matches_full_grid_reference(self, fitted_a, fitted_b, gluing_a,
+                                         gluing_b, k):
+        kv = make_knot_vector(5, 2, k, uniform_inner_knots(k))
+        for (geo, _), g in ((fitted_a, gluing_a), (fitted_b, gluing_b)):
+            F = refine_geometry(geo, kv) if k else geo
+            inv = gluing_invariants(g, kv)
+            for build in (build_basis_v2, build_basis_w2):
+                basis = build(g, inv, 5, 2, k)
+                for m in range(basis.num_basis):
+                    rows_L, rows_R = basis.rows("L", m), basis.rows("R", m)
+                    rep = verify_c2_at_interface(F, rows_L, rows_R, 50, 1e-8)
+                    want = _c2_reference(F, rows_L, rows_R, 50)
+                    got = (rep.value_diff, rep.grad_diff, rep.hess_diff)
+                    assert_allclose(got, want, rtol=0, atol=1e-15)
+
+    def test_sample_matrices_computed_once(self, fitted_a, gluing_a, monkeypatch):
+        kv = make_knot_vector(5, 2, 3, uniform_inner_knots(3))
+        F = refine_geometry(fitted_a[0], kv)
+        basis = build_basis_v2(gluing_a, gluing_invariants(gluing_a, kv), 5, 2, 3)
+        calls = _count_eval_basis(monkeypatch)
+        for m in range(basis.num_basis):
+            verify_c2_at_interface(F, basis.rows("L", m), basis.rows("R", m), 30)
+        assert 0 < len(calls) <= 2
+
+        space = F.patch_L.space.space_v
+        first = space.midpoint_jets(30)
+        assert space.midpoint_jets(30) is first
+        other = space.midpoint_jets(31)
+        assert other.shape == (3, 31, space.dim) and other is not first
+        assert len(calls) == 3
+        for memo in (first, other, F.patch_L.space.space_u.jets_at_zero):
+            assert not memo.flags.writeable
+            with pytest.raises(ValueError):
+                memo[0, 0] = 1.0
