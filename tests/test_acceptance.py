@@ -12,7 +12,7 @@ import pytest
 from c2patch.assembly import convergence_study, fit_bilinear_like
 from c2patch.bspline import (SplineSpace1D, insert_knot, make_knot_vector,
                              uniform_inner_knots)
-from c2patch.builtin import (initial_geometry, reference_interface_jets)
+from c2patch.builtin import reference_interface_jets
 from c2patch.fields import FIELDS
 from c2patch.geometry import refine_geometry, represent_geometry
 from c2patch.gluing import gluing_invariants

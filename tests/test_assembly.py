@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 import c2patch.assembly as asm_mod
-from c2patch.assembly import (DomainAssembler, PatchAssembler, SPDFactor,
+from c2patch.assembly import (DomainAssembler, KroneckerPreconditioner,
+                              PatchAssembler, SPDFactor, TwoPatchMass,
                               _identity_geometry, convergence_study,
                               discrete_relative_error, fit_bilinear_like,
                               gauss_rule, reports_to_csv,
@@ -13,7 +17,7 @@ from c2patch.assembly import (DomainAssembler, PatchAssembler, SPDFactor,
 from c2patch.bspline import SplineSpace1D, make_knot_vector, uniform_inner_knots
 from c2patch.geometry import Patch, TwoPatchGeometry, bilinear_from_vertices
 from c2patch.gluing import gluing_from_bilinear, gluing_invariants
-from c2patch.smooth import build_basis_v2
+from c2patch.smooth import build_basis_v2, build_basis_w2
 
 
 def field_one(x1, x2):
@@ -89,6 +93,10 @@ class TestMassAndLoad:
         n = s.dim
         # separable entry ((2,3),(3,2)) = (integral N2 N3)^2 when |det J| = 1
         assert M[2 * n + 3, 3 * n + 2] == pytest.approx(ref * ref, abs=1e-12)
+        # |det J| = 1: the patch mass is the Kronecker product of 1D Grams
+        Mu, Mv = pa.mass_1d()
+        assert Mu[2, 3] == pytest.approx(ref, abs=1e-13)
+        assert np.abs(M - np.kron(Mu, Mv)).max() <= 1e-13 * np.abs(M).max()
 
     def test_batched_cells_match_cell_loop(self, fitted_b):
         from c2patch.geometry import refine_geometry
@@ -211,22 +219,18 @@ class TestProjection:
 
 class TestScaledCondition:
     def test_identity(self):
-        import scipy.sparse as sp
         assert scaled_condition_number(sp.eye(10).tocsr()) == pytest.approx(1.0)
 
     def test_diagonal_scaling_removed(self):
-        import scipy.sparse as sp
         M = sp.diags([1.0, 1e6]).tocsr()
         assert scaled_condition_number(M) == pytest.approx(1.0)
 
     def test_nonpositive_diagonal_rejected(self):
-        import scipy.sparse as sp
         M = sp.diags([1.0, -2.0]).tocsr()
         with pytest.raises(ValueError):
             scaled_condition_number(M)
 
     def test_iterative_matches_dense(self, monkeypatch):
-        import scipy.sparse as sp
         rng = np.random.default_rng(5)
         A = rng.standard_normal((80, 80))
         M = A @ A.T + 80 * np.eye(80)
@@ -243,22 +247,39 @@ def _tridiagonal(coupling, n=60):
     """tridiag(-1, 4, -1) with entries (10, 11) and (11, 10) set to
     ``coupling``: SPD for |coupling| < 3, indefinite for coupling = 5
     (the principal block [[4, 5], [5, 4]] has eigenvalue -1)."""
-    import scipy.sparse as sp
     M = sp.diags([-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)],
                  [-1, 0, 1]).tolil()
     M[10, 11] = M[11, 10] = coupling
     return M.tocsr()
 
 
+def _level3_system(geo0, gluing, space="v2"):
+    """Mass matrix and load of a Table-2 study at level 3."""
+    from c2patch.geometry import refine_geometry
+    kv = make_knot_vector(5, 2, 7, uniform_inner_knots(7))
+    build = build_basis_v2 if space == "v2" else build_basis_w2
+    basis = build(gluing, gluing_invariants(gluing, kv), 5, 2, 7)
+    asm = DomainAssembler(refine_geometry(geo0, kv), basis)
+    return asm.mass(), asm.load(field_osc)
+
+
 @pytest.fixture(scope="module")
 def level3_mass(fitted_a):
     """Mass matrix and load of Table-2 geometry a, V2, level 3."""
-    from c2patch.geometry import refine_geometry
-    geo0, gluing = fitted_a
-    kv = make_knot_vector(5, 2, 7, uniform_inner_knots(7))
-    basis = build_basis_v2(gluing, gluing_invariants(gluing, kv), 5, 2, 7)
-    asm = DomainAssembler(refine_geometry(geo0, kv), basis)
-    return asm.mass(), asm.load(field_osc)
+    return _level3_system(*fitted_a)
+
+
+@pytest.fixture(scope="module", params=["a/v2", "a/w2", "b/v2", "b/w2"])
+def level3_spectrum(request):
+    """Level-3 mass, load and eigenvalues of the scaled mass, per study."""
+    name, space = request.param.split("/")
+    M, rhs = _level3_system(*request.getfixturevalue(f"fitted_{name}"), space)
+    s = 1.0 / np.sqrt(M.diagonal())
+    return M, rhs, np.linalg.eigvalsh(s[:, None] * M.toarray() * s[None, :])
+
+
+def _no_sparse_factor(*args, **kwargs):
+    raise AssertionError("the sparse LU was built")
 
 
 class TestSPDFactor:
@@ -280,7 +301,9 @@ class TestSPDFactor:
         assert_allclose(M @ x, rhs, atol=1e-13)
 
     def test_level3_sparse_factor_matches_dense(self, level3_mass):
+        # the layout stripped: the sparse LU, which is also the fallback
         M, rhs = level3_mass
+        M = sp.csr_matrix(M)
         assert M.shape[0] == 1339 > asm_mod.DENSE_FACTOR_CUTOFF
         factor = SPDFactor(M)
         s = 1.0 / np.sqrt(M.diagonal())
@@ -290,27 +313,95 @@ class TestSPDFactor:
         x = factor.solve(rhs)
         assert np.linalg.norm(M @ x - rhs) < 1e-12 * np.linalg.norm(rhs)
 
-    def test_study_factors_once_per_level(self, fitted_b, monkeypatch):
-        import scipy.linalg as sla
-        import scipy.sparse.linalg as spla
-        sizes = {"sparse": [], "dense": []}
+    def test_level3_kronecker_path_matches_lu(self, level3_spectrum,
+                                              monkeypatch):
+        M, rhs, ev = level3_spectrum
+        lu = SPDFactor(sp.csr_matrix(M)).solve(rhs)
+        monkeypatch.setattr(asm_mod, "KRONECKER_CUTOFF", 0)
+        monkeypatch.setattr(spla, "splu", _no_sparse_factor)
+        factor = SPDFactor(M)
+        x = factor.solve(rhs)
+        assert np.linalg.norm(x - lu) <= 1e-9 * np.linalg.norm(lu)
+        assert np.linalg.norm(M @ x - rhs) < 1e-12 * np.linalg.norm(rhs)
+        assert factor.condition_number() == pytest.approx(ev[-1] / ev[0],
+                                                          rel=1e-8)
 
-        def counted(kind, factor):
+    def test_kronecker_path_rejects_indefinite(self, level3_spectrum,
+                                               monkeypatch):
+        # S (M - c diag(M)) S = A - c I has lambda_min(A) - c < 0
+        M, rhs, ev = level3_spectrum
+        c = 1.001 * ev[0]
+        shifted = TwoPatchMass(M - c * sp.diags(M.diagonal()),
+                               layout=M.layout)
+        monkeypatch.setattr(asm_mod, "KRONECKER_CUTOFF", 0)
+        monkeypatch.setattr(spla, "splu", _no_sparse_factor)
+        factor = SPDFactor(shifted)
+        with pytest.raises(ValueError, match="not positive definite"):
+            factor.solve(rhs)
+        with pytest.raises(ValueError, match="not positive definite"):
+            factor.condition_number()
+
+    def test_iteration_cap_falls_back_to_lu(self, level3_mass, monkeypatch):
+        M, rhs = level3_mass
+        lu = SPDFactor(sp.csr_matrix(M))
+        monkeypatch.setattr(asm_mod, "KRONECKER_CUTOFF", 0)
+        monkeypatch.setattr(asm_mod, "ITERATION_CAP", 1)
+        factors = []
+        splu = spla.splu
+
+        def counted_splu(A, *args, **kwargs):
+            factors.append(A.shape[0])
+            return splu(A, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counted_splu)
+        factor = SPDFactor(M)
+        assert not factors
+        assert_allclose(factor.solve(rhs), lu.solve(rhs), rtol=1e-12)
+        assert factor.condition_number() == pytest.approx(
+            lu.condition_number(), rel=1e-12)
+        assert factors == [M.shape[0]]
+
+    def test_derived_matrices_carry_no_layout(self, level3_mass):
+        M, _ = level3_mass
+        layout = M.layout
+        assert layout.interface == 43      # dim V2 at level 3
+        assert [(Mu.shape, Mv.shape) for Mu, Mv in layout.interiors] == [
+            ((24, 24), (27, 27))] * 2      # (n - 3) x n grids, n = 27
+        for derived in (sp.csr_matrix(M), M[:, :], M + M, 2.0 * M, M.copy()):
+            assert getattr(derived, "layout", None) is None
+
+    def test_study_factors_once_per_level(self, fitted_b, monkeypatch):
+        # levels 0-3 have 54, 133, 399 and 1363 dofs; with the Kronecker
+        # cutoff between the last two, each level sees one kind of solver
+        kron_cutoff = 1000
+        monkeypatch.setattr(asm_mod, "KRONECKER_CUTOFF", kron_cutoff)
+        sizes = {"sparse": [], "dense": [], "kronecker": []}
+        active = []
+
+        def counted(kind, setup):
             def wrapper(A, *args, **kwargs):
-                sizes[kind].append(A.shape[0])
-                return factor(A, *args, **kwargs)
+                # the Kronecker set-up's own interface Cholesky is part of it
+                if not active:
+                    sizes[kind].append(A.shape[0])
+                active.append(kind)
+                try:
+                    return setup(A, *args, **kwargs)
+                finally:
+                    active.pop()
             return wrapper
 
         monkeypatch.setattr(spla, "splu", counted("sparse", spla.splu))
         monkeypatch.setattr(sla, "cho_factor", counted("dense", sla.cho_factor))
+        monkeypatch.setattr(asm_mod, "KroneckerPreconditioner",
+                            counted("kronecker", KroneckerPreconditioner))
         geo, gluing = fitted_b
         convergence_study(geo, gluing, "v2", 3, field_osc)
-        # levels 0-3 have 54, 133, 399 and 1363 dofs: one factor each
-        assert len(set(sizes["dense"] + sizes["sparse"])) == 4
-        assert len(sizes["dense"]) + len(sizes["sparse"]) == 4
+        assert sizes == {"dense": [54, 133], "sparse": [399],
+                         "kronecker": [1363]}
         cutoff = asm_mod.DENSE_FACTOR_CUTOFF
         assert all(n <= cutoff for n in sizes["dense"])
-        assert sizes["sparse"] and all(n > cutoff for n in sizes["sparse"])
+        assert all(cutoff < n < kron_cutoff for n in sizes["sparse"])
+        assert all(n >= kron_cutoff for n in sizes["kronecker"])
 
 
 class TestFit:

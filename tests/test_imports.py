@@ -10,9 +10,6 @@ import c2patch
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = [path for folder in ("src/c2patch", "tests", "scripts")
            for path in sorted((ROOT / folder).glob("*.py"))]
-# tests/test_acceptance.py is the behaviour contract and changes only together
-# with it; its one unused import goes with the next revision of the contract
-KNOWN_UNUSED = {("test_acceptance.py", "initial_geometry")}
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -38,8 +35,7 @@ def test_guard_detects_unused_import():
 def test_no_unused_imports():
     assert {path.parent.name for path in SOURCES} == {"c2patch", "tests", "scripts"}
     found = [f"{path.name}:{line} {name}" for path in SOURCES
-             for line, name in unused_imports(path.read_text())
-             if (path.name, name) not in KNOWN_UNUSED]
+             for line, name in unused_imports(path.read_text())]
     assert not found, f"unused imports: {found}"
 
 
