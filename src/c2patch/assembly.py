@@ -223,36 +223,20 @@ def full_space_matrices(basis: SmoothBasis) -> tuple[sp.csr_matrix, sp.csr_matri
     Columns are flattened (i, j) -> i*n + j grids.
     """
     n = basis.n
-    n2 = n * n
     dim2 = basis.num_basis
     n_int = (n - INTERFACE_ROWS) * n
     dim = dim2 + 2 * n_int
-
-    mats = {}
-    for side, A in (("L", basis.A_L), ("R", basis.A_R)):
-        rows_idx = []
-        cols_idx = []
-        vals = []
+    int_cols = np.arange(INTERFACE_ROWS * n, n * n)
+    mats = []
+    for offset, A in ((dim2, basis.A_L), (dim2 + n_int, basis.A_R)):
+        # A columns are (i, j) -> i*n + j with i < 3: the same flat layout
         r_idx, c_idx = np.nonzero(A)
-        rows_idx.append(r_idx)
-        # A columns are (i, j) -> i*n + j with i < 3: same flat layout
-        cols_idx.append(c_idx)
-        vals.append(A[r_idx, c_idx])
-        if side == "L":
-            offset = dim2
-        else:
-            offset = dim2 + n_int
-        int_rows = offset + np.arange(n_int)
-        int_cols = np.array([i * n + j for i in range(INTERFACE_ROWS, n)
-                             for j in range(n)])
-        rows_idx.append(int_rows)
-        cols_idx.append(int_cols)
-        vals.append(np.ones(n_int))
-        mats[side] = sp.coo_matrix(
-            (np.concatenate(vals),
-             (np.concatenate(rows_idx), np.concatenate(cols_idx))),
-            shape=(dim, n2)).tocsr()
-    return mats["L"], mats["R"]
+        mats.append(sp.coo_matrix(
+            (np.concatenate([A[r_idx, c_idx], np.ones(n_int)]),
+             (np.concatenate([r_idx, offset + np.arange(n_int)]),
+              np.concatenate([c_idx, int_cols]))),
+            shape=(dim, n * n)).tocsr())
+    return mats[0], mats[1]
 
 
 # ---------------------------------------------------------------------------

@@ -326,35 +326,6 @@ class SplineSpace1D:
 
 
 @dataclass(frozen=True)
-class SplineFunction1D:
-    """A univariate spline: a space plus a coefficient vector."""
-
-    space: SplineSpace1D
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=float)
-        if c.shape != (self.space.dim,):
-            raise ValueError(
-                f"expected {self.space.dim} coefficients, got {c.shape}")
-        object.__setattr__(self, "coefficients", c)
-
-    def __call__(self, xs, der: int = 0):
-        vals = self.space.eval_function(self.coefficients, xs, der)[der]
-        return float(vals[0]) if np.isscalar(xs) else vals
-
-    def derivs(self, xs, max_deriv: int) -> np.ndarray:
-        return self.space.eval_function(self.coefficients, xs, max_deriv)
-
-
-def unit_spline(space: SplineSpace1D, index: int) -> SplineFunction1D:
-    """The ``index``-th B-spline of a space as a SplineFunction1D."""
-    c = np.zeros(space.dim)
-    c[index] = 1.0
-    return SplineFunction1D(space, c)
-
-
-@dataclass(frozen=True)
 class TensorSplineSpace:
     """Tensor-product spline space on the unit square."""
 

@@ -1,10 +1,12 @@
 """Dimension formulas and explicit bases of the smooth isogeometric spaces.
 
-The interface-supported part of the C2 space is parameterized by function
-triplets (trace, first and second transversal data).  Each triplet yields,
-per patch, three coefficient rows with respect to the underlying
-tensor-product space; the rows of all triplets are computed together, by
-Greville collocation of the three trace combinations in one banded solve.
+The interface-supported part of the C2 space is built family by family, as
+in the paper: each family takes B-splines of one source spline space as the
+trace, first or second transversal data of its basis functions.  Each basis
+function yields, per patch, three coefficient rows with respect to the
+underlying tensor-product space; the rows of all functions are computed
+together, by Greville collocation of the three trace combinations in one
+banded solve.
 A constraint-collocation nullspace oracle and a numerical C2 interface
 check provide independent validation.
 """
@@ -16,10 +18,8 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
-from .bspline import (KnotVector, SplineFunction1D, SplineSpace1D,
-                      make_knot_vector, unit_spline)
+from .bspline import KnotVector, SplineSpace1D, make_knot_vector
 from .geometry import TwoPatchGeometry
 from .gluing import GluingData, GluingInvariants, matching_weights
 
@@ -105,78 +105,60 @@ def dim_w2(p: int, r: int, k: int, d_alpha: int) -> int:
 # edge functions in the transversal direction
 
 
-@dataclass(frozen=True)
-class EdgeFunctions:
-    """The three u-direction profiles with unit value/slope/curvature at u=0."""
-
-    M0: SplineFunction1D
-    M1: SplineFunction1D
-    M2: SplineFunction1D
-    tau1: float
-
-
-def edge_functions(space_u: SplineSpace1D) -> EdgeFunctions:
+def edge_rows(space_u: SplineSpace1D) -> np.ndarray:
+    """Coefficients of u-basis functions 0..2 (rows) in the three edge
+    profiles (columns) with unit value, slope and curvature at u = 0; row a
+    weighs the trace jets that make up u-row a of a patch.
+    """
     p = space_u.degree
     inner = space_u.kv.inner_knots
     tau1 = inner[0] if inner else 1.0
-    n = space_u.dim
-    c0 = np.zeros(n)
-    c0[:3] = 1.0
-    c1 = np.zeros(n)
-    c1[1] = tau1 / p
-    c1[2] = 2.0 * tau1 / p
-    c2 = np.zeros(n)
-    c2[2] = tau1 ** 2 / (p * (p - 1))
-    return EdgeFunctions(SplineFunction1D(space_u, c0),
-                         SplineFunction1D(space_u, c1),
-                         SplineFunction1D(space_u, c2), tau1)
+    return np.array([[1.0, 0.0, 0.0],
+                     [1.0, tau1 / p, 0.0],
+                     [1.0, 2.0 * tau1 / p, tau1 ** 2 / (p * (p - 1))]])
 
 
 # ---------------------------------------------------------------------------
-# triplet components: scalar * poly(v) * D^order spline(v)
+# basis families
 
 
 @dataclass(frozen=True)
-class TripletComponent:
-    """A trace component of the form scalar * poly(v) * spline^(order)(v)."""
+class Family:
+    """Basis functions built from the B-splines N_cols[j] of one space.
 
-    spline: SplineFunction1D
-    order: int = 0
-    poly: Polynomial | None = None
-    scalar: float = 1.0
+    A part ``(slot, order, poly, scalars)`` puts scalars[j] * poly(v) *
+    D^order N_cols[j](v) (``poly`` None stands for 1) into trace slot 0, 1
+    or 2; a slot takes at most one part and is zero without one.
+    """
 
-
-ZERO = None  # structurally zero triplet component
-
-V2_FAMILIES = ("Gamma0_regular", "Gamma0_knot", "Gamma0_zbeta",
-               "Gamma1_regular", "Gamma1_zbeta", "Gamma2")
-W2_FAMILIES = ("W0", "W1", "W2")
+    name: str
+    space: SplineSpace1D
+    cols: np.ndarray
+    parts: tuple
 
 
-@dataclass(frozen=True)
-class BasisTriplet:
-    """One basis function of the interface space, as its function triplet."""
-
-    kind: str
-    j: int
-    g0t: TripletComponent | None
-    g1t: TripletComponent | None
-    g2t: TripletComponent | None
-
-    def __post_init__(self):
-        if self.kind not in V2_FAMILIES + W2_FAMILIES:
-            raise ValueError(f"unknown triplet family {self.kind!r}")
+def _regular(name: str, space: SplineSpace1D, slot: int, poly=None) -> Family:
+    """Every B-spline of ``space``, in trace slot ``slot``."""
+    return Family(name, space, np.arange(space.dim),
+                  ((slot, 0, poly, np.ones(space.dim)),))
 
 
-# ---------------------------------------------------------------------------
-# refined B-spline selection
+def _refined(name: str, base: KnotVector, which: int, extra_mult: int,
+             parts) -> Family:
+    """One new B-spline of ``base`` raised at breakpoint ``which``; parts
+    with a zero scalar are structurally zero and dropped."""
+    space, index = select_refined_bspline(base, which, extra_mult)
+    return Family(name, space, np.array([index]),
+                  tuple((slot, order, poly, np.array([c]))
+                        for slot, order, poly, c in parts if c))
 
 
 def select_refined_bspline(base: KnotVector, which: int,
-                           extra_mult: int) -> SplineFunction1D:
-    """A B-spline of the multiplicity-raised space that is genuinely new.
+                           extra_mult: int) -> tuple[SplineSpace1D, int]:
+    """A B-spline of the multiplicity-raised space that is genuinely new,
+    as (raised space, index).
 
-    The returned function is nonzero at the raised knot and exhibits the
+    The selected B-spline is nonzero at the raised knot and exhibits the
     full smoothness defect there (nonzero jump in the derivative of order
     p - new_multiplicity + 1), which certifies that it does not belong to
     the unrefined space.
@@ -208,66 +190,57 @@ def select_refined_bspline(base: KnotVector, which: int,
     # Tie-break among certified candidates: the central one reproduces the
     # conditioning benchmarks of the bundled experiments; any other choice
     # changes only the basis, not the space.
-    return unit_spline(space, candidates[(len(candidates) - 1) // 2])
+    return space, candidates[(len(candidates) - 1) // 2]
 
 
 # ---------------------------------------------------------------------------
-# triplets -> per-patch interface coefficient rows
+# families -> per-patch interface coefficient rows
 
 
-def _component_derivs(triplets, xs: np.ndarray) -> list[np.ndarray]:
-    """Derivatives of all triplet components at ``xs``.
+def _component_derivs(families, xs: np.ndarray) -> list[np.ndarray]:
+    """Derivatives of the trace components of all basis functions at ``xs``.
 
     Entry s has shape (3 - s, len(xs), T) and holds derivatives 0..2-s of
-    the s-th component of every triplet, zero where that component is
-    structurally zero.  Components over one spline space come from one
-    ``basis_matrix`` of it, evaluated up to the highest order they need.
+    the s-th component of the T basis functions, family after family.  Each
+    family takes one ``basis_matrix`` of its space, evaluated up to the
+    highest order its parts need.
     """
-    out = [np.zeros((3 - s, len(xs), len(triplets))) for s in range(3)]
-    by_space: dict[SplineSpace1D, list] = {}
-    for m, t in enumerate(triplets):
-        for s, c in enumerate((t.g0t, t.g1t, t.g2t)):
-            if c is not None:
-                by_space.setdefault(c.spline.space, []).append((s, m, c))
-    for space, members in by_space.items():
-        slots, index, comps = zip(*members)
-        top = max(c.order + 2 - s for s, c in zip(slots, comps))
-        coeffs = np.stack([c.spline.coefficients for c in comps], axis=1)
-        svals = space.basis_matrix(xs, top) @ coeffs         # (top + 1, x, C)
-        # one group per (slot, order, poly): scalar * D^i (poly * N^(order))
-        groups: dict[tuple, list[int]] = {}
-        for col, (s, c) in enumerate(zip(slots, comps)):
-            groups.setdefault((s, c.order, id(c.poly)), []).append(col)
-        for (s, order, _), cols in groups.items():
-            nd = 2 - s
-            sv = svals[:, :, cols]
-            poly = comps[cols[0]].poly
+    T = sum(len(f.cols) for f in families)
+    out = [np.zeros((3 - s, len(xs), T)) for s in range(3)]
+    start = 0
+    for f in families:
+        block = slice(start, start + len(f.cols))
+        start = block.stop
+        top = max(order + 2 - slot for slot, order, _, _ in f.parts)
+        svals = f.space.basis_matrix(xs, top)[:, :, f.cols]     # (top + 1, x, C)
+        # scalars * D^i (poly * N^(order))
+        for slot, order, poly, scalars in f.parts:
+            nd = 2 - slot
             if poly is None:
-                ders = sv[order:order + nd + 1]
+                ders = svals[order:order + nd + 1]
             else:
                 pd = [poly.deriv(i)(xs)[:, None] if i <= poly.degree()
                       else np.zeros((len(xs), 1)) for i in range(nd + 1)]
-                ders = np.zeros((nd + 1, len(xs), len(cols)))
+                ders = np.zeros((nd + 1, len(xs), len(f.cols)))
                 for i in range(nd + 1):
                     for j in range(i + 1):
-                        ders[i] += comb(i, j) * pd[j] * sv[order + i - j]
-            scalars = np.array([comps[col].scalar for col in cols])
-            out[s][:, :, [index[col] for col in cols]] = scalars * ders
+                        ders[i] += comb(i, j) * pd[j] * svals[order + i - j]
+            out[slot][:, :, block] = scalars * ders
     return out
 
 
-def interface_jets(kind: str, triplets, g: GluingData, inv: GluingInvariants,
+def interface_jets(kind: str, families, g: GluingData, inv: GluingInvariants,
                    xs) -> np.ndarray:
-    """Sampled trace, D_u trace and D_uu trace of every triplet's patch
-    function on both sides: shape (2, 3, len(xs), T), side L first.
+    """Sampled trace, D_u trace and D_uu trace of every basis function's
+    patch function on both sides: shape (2, 3, len(xs), T), side L first.
 
-    V2 triplets are scaled by the reduced alpha and the common factor q; W2
-    triplets (``kind == "w2"``) are the same expressions with alpha in
+    V2 functions are scaled by the reduced alpha and the common factor q;
+    W2 functions (``kind == "w2"``) are the same expressions with alpha in
     place of atilde and q = 1.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    g0, g1, g2 = _component_derivs(triplets, xs)
-    out = np.empty((2, 3, len(xs), len(triplets)))
+    g0, g1, g2 = _component_derivs(families, xs)
+    out = np.empty((2, 3) + g0.shape[1:])
     for i, side in enumerate(("L", "R")):
         beta = g.beta(side)(xs)[:, None]
         if kind == "w2":
@@ -292,16 +265,24 @@ class SmoothBasis:
     """An explicit basis of the interface part of a smooth space."""
 
     space_kind: str                      # "v2" or "w2"
-    triplets: tuple[BasisTriplet, ...]
+    families: tuple[Family, ...]
     A_L: np.ndarray                      # (num_basis, 3n)
     A_R: np.ndarray
     n: int                               # trace-space dimension
-    family_sizes: dict
     trace_residual: float                # worst trace-representability residual
 
     @property
     def num_basis(self) -> int:
-        return len(self.triplets)
+        return len(self.A_L)
+
+    @property
+    def kinds(self) -> list[str]:
+        """The family name of every basis function, in row order."""
+        return [f.name for f in self.families for _ in f.cols]
+
+    @property
+    def family_sizes(self) -> dict:
+        return dict(Counter(self.kinds))
 
     def rows(self, side: str, m: int) -> np.ndarray:
         if side not in ("L", "R"):
@@ -314,11 +295,14 @@ class SmoothBasis:
         return np.hstack([self.A_L, self.A_R[:, self.n:]])
 
     def records(self):
-        """JSON-ready export records {family, j, rows_L, rows_R}."""
-        for m, t in enumerate(self.triplets):
-            yield {"family": t.kind, "j": t.j,
+        """JSON-ready export records {family, j, rows_L, rows_R}; j counts
+        the functions of one family name."""
+        count: Counter = Counter()
+        for m, name in enumerate(self.kinds):
+            yield {"family": name, "j": count[name],
                    "rows_L": self.rows("L", m).tolist(),
                    "rows_R": self.rows("R", m).tolist()}
+            count[name] += 1
 
 
 # the five interpolated trace combinations: (row, side); row 0, the trace,
@@ -326,8 +310,8 @@ class SmoothBasis:
 _COMBINATIONS = ((0, "L"), (1, "L"), (2, "L"), (1, "R"), (2, "R"))
 
 
-def _assemble_basis(kind: str, triplets, g, inv, trace_space, edge) -> SmoothBasis:
-    """Interface coefficient rows of all triplets on both patches.
+def _assemble_basis(kind: str, families, g, inv, trace_space) -> SmoothBasis:
+    """Interface coefficient rows of all basis functions on both patches.
 
     Row i of a patch holds the coefficients multiplying the i-th u-column
     of the tensor basis; they are obtained by collocating the value, slope
@@ -335,23 +319,21 @@ def _assemble_basis(kind: str, triplets, g, inv, trace_space, edge) -> SmoothBas
     points, all in one banded solve.  Midpoints between Greville points
     check that every combination is representable in the trace space.
     """
-    p, n, T = trace_space.degree, trace_space.dim, len(triplets)
-    tau1 = edge.tau1
+    n = trace_space.dim
     xi = trace_space.greville()
     mids = 0.5 * (xi[:-1] + xi[1:])
     mids = mids[(mids > 0.0) & (mids < 1.0)]
-    val, du, duu = interface_jets(kind, triplets, g, inv,
+    val, du, duu = interface_jets(kind, families, g, inv,
                                   np.concatenate([xi, mids])).swapaxes(0, 1)
-    rows = [val,
-            val + (tau1 / p) * du,
-            val + (2.0 * tau1 / p) * du + (tau1 ** 2 / (p * (p - 1))) * duu]
+    E = edge_rows(trace_space)
+    rows = [val, val + E[1, 1] * du, val + E[2, 1] * du + E[2, 2] * duu]
     targets = np.stack([rows[i]["LR".index(side)]
                         for i, side in _COMBINATIONS], axis=1)   # (x, 5, T)
 
-    has = np.array([[t.g0t is not None, t.g1t is not None, t.g2t is not None]
-                    for t in triplets]).reshape(T, 3)
-    live = np.logical_or.accumulate(has, axis=1).T               # (3, T)
-    live = live[[i for i, _ in _COMBINATIONS]]                   # (5, T)
+    # row i of a function is zero unless one of its slots 0..i has a part
+    lowest = [min(slot for slot, *_ in f.parts) for f in families]
+    live = (np.array([i for i, _ in _COMBINATIONS])[:, None]
+            >= np.repeat(lowest, [len(f.cols) for f in families]))  # (5, T)
 
     coeffs = trace_space.interpolate(targets[:n])                # (n, 5, T)
     coeffs[:, ~live] = 0.0
@@ -364,16 +346,16 @@ def _assemble_basis(kind: str, triplets, g, inv, trace_space, edge) -> SmoothBas
     if len(bad):
         m, c = bad[0]
         i, side = _COMBINATIONS[c]
-        t = triplets[m]
+        kinds = [f.name for f in families for _ in f.cols]
+        name, j = kinds[m], kinds[:m].count(kinds[m])
         raise RepresentationError(
-            f"trace combination {i} of {t.kind}[{t.j}] on side {side} not "
+            f"trace combination {i} of {name}[{j}] on side {side} not "
             f"representable in the patch space (residual {resid[c, m]:.2e})")
 
     coeffs = coeffs.transpose(2, 1, 0)                           # (T, 5, n)
-    A_L = coeffs[:, [0, 1, 2]].reshape(T, 3 * n)
-    A_R = coeffs[:, [0, 3, 4]].reshape(T, 3 * n)
-    sizes = dict(Counter(t.kind for t in triplets))
-    return SmoothBasis(kind, tuple(triplets), A_L, A_R, n, sizes,
+    A_L = coeffs[:, [0, 1, 2]].reshape(-1, 3 * n)
+    A_R = coeffs[:, [0, 3, 4]].reshape(-1, 3 * n)
+    return SmoothBasis(kind, tuple(families), A_L, A_R, n,
                        float(resid.max(initial=0.0)))
 
 
@@ -395,77 +377,48 @@ def build_basis_v2(g: GluingData, inv: GluingInvariants, p: int, r: int,
         raise ValueError("invariants were built for a different knot count")
 
     trace_space = _spline_space(p, r, inner)
-    edge = edge_functions(trace_space)
-
     s0 = _spline_space(p, r + 2, inner)
-    p1 = p - inv.d_atilde - inv.d_h
-    s1_base = _spline_space(p1, r + 1, inner)
+    s1_base = _spline_space(p - inv.d_atilde - inv.d_h, r + 1, inner)
     s2 = _spline_space(p - 2 * inv.d_atilde, r, inner)
 
-    q, h = inv.q, inv.h
-    h_poly = None if inv.d_h == 0 and abs(h(0.0) - 1.0) < 1e-14 else h
-    q_poly = None if inv.q.degree() == 0 else q
-
-    def at(poly_or_lin, tau):
-        return float(poly_or_lin(tau))
-
-    triplets: list[BasisTriplet] = []
+    h_poly = None if inv.d_h == 0 and abs(inv.h(0.0) - 1.0) < 1e-14 else inv.h
+    q_poly = None if inv.q.degree() == 0 else inv.q
 
     # trace family: plain B-splines of the smoother space
-    for j in range(s0.dim):
-        triplets.append(BasisTriplet(
-            "Gamma0_regular", j, TripletComponent(unit_spline(s0, j)), ZERO, ZERO))
+    families = [_regular("Gamma0_regular", s0, 0)]
 
     # one function per interior knot, from the once-raised space
-    for j in range(k):
-        tau = inner[j]
-        N = select_refined_bspline(s0.kv, j + 1, 1)
-        aL, aR = at(inv.atilde_L, tau), at(inv.atilde_R, tau)
-        bL, bR = at(g.beta_L, tau), at(g.beta_R, tau)
-        c1 = -(aR * bL + aL * bR) / (2.0 * aR * aL * at(q, tau))
+    for j, tau in enumerate(inner):
+        aL, aR = float(inv.atilde_L(tau)), float(inv.atilde_R(tau))
+        bL, bR = float(g.beta_L(tau)), float(g.beta_R(tau))
+        c1 = -(aR * bL + aL * bR) / (2.0 * aR * aL * float(inv.q(tau)))
         c2 = (bL * bR) / (aL * aR)
-        triplets.append(BasisTriplet(
-            "Gamma0_knot", j,
-            TripletComponent(N),
-            TripletComponent(N, order=1, poly=q_poly, scalar=c1) if c1 else ZERO,
-            TripletComponent(N, order=2, scalar=c2) if c2 else ZERO))
+        families.append(_refined("Gamma0_knot", s0.kv, j + 1, 1, (
+            (0, 0, None, 1.0), (1, 1, q_poly, c1), (2, 2, None, c2))))
 
     # extra trace functions at the roots of beta, from the twice-raised space
-    for j, ell in enumerate(inv.Z_beta):
+    for ell in inv.Z_beta:
         tau = inner[ell - 1]
-        N = select_refined_bspline(s0.kv, ell, 2)
-        aL = at(inv.atilde_L, tau)
-        bL = at(g.beta_L, tau)
-        c1 = -bL / (at(q, tau) * aL)
+        aL = float(inv.atilde_L(tau))
+        bL = float(g.beta_L(tau))
+        c1 = -bL / (float(inv.q(tau)) * aL)
         c2 = (bL / aL) ** 2
-        triplets.append(BasisTriplet(
-            "Gamma0_zbeta", j,
-            TripletComponent(N),
-            TripletComponent(N, order=1, poly=q_poly, scalar=c1) if c1 else ZERO,
-            TripletComponent(N, order=2, scalar=c2) if c2 else ZERO))
+        families.append(_refined("Gamma0_zbeta", s0.kv, ell, 2, (
+            (0, 0, None, 1.0), (1, 1, q_poly, c1), (2, 2, None, c2))))
 
     # first transversal family
-    for j in range(s1_base.dim):
-        triplets.append(BasisTriplet(
-            "Gamma1_regular", j, ZERO,
-            TripletComponent(unit_spline(s1_base, j), poly=h_poly), ZERO))
-    for j, ell in enumerate(inv.Z_beta):
+    families.append(_regular("Gamma1_regular", s1_base, 1, h_poly))
+    for ell in inv.Z_beta:
         tau = inner[ell - 1]
-        N = select_refined_bspline(s1_base.kv, ell, 1)
-        c2 = -2.0 * at(g.beta_L, tau) / at(inv.atilde_L, tau)
-        triplets.append(BasisTriplet(
-            "Gamma1_zbeta", j, ZERO,
-            TripletComponent(N, poly=h_poly),
-            TripletComponent(N, order=1, poly=h_poly, scalar=c2) if c2 else ZERO))
+        c2 = -2.0 * float(g.beta_L(tau)) / float(inv.atilde_L(tau))
+        families.append(_refined("Gamma1_zbeta", s1_base.kv, ell, 1, (
+            (1, 0, h_poly, 1.0), (2, 1, h_poly, c2))))
 
     # second transversal family
-    for j in range(s2.dim):
-        triplets.append(BasisTriplet(
-            "Gamma2", j, ZERO, ZERO, TripletComponent(unit_spline(s2, j))))
+    families.append(_regular("Gamma2", s2, 2))
 
-    g0_dim, g1_dim, g2_dim = dim_gamma(inv, p, r, k)
-    assert len(triplets) == g0_dim + g1_dim + g2_dim
-    return _assemble_basis("v2", triplets, g, inv, trace_space, edge)
+    assert sum(len(f.cols) for f in families) == sum(dim_gamma(inv, p, r, k))
+    return _assemble_basis("v2", families, g, inv, trace_space)
 
 
 def build_basis_w2(g: GluingData, inv: GluingInvariants, p: int, r: int,
@@ -476,26 +429,11 @@ def build_basis_w2(g: GluingData, inv: GluingInvariants, p: int, r: int,
     if p - 2 * d_alpha < r:
         raise DegreeBudgetError("triplet spaces degenerate: p - 2*d_alpha < r")
     inner = inv.ttilde.inner_knots
-    trace_space = _spline_space(p, r, inner)
-    edge = edge_functions(trace_space)
-
-    s0 = _spline_space(p, r + 2, inner)
-    s1 = _spline_space(p - d_alpha, r + 1, inner)
-    s2 = _spline_space(p - 2 * d_alpha, r, inner)
-
-    triplets: list[BasisTriplet] = []
-    for j in range(s0.dim):
-        triplets.append(BasisTriplet(
-            "W0", j, TripletComponent(unit_spline(s0, j)), ZERO, ZERO))
-    for j in range(s1.dim):
-        triplets.append(BasisTriplet(
-            "W1", j, ZERO, TripletComponent(unit_spline(s1, j)), ZERO))
-    for j in range(s2.dim):
-        triplets.append(BasisTriplet(
-            "W2", j, ZERO, ZERO, TripletComponent(unit_spline(s2, j))))
-
-    assert len(triplets) == dim_w2(p, r, k, d_alpha)
-    return _assemble_basis("w2", triplets, g, inv, trace_space, edge)
+    families = (_regular("W0", _spline_space(p, r + 2, inner), 0),
+                _regular("W1", _spline_space(p - d_alpha, r + 1, inner), 1),
+                _regular("W2", _spline_space(p - 2 * d_alpha, r, inner), 2))
+    assert sum(len(f.cols) for f in families) == dim_w2(p, r, k, d_alpha)
+    return _assemble_basis("w2", families, g, inv, _spline_space(p, r, inner))
 
 
 # ---------------------------------------------------------------------------

@@ -321,12 +321,12 @@ def test_criterion_9_structural_invariants(gluing_a, gluing_b, invariants,
             w2 = build_basis_w2(g, inv, 5, 2, k)
             n = v2.n
             # exact block-zero pattern
-            for m, t in enumerate(v2.triplets):
+            for m, kind in enumerate(v2.kinds):
                 for A in (v2.A_L, v2.A_R):
                     rows = A[m].reshape(3, n)
-                    if t.kind.startswith("Gamma1"):
+                    if kind.startswith("Gamma1"):
                         ok = ok and np.abs(rows[0]).max() == 0.0
-                    if t.kind == "Gamma2":
+                    if kind == "Gamma2":
                         ok = ok and np.abs(rows[:2]).max() == 0.0
             # full row rank of the exported matrices
             for basis in (v2, w2):

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from c2patch.bspline import (KnotVector, SplineFunction1D, SplineSpace1D,
-                             TensorSplineSpace, insert_knot, make_knot_vector,
-                             refine_to, uniform_inner_knots, unit_spline)
+from c2patch.bspline import (KnotVector, SplineSpace1D, TensorSplineSpace,
+                             insert_knot, make_knot_vector, refine_to,
+                             uniform_inner_knots)
 
 
 def space(p, r, k, inner=None):
@@ -111,7 +111,9 @@ class TestBasisEvaluation:
     def test_derivatives_match_finite_differences(self):
         s = space(5, 2, 2, (0.3, 0.7))
         c = rng_coeffs(s)
-        f = SplineFunction1D(s, c)
+        def f(x, der=0):
+            return float(s.eval_function(c, [x], der)[der, 0])
+
         h = 1e-5
         for x in (0.12, 0.44, 0.61, 0.93):
             d1 = (f(x + h) - f(x - h)) / (2 * h)
@@ -330,13 +332,12 @@ class TestTensor:
         ts = TensorSplineSpace(s, s)
         cu, cv = rng_coeffs(s, 1), rng_coeffs(s, 2)
         coeffs = np.outer(cu, cv)
-        fu = SplineFunction1D(s, cu)
-        fv = SplineFunction1D(s, cv)
         for u, v in [(0.1, 0.9), (0.55, 0.2)]:
-            assert ts.eval(coeffs, u, v) == pytest.approx(
-                float(fu(u)) * float(fv(v)))
+            fu = s.eval_function(cu, [u], 1)[:, 0]
+            fv = float(s.eval_function(cv, [v])[0, 0])
+            assert ts.eval(coeffs, u, v) == pytest.approx(float(fu[0]) * fv)
             assert ts.eval(coeffs, u, v, du=1) == pytest.approx(
-                float(fu(u, 1)) * float(fv(v)))
+                float(fu[1]) * fv)
 
     def test_linear_precision_derivative(self):
         s = space(5, 2, 1, (0.5,))
@@ -416,11 +417,4 @@ def test_property_insertion_dimension(s):
         return
     kv2, _ = insert_knot(s.kv, np.zeros(s.dim), new)
     assert kv2.dim == s.dim + 1
-
-
-def test_unit_spline():
-    s = space(5, 2, 1, (0.5,))
-    f = unit_spline(s, 3)
-    first, d = s.eval_basis(0.3)
-    assert f(0.3) == pytest.approx(d[0][3 - first])
 

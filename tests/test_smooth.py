@@ -1,5 +1,6 @@
 """Tests for dimensions, basis construction and smoothness verification."""
 
+from collections import Counter
 from math import comb
 
 import numpy as np
@@ -7,18 +8,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from c2patch import smooth
-from c2patch.bspline import (SplineSpace1D, make_knot_vector, uniform_inner_knots,
-                             unit_spline)
+from c2patch.bspline import SplineSpace1D, make_knot_vector, uniform_inner_knots
 from c2patch.geometry import refine_geometry, represent_geometry
 from c2patch.gluing import gluing_from_bilinear, gluing_invariants
-from c2patch.smooth import (TRACE_RESID_TOL, BasisTriplet,
-                            DegreeBudgetError, IndeterminateRankError,
-                            RepresentationError, TripletComponent,
+from c2patch.smooth import (TRACE_RESID_TOL, DegreeBudgetError, Family,
+                            IndeterminateRankError, RepresentationError,
                             build_basis_v2, build_basis_w2,
                             constraint_nullspace_dim, dim_gamma, dim_v1,
-                            dim_v2, dim_v2_from_numbers, dim_w2,
-                            edge_functions, interface_jets,
-                            select_refined_bspline, verify_c2_at_interface)
+                            dim_v2, dim_v2_from_numbers, dim_w2, edge_rows,
+                            interface_jets, select_refined_bspline,
+                            verify_c2_at_interface)
 from tests.test_gluing import (mirrored_squares, squares_with_linear_beta,
                                squares_with_quadratic_beta)
 
@@ -26,6 +25,20 @@ from tests.test_gluing import (mirrored_squares, squares_with_linear_beta,
 def invariants_for(gluing, p=5, r=2, k=0):
     kv = make_knot_vector(p, r, k, uniform_inner_knots(k))
     return gluing_invariants(gluing, kv)
+
+
+def unit(space, index):
+    """Coefficients of the ``index``-th B-spline of ``space``."""
+    c = np.zeros(space.dim)
+    c[index] = 1.0
+    return c
+
+
+def edge_profiles(space_u, us):
+    """Values of the three edge profiles at ``us``, shape (len(us), 3)."""
+    c = np.zeros((space_u.dim, 3))
+    c[:3] = edge_rows(space_u)
+    return space_u.eval_function(c, us)[0]
 
 
 class TestDimensions:
@@ -113,24 +126,26 @@ class TestEdgeFunctions:
                                            (6, 3, (0.4,)), (5, 2, ())])
     def test_unit_jets_at_zero(self, p, r, inner):
         s = SplineSpace1D(make_knot_vector(p, r, len(inner), inner))
-        ef = edge_functions(s)
-        for j, M in enumerate((ef.M0, ef.M1, ef.M2)):
-            d = M.derivs(np.array([0.0]), 2)[:, 0]
+        E = edge_rows(s)
+        assert E.shape == (3, 3)
+        for j in range(3):
+            c = np.zeros(s.dim)
+            c[:3] = E[:, j]
+            d = s.eval_function(c, [0.0], 2)[:, 0]
             expect = np.zeros(3)
             expect[j] = 1.0
             assert_allclose(d, expect, atol=1e-12)
 
     def test_m1_coefficients(self):
         s = SplineSpace1D(make_knot_vector(5, 2, 3, (0.25, 0.5, 0.75)))
-        ef = edge_functions(s)
-        assert_allclose(ef.M1.coefficients[:4], [0, 1 / 20, 1 / 10, 0],
-                        atol=1e-15)
-        assert ef.M2.coefficients[2] == pytest.approx(0.25 ** 2 / 20)
+        E = edge_rows(s)
+        assert_allclose(E[:, 1], [0, 1 / 20, 1 / 10], atol=1e-15)
+        assert E[2, 2] == pytest.approx(0.25 ** 2 / 20)
 
     def test_value_one_at_edge(self):
         s = SplineSpace1D(make_knot_vector(5, 2, 1, (0.5,)))
-        ef = edge_functions(s)
-        c = ef.M0.coefficients.copy()
+        c = np.zeros(s.dim)
+        c[:3] = edge_rows(s)[:, 0]
         c[5:] += 3.0  # anything beyond the first three columns
         assert s.eval_function(c, [0.0])[0, 0] == pytest.approx(1.0)
 
@@ -138,16 +153,15 @@ class TestEdgeFunctions:
 class TestSelectRefinedBspline:
     def test_single_insertion_is_new_function(self):
         base = make_knot_vector(5, 4, 3, (0.25, 0.5, 0.75))
-        f = select_refined_bspline(base, 1, 1)
+        s, index = select_refined_bspline(base, 1, 1)
         raised = base.with_raised_multiplicity(1, 1)
-        assert f.space.kv == raised
-        assert f(0.25) > 1e-6
+        assert s.kv == raised
+        assert s.eval_function(unit(s, index), [0.25])[0, 0] > 1e-6
 
     def test_double_insertion_smoothness_defect(self):
         base = make_knot_vector(5, 4, 2, (0.3, 0.7))
-        f = select_refined_bspline(base, 2, 2)
+        s, index = select_refined_bspline(base, 2, 2)
         tau = 0.7
-        s = f.space
         # jump in the third derivative: function is C^2 only
         fr = s.find_span(tau, "right") - 5
         _, dr = s.eval_basis(tau, 3, side="right")
@@ -156,7 +170,7 @@ class TestSelectRefinedBspline:
         jr = np.zeros(s.dim)
         jr[fr:fr + 6] += dr[3]
         jr[fl:fl + 6] -= dl[3]
-        jump = float(jr @ f.coefficients)
+        jump = float(jr[index])
         assert abs(jump) > 1e-6 * max(np.abs(dr[3]).max(), 1.0)
         # but C^2 below
         for order in (0, 1, 2):
@@ -165,7 +179,7 @@ class TestSelectRefinedBspline:
             jr = np.zeros(s.dim)
             jr[fr:fr + 6] += dr[order]
             jr[fl:fl + 6] -= dl[order]
-            assert abs(float(jr @ f.coefficients)) < 1e-9
+            assert abs(float(jr[index])) < 1e-9
 
     def test_multiplicity_overflow(self):
         base = make_knot_vector(5, 2, 1, (0.5,))  # multiplicity 3
@@ -213,12 +227,12 @@ class TestBasisConstruction:
         inv = invariants_for(gluing_a, k=1)
         basis = build_basis_v2(gluing_a, inv, 5, 2, 1)
         n = basis.n
-        for m, t in enumerate(basis.triplets):
+        for m, kind in enumerate(basis.kinds):
             for A in (basis.A_L, basis.A_R):
                 rows = A[m].reshape(3, n)
-                if t.kind.startswith("Gamma1"):
+                if kind.startswith("Gamma1"):
                     assert np.abs(rows[0]).max() == 0.0
-                if t.kind == "Gamma2":
+                if kind == "Gamma2":
                     assert np.abs(rows[0]).max() == 0.0
                     assert np.abs(rows[1]).max() == 0.0
 
@@ -241,14 +255,14 @@ class TestBasisConstruction:
                 assert rank == v2.num_basis
 
     def test_trace_identities(self, gluing_a):
-        # the rows reproduce the triplet's value, first and second
+        # the rows reproduce each function's value, first and second
         # transversal derivative data along the interface
         inv = invariants_for(gluing_a, k=1)
         basis = build_basis_v2(gluing_a, inv, 5, 2, 1)
         trace = SplineSpace1D(make_knot_vector(5, 2, 1, (0.5,)))
         vs = np.random.default_rng(1).uniform(0.001, 0.999, 200)
         p, tau1 = 5, 0.5
-        jets = interface_jets("v2", basis.triplets, gluing_a, inv, vs)
+        jets = interface_jets("v2", basis.families, gluing_a, inv, vs)
         for m in range(basis.num_basis):
             for i, A in enumerate((basis.A_L, basis.A_R)):
                 rows = A[m].reshape(3, basis.n)
@@ -271,7 +285,7 @@ class TestSurfaceFromTriplet:
         inv = gluing_invariants(g, kv)
         basis = build_basis_v2(g, inv, 5, 2, 0)
         m = 0
-        assert basis.triplets[m].kind == "Gamma0_regular"
+        assert basis.kinds[m] == "Gamma0_regular"
         rows = basis.rows("L", m)
         assert np.abs(rows[0]).max() > 0.1
         assert_allclose(rows[1], rows[0], atol=1e-12)  # du = 0 => row1 = row0
@@ -280,13 +294,12 @@ class TestSurfaceFromTriplet:
     def test_example_forms_direct_evaluation(self, gluing_a):
         # simple closed forms when q = 1: the second-transversal family is
         # atilde^2 N_j(v) M2(u)
-        from c2patch.smooth import edge_functions
+        from c2patch.bspline import TensorSplineSpace
         k = 3
         kv = make_knot_vector(5, 2, k, uniform_inner_knots(k))
         inv = gluing_invariants(gluing_a, kv)
         basis = build_basis_v2(gluing_a, inv, 5, 2, k)
         trace = SplineSpace1D(kv)
-        ef = edge_functions(trace)
         s2 = SplineSpace1D(make_knot_vector(3, 2, k, uniform_inner_knots(k)))
         offset = basis.num_basis - s2.dim  # Gamma2 block is last
         us = [0.05, 0.2]
@@ -295,12 +308,12 @@ class TestSurfaceFromTriplet:
             rows = basis.rows("L", offset + j)
             grid = np.zeros((basis.n, basis.n))
             grid[:3] = rows
-            from c2patch.bspline import TensorSplineSpace, unit_spline
             ts = TensorSplineSpace(trace, trace)
-            Nj = unit_spline(s2, j)
             for u in us:
+                M2 = edge_profiles(trace, [u])[0, 2]
                 for v in vs:
-                    direct = (inv.atilde_L(v) ** 2) * Nj(v) * ef.M2(u)
+                    Nj = s2.eval_function(unit(s2, j), [v])[0, 0]
+                    direct = (inv.atilde_L(v) ** 2) * Nj * M2
                     assert ts.eval(grid, u, v) == pytest.approx(direct, abs=1e-11)
 
     def test_roundtrip_against_triplet_formula(self, gluing_b):
@@ -310,18 +323,18 @@ class TestSurfaceFromTriplet:
         inv = gluing_invariants(gluing_b, kv)
         basis = build_basis_v2(gluing_b, inv, 5, 2, k)
         trace = SplineSpace1D(kv)
-        ef = edge_functions(trace)
         ts = TensorSplineSpace(trace, trace)
         rng = np.random.default_rng(7)
         pts = rng.uniform(0.0, 1.0, size=(40, 2))
-        val, du, duu = interface_jets("v2", basis.triplets, gluing_b, inv,
+        M = edge_profiles(trace, pts[:, 0])
+        val, du, duu = interface_jets("v2", basis.families, gluing_b, inv,
                                       pts[:, 1])[0]
-        for m in (0, 8, 12, len(basis.triplets) - 1):
+        for m in (0, 8, 12, basis.num_basis - 1):
             grid = np.zeros((basis.n, basis.n))
             grid[:3] = basis.rows("L", m)
             for i, (u, v) in enumerate(pts):
-                direct = (val[i, m] * ef.M0(u) + du[i, m] * ef.M1(u)
-                          + duu[i, m] * ef.M2(u))
+                direct = (val[i, m] * M[i, 0] + du[i, m] * M[i, 1]
+                          + duu[i, m] * M[i, 2])
                 assert ts.eval(grid, u, v) == pytest.approx(direct, abs=1e-11)
 
 
@@ -346,7 +359,7 @@ class TestC2Verification:
             for m in range(basis.num_basis):
                 rep = verify_c2_at_interface(F, basis.rows("L", m),
                                              basis.rows("R", m), 25, 1e-8)
-                assert rep.passed, f"{basis.triplets[m].kind}[{m}]: {rep}"
+                assert rep.passed, f"{basis.kinds[m]}[{m}]: {rep}"
 
     def test_interior_function_trivially_smooth(self, fitted_a):
         geo, _ = fitted_a
@@ -401,7 +414,7 @@ class TestCommonFactorWithDh1:
         for m in range(basis.num_basis):
             rep = verify_c2_at_interface(F, basis.rows("L", m),
                                          basis.rows("R", m), 20, 1e-8)
-            assert rep.passed, f"{basis.triplets[m].kind}[{m}]: {rep}"
+            assert rep.passed, f"{basis.kinds[m]}[{m}]: {rep}"
         res = constraint_nullspace_dim(F, g, 5, 2, k)
         assert res.nullspace_dim == 23
 
@@ -465,76 +478,84 @@ class TestOracle:
 
 
 # ---------------------------------------------------------------------------
-# the per-triplet construction that the batched one replaced, kept as the
+# the per-function construction that the batched one replaced, kept as the
 # reference the batched construction must reproduce
 
 
-def _component_derivs_reference(c, xs, max_deriv):
-    """Values and derivatives of one TripletComponent, (max_deriv + 1, len(xs))."""
-    svals = c.spline.derivs(xs, c.order + max_deriv)
-    if c.poly is None:
-        return c.scalar * svals[c.order:c.order + max_deriv + 1]
-    pd = [c.poly.deriv(m)(xs) if m <= c.poly.degree() else np.zeros_like(xs)
+def _part_derivs_reference(space, col, order, poly, scalar, xs, max_deriv):
+    """Values and derivatives of scalar * poly * D^order N_col,
+    (max_deriv + 1, len(xs))."""
+    svals = space.eval_function(unit(space, col), xs, order + max_deriv)
+    if poly is None:
+        return scalar * svals[order:order + max_deriv + 1]
+    pd = [poly.deriv(m)(xs) if m <= poly.degree() else np.zeros_like(xs)
           for m in range(max_deriv + 1)]
     out = np.zeros((max_deriv + 1, len(xs)))
     for m in range(max_deriv + 1):
         for j in range(m + 1):
-            out[m] += comb(m, j) * pd[j] * svals[c.order + m - j]
-    return c.scalar * out
+            out[m] += comb(m, j) * pd[j] * svals[order + m - j]
+    return scalar * out
 
 
-def _interface_jets_reference(t, g, inv, side, xs):
+def _interface_jets_reference(kind, comps, g, inv, side, xs):
+    """Trace jets of one basis function whose slot s holds ``comps[s]``."""
     zero = np.zeros(len(xs))
     beta_s = g.beta(side)(xs)
-    if t.kind in smooth.W2_FAMILIES:
+    if kind == "w2":
         alpha_s, qv, qd = g.alpha(side)(xs), np.ones(len(xs)), zero
     else:
         alpha_s, qv = inv.atilde(side)(xs), inv.q(xs)
         qd = inv.q.deriv()(xs) if inv.q.degree() >= 1 else zero
     val = du = duu = zero
-    if t.g0t is not None:
-        g0 = _component_derivs_reference(t.g0t, xs, 2)
+    if 0 in comps:
+        g0 = _part_derivs_reference(*comps[0], xs, 2)
         val = g0[0]
         du = du + beta_s * g0[1]
         duu = duu + beta_s ** 2 * g0[2]
-    if t.g1t is not None:
-        g1 = _component_derivs_reference(t.g1t, xs, 1)
+    if 1 in comps:
+        g1 = _part_derivs_reference(*comps[1], xs, 1)
         du = du + alpha_s * g1[0]
         duu = duu + 2.0 * alpha_s * beta_s * (g1[1] - g1[0] * qd / qv)
-    if t.g2t is not None:
-        duu = duu + alpha_s ** 2 * _component_derivs_reference(t.g2t, xs, 0)[0]
+    if 2 in comps:
+        duu = duu + alpha_s ** 2 * _part_derivs_reference(*comps[2], xs, 0)[0]
     return val, du, duu
 
 
-def _surface_from_triplet_reference(t, g, inv, side, trace_space):
+def _surface_from_function_reference(kind, comps, g, inv, side, trace_space):
     p, n = trace_space.degree, trace_space.dim
-    tau1 = edge_functions(trace_space).tau1
-    val, du, duu = _interface_jets_reference(t, g, inv, side,
+    inner = trace_space.kv.inner_knots
+    tau1 = inner[0] if inner else 1.0
+    val, du, duu = _interface_jets_reference(kind, comps, g, inv, side,
                                              trace_space.greville())
     targets = [val,
                val + (tau1 / p) * du,
                val + (2.0 * tau1 / p) * du + (tau1 ** 2 / (p * (p - 1))) * duu]
-    zero = [t.g0t is None,
-            t.g0t is None and t.g1t is None,
-            t.g0t is None and t.g1t is None and t.g2t is None]
     rows = np.zeros((3, n))
     for i in range(3):
-        if not zero[i]:
+        if min(comps) <= i:
             rows[i] = trace_space.interpolate(targets[i])
     return rows
 
 
 def _basis_reference(basis, g, inv, p=5, r=2):
-    """(A_L, A_R) of ``basis`` built one triplet and one side at a time."""
+    """(A_L, A_R) of ``basis`` built one function and one side at a time."""
     inner = inv.ttilde.inner_knots
     trace = SplineSpace1D(make_knot_vector(p, r, len(inner), inner))
     A_L, A_R = np.zeros_like(basis.A_L), np.zeros_like(basis.A_R)
-    for m, t in enumerate(basis.triplets):
-        rows_L = _surface_from_triplet_reference(t, g, inv, "L", trace)
-        rows_R = _surface_from_triplet_reference(t, g, inv, "R", trace)
-        if t.g0t is not None:
-            rows_R[0] = rows_L[0]
-        A_L[m], A_R[m] = rows_L.ravel(), rows_R.ravel()
+    m = 0
+    for f in basis.families:
+        for j, col in enumerate(f.cols):
+            comps = {slot: (f.space, col, order, poly, scalars[j])
+                     for slot, order, poly, scalars in f.parts}
+            rows_L, rows_R = (
+                _surface_from_function_reference(basis.space_kind, comps, g,
+                                                 inv, side, trace)
+                for side in ("L", "R"))
+            if 0 in comps:
+                rows_R[0] = rows_L[0]
+            A_L[m], A_R[m] = rows_L.ravel(), rows_R.ravel()
+            m += 1
+    assert m == basis.num_basis
     return A_L, A_R
 
 
@@ -579,8 +600,8 @@ class TestBatchedBasis:
                                             (build_basis_v2, 170)])
     def test_eval_basis_calls_per_build(self, gluing_a, gluing_b, monkeypatch,
                                         build, most):
-        # one evaluation per source space: the families of W2 share three
-        # spaces, V2 adds one refined space per knot function
+        # one evaluation per family: W2 has three families, V2 adds one
+        # refined space per knot and zbeta function
         for g in (gluing_a, gluing_b):
             inv = invariants_for(g, k=31)
             calls = _count_eval_basis(monkeypatch)
@@ -599,12 +620,31 @@ class TestBatchedBasis:
         inv = invariants_for(gluing_a, k=1)
         trace = SplineSpace1D(make_knot_vector(5, 2, 1, (0.5,)))
         foreign = SplineSpace1D(make_knot_vector(5, 4, 2, (0.3, 0.5)))
-        triplets = [BasisTriplet("W0", 4, TripletComponent(unit_spline(foreign, 4)),
-                                 None, None)]
+        family = Family("W0", foreign, np.array([4]), ((0, 0, None, np.ones(1)),))
         with pytest.raises(RepresentationError,
-                           match=r"combination 0 of W0\[4\] on side L"):
-            smooth._assemble_basis("w2", triplets, gluing_a, inv, trace,
-                                   edge_functions(trace))
+                           match=r"combination 0 of W0\[0\] on side L"):
+            smooth._assemble_basis("w2", (family,), gluing_a, inv, trace)
+
+    def test_records_number_within_families(self):
+        g = gluing_from_bilinear(squares_with_linear_beta())
+        inv = invariants_for(g, k=3)
+        basis = build_basis_v2(g, inv, 5, 2, 3)
+        assert inv.z_beta > 0
+        records = list(basis.records())
+        names = [rec["family"] for rec in records]
+        order = ("Gamma0_regular", "Gamma0_knot", "Gamma0_zbeta",
+                 "Gamma1_regular", "Gamma1_zbeta", "Gamma2")
+        assert tuple(dict.fromkeys(names)) == order
+        sizes = basis.family_sizes
+        assert names == [name for name in order for _ in range(sizes[name])]
+        assert [rec["j"] for rec in records] == \
+            [j for name in order for j in range(sizes[name])]
+        assert names == basis.kinds
+        assert sizes == Counter(basis.kinds)
+        assert sum(sizes.values()) == basis.num_basis == len(records)
+        for m, rec in enumerate(records):
+            assert rec["rows_L"] == basis.rows("L", m).tolist()
+            assert rec["rows_R"] == basis.rows("R", m).tolist()
 
     def test_rows_rejects_unknown_side(self, gluing_a):
         basis = build_basis_w2(gluing_a, invariants_for(gluing_a), 5, 2, 0)
