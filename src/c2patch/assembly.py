@@ -1,9 +1,12 @@
 """Quadrature, mass/load assembly, L2 projection and the fitting pipeline.
 
-Mass matrices are assembled per patch over the tensor B-spline basis with
-cell-wise Gauss quadrature, then sandwiched with the sparse coefficient
-matrices of the smooth basis.  The convergence study performs dyadic
-h-refinement with the geometry refined exactly by knot insertion.
+Each patch mass is assembled over the tensor B-spline basis with cell-wise
+Gauss quadrature by sum factorisation, as a band of the entries of B-spline
+pairs that share a cell.  The two-patch mass of the smooth basis is written
+from the patch bands straight into CSR: a dense interface block, its
+couplings with the first interior rows, and the interior band rows.  The
+convergence study performs dyadic h-refinement with the geometry refined
+exactly by knot insertion.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .bspline import KnotVector, SplineSpace1D, make_knot_vector, uniform_inner_knots
 from .geometry import (Patch, TwoPatchGeometry, bilinear_from_vertices,
@@ -101,13 +105,72 @@ def _basis_on_cells(space: SplineSpace1D, rule: QuadratureRule,
     return _BasisOnCells(first[:, 0], values)
 
 
-def _gram_1d(basis: _BasisOnCells, rule: QuadratureRule, n: int) -> np.ndarray:
-    B = basis.values[:, :, 0]                  # (ncells, q, p+1)
-    local = np.einsum("cqa,cq,cqb->cab", B, rule.weights, B)
-    idx = basis.first[:, None] + np.arange(B.shape[-1])
-    G = np.zeros((n, n))
-    np.add.at(G, (idx[:, :, None], idx[:, None, :]), local)
-    return G
+def _band_scatter(first: np.ndarray, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Add the cell blocks X[cell, a, b, ...] into ``out`` in band form.
+
+    ``out`` has shape (n, 2p+1, ...) and out[i, d] is the matrix entry
+    (i, i + d - p): cell c adds X[c, a, b] at row first[c] + a and offset
+    p - a + b.
+    """
+    p = X.shape[1] - 1
+    for a in range(p + 1):
+        # the rows first + a are distinct, so the add has no duplicates
+        out[first + a, p - a:2 * p + 1 - a] += X[:, a]
+    return out
+
+
+def _band_to_dense(band: np.ndarray) -> np.ndarray:
+    """The dense n x n matrix of a band (n, 2p+1) from ``_band_scatter``."""
+    n, width = band.shape
+    i = np.arange(n)[:, None]
+    d = np.arange(n)[None, :] - i + width // 2
+    inside = (d >= 0) & (d < width)
+    return np.where(inside, band[i, d.clip(0, width - 1)], 0.0)
+
+
+def _band_block(band: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Dense M[(i, j), (i', j')] for i < rows and i' < cols of a tensor band.
+
+    ``band`` has shape (n_u, n_v, 2p_u+1, 2p_v+1), see ``mass_band``; the
+    result has shape (rows * n_v, cols * n_v).
+    """
+    _, n_v, wu, wv = band.shape
+    i = np.arange(rows)[:, None, None, None]
+    j = np.arange(n_v)[None, :, None, None]
+    di = np.arange(cols)[None, None, :, None] - i + wu // 2
+    dj = np.arange(n_v)[None, None, None, :] - j + wv // 2
+    inside = (di >= 0) & (di < wu) & (dj >= 0) & (dj < wv)
+    block = np.where(inside, band[i, j, di.clip(0, wu - 1), dj.clip(0, wv - 1)],
+                     0.0)
+    return block.reshape(rows * n_v, cols * n_v)
+
+
+def _band_offsets(n_v: int, wu: int, wv: int) -> np.ndarray:
+    """Flat column minus flat row of each band slot (di, dj): (wu * wv,)."""
+    return ((np.arange(wu)[:, None] - wu // 2) * n_v
+            + np.arange(wv)[None, :] - wv // 2).ravel()
+
+
+def _row_block(cols, vals: np.ndarray, keep: np.ndarray):
+    """The stored entries of a block of CSR rows, row by row.
+
+    ``vals`` and ``keep`` have shape (rows, slots), ``cols`` broadcasts to
+    it, and the slots of a row run in increasing column order; ``keep``
+    marks the slots that are stored.  Returns (entries per row, column
+    indices, values).
+    """
+    keep = np.broadcast_to(keep, vals.shape)
+    cols = np.broadcast_to(cols, vals.shape)[keep]
+    return keep.sum(axis=1), cols.astype(np.int32, copy=False), vals[keep]
+
+
+def _csr_from_blocks(blocks, shape: tuple[int, int], cls=sp.csr_matrix,
+                     **kwargs):
+    """CSR matrix whose rows are those of the ``_row_block``s, in order."""
+    counts, indices, data = zip(*blocks)
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    return cls((np.concatenate(data), np.concatenate(indices), indptr),
+               shape=shape, **kwargs)
 
 
 class PatchAssembler:
@@ -159,27 +222,72 @@ class PatchAssembler:
         self.absdet = np.abs(Fu[..., 0] * Fv[..., 1] - Fu[..., 1] * Fv[..., 0])
         self.phys = self._on_cells(cp)             # (ncu, ncv, q, r, 2)
 
-    def mass(self) -> sp.csr_matrix:
-        """Weighted Gram matrix of the tensor B-splines, (n_u*n_v)^2 sparse."""
+    def mass_band(self) -> tuple[np.ndarray, np.ndarray]:
+        """Weighted Gram matrix of the tensor B-splines in band form.
+
+        Returns ``(band, keep)`` of shape (n_u, n_v, 2p_u+1, 2p_v+1) with
+        ``band[i, j, di, dj]`` the entry M[(i, j), (i + di - p_u, j + dj - p_v)];
+        ``keep`` marks the pairs active on a common cell, the sparsity
+        pattern.  Sum factorisation: the u-points are contracted per u-cell
+        and scattered over the u-cells, then the same along v.  Entries
+        below the diagonal are copies of their mirror images above it, so
+        the matrix is exactly symmetric.
+        """
         Bu = self.bu.values[:, :, 0]
         Bv = self.bv.values[:, :, 0]
-        Tu = Bu[..., :, None] * Bu[..., None, :]   # (ncu, q, a, b)
-        Tv = Bv[..., :, None] * Bv[..., None, :]   # (ncv, r, c, d)
-        W = self._cell_weights * self.absdet
-        local = np.einsum("uqab,uvqr,vrcd->uvacbd", Tu, W, Tv, optimize=True)
-        dofs = self._cell_dofs
-        nloc = dofs.shape[-1]
-        shape = dofs.shape + (nloc,)
-        rows = np.broadcast_to(dofs[..., :, None], shape).ravel()
-        cols = np.broadcast_to(dofs[..., None, :], shape).ravel()
+        ncu, q, ku = Bu.shape
+        ncv, r, kv = Bv.shape
+        n_u, n_v, pu, pv = self.n_u, self.n_v, self.p_u, self.p_v
+        Tu = (Bu[..., :, None] * Bu[..., None, :]).reshape(ncu, q, ku * ku)
+        Tv = (Bv[..., :, None] * Bv[..., None, :]).reshape(ncv, r, kv * kv)
+        W = (self._cell_weights * self.absdet).transpose(0, 2, 1, 3)
+        # (ncu, a, b, ncv, r), then the band along u: (n_u, 2p_u+1, ncv, r)
+        X = np.matmul(Tu.transpose(0, 2, 1), W.reshape(ncu, q, ncv * r))
+        Y = _band_scatter(self.bu.first, X.reshape(ncu, ku, ku, ncv, r),
+                          np.zeros((n_u, 2 * pu + 1, ncv, r)))
+        # (ncv, c, d, n_u, 2p_u+1), then the band along v into [j, dj, i, di],
+        # padded by p zeros on each side of i and j
+        Y = Y.transpose(2, 3, 0, 1).reshape(ncv, r, -1)
+        Z = np.matmul(Tv.transpose(0, 2, 1), Y).reshape(ncv, kv, kv, n_u, -1)
+        padded = np.zeros((n_v + 2 * pv, 2 * pv + 1, n_u + 2 * pu, 2 * pu + 1))
+        _band_scatter(self.bv.first, Z, padded[pv:pv + n_v, :, pu:pu + n_u])
+        padded = padded.transpose(2, 0, 3, 1)
+        band = padded[pu:pu + n_u, pv:pv + n_v]
+        # mirror[i, j, di, dj] = band[i + di - p_u, j + dj - p_v, 2p_u - di, 2p_v - dj]
+        windows = sliding_window_view(padded, band.shape[2:], axis=(0, 1))
+        mirror = windows[:, :, ::-1, ::-1].diagonal(axis1=2, axis2=4).diagonal(
+            axis1=2, axis2=3)
+        # a 1D Gram entry is positive exactly for the pairs sharing a cell
+        gram_u, gram_v = self._gram_bands()
+        keep = (gram_u > 0.0)[:, None, :, None] & (gram_v > 0.0)[None, :, None, :]
+        _, _, di, dj = np.ogrid[:1, :1, :2 * pu + 1, :2 * pv + 1]
+        below = (di < pu) | ((di == pu) & (dj < pv))
+        return np.where(below & keep, mirror, band), keep
+
+    def mass(self) -> sp.csr_matrix:
+        """Weighted Gram matrix of the tensor B-splines, (n_u*n_v)^2 sparse."""
+        band, keep = self.mass_band()
         n2 = self.n_u * self.n_v
-        return sp.coo_matrix((local.ravel(), (rows, cols)),
-                             shape=(n2, n2)).tocsr()
+        rows = np.arange(n2)[:, None]
+        offsets = _band_offsets(self.n_v, *band.shape[2:])
+        return _csr_from_blocks([_row_block(rows + offsets, band.reshape(n2, -1),
+                                            keep.reshape(n2, -1))], (n2, n2))
+
+    def _gram_bands(self) -> list[np.ndarray]:
+        """Parametric 1D Gram matrices of the u and v spaces in band form."""
+        bands = []
+        for basis, rule, n in ((self.bu, self.rule_u, self.n_u),
+                               (self.bv, self.rule_v, self.n_v)):
+            B = basis.values[:, :, 0]
+            local = np.einsum("cqa,cq,cqb->cab", B, rule.weights, B)
+            bands.append(_band_scatter(basis.first, local,
+                                       np.zeros((n, 2 * B.shape[-1] - 1))))
+        return bands
 
     def mass_1d(self) -> tuple[np.ndarray, np.ndarray]:
         """Parametric Gram matrices (M_u, M_v) of the two spline spaces."""
-        return (_gram_1d(self.bu, self.rule_u, self.n_u),
-                _gram_1d(self.bv, self.rule_v, self.n_v))
+        gram_u, gram_v = self._gram_bands()
+        return _band_to_dense(gram_u), _band_to_dense(gram_v)
 
     def sample_physical(self, f) -> np.ndarray:
         """f(x1, x2) sampled at every quadrature point: (ncu, ncv, q, r)."""
@@ -284,13 +392,57 @@ class DomainAssembler:
         self.dim = self.C["L"].shape[0]
 
     def mass(self) -> TwoPatchMass:
-        M = sum(self.C[s] @ self.asm[s].mass() @ self.C[s].T for s in ("L", "R"))
-        interiors = []
-        for s in ("L", "R"):
-            Mu, Mv = self.asm[s].mass_1d()
-            interiors.append((Mu[INTERFACE_ROWS:, INTERFACE_ROWS:], Mv))
-        layout = MassLayout(self.basis.num_basis, tuple(interiors))
-        return TwoPatchMass((M + M.T) * 0.5, layout=layout)
+        """Mass matrix of the full smooth space, C_L M_L C_L^T + C_R M_R C_R^T.
+
+        It is written straight into CSR from the patch bands: the interface
+        block sum_s A_s M_s[:3n, :3n] A_s^T (dense, its zeros dropped), the
+        couplings A_s M_s[:3n, 3n:] of the interface basis with the first
+        interior rows of each patch, and the interior band rows.  The
+        interface block keeps its upper triangle and mirrors it, and the
+        couplings are stored once and transposed, so M is exactly symmetric.
+        """
+        m, n = self.basis.num_basis, self.basis.n
+        nr = INTERFACE_ROWS
+        n_int = (n - nr) * n
+        iface = np.zeros((m, m))
+        couplings, interiors, layout = [], [], []
+        for s, A, offset in (("L", self.basis.A_L, m),
+                             ("R", self.basis.A_R, m + n_int)):
+            pa = self.asm[s]
+            band, keep = pa.mass_band()
+            # interior u-rows nr..nr+c-1 share cells with the interface rows
+            c = min(pa.p_u, n - nr)
+            T = A @ _band_block(band, nr, nr + c)
+            iface += T[:, :nr * n] @ A.T
+            couple = T[:, nr * n:]
+            couplings.append((offset + np.arange(c * n), couple))
+            # interior rows (i, j), i >= nr, without the columns i' < nr
+            wu, wv = band.shape[2:]
+            keep = keep & (np.arange(n)[:, None] + np.arange(wu) - pa.p_u
+                           >= nr)[:, None, :, None]
+            band = band[nr:].reshape(n_int, -1)
+            keep = keep[nr:].reshape(n_int, -1)
+            cols = ((offset + np.arange(n_int, dtype=np.int32))[:, None]
+                    + _band_offsets(n, wu, wv).astype(np.int32))
+            near = slice(0, c * n)
+            interiors += [
+                _row_block(np.hstack([np.broadcast_to(np.arange(m), (c * n, m)),
+                                      cols[near]]),
+                           np.hstack([couple.T, band[near]]),
+                           np.hstack([couple.T != 0.0, keep[near]])),
+                _row_block(cols[c * n:], band[c * n:], keep[c * n:])]
+            # the next patch's band is built without this one alive
+            del band, keep, cols
+            Mu, Mv = pa.mass_1d()
+            layout.append((Mu[nr:, nr:], Mv))
+        iface = np.triu(iface) + np.triu(iface, 1).T
+        first = np.hstack([iface] + [couple for _, couple in couplings])
+        first_cols = np.concatenate([np.arange(m)]
+                                    + [cols for cols, _ in couplings])
+        dim = m + 2 * n_int
+        return _csr_from_blocks([_row_block(first_cols, first, first != 0.0)]
+                                + interiors, (dim, dim), TwoPatchMass,
+                                layout=MassLayout(m, tuple(layout)))
 
     def load(self, f) -> np.ndarray:
         return sum(self.C[s] @ self.asm[s].load(f) for s in ("L", "R"))
@@ -309,25 +461,28 @@ class DomainAssembler:
 
 
 class KroneckerPreconditioner:
-    """Block-diagonal preconditioner of a two-patch mass matrix A.
+    """Block-diagonal preconditioner of a scaled two-patch mass A = S M S.
 
-    The interface block of A is inverted through its dense Cholesky factor.
-    Each interior block, a tensor grid, is approximated as in Loli, Sangalli
-    & Tani ("Easy and efficient preconditioning of the isogeometric mass
+    The interface block of A is inverted through its Cholesky factor.  Each
+    interior block, a tensor grid, is approximated as in Loli, Sangalli &
+    Tani ("Easy and efficient preconditioning of the isogeometric mass
     matrix", CAMWA 2022) by D^(1/2) (M_u (x) M_v) D^(1/2) with
-    D = diag(A) / diag(M_u (x) M_v), whose inverse is applied as two small
-    dense products.
+    D = diag(A) / diag(M_u (x) M_v).  Every block inverse is applied as
+    dense numpy products, so that one BLAS library serves each application.
     """
 
-    def __init__(self, A: sp.csr_matrix, layout: MassLayout):
+    def __init__(self, M: sp.csr_matrix, scale: np.ndarray, layout: MassLayout):
         m = layout.interface
+        s = scale[:m]
         try:
-            self._cho = sla.cho_factor(A[:m, :m].toarray())
+            L = np.linalg.cholesky(M[:m, :m].toarray() * (s[:, None] * s[None, :]))
         except np.linalg.LinAlgError:
             raise ValueError("matrix is not positive definite") from None
+        L_inv = np.linalg.inv(L)
         self._interface = m
+        self._interface_inverse = L_inv.T @ L_inv
         self._interiors = []
-        diag = A.diagonal()
+        diag = M.diagonal() * (scale * scale)
         for Mu, Mv in layout.interiors:
             block = slice(m, m + Mu.shape[0] * Mv.shape[0])
             w = np.sqrt(np.outer(Mu.diagonal(), Mv.diagonal()).ravel()
@@ -341,7 +496,7 @@ class KroneckerPreconditioner:
         r2 = r.reshape(r.shape[0], -1)
         y = np.empty_like(r2)
         m = self._interface
-        y[:m] = sla.cho_solve(self._cho, r2[:m])
+        y[:m] = self._interface_inverse @ r2[:m]
         for block, w, Iu, Iv in self._interiors:
             x = (w[:, None] * r2[block]).T.reshape(-1, len(Iu), len(Iv))
             y[block] = w[:, None] * (Iu @ x @ Iv.T).reshape(len(x), -1).T
@@ -354,15 +509,16 @@ class SPDFactor:
     The matrix is scaled diagonally, A = S M S with S = diag(M)^(-1/2).  Up
     to ``DENSE_FACTOR_CUTOFF`` unknowns A is factored by dense Cholesky.  A
     ``TwoPatchMass`` of ``KRONECKER_CUTOFF`` or more unknowns is not
-    factored: solves run preconditioned CG and lambda_min comes from LOBPCG,
-    both with a ``KroneckerPreconditioner``.  Any other matrix, and one of
-    these whose iteration does not converge within ``ITERATION_CAP`` steps,
-    is factored (on first use) by sparse LU with a symmetric minimum-degree
-    ordering and diagonal pivots, which for an SPD matrix is its LDL^T
-    factorization.  A matrix that is not positive definite raises
-    ``ValueError``: Cholesky fails, the sparse factor needs an off-diagonal
-    pivot or a pivot <= 0, CG meets a direction of nonpositive curvature, or
-    LOBPCG a Rayleigh quotient <= 0.
+    factored, nor copied: A is applied as s * (M (s * x)), solves run
+    preconditioned CG and lambda_min comes from LOBPCG, both with a
+    ``KroneckerPreconditioner``.  Any other matrix, and one of these whose
+    iteration does not converge within ``ITERATION_CAP`` steps, is factored
+    (on first use) by sparse LU with a symmetric minimum-degree ordering and
+    diagonal pivots, which for an SPD matrix is its LDL^T factorization.  A
+    matrix that is not positive definite raises ``ValueError``: Cholesky
+    fails, the sparse factor needs an off-diagonal pivot or a pivot <= 0, CG
+    meets a direction of nonpositive curvature, or LOBPCG a Rayleigh
+    quotient <= 0.
     """
 
     def __init__(self, M):
@@ -370,29 +526,47 @@ class SPDFactor:
         if not (d > 0.0).all():
             raise ValueError("matrix has a nonpositive diagonal entry")
         self.scale = 1.0 / np.sqrt(d)
-        A = sp.csr_matrix(M, copy=True)
-        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-        A.data *= self.scale[rows] * self.scale[A.indices]
-        layout = getattr(M, "layout", None)
-        if layout is None:      # a TwoPatchMass is symmetric already
-            A = ((A + A.T) * 0.5).tocsr()
-        self.A = A
+        self._M = M
         self._precond = None
         self._inverse = None
-        if A.shape[0] <= DENSE_FACTOR_CUTOFF:
-            self.A = A.toarray()
+        n = M.shape[0]
+        layout = getattr(M, "layout", None)
+        if n <= DENSE_FACTOR_CUTOFF:
+            self.A = self._scaled().toarray()
             try:
                 cho = sla.cho_factor(self.A)
             except np.linalg.LinAlgError:
                 raise ValueError("matrix is not positive definite") from None
             self._inverse = lambda y: sla.cho_solve(cho, y)
-        elif layout is not None and A.shape[0] >= KRONECKER_CUTOFF:
-            self._precond = KroneckerPreconditioner(A, layout)
+        elif layout is not None and n >= KRONECKER_CUTOFF:
+            self.A = spla.LinearOperator((n, n), matvec=self._product,
+                                         matmat=self._product, dtype=float)
+            self._precond = KroneckerPreconditioner(M, self.scale, layout)
         else:
             self._factor_sparse()
 
+    def _product(self, x: np.ndarray) -> np.ndarray:
+        """A x = s * (M (s * x)) for x of shape (n,) or (n, k)."""
+        s = self.scale.reshape((-1,) + (1,) * (x.ndim - 1))
+        return s * (self._M @ (s * x))
+
+    def _scaled(self) -> sp.csr_matrix:
+        """A as a CSR copy of M.  Each factor s_i s_j is formed before it
+        multiplies M_ij, so a symmetric M gives an exactly symmetric A."""
+        A = sp.csr_matrix(self._M, copy=True)
+        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        A.data *= self.scale[rows] * self.scale[A.indices]
+        if getattr(self._M, "layout", None) is None:
+            # a TwoPatchMass is exactly symmetric already
+            A = ((A + A.T) * 0.5).tocsr()
+        return A
+
     def _factor_sparse(self):
-        """Factor A by sparse LU; returns the solve with the factor."""
+        """Factor A by sparse LU; returns the solve with the factor.
+
+        From then on ``A`` is the scaled copy that was factored.
+        """
+        self.A = self._scaled()
         lu = spla.splu(self.A.tocsc(), permc_spec="MMD_AT_PLUS_A",
                        diag_pivot_thresh=0.0,
                        options=dict(SymmetricMode=True))

@@ -15,7 +15,8 @@ from importlib import resources
 from . import assembly, fields, smooth
 from .bspline import make_knot_vector, uniform_inner_knots
 from .geometry import (GeometryError, bilinear_from_vertices,
-                       geometry_from_dict, refine_geometry, save_geometry)
+                       geometry_from_dict, refine_geometry,
+                       represent_geometry, save_geometry)
 from .gluing import (GluingData, GluingError, beta_from_gluing,
                      gluing_from_bilinear, gluing_invariants,
                      verify_bilinear_like, verify_sign_condition)
@@ -71,7 +72,12 @@ def _gluing_for(geo, gluing_raw):
 
 
 def _space_params(geo, args, file_r):
-    p = geo.patch_L.degree if args.p is None else args.p
+    degree = geo.patch_L.degree
+    if args.p is None and degree < 5:
+        raise CommandError(
+            f"the geometry has degree {degree}, below the least space degree "
+            f"5; pass --p 5 or higher")
+    p = degree if args.p is None else args.p
     file_kv = geo.patch_L.space.space_u.kv
     r = args.r if args.r is not None else file_r
     if args.k is None:
@@ -123,15 +129,21 @@ def cmd_gluing(args) -> int:
 
 
 def _build_basis(geo, g, args, file_r):
-    """Basis at the requested parameters + the geometry refined to match."""
+    """Basis at the requested parameters + the geometry refined to match.
+
+    A bilinear geometry lies in every space, so it is represented at the
+    space's degree; any other geometry must have that degree.
+    """
     p, r, k, inner = _space_params(geo, args, file_r)
-    if p != geo.patch_L.degree:
+    degree = geo.patch_L.degree
+    if p != degree and degree != 1:
         raise CommandError(
-            f"space degree {p} does not match the geometry degree "
-            f"{geo.patch_L.degree}")
+            f"space degree {p} does not match the geometry degree {degree}")
     kv = make_knot_vector(p, r, k, inner)
     inv = gluing_invariants(g, kv)
-    if kv != geo.patch_L.space.space_u.kv:
+    if degree != p:
+        geo = represent_geometry(geo, kv)
+    elif kv != geo.patch_L.space.space_u.kv:
         geo = refine_geometry(geo, kv)
     if args.space == "v2":
         return smooth.build_basis_v2(g, inv, p, r, k), inv, geo

@@ -1,5 +1,7 @@
 """Tests for quadrature, assembly, projection and geometry fitting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -141,6 +143,43 @@ class TestMassAndLoad:
         b = solve_spd(M, rhs)
         assert asm.relative_l2_error(b, field_one) < 1e-12
         assert_allclose(M @ b, rhs, atol=1e-12 * np.abs(rhs).max())
+
+
+@pytest.mark.parametrize("study", ["a/v2", "b/w2"])
+def test_two_patch_mass_matches_cell_loop(study, request):
+    # C_L M_L C_L^T + C_R M_R C_R^T from the dense per-cell patch masses
+    from c2patch.geometry import refine_geometry
+    name, space = study.split("/")
+    geo0, gluing = request.getfixturevalue(f"fitted_{name}")
+    kv = make_knot_vector(5, 2, 3, uniform_inner_knots(3))
+    build = build_basis_v2 if space == "v2" else build_basis_w2
+    basis = build(gluing, gluing_invariants(gluing, kv), 5, 2, 3)
+    asm = DomainAssembler(refine_geometry(geo0, kv), basis)
+    M = asm.mass()
+    ref = np.zeros(M.shape)
+    for s in "LR":
+        pa = asm.asm[s]
+        M_s, _ = _cell_loop_reference(pa, np.zeros(pa.absdet.shape))
+        ref += asm.C[s] @ (asm.C[s] @ M_s).T
+    ref = sp.csr_matrix(ref)
+    M.sort_indices()
+    ref.sort_indices()
+    assert M.has_sorted_indices
+    assert np.array_equal(M.indptr, ref.indptr)
+    assert np.array_equal(M.indices, ref.indices)
+    assert np.abs(M.data - ref.data).max() <= 1e-13 * np.abs(ref.data).max()
+    assert (M != M.T).nnz == 0
+    for side in "LR":
+        pa = asm.asm[side]
+        for Mi, basis_1d, rule, n in zip(pa.mass_1d(), (pa.bu, pa.bv),
+                                         (pa.rule_u, pa.rule_v),
+                                         (pa.n_u, pa.n_v)):
+            gram = np.zeros((n, n))
+            for c, first in enumerate(basis_1d.first):
+                B = basis_1d.values[c, :, 0, :]
+                idx = np.arange(first, first + B.shape[1])
+                gram[np.ix_(idx, idx)] += B.T @ (rule.weights[c][:, None] * B)
+            assert np.abs(Mi - gram).max() <= 1e-14 * np.abs(gram).max()
 
 
 def _cell_loop_reference(pa, values):
@@ -323,6 +362,24 @@ class TestSPDFactor:
         x = factor.solve(rhs)
         assert np.linalg.norm(x - lu) <= 1e-9 * np.linalg.norm(lu)
         assert np.linalg.norm(M @ x - rhs) < 1e-12 * np.linalg.norm(rhs)
+        assert factor.condition_number() == pytest.approx(ev[-1] / ev[0],
+                                                          rel=1e-8)
+
+    def test_preconditioned_setup_copies_nothing(self, level3_spectrum,
+                                                monkeypatch):
+        M, rhs, ev = level3_spectrum
+        lu = SPDFactor(sp.csr_matrix(M)).solve(rhs)
+        monkeypatch.setattr(asm_mod, "KRONECKER_CUTOFF", 0)
+        monkeypatch.setattr(spla, "splu", _no_sparse_factor)
+        tracemalloc.start()
+        try:
+            factor = SPDFactor(M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < M.data.nbytes
+        x = factor.solve(rhs)
+        assert np.linalg.norm(x - lu) <= 1e-9 * np.linalg.norm(lu)
         assert factor.condition_number() == pytest.approx(ev[-1] / ev[0],
                                                           rel=1e-8)
 

@@ -119,6 +119,23 @@ class TestCommands:
             assert np.asarray(r["rows_L"]).shape == (3, 6)
             assert np.asarray(r["rows_R"]).shape == (3, 6)
 
+    def test_bilinear_asset_lifted_to_space_degree(self, tmp_path, capsys):
+        # the basis needs only the gluing data and the knots, so the bilinear
+        # reference gives the same records as the fitted geometry
+        lifted = tmp_path / "lifted.jsonl"
+        fitted = tmp_path / "fitted.jsonl"
+        assert run_cli("basis", "--geometry", "builtin:bilinear_a",
+                       "--p", "5", "--r", "2", "--out", str(lifted)) == 0
+        assert run_cli("basis", "--geometry", "builtin:fitted_a",
+                       "--out", str(fitted)) == 0
+        assert lifted.read_text() == fitted.read_text()
+        capsys.readouterr()
+        assert run_cli("verify", "--geometry", "builtin:bilinear_a", "--p", "5",
+                       "--r", "2", "--k", "3", "--oracle") == 0
+        out = capsys.readouterr().out
+        assert "27 basis functions (v2)" in out and "PASS" in out
+        assert "oracle=27 formula=27 OK" in out
+
     def test_fit_and_verify_output(self, tmp_path, capsys):
         out = tmp_path / "fitted.json"
         assert run_cli("fit", "--initial", "builtin:initial_b",
@@ -211,6 +228,12 @@ class TestExitCodes:
     def test_degree_mismatch_exits_one(self):
         assert run_cli("basis", "--geometry", "builtin:fitted_a",
                        "--p", "6") == 1
+
+    @pytest.mark.parametrize("command", ["basis", "verify"])
+    def test_low_degree_geometry_without_p_exits_one(self, command, capsys):
+        assert run_cli(command, "--geometry", "builtin:bilinear_a") == 1
+        err = capsys.readouterr().err
+        assert "the geometry has degree 1" in err and "--p 5 or higher" in err
 
     def test_non_finite_input_exits_one(self, tmp_path, capsys):
         ref = resources.files("c2patch") / "assets" / "bilinear_a.json"
