@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,13 +34,23 @@ from .smooth import SmoothBasis, build_basis_v2, build_basis_w2, dim_v1
 DENSE_FACTOR_CUTOFF = 250
 # Smallest two-patch mass (``TwoPatchMass``) solved without a factorization,
 # by Kronecker-preconditioned CG and LOBPCG.  Measured on the Table-2 masses
-# (two set-ups, a solve and the condition number, median of 7): the sparse
-# LU is on par or faster at ~1,340 unknowns (0.05-0.07 vs 0.04-0.11 s), the
-# iterations are faster at ~4,960 (0.12-0.27 vs 0.25-0.34 s).
-KRONECKER_CUTOFF = 2000
+# (two set-ups, a solve and the condition number; range of three medians of
+# 7, in ms):
+#   study   level 2 (384-399 unknowns)   level 3 (1,332-1,363 unknowns)
+#           LU      iterative            LU      iterative
+#   a/V2    11-14   10-16                46-59   23-33
+#   a/W2     8-12   14-18                43-58   32-47
+#   b/V2     8-11   13-15                42-50   22-29
+#   b/W2     8-11   23-30                45-60   44-68
+# The LU is faster at level 2.  At level 3 the iterations are faster, except
+# on b/W2, whose clustered lowest eigenvalues cost LOBPCG the most: on par.
+KRONECKER_CUTOFF = 1000
 # PCG and LOBPCG stop at this many iterations; the sparse LU answers instead.
 ITERATION_CAP = 500
-PCG_RTOL = 1e-13
+# An L2 error is quadratic in the solve error, so at 1e-13 it moved by up to
+# 6e-8 relative with the preconditioner (Table 2, level 5); at 1e-14 it is
+# within 1e-9 of the sparse LU's, for one or two more iterations.
+PCG_RTOL = 1e-14
 LOBPCG_TOL = 1e-9
 FIT_POINTS_PER_CELL = 8
 # u-rows 0..r (r = 2) of each patch carry the interface basis
@@ -258,7 +269,7 @@ class PatchAssembler:
         mirror = windows[:, :, ::-1, ::-1].diagonal(axis1=2, axis2=4).diagonal(
             axis1=2, axis2=3)
         # a 1D Gram entry is positive exactly for the pairs sharing a cell
-        gram_u, gram_v = self._gram_bands()
+        gram_u, gram_v = self._gram_bands
         keep = (gram_u > 0.0)[:, None, :, None] & (gram_v > 0.0)[None, :, None, :]
         _, _, di, dj = np.ogrid[:1, :1, :2 * pu + 1, :2 * pv + 1]
         below = (di < pu) | ((di == pu) & (dj < pv))
@@ -273,8 +284,10 @@ class PatchAssembler:
         return _csr_from_blocks([_row_block(rows + offsets, band.reshape(n2, -1),
                                             keep.reshape(n2, -1))], (n2, n2))
 
+    @cached_property
     def _gram_bands(self) -> list[np.ndarray]:
-        """Parametric 1D Gram matrices of the u and v spaces in band form."""
+        """Parametric 1D Gram matrices of the u and v spaces in band form,
+        built once per patch for the mass pattern and the mass layout."""
         bands = []
         for basis, rule, n in ((self.bu, self.rule_u, self.n_u),
                                (self.bv, self.rule_v, self.n_v)):
@@ -286,7 +299,7 @@ class PatchAssembler:
 
     def mass_1d(self) -> tuple[np.ndarray, np.ndarray]:
         """Parametric Gram matrices (M_u, M_v) of the two spline spaces."""
-        gram_u, gram_v = self._gram_bands()
+        gram_u, gram_v = self._gram_bands
         return _band_to_dense(gram_u), _band_to_dense(gram_v)
 
     def sample_physical(self, f) -> np.ndarray:
@@ -461,32 +474,50 @@ class DomainAssembler:
 
 
 class KroneckerPreconditioner:
-    """Block-diagonal preconditioner of a scaled two-patch mass A = S M S.
+    """Symmetric block Gauss-Seidel preconditioner of a scaled two-patch
+    mass A = S M S, over the interface I and the interiors L and R.
 
-    The interface block of A is inverted through its Cholesky factor.  Each
+    The interface block A_II is inverted through its Cholesky factor.  Each
     interior block, a tensor grid, is approximated as in Loli, Sangalli &
     Tani ("Easy and efficient preconditioning of the isogeometric mass
-    matrix", CAMWA 2022) by D^(1/2) (M_u (x) M_v) D^(1/2) with
-    D = diag(A) / diag(M_u (x) M_v).  Every block inverse is applied as
-    dense numpy products, so that one BLAS library serves each application.
+    matrix", CAMWA 2022) by K_s = W^(-1) (M_u (x) M_v) W^(-1) with
+    W^2 = diag(M_u (x) M_v) / diag(A), where diag(A) = 1 by the scaling.
+    The interiors do not couple each other, so one sweep from the interface
+    into the interiors and back,
+
+        w_I = A_II^(-1) r_I,  y_s = K_s^(-1) (r_s - A_sI w_I),
+        y_I = w_I - A_II^(-1) sum_s A_Is y_s,
+
+    applies B^(-1) = (D + E)^(-T) D (D + E)^(-1) with D = diag(A_II, K_L,
+    K_R) and E the couplings A_sI below it, which is symmetric and positive
+    definite.  The couplings are held as one dense block over the interior
+    unknowns that touch the interface, and every block product is a dense
+    numpy product, so that one BLAS library serves each application.
     """
 
     def __init__(self, M: sp.csr_matrix, scale: np.ndarray, layout: MassLayout):
         m = layout.interface
-        s = scale[:m]
+        # the interface rows of A, dense over the interface columns and the
+        # interior columns they couple with
+        rows = M[:m]
+        touched = np.zeros(M.shape[0], dtype=bool)
+        touched[:m] = True
+        touched[rows.indices] = True
+        kept = np.flatnonzero(touched)
+        A_rows = rows[:, kept].toarray() * (scale[:m, None] * scale[kept])
         try:
-            L = np.linalg.cholesky(M[:m, :m].toarray() * (s[:, None] * s[None, :]))
+            L = np.linalg.cholesky(A_rows[:, :m])
         except np.linalg.LinAlgError:
             raise ValueError("matrix is not positive definite") from None
         L_inv = np.linalg.inv(L)
         self._interface = m
         self._interface_inverse = L_inv.T @ L_inv
+        self._coupled = kept[m:]
+        self._coupling = np.ascontiguousarray(A_rows[:, m:])
         self._interiors = []
-        diag = M.diagonal() * (scale * scale)
         for Mu, Mv in layout.interiors:
             block = slice(m, m + Mu.shape[0] * Mv.shape[0])
-            w = np.sqrt(np.outer(Mu.diagonal(), Mv.diagonal()).ravel()
-                        / diag[block])
+            w = np.sqrt(np.outer(Mu.diagonal(), Mv.diagonal()).ravel())
             self._interiors.append((block, w, np.linalg.inv(Mu),
                                     np.linalg.inv(Mv)))
             m = block.stop
@@ -494,12 +525,16 @@ class KroneckerPreconditioner:
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """The preconditioner applied to r of shape (n,) or (n, k)."""
         r2 = r.reshape(r.shape[0], -1)
+        m, cols = self._interface, self._coupled
+        w_I = self._interface_inverse @ r2[:m]
+        # the interior residuals less the coupling with w_I
+        z = r2.copy()
+        z[cols] -= self._coupling.T @ w_I
         y = np.empty_like(r2)
-        m = self._interface
-        y[:m] = self._interface_inverse @ r2[:m]
         for block, w, Iu, Iv in self._interiors:
-            x = (w[:, None] * r2[block]).T.reshape(-1, len(Iu), len(Iv))
+            x = (w[:, None] * z[block]).T.reshape(-1, len(Iu), len(Iv))
             y[block] = w[:, None] * (Iu @ x @ Iv.T).reshape(len(x), -1).T
+        y[:m] = w_I - self._interface_inverse @ (self._coupling @ y[cols])
         return y.reshape(r.shape)
 
 
@@ -511,14 +546,15 @@ class SPDFactor:
     ``TwoPatchMass`` of ``KRONECKER_CUTOFF`` or more unknowns is not
     factored, nor copied: A is applied as s * (M (s * x)), solves run
     preconditioned CG and lambda_min comes from LOBPCG, both with a
-    ``KroneckerPreconditioner``.  Any other matrix, and one of these whose
-    iteration does not converge within ``ITERATION_CAP`` steps, is factored
-    (on first use) by sparse LU with a symmetric minimum-degree ordering and
-    diagonal pivots, which for an SPD matrix is its LDL^T factorization.  A
-    matrix that is not positive definite raises ``ValueError``: Cholesky
-    fails, the sparse factor needs an off-diagonal pivot or a pivot <= 0, CG
-    meets a direction of nonpositive curvature, or LOBPCG a Rayleigh
-    quotient <= 0.
+    ``KroneckerPreconditioner``, a symmetric block Gauss-Seidel sweep over
+    the interface and the two patch interiors.  Any other matrix, and one
+    of these whose iteration does not converge within ``ITERATION_CAP``
+    steps, is factored (on first use) by sparse LU with a symmetric
+    minimum-degree ordering and diagonal pivots, which for an SPD matrix is
+    its LDL^T factorization.  A matrix that is not positive definite raises
+    ``ValueError``: Cholesky fails, the sparse factor needs an off-diagonal
+    pivot or a pivot <= 0, CG meets a direction of nonpositive curvature, or
+    LOBPCG a Rayleigh quotient <= 0.
     """
 
     def __init__(self, M):

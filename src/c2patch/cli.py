@@ -79,7 +79,12 @@ def _space_params(geo, args, file_r):
             f"5; pass --p 5 or higher")
     p = degree if args.p is None else args.p
     file_kv = geo.patch_L.space.space_u.kv
-    r = args.r if args.r is not None else file_r
+    if args.r is not None:
+        r = args.r
+    else:
+        # a lifted geometry's file regularity is that of its own patches,
+        # not of a space; the paper's spaces use r = 2
+        r = file_r if degree >= 5 else 2
     if args.k is None:
         inner = file_kv.inner_knots
         k = len(inner)

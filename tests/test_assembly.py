@@ -383,6 +383,36 @@ class TestSPDFactor:
         assert factor.condition_number() == pytest.approx(ev[-1] / ev[0],
                                                           rel=1e-8)
 
+    # preconditioner applications of one solve and one condition number at
+    # level 3: 33, 59, 39 and 80 with the Gauss-Seidel sweep across the
+    # interface, 53, 90, 64 and 179 with the block-diagonal preconditioner
+    APPLICATIONS_BOUND = {"a/v2": 40, "a/w2": 72, "b/v2": 48, "b/w2": 100}
+
+    def test_preconditioner_spd_and_effective(self, level3_spectrum, request,
+                                              monkeypatch):
+        M, rhs, _ = level3_spectrum
+        monkeypatch.setattr(asm_mod, "KRONECKER_CUTOFF", 0)
+        factor = SPDFactor(M)
+        precond = factor._precond
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            u, v = rng.standard_normal((2, M.shape[0]))
+            Pu, Pv = precond(u), precond(v)
+            assert abs(u @ Pv - v @ Pu) <= (1e-12 * np.linalg.norm(u)
+                                            * np.linalg.norm(Pv))
+            assert u @ Pu > 0.0
+        calls = []
+
+        def counted(r):
+            calls.append(None)
+            return precond(r)
+
+        factor._precond = counted
+        factor.solve(rhs)
+        factor.condition_number()
+        study = request.node.callspec.params["level3_spectrum"]
+        assert len(calls) <= self.APPLICATIONS_BOUND[study]
+
     def test_kronecker_path_rejects_indefinite(self, level3_spectrum,
                                                monkeypatch):
         # S (M - c diag(M)) S = A - c I has lambda_min(A) - c < 0

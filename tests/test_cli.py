@@ -136,6 +136,15 @@ class TestCommands:
         assert "27 basis functions (v2)" in out and "PASS" in out
         assert "oracle=27 formula=27 OK" in out
 
+    @pytest.mark.parametrize("command", ["basis", "dim"])
+    def test_lifted_geometry_defaults_to_r2(self, command, capsys):
+        # the bilinear asset stores its patches' own continuity, r = 0
+        args = (command, "--geometry", "builtin:bilinear_a", "--p", "5")
+        assert run_cli(*args) == 0
+        default = capsys.readouterr().out
+        assert run_cli(*args, "--r", "2") == 0
+        assert default and default == capsys.readouterr().out
+
     def test_fit_and_verify_output(self, tmp_path, capsys):
         out = tmp_path / "fitted.json"
         assert run_cli("fit", "--initial", "builtin:initial_b",
