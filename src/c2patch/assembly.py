@@ -47,6 +47,10 @@ DENSE_FACTOR_CUTOFF = 250
 KRONECKER_CUTOFF = 1000
 # PCG and LOBPCG stop at this many iterations; the sparse LU answers instead.
 ITERATION_CAP = 500
+# ``lanczos_largest`` checks its stop rule every few steps (~85 us a check,
+# ~1.5 ms a level-5 product) and raises past the cap (level 5 needs ~110).
+LANCZOS_CHECK = 4
+LANCZOS_CAP = 2000
 # An L2 error is quadratic in the solve error, so at 1e-13 it moved by up to
 # 6e-8 relative with the preconditioner (Table 2, level 5); at 1e-14 it is
 # within 1e-9 of the sparse LU's, for one or two more iterations.
@@ -671,25 +675,51 @@ class SPDFactor:
     def condition_number(self, tol: float = 1e-6) -> float:
         """Condition number of A, lambda_max / lambda_min.
 
-        Lanczos iterations (relative tolerance ``tol``, a fixed start
-        vector) find lambda_max of A.  1 / lambda_min comes from LOBPCG
-        (absolute residual ``LOBPCG_TOL``) when A is preconditioned, else
-        as the largest eigenvalue of A^(-1), applied through the factor.
+        ``lanczos_largest`` finds lambda_max of A to the relative tolerance
+        ``tol``, which must lie in (0, 1), from a seeded start vector.
+        1 / lambda_min comes from LOBPCG (absolute residual ``LOBPCG_TOL``)
+        when A is preconditioned.  Otherwise, or when LOBPCG does not
+        converge, it is the largest eigenvalue of A^(-1), found the same way
+        through the factor.
         """
-        n = self.A.shape[0]
-        v0 = np.random.default_rng(0).standard_normal(n)
-
-        def largest(op):
-            return spla.eigsh(op, k=1, which="LA", tol=tol, v0=v0,
-                              return_eigenvectors=False)[0]
-
+        if not 0.0 < tol < 1.0:
+            raise ValueError(f"tol must lie in (0, 1), got {tol}")
+        v0 = np.random.default_rng(0).standard_normal(self.A.shape[0])
         inverse_min = None
         if self._precond is not None:
             inverse_min = self._inverse_smallest(v0)
         if inverse_min is None:
-            inverse_min = largest(spla.LinearOperator(
-                (n, n), matvec=self._apply_inverse, dtype=float))
-        return float(largest(self.A) * inverse_min)
+            inverse_min = lanczos_largest(self._apply_inverse, v0, tol)
+        return float(lanczos_largest(lambda x: self.A @ x, v0, tol)
+                     * inverse_min)
+
+
+def lanczos_largest(apply: Callable[[np.ndarray], np.ndarray],
+                    v0: np.ndarray, tol: float) -> float:
+    """Largest eigenvalue of the symmetric operator ``apply``, from v0.
+
+    Three-term Lanczos recurrence, not reorthogonalised: the top Ritz value
+    still converges and its Ritz estimate beta_k |s_k| stays exact (Paige,
+    LAA 1980).  Every ``LANCZOS_CHECK`` steps it stops if the top Ritz pair
+    (theta, s) of the tridiagonal matrix meets ARPACK's rule for
+    ``which="LA"``, beta_k |s_k| <= tol |theta|; a zero beta_k leaves theta
+    exact.  Past ``LANCZOS_CAP`` steps it raises.
+    """
+    q, q_prev, b = v0 / np.linalg.norm(v0), 0.0, 0.0
+    alpha, beta = [], []
+    for k in range(1, LANCZOS_CAP + 1):
+        w = apply(q)
+        alpha.append(q @ w)
+        w -= alpha[-1] * q + b * q_prev
+        b = np.linalg.norm(w)
+        if b == 0.0 or k % LANCZOS_CHECK == 0:
+            theta, s = sla.eigh_tridiagonal(alpha, beta, select="i",
+                                            select_range=(k - 1, k - 1))
+            if b * abs(s[-1, 0]) <= tol * abs(theta[0]):
+                return float(theta[0])
+        beta.append(b)
+        q_prev, q = q, w / b
+    raise ValueError(f"Lanczos did not converge within {LANCZOS_CAP} steps")
 
 
 def solve_spd(M, rhs: np.ndarray) -> np.ndarray:
@@ -724,9 +754,10 @@ def convergence_study(F0: TwoPatchGeometry, gluing: GluingData, space: str,
     """Dyadic h-refinement study: levels L = 0..levels, k = 2^L - 1.
 
     The level-0 geometry is refined exactly by knot insertion; the gluing
-    data is level-independent.  Each level's mass matrix is factored once
-    (``SPDFactor``), and the solve and the condition number share that
-    factor.  ``on_report`` is called with each finished
+    data is level-independent.  Each level's mass matrix gets one
+    ``SPDFactor``, which serves the solve and the condition number: a
+    factor below ``KRONECKER_CUTOFF`` unknowns, the preconditioned
+    iterations above.  ``on_report`` is called with each finished
     per-level report, which allows callers to flush partial results.
     """
     if space not in ("v2", "w2"):

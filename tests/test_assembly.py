@@ -281,6 +281,16 @@ class TestScaledCondition:
         assert it == pytest.approx(dense, rel=1e-6)
         assert it == pytest.approx(ev[-1] / ev[0], rel=1e-8)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, 1.0, 2.0, np.nan, np.inf])
+    def test_tolerance_outside_unit_interval_rejected(self, tol):
+        # ARPACK read tol = 0 as machine precision; the Lanczos stop rule
+        # beta_k |s_k| <= tol |theta| would never be met
+        M = _tridiagonal(-2.0)
+        with pytest.raises(ValueError, match="tol must lie in"):
+            SPDFactor(M).condition_number(tol)
+        with pytest.raises(ValueError, match="tol must lie in"):
+            scaled_condition_number(M, tol)
+
 
 def _tridiagonal(coupling, n=60):
     """tridiag(-1, 4, -1) with entries (10, 11) and (11, 10) set to
@@ -412,6 +422,53 @@ class TestSPDFactor:
         factor.condition_number()
         study = request.node.callspec.params["level3_spectrum"]
         assert len(calls) <= self.APPLICATIONS_BOUND[study]
+
+    # CSR products of lambda_max at level 3 (a/V2, a/W2, b/V2, b/W2): 84, 80,
+    # 40 and 76 with a check every 4 steps (ARPACK took 91, 81, 41 and 81),
+    # plus ~10 %
+    LANCZOS_PRODUCTS_BOUND = {"a/v2": 92, "a/w2": 88, "b/v2": 44, "b/w2": 84}
+
+    @pytest.mark.parametrize("path", ["kronecker", "lu"])
+    def test_lanczos_lambda_max(self, level3_spectrum, path, request,
+                                monkeypatch):
+        M, _, ev = level3_spectrum
+        if path == "kronecker":
+            monkeypatch.setattr(asm_mod, "KRONECKER_CUTOFF", 0)
+            monkeypatch.setattr(spla, "splu", _no_sparse_factor)
+        else:
+            M = sp.csr_matrix(M)
+        runs = []
+        lanczos = asm_mod.lanczos_largest
+
+        def counted(apply, v0, tol):
+            calls = []
+
+            def counted_apply(x):
+                calls.append(None)
+                return apply(x)
+
+            runs.append((lanczos(counted_apply, v0, tol), calls))
+            return runs[-1][0]
+
+        monkeypatch.setattr(asm_mod, "lanczos_largest", counted)
+        factor = SPDFactor(M)
+        factor.condition_number()
+        # lambda_max is the last run; the LU path first finds 1 / lambda_min
+        assert len(runs) == (1 if path == "kronecker" else 2)
+        lam_max, calls = runs[-1]
+        assert lam_max == pytest.approx(ev[-1], rel=1e-10)
+        study = request.node.callspec.params["level3_spectrum"]
+        assert len(calls) <= self.LANCZOS_PRODUCTS_BOUND[study]
+        if path == "lu":
+            assert runs[0][0] == pytest.approx(1.0 / ev[0], rel=1e-10)
+
+    def test_lanczos_cap_raises(self, level3_mass, monkeypatch):
+        monkeypatch.setattr(asm_mod, "LANCZOS_CAP", 1)
+        with pytest.raises(ValueError, match="did not converge"):
+            SPDFactor(_tridiagonal(-2.0)).condition_number()
+        monkeypatch.setattr(asm_mod, "KRONECKER_CUTOFF", 0)
+        with pytest.raises(ValueError, match="did not converge"):
+            SPDFactor(level3_mass[0]).condition_number()
 
     def test_kronecker_path_rejects_indefinite(self, level3_spectrum,
                                                monkeypatch):
