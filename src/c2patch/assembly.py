@@ -28,24 +28,11 @@ from .geometry import (Patch, TwoPatchGeometry, bilinear_from_vertices,
 from .gluing import GluingData, gluing_from_bilinear, gluing_invariants
 from .smooth import SmoothBasis, build_basis_v2, build_basis_w2, dim_v1
 
-# Largest SPD system factored densely.  Measured on Table-2 mass matrices
-# (factor, one solve and the condition number): dense is faster at 133
-# unknowns (3.7 vs 4.2 ms), sparse at 384 (12 vs 14 ms) and beyond.
-DENSE_FACTOR_CUTOFF = 250
 # Smallest two-patch mass (``TwoPatchMass``) solved without a factorization,
-# by Kronecker-preconditioned CG and LOBPCG.  Measured on the Table-2 masses
-# (two set-ups, a solve and the condition number; range of three medians of
-# 7, in ms):
-#   study   level 2 (384-399 unknowns)   level 3 (1,332-1,363 unknowns)
-#           LU      iterative            LU      iterative
-#   a/V2    11-14   10-16                46-59   23-33
-#   a/W2     8-12   14-18                43-58   32-47
-#   b/V2     8-11   13-15                42-50   22-29
-#   b/W2     8-11   23-30                45-60   44-68
-# The LU is faster at level 2.  At level 3 the iterations are faster, except
-# on b/W2, whose clustered lowest eigenvalues cost LOBPCG the most: on par.
+# by Kronecker-preconditioned CG and LOBPCG: Table-2 levels 3 and up.
+# Every other matrix is factored densely (notes/decisions.md).
 KRONECKER_CUTOFF = 1000
-# PCG and LOBPCG stop at this many iterations; the sparse LU answers instead.
+# PCG and LOBPCG raise past this many iterations (level 6 needs < 100).
 ITERATION_CAP = 500
 # ``lanczos_largest`` checks its stop rule every few steps (~85 us a check,
 # ~1.5 ms a level-5 product) and raises past the cap (level 5 needs ~110).
@@ -53,7 +40,7 @@ LANCZOS_CHECK = 4
 LANCZOS_CAP = 2000
 # An L2 error is quadratic in the solve error, so at 1e-13 it moved by up to
 # 6e-8 relative with the preconditioner (Table 2, level 5); at 1e-14 it is
-# within 1e-9 of the sparse LU's, for one or two more iterations.
+# within 1e-9 of a direct solve's, for one or two more iterations.
 PCG_RTOL = 1e-14
 LOBPCG_TOL = 1e-9
 FIT_POINTS_PER_CELL = 8
@@ -71,9 +58,6 @@ class QuadratureRule:
     @property
     def points_per_cell(self) -> int:
         return self.nodes.shape[1]
-
-    def flat(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.nodes.ravel(), self.weights.ravel()
 
 
 def gauss_rule(points_per_cell: int, cells: Sequence[tuple[float, float]]) -> QuadratureRule:
@@ -179,15 +163,6 @@ def _row_block(cols, vals: np.ndarray, keep: np.ndarray):
     return keep.sum(axis=1), cols.astype(np.int32, copy=False), vals[keep]
 
 
-def _csr_from_blocks(blocks, shape: tuple[int, int], cls=sp.csr_matrix,
-                     **kwargs):
-    """CSR matrix whose rows are those of the ``_row_block``s, in order."""
-    counts, indices, data = zip(*blocks)
-    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-    return cls((np.concatenate(data), np.concatenate(indices), indptr),
-               shape=shape, **kwargs)
-
-
 class PatchAssembler:
     """Quadrature data of one patch: weights, physical points, |det J|.
 
@@ -278,15 +253,6 @@ class PatchAssembler:
         _, _, di, dj = np.ogrid[:1, :1, :2 * pu + 1, :2 * pv + 1]
         below = (di < pu) | ((di == pu) & (dj < pv))
         return np.where(below & keep, mirror, band), keep
-
-    def mass(self) -> sp.csr_matrix:
-        """Weighted Gram matrix of the tensor B-splines, (n_u*n_v)^2 sparse."""
-        band, keep = self.mass_band()
-        n2 = self.n_u * self.n_v
-        rows = np.arange(n2)[:, None]
-        offsets = _band_offsets(self.n_v, *band.shape[2:])
-        return _csr_from_blocks([_row_block(rows + offsets, band.reshape(n2, -1),
-                                            keep.reshape(n2, -1))], (n2, n2))
 
     @cached_property
     def _gram_bands(self) -> list[np.ndarray]:
@@ -457,9 +423,12 @@ class DomainAssembler:
         first_cols = np.concatenate([np.arange(m)]
                                     + [cols for cols, _ in couplings])
         dim = m + 2 * n_int
-        return _csr_from_blocks([_row_block(first_cols, first, first != 0.0)]
-                                + interiors, (dim, dim), TwoPatchMass,
-                                layout=MassLayout(m, tuple(layout)))
+        first_rows = _row_block(first_cols, first, first != 0.0)
+        counts, indices, data = zip(first_rows, *interiors)
+        indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+        return TwoPatchMass((np.concatenate(data), np.concatenate(indices),
+                             indptr), shape=(dim, dim),
+                            layout=MassLayout(m, tuple(layout)))
 
     def load(self, f) -> np.ndarray:
         return sum(self.C[s] @ self.asm[s].load(f) for s in ("L", "R"))
@@ -545,20 +514,17 @@ class KroneckerPreconditioner:
 class SPDFactor:
     """Solves and the condition number of a symmetric positive definite M.
 
-    The matrix is scaled diagonally, A = S M S with S = diag(M)^(-1/2).  Up
-    to ``DENSE_FACTOR_CUTOFF`` unknowns A is factored by dense Cholesky.  A
+    The matrix is scaled diagonally, A = S M S with S = diag(M)^(-1/2).  A
     ``TwoPatchMass`` of ``KRONECKER_CUTOFF`` or more unknowns is not
     factored, nor copied: A is applied as s * (M (s * x)), solves run
     preconditioned CG and lambda_min comes from LOBPCG, both with a
     ``KroneckerPreconditioner``, a symmetric block Gauss-Seidel sweep over
-    the interface and the two patch interiors.  Any other matrix, and one
-    of these whose iteration does not converge within ``ITERATION_CAP``
-    steps, is factored (on first use) by sparse LU with a symmetric
-    minimum-degree ordering and diagonal pivots, which for an SPD matrix is
-    its LDL^T factorization.  A matrix that is not positive definite raises
-    ``ValueError``: Cholesky fails, the sparse factor needs an off-diagonal
-    pivot or a pivot <= 0, CG meets a direction of nonpositive curvature, or
-    LOBPCG a Rayleigh quotient <= 0.
+    the interface and the two patch interiors.  An iteration that does not
+    converge within ``ITERATION_CAP`` steps raises ``ValueError``.  Any
+    other matrix is scaled into a dense copy and factored by Cholesky.  A
+    matrix that is not positive definite raises ``ValueError``: Cholesky
+    fails, CG meets a direction of nonpositive curvature, or LOBPCG a
+    Rayleigh quotient <= 0.
     """
 
     def __init__(self, M):
@@ -568,59 +534,30 @@ class SPDFactor:
         self.scale = 1.0 / np.sqrt(d)
         self._M = M
         self._precond = None
-        self._inverse = None
         n = M.shape[0]
         layout = getattr(M, "layout", None)
-        if n <= DENSE_FACTOR_CUTOFF:
-            self.A = self._scaled().toarray()
-            try:
-                cho = sla.cho_factor(self.A)
-            except np.linalg.LinAlgError:
-                raise ValueError("matrix is not positive definite") from None
-            self._inverse = lambda y: sla.cho_solve(cho, y)
-        elif layout is not None and n >= KRONECKER_CUTOFF:
+        if layout is not None and n >= KRONECKER_CUTOFF:
             self.A = spla.LinearOperator((n, n), matvec=self._product,
                                          matmat=self._product, dtype=float)
             self._precond = KroneckerPreconditioner(M, self.scale, layout)
         else:
-            self._factor_sparse()
+            # each s_i s_j is formed before it multiplies M_ij, so a
+            # symmetric M gives an exactly symmetric A
+            A = sp.csr_matrix(M).toarray() * np.outer(self.scale, self.scale)
+            # a TwoPatchMass is exactly symmetric already
+            self.A = A if layout is not None else (A + A.T) * 0.5
+            try:
+                self._cho = sla.cho_factor(self.A)
+            except np.linalg.LinAlgError:
+                raise ValueError("matrix is not positive definite") from None
 
     def _product(self, x: np.ndarray) -> np.ndarray:
         """A x = s * (M (s * x)) for x of shape (n,) or (n, k)."""
         s = self.scale.reshape((-1,) + (1,) * (x.ndim - 1))
         return s * (self._M @ (s * x))
 
-    def _scaled(self) -> sp.csr_matrix:
-        """A as a CSR copy of M.  Each factor s_i s_j is formed before it
-        multiplies M_ij, so a symmetric M gives an exactly symmetric A."""
-        A = sp.csr_matrix(self._M, copy=True)
-        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-        A.data *= self.scale[rows] * self.scale[A.indices]
-        if getattr(self._M, "layout", None) is None:
-            # a TwoPatchMass is exactly symmetric already
-            A = ((A + A.T) * 0.5).tocsr()
-        return A
-
-    def _factor_sparse(self):
-        """Factor A by sparse LU; returns the solve with the factor.
-
-        From then on ``A`` is the scaled copy that was factored.
-        """
-        self.A = self._scaled()
-        lu = spla.splu(self.A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0.0,
-                       options=dict(SymmetricMode=True))
-        # diagonal pivots: perm_r == perm_c and diag(U) is D of LDL^T
-        if (lu.perm_r != lu.perm_c).any() or not (lu.U.diagonal() > 0.0).all():
-            raise ValueError("matrix is not positive definite")
-        self._inverse = lu.solve
-        return lu.solve
-
-    def _apply_inverse(self, y: np.ndarray) -> np.ndarray:
-        return (self._inverse or self._factor_sparse())(y)
-
-    def _pcg(self, b: np.ndarray) -> np.ndarray | None:
-        """A^(-1) b by preconditioned CG, or None past ``ITERATION_CAP``.
+    def _pcg(self, b: np.ndarray) -> np.ndarray:
+        """A^(-1) b by preconditioned CG.
 
         The residual is measured unscaled, ||M x - rhs|| / ||rhs||, since
         A y - b = S (M x - rhs) for x = S y and b = S rhs.
@@ -646,22 +583,22 @@ class SPDFactor:
             z = self._precond(r)
             rz, rz_old = r @ z, rz
             p = z + (rz / rz_old) * p
-        return None
+        raise ValueError(
+            f"PCG did not converge within {ITERATION_CAP} iterations")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """M^(-1) rhs for a right-hand side of shape (n,) or (n, m)."""
         s = self.scale.reshape((-1,) + (1,) * (np.ndim(rhs) - 1))
         b = s * rhs
-        if self._precond is not None:
-            cols = [self._pcg(c) for c in b.reshape(len(b), -1).T]
-            if all(c is not None for c in cols):
-                return s * np.stack(cols, axis=1).reshape(b.shape)
-        return s * self._apply_inverse(b)
+        if self._precond is None:
+            return s * sla.cho_solve(self._cho, b)
+        cols = [self._pcg(c) for c in b.reshape(len(b), -1).T]
+        return s * np.stack(cols, axis=1).reshape(b.shape)
 
-    def _inverse_smallest(self, v0: np.ndarray) -> float | None:
-        """1 / lambda_min of A by LOBPCG, or None past ``ITERATION_CAP``."""
+    def _inverse_smallest(self, v0: np.ndarray) -> float:
+        """1 / lambda_min of A by LOBPCG."""
         with warnings.catch_warnings():
-            # non-convergence is detected below and handled by the caller
+            # non-convergence raises below
             warnings.simplefilter("ignore", UserWarning)
             lam, _, residuals = spla.lobpcg(
                 self.A, v0[:, None], M=self._precond, tol=LOBPCG_TOL,
@@ -670,7 +607,10 @@ class SPDFactor:
         # a Rayleigh quotient bounds lambda_min from above
         if lam[0] <= 0.0:
             raise ValueError("matrix is not positive definite")
-        return 1.0 / lam[0] if residuals[-1] <= LOBPCG_TOL else None
+        if residuals[-1] > LOBPCG_TOL:
+            raise ValueError(
+                f"LOBPCG did not converge within {ITERATION_CAP} iterations")
+        return 1.0 / lam[0]
 
     def condition_number(self, tol: float = 1e-6) -> float:
         """Condition number of A, lambda_max / lambda_min.
@@ -678,18 +618,19 @@ class SPDFactor:
         ``lanczos_largest`` finds lambda_max of A to the relative tolerance
         ``tol``, which must lie in (0, 1), from a seeded start vector.
         1 / lambda_min comes from LOBPCG (absolute residual ``LOBPCG_TOL``)
-        when A is preconditioned.  Otherwise, or when LOBPCG does not
-        converge, it is the largest eigenvalue of A^(-1), found the same way
-        through the factor.
+        when A is preconditioned, and otherwise is the largest eigenvalue of
+        A^(-1), found the same way through the Cholesky factor.
         """
         if not 0.0 < tol < 1.0:
             raise ValueError(f"tol must lie in (0, 1), got {tol}")
         v0 = np.random.default_rng(0).standard_normal(self.A.shape[0])
-        inverse_min = None
-        if self._precond is not None:
+        if self._precond is None:
+            # the factor was checked once; the Lanczos vectors are finite
+            inverse_min = lanczos_largest(
+                lambda y: sla.cho_solve(self._cho, y, check_finite=False),
+                v0, tol)
+        else:
             inverse_min = self._inverse_smallest(v0)
-        if inverse_min is None:
-            inverse_min = lanczos_largest(self._apply_inverse, v0, tol)
         return float(lanczos_largest(lambda x: self.A @ x, v0, tol)
                      * inverse_min)
 
@@ -755,10 +696,11 @@ def convergence_study(F0: TwoPatchGeometry, gluing: GluingData, space: str,
 
     The level-0 geometry is refined exactly by knot insertion; the gluing
     data is level-independent.  Each level's mass matrix gets one
-    ``SPDFactor``, which serves the solve and the condition number: a
-    factor below ``KRONECKER_CUTOFF`` unknowns, the preconditioned
-    iterations above.  ``on_report`` is called with each finished
-    per-level report, which allows callers to flush partial results.
+    ``SPDFactor``, which serves the solve and the condition number: dense
+    Cholesky below ``KRONECKER_CUTOFF`` unknowns (levels 0-2), the
+    preconditioned iterations from there on.  ``on_report`` is called with
+    each finished per-level report, which allows callers to flush partial
+    results.
     """
     if space not in ("v2", "w2"):
         raise ValueError("space must be 'v2' or 'w2'")

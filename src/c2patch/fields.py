@@ -51,6 +51,9 @@ def _eval_node(node, env):
             raise FieldError(f"unknown function {node.func.id!r}")
         if node.keywords:
             raise FieldError("keyword arguments are not supported")
+        if len(node.args) != fn.nin:
+            raise FieldError(f"{node.func.id}() takes {fn.nin} argument(s), "
+                             f"got {len(node.args)}")
         args = [_eval_node(a, env) for a in node.args]
         return fn(*args)
     raise FieldError(f"unsupported syntax: {ast.dump(node)}")

@@ -236,7 +236,11 @@ def geometry_from_dict(data: dict) -> tuple[TwoPatchGeometry, dict | None]:
     for side in ("L", "R"):
         if side not in patches_raw:
             raise GeometryError(f"missing patch {side!r}")
-        pts = np.asarray(patches_raw[side]["control_points"], dtype=float)
+        try:
+            pts = np.asarray(patches_raw[side]["control_points"], dtype=float)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise GeometryError(
+                f"patch {side!r}: malformed control points: {exc}") from exc
         if not np.isfinite(pts).all():
             raise GeometryError(f"patch {side!r}: non-finite control point")
         if pts.shape != (n * n, 2):

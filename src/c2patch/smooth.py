@@ -280,10 +280,6 @@ class SmoothBasis:
         """The family name of every basis function, in row order."""
         return [f.name for f in self.families for _ in f.cols]
 
-    @property
-    def family_sizes(self) -> dict:
-        return dict(Counter(self.kinds))
-
     def rows(self, side: str, m: int) -> np.ndarray:
         if side not in ("L", "R"):
             raise ValueError(f"side must be 'L' or 'R', got {side!r}")

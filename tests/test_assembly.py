@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 import c2patch.assembly as asm_mod
+from c2patch import cli
 from c2patch.assembly import (DomainAssembler, KroneckerPreconditioner,
-                              PatchAssembler, SPDFactor, TwoPatchMass,
-                              _identity_geometry, convergence_study,
-                              discrete_relative_error, fit_bilinear_like,
-                              gauss_rule, reports_to_csv,
+                              MassLayout, PatchAssembler, SPDFactor,
+                              TwoPatchMass, _band_block, _identity_geometry,
+                              convergence_study, discrete_relative_error,
+                              fit_bilinear_like, gauss_rule, reports_to_csv,
                               scaled_condition_number, solve_spd)
 from c2patch.bspline import SplineSpace1D, make_knot_vector, uniform_inner_knots
 from c2patch.geometry import Patch, TwoPatchGeometry, bilinear_from_vertices
@@ -38,7 +38,7 @@ class TestGaussRule:
 
     def test_degree_eleven_exact(self):
         rule = gauss_rule(6, [(0.0, 1.0)])
-        x, w = rule.flat()
+        x, w = rule.nodes.ravel(), rule.weights.ravel()
         assert (w * x ** 11).sum() == pytest.approx(1.0 / 12.0, abs=1e-14)
 
     def test_cell_split_matches_reference(self):
@@ -50,7 +50,7 @@ class TestGaussRule:
         for i in (0, 4, 9):
             for j in (0, 4, 9):
                 def integrand(rule_):
-                    x, w = rule_.flat()
+                    x, w = rule_.nodes.ravel(), rule_.weights.ravel()
                     vals = np.zeros((2, len(x)))
                     for m, xm in enumerate(x):
                         first, d = s.eval_basis(xm)
@@ -82,13 +82,13 @@ class TestMassAndLoad:
     def test_identity_geometry_gram(self, unit_setup):
         geo, _, _, _ = unit_setup
         pa = PatchAssembler(geo.patch_R, 8)
-        M = pa.mass().toarray()
+        M = _patch_mass(pa)
         assert_allclose(M, M.T, atol=1e-14)
         s = geo.patch_R.space.space_u
         # diagonal entries equal products of univariate self-integrals for
         # separable index pairs: check one entry against dense quadrature
         rule = gauss_rule(20, [(0.0, 0.5), (0.5, 1.0)])
-        x, w = rule.flat()
+        x, w = rule.nodes.ravel(), rule.weights.ravel()
         f0 = np.array([_basis_value(s, 2, xm) for xm in x])
         g0 = np.array([_basis_value(s, 3, xm) for xm in x])
         ref = (w * f0 * g0).sum()
@@ -106,7 +106,7 @@ class TestMassAndLoad:
         pa = PatchAssembler(refine_geometry(fitted_b[0], kv).patch_L)
         values = pa.sample_physical(field_osc)
         M_ref, load_ref = _cell_loop_reference(pa, values)
-        M = pa.mass().toarray()
+        M = _patch_mass(pa)
         assert np.abs(M - M_ref).max() <= 1e-13 * np.abs(M_ref).max()
         load = pa.load(values=values)
         assert np.abs(load - load_ref).max() <= 1e-13 * np.abs(load_ref).max()
@@ -180,6 +180,11 @@ def test_two_patch_mass_matches_cell_loop(study, request):
                 idx = np.arange(first, first + B.shape[1])
                 gram[np.ix_(idx, idx)] += B.T @ (rule.weights[c][:, None] * B)
             assert np.abs(Mi - gram).max() <= 1e-14 * np.abs(gram).max()
+
+
+def _patch_mass(pa):
+    """The dense patch mass from its band."""
+    return _band_block(pa.mass_band()[0], pa.n_u, pa.n_u)
 
 
 def _cell_loop_reference(pa, values):
@@ -276,8 +281,8 @@ class TestScaledCondition:
         s = 1.0 / np.sqrt(np.diag(M))
         ev = np.linalg.eigvalsh(s[:, None] * M * s[None, :])
         dense = scaled_condition_number(sp.csr_matrix(M))
-        monkeypatch.setattr(asm_mod, "DENSE_FACTOR_CUTOFF", 10)
-        it = scaled_condition_number(sp.csr_matrix(M), tol=1e-10)
+        monkeypatch.setattr(asm_mod, "KRONECKER_CUTOFF", 0)
+        it = scaled_condition_number(_with_layout(M, 20, (5, 6)), tol=1e-10)
         assert it == pytest.approx(dense, rel=1e-6)
         assert it == pytest.approx(ev[-1] / ev[0], rel=1e-8)
 
@@ -300,6 +305,14 @@ def _tridiagonal(coupling, n=60):
                  [-1, 0, 1]).tolil()
     M[10, 11] = M[11, 10] = coupling
     return M.tocsr()
+
+
+def _with_layout(M, interface, grid):
+    """M as a ``TwoPatchMass``: ``interface`` unknowns, then two interiors
+    on ``grid`` = (n_u, n_v) tensor grids with identity 1D Gram matrices."""
+    grams = (np.eye(grid[0]), np.eye(grid[1]))
+    return TwoPatchMass(sp.csr_matrix(M),
+                        layout=MassLayout(interface, (grams, grams)))
 
 
 def _level3_system(geo0, gluing, space="v2"):
@@ -327,33 +340,30 @@ def level3_spectrum(request):
     return M, rhs, np.linalg.eigvalsh(s[:, None] * M.toarray() * s[None, :])
 
 
-def _no_sparse_factor(*args, **kwargs):
-    raise AssertionError("the sparse LU was built")
-
-
 class TestSPDFactor:
+    # the Kronecker path at cutoff 0, dense Cholesky at cutoff 10^9
     @pytest.mark.parametrize("cutoff", [0, 10 ** 9])
     def test_indefinite_rejected(self, cutoff, monkeypatch):
-        monkeypatch.setattr(asm_mod, "DENSE_FACTOR_CUTOFF", cutoff)
-        M = _tridiagonal(5.0)
+        monkeypatch.setattr(asm_mod, "KRONECKER_CUTOFF", cutoff)
+        M = _with_layout(_tridiagonal(5.0), 20, (4, 5))
         assert (M.diagonal() > 0).all()
         with pytest.raises(ValueError, match="not positive definite"):
             solve_spd(M, np.ones(M.shape[0]))
 
     @pytest.mark.parametrize("cutoff", [0, 10 ** 9])
     def test_two_column_solve(self, cutoff, monkeypatch):
-        monkeypatch.setattr(asm_mod, "DENSE_FACTOR_CUTOFF", cutoff)
-        M = _tridiagonal(-2.0)
+        monkeypatch.setattr(asm_mod, "KRONECKER_CUTOFF", cutoff)
+        M = _with_layout(_tridiagonal(-2.0), 20, (4, 5))
         rhs = np.random.default_rng(2).standard_normal((M.shape[0], 2))
         x = solve_spd(M, rhs)
         assert x.shape == rhs.shape
         assert_allclose(M @ x, rhs, atol=1e-13)
 
-    def test_level3_sparse_factor_matches_dense(self, level3_mass):
-        # the layout stripped: the sparse LU, which is also the fallback
+    def test_level3_without_layout_factored_densely(self, level3_mass):
+        # the layout stripped: dense Cholesky at any size
         M, rhs = level3_mass
         M = sp.csr_matrix(M)
-        assert M.shape[0] == 1339 > asm_mod.DENSE_FACTOR_CUTOFF
+        assert M.shape[0] == 1339 >= asm_mod.KRONECKER_CUTOFF
         factor = SPDFactor(M)
         s = 1.0 / np.sqrt(M.diagonal())
         ev = np.linalg.eigvalsh(s[:, None] * M.toarray() * s[None, :])
@@ -365,12 +375,11 @@ class TestSPDFactor:
     def test_level3_kronecker_path_matches_lu(self, level3_spectrum,
                                               monkeypatch):
         M, rhs, ev = level3_spectrum
-        lu = SPDFactor(sp.csr_matrix(M)).solve(rhs)
+        dense = SPDFactor(sp.csr_matrix(M)).solve(rhs)
         monkeypatch.setattr(asm_mod, "KRONECKER_CUTOFF", 0)
-        monkeypatch.setattr(spla, "splu", _no_sparse_factor)
         factor = SPDFactor(M)
         x = factor.solve(rhs)
-        assert np.linalg.norm(x - lu) <= 1e-9 * np.linalg.norm(lu)
+        assert np.linalg.norm(x - dense) <= 1e-9 * np.linalg.norm(dense)
         assert np.linalg.norm(M @ x - rhs) < 1e-12 * np.linalg.norm(rhs)
         assert factor.condition_number() == pytest.approx(ev[-1] / ev[0],
                                                           rel=1e-8)
@@ -378,9 +387,8 @@ class TestSPDFactor:
     def test_preconditioned_setup_copies_nothing(self, level3_spectrum,
                                                 monkeypatch):
         M, rhs, ev = level3_spectrum
-        lu = SPDFactor(sp.csr_matrix(M)).solve(rhs)
+        dense = SPDFactor(sp.csr_matrix(M)).solve(rhs)
         monkeypatch.setattr(asm_mod, "KRONECKER_CUTOFF", 0)
-        monkeypatch.setattr(spla, "splu", _no_sparse_factor)
         tracemalloc.start()
         try:
             factor = SPDFactor(M)
@@ -389,7 +397,7 @@ class TestSPDFactor:
             tracemalloc.stop()
         assert peak < M.data.nbytes
         x = factor.solve(rhs)
-        assert np.linalg.norm(x - lu) <= 1e-9 * np.linalg.norm(lu)
+        assert np.linalg.norm(x - dense) <= 1e-9 * np.linalg.norm(dense)
         assert factor.condition_number() == pytest.approx(ev[-1] / ev[0],
                                                           rel=1e-8)
 
@@ -428,13 +436,13 @@ class TestSPDFactor:
     # plus ~10 %
     LANCZOS_PRODUCTS_BOUND = {"a/v2": 92, "a/w2": 88, "b/v2": 44, "b/w2": 84}
 
+    # "lu": the path that factors A, by Cholesky (A = L L^T)
     @pytest.mark.parametrize("path", ["kronecker", "lu"])
     def test_lanczos_lambda_max(self, level3_spectrum, path, request,
                                 monkeypatch):
         M, _, ev = level3_spectrum
         if path == "kronecker":
             monkeypatch.setattr(asm_mod, "KRONECKER_CUTOFF", 0)
-            monkeypatch.setattr(spla, "splu", _no_sparse_factor)
         else:
             M = sp.csr_matrix(M)
         runs = []
@@ -453,7 +461,8 @@ class TestSPDFactor:
         monkeypatch.setattr(asm_mod, "lanczos_largest", counted)
         factor = SPDFactor(M)
         factor.condition_number()
-        # lambda_max is the last run; the LU path first finds 1 / lambda_min
+        # lambda_max is the last run; the factored path first finds
+        # 1 / lambda_min
         assert len(runs) == (1 if path == "kronecker" else 2)
         lam_max, calls = runs[-1]
         assert lam_max == pytest.approx(ev[-1], rel=1e-10)
@@ -478,32 +487,36 @@ class TestSPDFactor:
         shifted = TwoPatchMass(M - c * sp.diags(M.diagonal()),
                                layout=M.layout)
         monkeypatch.setattr(asm_mod, "KRONECKER_CUTOFF", 0)
-        monkeypatch.setattr(spla, "splu", _no_sparse_factor)
         factor = SPDFactor(shifted)
         with pytest.raises(ValueError, match="not positive definite"):
             factor.solve(rhs)
         with pytest.raises(ValueError, match="not positive definite"):
             factor.condition_number()
 
-    def test_iteration_cap_falls_back_to_lu(self, level3_mass, monkeypatch):
+    def test_two_column_kronecker_solve(self, level3_mass):
         M, rhs = level3_mass
-        lu = SPDFactor(sp.csr_matrix(M))
-        monkeypatch.setattr(asm_mod, "KRONECKER_CUTOFF", 0)
-        monkeypatch.setattr(asm_mod, "ITERATION_CAP", 1)
-        factors = []
-        splu = spla.splu
-
-        def counted_splu(A, *args, **kwargs):
-            factors.append(A.shape[0])
-            return splu(A, *args, **kwargs)
-
-        monkeypatch.setattr(spla, "splu", counted_splu)
+        second = np.random.default_rng(4).standard_normal(len(rhs))
+        rhs = np.stack([rhs, second], axis=1)
         factor = SPDFactor(M)
-        assert not factors
-        assert_allclose(factor.solve(rhs), lu.solve(rhs), rtol=1e-12)
-        assert factor.condition_number() == pytest.approx(
-            lu.condition_number(), rel=1e-12)
-        assert factors == [M.shape[0]]
+        assert factor._precond is not None
+        x = factor.solve(rhs)
+        for j in range(2):
+            assert np.array_equal(x[:, j], factor.solve(rhs[:, j]))
+            assert (np.linalg.norm(M @ x[:, j] - rhs[:, j])
+                    < 1e-12 * np.linalg.norm(rhs[:, j]))
+
+    def test_iteration_cap_raises(self, level3_mass, monkeypatch, capsys):
+        M, rhs = level3_mass
+        monkeypatch.setattr(asm_mod, "ITERATION_CAP", 1)
+        factor = SPDFactor(M)
+        with pytest.raises(ValueError, match="PCG did not converge"):
+            factor.solve(rhs)
+        with pytest.raises(ValueError, match="LOBPCG did not converge"):
+            factor.condition_number()
+        assert cli.main(["table2", "--geometry", "builtin:fitted_a",
+                         "--levels", "3"]) == 1
+        err = capsys.readouterr().err
+        assert "error: convergence study failed: PCG did not converge" in err
 
     def test_derived_matrices_carry_no_layout(self, level3_mass):
         M, _ = level3_mass
@@ -515,11 +528,9 @@ class TestSPDFactor:
             assert getattr(derived, "layout", None) is None
 
     def test_study_factors_once_per_level(self, fitted_b, monkeypatch):
-        # levels 0-3 have 54, 133, 399 and 1363 dofs; with the Kronecker
-        # cutoff between the last two, each level sees one kind of solver
-        kron_cutoff = 1000
-        monkeypatch.setattr(asm_mod, "KRONECKER_CUTOFF", kron_cutoff)
-        sizes = {"sparse": [], "dense": [], "kronecker": []}
+        # levels 0-3 have 54, 133, 399 and 1363 dofs; each level sees one
+        # kind of solver
+        sizes = {"dense": [], "kronecker": []}
         active = []
 
         def counted(kind, setup):
@@ -534,18 +545,15 @@ class TestSPDFactor:
                     active.pop()
             return wrapper
 
-        monkeypatch.setattr(spla, "splu", counted("sparse", spla.splu))
         monkeypatch.setattr(sla, "cho_factor", counted("dense", sla.cho_factor))
         monkeypatch.setattr(asm_mod, "KroneckerPreconditioner",
                             counted("kronecker", KroneckerPreconditioner))
         geo, gluing = fitted_b
         convergence_study(geo, gluing, "v2", 3, field_osc)
-        assert sizes == {"dense": [54, 133], "sparse": [399],
-                         "kronecker": [1363]}
-        cutoff = asm_mod.DENSE_FACTOR_CUTOFF
-        assert all(n <= cutoff for n in sizes["dense"])
-        assert all(cutoff < n < kron_cutoff for n in sizes["sparse"])
-        assert all(n >= kron_cutoff for n in sizes["kronecker"])
+        assert sizes == {"dense": [54, 133, 399], "kronecker": [1363]}
+        cutoff = asm_mod.KRONECKER_CUTOFF
+        assert all(n < cutoff for n in sizes["dense"])
+        assert all(n >= cutoff for n in sizes["kronecker"])
 
 
 class TestFit:

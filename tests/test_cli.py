@@ -258,6 +258,30 @@ class TestExitCodes:
             assert run_cli("gluing", "--geometry", str(path)) == 1
             assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("expr", ["sin()", "pow(x1)", "sin(x1, x2)"])
+    def test_wrong_function_arity_exits_one(self, expr, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert run_cli("table2", "--geometry", "builtin:fitted_a",
+                       "--levels", "0", "--function", expr,
+                       "--out", str(out)) == 1
+        name = expr.split("(")[0]
+        assert f"error: {name}() takes" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("patch", [
+        [1, 2],
+        {"control_points": [["abc", 0.0]]},
+        {"control_points": [[0.0, 0.0], [0.0]]},
+    ], ids=["list", "strings", "ragged"])
+    def test_malformed_control_points_exit_one(self, patch, tmp_path, capsys):
+        ref = resources.files("c2patch") / "assets" / "fitted_a.json"
+        data = json.loads(ref.read_text())
+        data["patches"]["L"] = patch
+        path = tmp_path / "bad_points.json"
+        path.write_text(json.dumps(data))
+        assert run_cli("dim", "--geometry", str(path)) == 1
+        assert "patch 'L': malformed control points" in capsys.readouterr().err
+
     def test_verify_without_samples_exits_one(self, capsys):
         assert run_cli("verify", "--geometry", "builtin:fitted_a",
                        "--samples", "0") == 1
