@@ -5,7 +5,11 @@ with derivatives, Greville abscissae, collocation interpolation and knot
 insertion.  ``SplineSpace1D.eval_basis`` is the one Cox-de Boor evaluator:
 it takes whole arrays of points, and every other evaluation (spline
 functions, dense collocation matrices, tensor-product grids) is built on
-its output with array operations instead of per-point loops.  Everything is
+its output with array operations instead of per-point loops.  It is
+``find_span`` followed by ``SplineSpace1D._eval_spans``, the pass that takes
+the spans and runs the recurrences over all points and all basis functions
+at once; the float rule of ``smooth.select_refined_bspline`` calls that pass
+directly, with both one-sided limits at a knot in one call.  Everything is
 immutable after construction; operations are pure functions of their
 inputs.
 """
@@ -170,7 +174,7 @@ class SplineSpace1D:
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         span = np.searchsorted(self.knots, x, side=side) - 1
-        span = np.clip(span, self.degree, self.dim - 1)
+        span = np.minimum(np.maximum(span, self.degree), self.dim - 1)
         return int(span) if span.ndim == 0 else span
 
     def eval_basis(self, xs, max_deriv: int = 0, side: str = "right"):
@@ -182,62 +186,71 @@ class SplineSpace1D:
         ``xs.shape`` and ``ders`` of shape ``xs.shape + (max_deriv + 1,
         p + 1)``, indexed the same way per point.  Derivative orders beyond
         the degree are identically zero.
-
-        The Cox-de Boor recurrences (The NURBS Book, A2.3) run once, with
-        every step taken over all points at the same time.
         """
         x = np.asarray(xs, dtype=float)
         pts = x.reshape(-1)
         span = self.find_span(pts, side=side)
+        ders = self._eval_spans(pts, span, max_deriv)
+        first = (span - self.degree).reshape(x.shape)
+        ders = ders.reshape(x.shape + ders.shape[1:])
+        return (int(first), ders) if x.ndim == 0 else (first, ders)
+
+    def _eval_spans(self, pts: np.ndarray, span: np.ndarray,
+                    max_deriv: int) -> np.ndarray:
+        """The Cox-de Boor pass of ``eval_basis`` at 1D points ``pts`` with
+        given knot spans: shape ``(len(pts), max_deriv + 1, p + 1)``.
+
+        The recurrences of The NURBS Book, A2.3, with each step taken over
+        all points and all basis functions at once.  Every value goes
+        through the same floating-point operations as in A2.3, in the same
+        order, so the results equal the per-function loops bit for bit
+        (signs of zeros included).  A point may appear with two spans, as
+        the left and right limits at a knot.
+        """
         p, t = self.degree, self.knots
         nd = min(max_deriv, p)
-
-        ndu = np.empty((p + 1, p + 1, len(pts)))
-        ndu[0, 0] = 1.0
-        left = np.empty((p + 1, len(pts)))
-        right = np.empty((p + 1, len(pts)))
-        for j in range(1, p + 1):
-            left[j] = pts - t[span + 1 - j]
-            right[j] = t[span + j] - pts
-            saved = 0.0
-            for rr in range(j):
-                ndu[j, rr] = right[rr + 1] + left[j - rr]
-                temp = ndu[rr, j - 1] / ndu[j, rr]
-                ndu[rr, j] = saved + right[rr + 1] * temp
-                saved = left[j - rr] * temp
-            ndu[j, j] = saved
-
         ders = np.zeros((max_deriv + 1, p + 1, len(pts)))
-        ders[0] = ndu[:, p]
-        a = np.empty((2, p + 1, len(pts)))
-        for rr in range(p + 1):
-            s1, s2 = 0, 1
-            a[0, 0] = 1.0
-            for kk in range(1, nd + 1):
-                d = 0.0
-                rk = rr - kk
-                pk = p - kk
-                if rr >= kk:
-                    a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
-                    d = a[s2, 0] * ndu[rk, pk]
-                j1 = 1 if rk >= -1 else -rk
-                j2 = kk - 1 if rr - 1 <= pk else p - rr
-                for j in range(j1, j2 + 1):
-                    a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
-                    d = d + a[s2, j] * ndu[rk + j, pk]
-                if rr <= pk:
-                    a[s2, kk] = -a[s1, kk - 1] / ndu[pk + 1, rr]
-                    d = d + a[s2, kk] * ndu[rr, pk]
-                ders[kk, rr] = d
-                s1, s2 = s2, s1
+        steps = np.arange(p)[:, None]
+        left = pts - t[span - steps]            # left[i] = x - t[span - i]
+        right = t[span + 1 + steps] - pts       # right[i] = t[span + 1 + i] - x
 
+        # Degree-j values N[r] of the functions span - j + r (r = 0..j) and
+        # the denominators den[r] = t[span + r + 1] - t[span + r + 1 - j];
+        # the derivative pass reads those of degrees p - nd .. p only.
+        N = 1.0
+        vals, dens = {0: N}, {}
+        for j in range(1, p + 1):
+            den = right[:j] + left[j - 1::-1]
+            temp = N / den
+            N = ders[0] if j == p else np.zeros((j + 1, len(pts)))
+            np.multiply(left[j - 1::-1], temp, out=N[1:])
+            N[:j] += right[:j] * temp
+            if j >= p - nd:
+                vals[j], dens[j] = N, den
+
+        del left, right
+        # a[j, i] is A2.3's a_{k,j} of function r = i + k - j, the only r
+        # for which it is used, so every row i at order k has p - k + 1 r's.
+        a = np.ones((1, p + 1, 1))
         fac = float(p)
-        for kk in range(1, nd + 1):
-            ders[kk] *= fac
-            fac *= p - kk
-        first = (span - p).reshape(x.shape)
-        ders = np.moveaxis(ders, -1, 0).reshape(x.shape + ders.shape[:2])
-        return (int(first), ders) if x.ndim == 0 else (first, ders)
+        for k in range(1, nd + 1):
+            den, low = dens[p - k + 1], vals[p - k]
+            nxt = np.empty((k + 1, p - k + 1, len(pts)))
+            np.divide(a[0, 1:], den, out=nxt[0])
+            np.subtract(a[1:, 1:], a[:-1, :-1], out=nxt[1:k])
+            np.divide(nxt[1:k], den, out=nxt[1:k])
+            np.negative(a[k - 1, :-1], out=nxt[k])
+            np.divide(nxt[k], den, out=nxt[k])
+            a = nxt
+            # d_r sums the terms a_{k,j} N_{r-k+j,p-k} of j = 0..k in order;
+            # A2.3 starts from the j = 0 term where r >= k and from 0.0 below
+            d = ders[k]
+            np.multiply(a[0], low, out=d[k:])
+            for j in range(1, k + 1):
+                d[k - j:p + 1 - j] += a[j] * low
+            d *= fac
+            fac *= p - k
+        return ders.transpose(2, 0, 1).copy()
 
     def basis_matrix(self, xs, max_deriv: int = 0) -> np.ndarray:
         """Dense collocation matrices, shape (max_deriv + 1, len(xs), dim).
@@ -249,7 +262,7 @@ class SplineSpace1D:
         first, ders = self.eval_basis(xs, max_deriv)
         out = np.zeros((max_deriv + 1, len(xs), self.dim))
         cols = first[:, None] + np.arange(self.degree + 1)
-        out[:, np.arange(len(xs))[:, None], cols] = np.moveaxis(ders, 1, 0)
+        out[:, np.arange(len(xs))[:, None], cols] = ders.transpose(1, 0, 2)
         return out
 
     @cached_property

@@ -25,7 +25,10 @@ from .gluing import GluingData, GluingInvariants, matching_weights
 
 TRACE_RESID_TOL = 1e-9
 ORACLE_OVERSAMPLE = 4     # the oracle collocates 4 (p + 1) points per knot span
-ORACLE_ZERO_TOL = 1e-9    # singular values below this times the largest are zero
+# singular values below this times the largest one and the larger side of
+# the collocation matrix are zero (numpy's ``matrix_rank`` rule); genuine
+# ones fall below 1e-9 of the largest as k grows
+ORACLE_ZERO_TOL = np.finfo(float).eps
 
 
 class DegreeBudgetError(ValueError):
@@ -172,8 +175,11 @@ def select_refined_bspline(base: KnotVector, which: int,
     new_mult = raised.multiplicities[which]
     jump_order = p - new_mult + 1
 
-    first_r, ders_r = space.eval_basis(tau, jump_order, side="right")
-    first_l, ders_l = space.eval_basis(tau, jump_order, side="left")
+    # right and left limits at tau in one kernel pass
+    spans = np.array([space.find_span(tau, "right"),
+                      space.find_span(tau, "left")])
+    ders_r, ders_l = space._eval_spans(np.array([tau, tau]), spans, jump_order)
+    first_r, first_l = spans - p
 
     jumps = np.zeros(space.dim)
     values = np.zeros(space.dim)
@@ -451,8 +457,9 @@ def constraint_nullspace_dim(F: TwoPatchGeometry, g: GluingData, p: int,
     Collocates the matching equations of ``gluing.matching_weights`` in the
     6n interface coefficients of both patches and counts the numerical
     nullspace (singular values below ``ORACLE_ZERO_TOL`` times the
-    largest).  Raises IndeterminateRankError when the spectral gap between
-    kept and dropped singular values is smaller than ``min_gap``.
+    largest and times the larger dimension of the system).  Raises
+    IndeterminateRankError when the spectral gap between kept and dropped
+    singular values is smaller than ``min_gap``.
     """
     _check_params(p, r, k)
     kv = F.patch_L.space.space_u.kv
@@ -469,12 +476,13 @@ def constraint_nullspace_dim(F: TwoPatchGeometry, g: GluingData, p: int,
     Nv = trace.basis_matrix(vs, 2)
 
     # unknown layout: d[(side, i, j)] -> side * 3n + i * n + j
-    C = np.einsum("vesab,ai,bvj->vesij", W, Nu, Nv).reshape(3 * len(vs), 6 * n)
+    C = np.einsum("vesab,ai,bvj->vesij", W, Nu, Nv, optimize=True)
+    C = C.reshape(3 * len(vs), 6 * n)
     norms = np.linalg.norm(C, axis=1)
     C = C[norms > 0.0] / norms[norms > 0.0, None]
 
     sv = np.linalg.svd(C, compute_uv=False)
-    cutoff = ORACLE_ZERO_TOL * sv[0]
+    cutoff = ORACLE_ZERO_TOL * max(C.shape) * sv[0]
     rank = int((sv > cutoff).sum())
     nullity = 6 * n - rank
     if rank == len(sv) or rank == 0:

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from c2patch.bspline import (KnotVector, SplineSpace1D, TensorSplineSpace,
                              insert_knot, make_knot_vector, refine_to,
                              uniform_inner_knots)
+from tests.kernel_reference import eval_basis_loops
 
 
 def space(p, r, k, inner=None):
@@ -418,3 +419,40 @@ def test_property_insertion_dimension(s):
     kv2, _ = insert_knot(s.kv, np.zeros(s.dim), new)
     assert kv2.dim == s.dim + 1
 
+
+@st.composite
+def kernel_inputs(draw):
+    """A space with repeated knots, and points on and between its knots
+    (the ends within KNOT_TOL outside [0, 1] too) as a scalar, 1D or 2D
+    array."""
+    p = draw(st.integers(min_value=1, max_value=8))
+    k = draw(st.integers(min_value=0, max_value=5))
+    if draw(st.booleans()):
+        inner = uniform_inner_knots(k)
+    else:
+        inner = sorted(draw(st.lists(st.floats(min_value=0.01, max_value=0.99),
+                                     min_size=k, max_size=k, unique=True)))
+        if any(b - a < 1e-3 for a, b in zip(inner, inner[1:])):
+            inner = uniform_inner_knots(k)
+    mult = [draw(st.integers(min_value=1, max_value=p)) for _ in inner]
+    s = SplineSpace1D(KnotVector(p, (0.0, *inner, 1.0), (p + 1, *mult, p + 1)))
+    point = st.one_of(st.floats(min_value=0.0, max_value=1.0),
+                      st.sampled_from((0.0, *inner, 1.0, -1e-13, 1.0 + 1e-13)))
+    shape = draw(st.sampled_from([(), (7,), (3, 4)]))
+    xs = np.array(draw(st.lists(point, min_size=int(np.prod(shape)),
+                                max_size=int(np.prod(shape))))).reshape(shape)
+    side = draw(st.sampled_from(["left", "right"]))
+    return s, xs, draw(st.integers(min_value=0, max_value=p + 2)), side
+
+
+@given(kernel_inputs())
+@settings(max_examples=200, deadline=None)
+def test_property_kernel_bitwise_equal_to_per_function_loops(inputs):
+    s, xs, max_deriv, side = inputs
+    first, ders = s.eval_basis(xs, max_deriv, side=side)
+    want_first, want = eval_basis_loops(s, xs, max_deriv, side=side)
+    assert np.array_equal(first, want_first)
+    assert type(first) is type(want_first)
+    assert ders.shape == want.shape
+    assert np.array_equal(ders, want)
+    assert np.array_equal(np.signbit(ders), np.signbit(want))

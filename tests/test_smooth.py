@@ -186,6 +186,26 @@ class TestSelectRefinedBspline:
         with pytest.raises(ValueError):
             select_refined_bspline(base, 1, 3)
 
+    def test_one_kernel_pass_per_knot_function(self, monkeypatch):
+        # both limits at the raised knot come from one pass that takes the
+        # right and the left span, not from two eval_basis calls
+        calls = _count_eval_basis(monkeypatch)
+        passes = []
+        original = SplineSpace1D._eval_spans
+
+        def counting(self, *args, **kwargs):
+            passes.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SplineSpace1D, "_eval_spans", counting)
+        base = make_knot_vector(5, 2, 3, uniform_inner_knots(3))
+        for which in (1, 2, 3):
+            for extra_mult in (1, 2):
+                passes.clear()
+                select_refined_bspline(base, which, extra_mult)
+                assert len(passes) == 1
+        assert not calls
+
 
 @pytest.fixture(scope="module")
 def basis_setup_a(gluing_a):
@@ -469,6 +489,23 @@ class TestOracle:
             F = represent_geometry(geo, kv)
             res = constraint_nullspace_dim(F, g, 5, 2, k)
             assert res.nullspace_dim == dim_v2(inv, 5, 2, k)
+
+    @pytest.mark.parametrize("p,r,k", [(5, 2, 10), (5, 2, 13), (6, 3, 7)])
+    def test_small_genuine_singular_values_are_kept(self, bilinear_a, gluing_a,
+                                                     fitted_a, p, r, k):
+        # geometry a's matching system has genuine singular values near
+        # 1e-9 of the largest at these sizes; a fixed relative cutoff of
+        # 1e-9 dropped them (gap ~1, or nullity 81 against 67 at k = 13)
+        kv = make_knot_vector(p, r, k, uniform_inner_knots(k))
+        want = dim_v2(gluing_invariants(gluing_a, kv), p, r, k)
+        cases = [(represent_geometry(bilinear_a, kv), gluing_a)]
+        if p == 5:
+            geo, g = fitted_a
+            cases.append((refine_geometry(geo, kv), g))
+        for F, g in cases:
+            res = constraint_nullspace_dim(F, g, p, r, k)
+            assert res.nullspace_dim == want
+            assert res.gap >= 1e3
 
     def test_indeterminate_gap_raises(self, bilinear_a, gluing_a):
         kv = make_knot_vector(5, 2, 0)
