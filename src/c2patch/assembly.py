@@ -12,6 +12,7 @@ exactly by knot insertion.
 from __future__ import annotations
 
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -22,6 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import blas
 from .bspline import KnotVector, SplineSpace1D, make_knot_vector, uniform_inner_knots
 from .geometry import (Patch, TwoPatchGeometry, bilinear_from_vertices,
                        refine_geometry, represent_geometry, square_patch_space)
@@ -524,7 +526,9 @@ class SPDFactor:
     other matrix is scaled into a dense copy and factored by Cholesky.  A
     matrix that is not positive definite raises ``ValueError``: Cholesky
     fails, CG meets a direction of nonpositive curvature, or LOBPCG a
-    Rayleigh quotient <= 0.
+    Rayleigh quotient <= 0.  The set-up, solves and the condition number
+    run with numpy's and scipy's OpenBLAS at one thread each
+    (``blas.one_thread``).
     """
 
     def __init__(self, M):
@@ -536,20 +540,27 @@ class SPDFactor:
         self._precond = None
         n = M.shape[0]
         layout = getattr(M, "layout", None)
-        if layout is not None and n >= KRONECKER_CUTOFF:
-            self.A = spla.LinearOperator((n, n), matvec=self._product,
-                                         matmat=self._product, dtype=float)
-            self._precond = KroneckerPreconditioner(M, self.scale, layout)
-        else:
-            # each s_i s_j is formed before it multiplies M_ij, so a
-            # symmetric M gives an exactly symmetric A
-            A = sp.csr_matrix(M).toarray() * np.outer(self.scale, self.scale)
-            # a TwoPatchMass is exactly symmetric already
-            self.A = A if layout is not None else (A + A.T) * 0.5
-            try:
-                self._cho = sla.cho_factor(self.A)
-            except np.linalg.LinAlgError:
-                raise ValueError("matrix is not positive definite") from None
+        with blas.one_thread():
+            if layout is not None and n >= KRONECKER_CUTOFF:
+                self.A = spla.LinearOperator((n, n), matvec=self._product,
+                                             matmat=self._product, dtype=float)
+                self._precond = KroneckerPreconditioner(M, self.scale, layout)
+            else:
+                # the entries are scaled before the one dense copy is made;
+                # each s_i s_j is formed before it multiplies M_ij, so a
+                # symmetric M gives an exactly symmetric A
+                C = sp.csr_matrix(M)
+                rows = np.repeat(np.arange(n), np.diff(C.indptr))
+                A = sp.csr_matrix(
+                    (C.data * (self.scale[rows] * self.scale[C.indices]),
+                     C.indices, C.indptr), shape=C.shape).toarray()
+                # a TwoPatchMass is exactly symmetric already
+                self.A = A if layout is not None else (A + A.T) * 0.5
+                try:
+                    self._cho = sla.cho_factor(self.A)
+                except np.linalg.LinAlgError:
+                    raise ValueError(
+                        "matrix is not positive definite") from None
 
     def _product(self, x: np.ndarray) -> np.ndarray:
         """A x = s * (M (s * x)) for x of shape (n,) or (n, k)."""
@@ -590,18 +601,20 @@ class SPDFactor:
         """M^(-1) rhs for a right-hand side of shape (n,) or (n, m)."""
         s = self.scale.reshape((-1,) + (1,) * (np.ndim(rhs) - 1))
         b = s * rhs
-        if self._precond is None:
-            return s * sla.cho_solve(self._cho, b)
-        cols = [self._pcg(c) for c in b.reshape(len(b), -1).T]
+        with blas.one_thread():
+            if self._precond is None:
+                return s * sla.cho_solve(self._cho, b)
+            cols = [self._pcg(c) for c in b.reshape(len(b), -1).T]
         return s * np.stack(cols, axis=1).reshape(b.shape)
 
     def _inverse_smallest(self, v0: np.ndarray) -> float:
-        """1 / lambda_min of A by LOBPCG."""
+        """1 / lambda_min of A by LOBPCG, from a copy of v0."""
         with warnings.catch_warnings():
             # non-convergence raises below
             warnings.simplefilter("ignore", UserWarning)
+            # lobpcg normalises its start block in place
             lam, _, residuals = spla.lobpcg(
-                self.A, v0[:, None], M=self._precond, tol=LOBPCG_TOL,
+                self.A, v0[:, None].copy(), M=self._precond, tol=LOBPCG_TOL,
                 maxiter=ITERATION_CAP, largest=False,
                 retResidualNormsHistory=True)
         # a Rayleigh quotient bounds lambda_min from above
@@ -619,20 +632,41 @@ class SPDFactor:
         ``tol``, which must lie in (0, 1), from a seeded start vector.
         1 / lambda_min comes from LOBPCG (absolute residual ``LOBPCG_TOL``)
         when A is preconditioned, and otherwise is the largest eigenvalue of
-        A^(-1), found the same way through the Cholesky factor.
+        A^(-1), found the same way through the Cholesky factor.  Both run
+        with one BLAS thread per library; on the preconditioned path they
+        run side by side when ``blas.can_overlap()``, with the same result
+        as one after the other.
         """
         if not 0.0 < tol < 1.0:
             raise ValueError(f"tol must lie in (0, 1), got {tol}")
         v0 = np.random.default_rng(0).standard_normal(self.A.shape[0])
-        if self._precond is None:
-            # the factor was checked once; the Lanczos vectors are finite
-            inverse_min = lanczos_largest(
-                lambda y: sla.cho_solve(self._cho, y, check_finite=False),
-                v0, tol)
-        else:
+        with blas.one_thread():
+            if self._precond is not None:
+                largest, inverse_min = self._preconditioned_extremes(v0, tol)
+            else:
+                # the factor was checked once; the Lanczos vectors are finite
+                inverse_min = lanczos_largest(
+                    lambda y: sla.cho_solve(self._cho, y, check_finite=False),
+                    v0, tol)
+                largest = lanczos_largest(lambda x: self.A @ x, v0, tol)
+        return float(largest * inverse_min)
+
+    def _preconditioned_extremes(self, v0: np.ndarray,
+                                 tol: float) -> tuple[float, float]:
+        """(lambda_max, 1 / lambda_min) of the preconditioned A.
+
+        With ``blas.can_overlap()``, Lanczos runs on a worker thread while
+        LOBPCG runs on this one, and the worker is joined before this
+        returns or raises; otherwise one runs after the other.
+        """
+        if not blas.can_overlap():
             inverse_min = self._inverse_smallest(v0)
-        return float(lanczos_largest(lambda x: self.A @ x, v0, tol)
-                     * inverse_min)
+            return lanczos_largest(lambda x: self.A @ x, v0, tol), inverse_min
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            largest = worker.submit(lanczos_largest, lambda x: self.A @ x,
+                                    v0, tol)
+            inverse_min = self._inverse_smallest(v0)
+        return largest.result(), inverse_min
 
 
 def lanczos_largest(apply: Callable[[np.ndarray], np.ndarray],

@@ -1,5 +1,6 @@
 """Tests for quadrature, assembly, projection and geometry fitting."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 import c2patch.assembly as asm_mod
-from c2patch import cli
+from c2patch import blas, cli
 from c2patch.assembly import (DomainAssembler, KroneckerPreconditioner,
                               MassLayout, PatchAssembler, SPDFactor,
                               TwoPatchMass, _band_block, _identity_geometry,
@@ -554,6 +555,127 @@ class TestSPDFactor:
         cutoff = asm_mod.KRONECKER_CUTOFF
         assert all(n < cutoff for n in sizes["dense"])
         assert all(n >= cutoff for n in sizes["kronecker"])
+
+    def test_dense_setup_scales_entries_once(self, fitted_a, level3_mass):
+        # the scaled copy equals M.toarray() * outer(s, s) bit for bit
+        from c2patch.geometry import refine_geometry
+        geo0, gluing = fitted_a
+        kv = make_knot_vector(5, 2, 3, uniform_inner_knots(3))
+        basis = build_basis_v2(gluing, gluing_invariants(gluing, kv), 5, 2, 3)
+        level2 = DomainAssembler(refine_geometry(geo0, kv), basis).mass()
+        for M in (level2, sp.csr_matrix(level3_mass[0])):
+            s = 1.0 / np.sqrt(M.diagonal())
+            A = M.toarray() * np.outer(s, s)
+            if getattr(M, "layout", None) is None:
+                A = (A + A.T) * 0.5
+            assert np.array_equal(SPDFactor(M).A, A)
+
+    def test_lobpcg_keeps_the_callers_start_vector(self, level3_mass,
+                                                   monkeypatch):
+        M, _ = level3_mass
+        factor = SPDFactor(M)
+        v0 = np.random.default_rng(0).standard_normal(M.shape[0])
+        kept = v0.copy()
+        factor._inverse_smallest(v0)
+        assert np.array_equal(v0, kept)
+        # lambda_max's Lanczos starts from the seeded vector itself
+        starts = []
+        lanczos = asm_mod.lanczos_largest
+
+        def recorded(apply, v0, tol):
+            starts.append(v0.copy())
+            return lanczos(apply, v0, tol)
+
+        monkeypatch.setattr(asm_mod, "lanczos_largest", recorded)
+        factor.condition_number()
+        assert len(starts) == 1 and np.array_equal(starts[0], kept)
+
+
+# the overlapped condition number needs both libraries pinned
+needs_pin = pytest.mark.skipif(len(blas.thread_controls()) < 2,
+                               reason="no thread setter in a vendored OpenBLAS")
+
+
+class TestTwoThreadCondition:
+    @needs_pin
+    def test_pin_sets_one_thread_and_restores(self):
+        controls = blas.thread_controls().values()
+
+        def counts():
+            return [getter() for _, getter in controls]
+
+        before = counts()
+        try:
+            for setter, _ in controls:
+                setter(2)
+            with blas.one_thread():
+                assert counts() == [1, 1]
+                with blas.one_thread():
+                    pass
+                assert counts() == [1, 1]
+            assert counts() == [2, 2]
+            with pytest.raises(RuntimeError, match="body"):
+                with blas.one_thread():
+                    raise RuntimeError("body")
+            assert counts() == [2, 2]
+        finally:
+            for (setter, _), count in zip(controls, before):
+                setter(count)
+
+    @needs_pin
+    def test_overlapped_equals_serial(self, level3_spectrum, monkeypatch):
+        M, _, _ = level3_spectrum
+        factor = SPDFactor(M)
+        assert factor._precond is not None
+        monkeypatch.setattr(blas, "can_overlap", lambda: True)
+        overlapped = factor.condition_number()
+        monkeypatch.setattr(blas, "can_overlap", lambda: False)
+        assert overlapped == factor.condition_number()
+
+    def test_serial_without_setters(self, level3_mass, monkeypatch):
+        M, _ = level3_mass
+        with_setters = SPDFactor(M).condition_number()
+        monkeypatch.setattr(blas, "thread_controls", lambda: {})
+        assert not blas.can_overlap()
+
+        def no_worker(*args, **kwargs):
+            raise AssertionError("a worker thread was started")
+
+        monkeypatch.setattr(asm_mod, "ThreadPoolExecutor", no_worker)
+        factor = SPDFactor(M)
+        assert factor._precond is not None
+        assert factor.condition_number() == with_setters
+
+    def test_lobpcg_failure_joins_the_worker(self, level3_mass, monkeypatch):
+        M, _ = level3_mass
+        monkeypatch.setattr(asm_mod, "ITERATION_CAP", 1)
+        monkeypatch.setattr(blas, "can_overlap", lambda: True)
+        lobpcg_raised = threading.Event()
+        alive_at_raise = []
+        lanczos = asm_mod.lanczos_largest
+        inverse_smallest = SPDFactor._inverse_smallest
+
+        def waiting_lanczos(apply, v0, tol):
+            # still running when LOBPCG raises
+            assert lobpcg_raised.wait(timeout=60)
+            return lanczos(apply, v0, tol)
+
+        def failing_lobpcg(self, v0):
+            try:
+                return inverse_smallest(self, v0)
+            except ValueError:
+                alive_at_raise.append(threading.active_count())
+                lobpcg_raised.set()
+                raise
+
+        monkeypatch.setattr(asm_mod, "lanczos_largest", waiting_lanczos)
+        monkeypatch.setattr(SPDFactor, "_inverse_smallest", failing_lobpcg)
+        factor = SPDFactor(M)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="LOBPCG did not converge"):
+            factor.condition_number()
+        assert alive_at_raise == [threads + 1]
+        assert threading.active_count() == threads
 
 
 class TestFit:
