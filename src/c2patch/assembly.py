@@ -2,8 +2,9 @@
 
 Each patch mass is assembled over the tensor B-spline basis with cell-wise
 Gauss quadrature by sum factorisation, as a band of the entries of B-spline
-pairs that share a cell.  The two-patch mass of the smooth basis is written
-from the patch bands straight into CSR: a dense interface block, its
+pairs that share a cell; only the upper half of the band is integrated, and
+the lower half is read from it.  The two-patch mass of the smooth basis is
+written once into preallocated CSR arrays: a dense interface block, its
 couplings with the first interior rows, and the interior band rows.  The
 convergence study performs dyadic h-refinement with the geometry refined
 exactly by knot insertion.
@@ -11,17 +12,15 @@ exactly by knot insertion.
 
 from __future__ import annotations
 
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import blas
 from .bspline import KnotVector, SplineSpace1D, make_knot_vector, uniform_inner_knots
@@ -48,6 +47,9 @@ LOBPCG_TOL = 1e-9
 FIT_POINTS_PER_CELL = 8
 # u-rows 0..r (r = 2) of each patch carry the interface basis
 INTERFACE_ROWS = 3
+# the order of every three-operand cell contraction: the u-values with the
+# middle operand first, then the v-values (no path search per call)
+_CELL_PATH = ("einsum_path", (0, 1), (0, 1))
 
 
 @dataclass(frozen=True)
@@ -62,11 +64,20 @@ class QuadratureRule:
         return self.nodes.shape[1]
 
 
+@cache
+def gauss_legendre(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per point
+    count and read-only."""
+    x, w = np.polynomial.legendre.leggauss(points)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_rule(points_per_cell: int, cells: Sequence[tuple[float, float]]) -> QuadratureRule:
     """Gauss-Legendre rule mapped to each cell (a, b)."""
     if points_per_cell < 1:
         raise ValueError("points_per_cell must be >= 1")
-    x, w = np.polynomial.legendre.leggauss(points_per_cell)
+    x, w = gauss_legendre(points_per_cell)
     cells = np.asarray(cells, dtype=float)
     mid = 0.5 * (cells[:, 0] + cells[:, 1])
     half = 0.5 * (cells[:, 1] - cells[:, 0])
@@ -120,6 +131,12 @@ def _band_scatter(first: np.ndarray, X: np.ndarray, out: np.ndarray) -> np.ndarr
     return out
 
 
+@cache
+def _upper_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (a, b), a <= b < k, row by row; built once per k."""
+    return np.triu_indices(k)
+
+
 def _band_to_dense(band: np.ndarray) -> np.ndarray:
     """The dense n x n matrix of a band (n, 2p+1) from ``_band_scatter``."""
     n, width = band.shape
@@ -129,40 +146,49 @@ def _band_to_dense(band: np.ndarray) -> np.ndarray:
     return np.where(inside, band[i, d.clip(0, width - 1)], 0.0)
 
 
-def _band_block(band: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Dense M[(i, j), (i', j')] for i < rows and i' < cols of a tensor band.
+def _band_block(band: np.ndarray, cols: int) -> np.ndarray:
+    """Dense M[(i, j), (i', j')] for the rows i of an upper band, i' < cols.
 
-    ``band`` has shape (n_u, n_v, 2p_u+1, 2p_v+1), see ``mass_band``; the
-    result has shape (rows * n_v, cols * n_v).
+    ``band`` has shape (rows, p_u+1, n_v, 2p_v+1), see ``mass_band``, and
+    rows <= cols; the result has shape (rows * n_v, cols * n_v).  In its
+    first rows * n_v columns the entries below the diagonal are copies of
+    those above it.
     """
-    _, n_v, wu, wv = band.shape
-    i = np.arange(rows)[:, None, None, None]
-    j = np.arange(n_v)[None, :, None, None]
-    di = np.arange(cols)[None, None, :, None] - i + wu // 2
-    dj = np.arange(n_v)[None, None, None, :] - j + wv // 2
-    inside = (di >= 0) & (di < wu) & (dj >= 0) & (dj < wv)
-    block = np.where(inside, band[i, j, di.clip(0, wu - 1), dj.clip(0, wv - 1)],
-                     0.0)
-    return block.reshape(rows * n_v, cols * n_v)
+    rows, k, n_v, wv = band.shape
+    # the slots (i, e) and (j, dj) whose columns i', j' lie in the block
+    ii = np.arange(rows)[:, None] + np.arange(k)
+    jj = np.arange(n_v)[:, None] + np.arange(wv) - wv // 2
+    i, e = np.nonzero(ii < cols)
+    j, dj = np.nonzero((jj >= 0) & (jj < n_v))
+    block = np.zeros((rows, n_v, cols, n_v))
+    block[i[:, None], j, ii[i, e][:, None], jj[j, dj]] = band[i[:, None],
+                                                              e[:, None], j, dj]
+    block = block.reshape(rows * n_v, cols * n_v)
+    square = block[:, :rows * n_v]
+    square[...] = np.triu(square) + np.triu(square, 1).T
+    return block
 
 
-def _band_offsets(n_v: int, wu: int, wv: int) -> np.ndarray:
-    """Flat column minus flat row of each band slot (di, dj): (wu * wv,)."""
-    return ((np.arange(wu)[:, None] - wu // 2) * n_v
-            + np.arange(wv)[None, :] - wv // 2).ravel()
+def _band_reads(n_v: int, pu: int, pv: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the slots of the rows of an upper band are read, and their columns.
 
-
-def _row_block(cols, vals: np.ndarray, keep: np.ndarray):
-    """The stored entries of a block of CSR rows, row by row.
-
-    ``vals`` and ``keep`` have shape (rows, slots), ``cols`` broadcasts to
-    it, and the slots of a row run in increasing column order; ``keep``
-    marks the slots that are stored.  Returns (entries per row, column
-    indices, values).
+    The slot (di, dj) of row (i, j) is the entry M[(i, j), (i + di - p_u,
+    j + dj - p_v)].  ``reads[j, di, dj]`` is its position in the flattened
+    band of ``mass_band`` less that of row i's first entry, and
+    ``cols[j, di, dj]`` its flat column less i n_v.  The lexicographically
+    lower slots read their mirror images in the rows above, so that a
+    matrix written from the reads is exactly symmetric.
     """
-    keep = np.broadcast_to(keep, vals.shape)
-    cols = np.broadcast_to(cols, vals.shape)[keep]
-    return keep.sum(axis=1), cols.astype(np.int32, copy=False), vals[keep]
+    j = np.arange(n_v)[:, None, None]
+    di = np.arange(2 * pu + 1)[:, None] - pu
+    dj = np.arange(2 * pv + 1) - pv
+    wv = 2 * pv + 1
+    es = n_v * wv            # one slot e further
+    rs = (pu + 1) * es       # one row i further
+    reads = np.where((di > 0) | ((di == 0) & (dj >= 0)),
+                     di * es + j * wv + dj + pv,
+                     di * (rs - es) + (j + dj) * wv + pv - dj)
+    return reads, (j + di * n_v + dj).astype(np.int32)
 
 
 class PatchAssembler:
@@ -204,57 +230,77 @@ class PatchAssembler:
         (ncu, ncv, q, r, ...)."""
         local = coeffs[self._cell_i, self._cell_j]    # (ncu, ncv, pu+1, pv+1, ...)
         return np.einsum("uqa,uvab...,vrb->uvqr...", self.bu.values[:, :, du],
-                         local, self.bv.values[:, :, dv], optimize=True)
+                         local, self.bv.values[:, :, dv], optimize=_CELL_PATH)
 
     def _geometry_data(self):
-        """|det J| and physical coordinates at every quadrature point."""
-        cp = self.patch.control_points
-        Fu = self._on_cells(cp, du=1)
-        Fv = self._on_cells(cp, dv=1)
+        """|det J| and physical coordinates at every quadrature point.
+
+        The control points of each cell are gathered once, and F, F_u and
+        F_v come from one contraction over values and first derivatives.
+        """
+        local = self.patch.control_points[self._cell_i, self._cell_j]
+        # (ncu, ncv, q, r, du, dv, 2)
+        F = np.einsum("uqda,uvab...,vreb->uvqrde...", self.bu.values[:, :, :2],
+                      local, self.bv.values[:, :, :2], optimize=_CELL_PATH)
+        Fu, Fv = F[..., 1, 0, :], F[..., 0, 1, :]
         self.absdet = np.abs(Fu[..., 0] * Fv[..., 1] - Fu[..., 1] * Fv[..., 0])
-        self.phys = self._on_cells(cp)             # (ncu, ncv, q, r, 2)
+        self.phys = np.ascontiguousarray(F[..., 0, 0, :])   # (ncu, ncv, q, r, 2)
 
-    def mass_band(self) -> tuple[np.ndarray, np.ndarray]:
-        """Weighted Gram matrix of the tensor B-splines in band form.
+    def mass_u_stage(self) -> np.ndarray:
+        """The u-stage of the sum-factorised mass, for the upper half only.
 
-        Returns ``(band, keep)`` of shape (n_u, n_v, 2p_u+1, 2p_v+1) with
-        ``band[i, j, di, dj]`` the entry M[(i, j), (i + di - p_u, j + dj - p_v)];
-        ``keep`` marks the pairs active on a common cell, the sparsity
-        pattern.  Sum factorisation: the u-points are contracted per u-cell
-        and scattered over the u-cells, then the same along v.  Entries
-        below the diagonal are copies of their mirror images above it, so
-        the matrix is exactly symmetric.
+        Returns Y of shape (n_u, p_u+1, ncv, r): Y[i, e, c, t] is the
+        integral along u of N_i N_{i+e} |det J| times the weights, at the
+        v-point t of v-cell c.  The u-points are contracted per u-cell for
+        the pairs (a, b), b >= a, of the B-splines active on it.  A cell
+        whose first B-spline is f adds its pairs to the rows f..f+p_u of Y
+        as one block, with zeros in the slots of the pairs it lacks.
         """
         Bu = self.bu.values[:, :, 0]
-        Bv = self.bv.values[:, :, 0]
-        ncu, q, ku = Bu.shape
-        ncv, r, kv = Bv.shape
-        n_u, n_v, pu, pv = self.n_u, self.n_v, self.p_u, self.p_v
-        Tu = (Bu[..., :, None] * Bu[..., None, :]).reshape(ncu, q, ku * ku)
-        Tv = (Bv[..., :, None] * Bv[..., None, :]).reshape(ncv, r, kv * kv)
+        ncu, q, k = Bu.shape
+        ncv, r = self.rule_v.weights.shape
+        a, b = _upper_pairs(k)
+        # pair (a, b) lands in row a, slot b - a of the cell's block
+        T = np.zeros((ncu, q, k * k))
+        T[:, :, a * k + b - a] = Bu[..., a] * Bu[..., b]
         W = (self._cell_weights * self.absdet).transpose(0, 2, 1, 3)
-        # (ncu, a, b, ncv, r), then the band along u: (n_u, 2p_u+1, ncv, r)
-        X = np.matmul(Tu.transpose(0, 2, 1), W.reshape(ncu, q, ncv * r))
-        Y = _band_scatter(self.bu.first, X.reshape(ncu, ku, ku, ncv, r),
-                          np.zeros((n_u, 2 * pu + 1, ncv, r)))
-        # (ncv, c, d, n_u, 2p_u+1), then the band along v into [j, dj, i, di],
-        # padded by p zeros on each side of i and j
-        Y = Y.transpose(2, 3, 0, 1).reshape(ncv, r, -1)
-        Z = np.matmul(Tv.transpose(0, 2, 1), Y).reshape(ncv, kv, kv, n_u, -1)
-        padded = np.zeros((n_v + 2 * pv, 2 * pv + 1, n_u + 2 * pu, 2 * pu + 1))
-        _band_scatter(self.bv.first, Z, padded[pv:pv + n_v, :, pu:pu + n_u])
-        padded = padded.transpose(2, 0, 3, 1)
-        band = padded[pu:pu + n_u, pv:pv + n_v]
-        # mirror[i, j, di, dj] = band[i + di - p_u, j + dj - p_v, 2p_u - di, 2p_v - dj]
-        windows = sliding_window_view(padded, band.shape[2:], axis=(0, 1))
-        mirror = windows[:, :, ::-1, ::-1].diagonal(axis1=2, axis2=4).diagonal(
-            axis1=2, axis2=3)
-        # a 1D Gram entry is positive exactly for the pairs sharing a cell
-        gram_u, gram_v = self._gram_bands
-        keep = (gram_u > 0.0)[:, None, :, None] & (gram_v > 0.0)[None, :, None, :]
-        _, _, di, dj = np.ogrid[:1, :1, :2 * pu + 1, :2 * pv + 1]
-        below = (di < pu) | ((di == pu) & (dj < pv))
-        return np.where(below & keep, mirror, band), keep
+        X = np.matmul(T.transpose(0, 2, 1), W.reshape(ncu, q, ncv * r))
+        Y = np.zeros((self.n_u * k, ncv * r))
+        for cell, f in enumerate(self.bu.first.tolist()):
+            Y[f * k:(f + k) * k] += X[cell]
+        return Y.reshape(self.n_u, k, ncv, r)
+
+    def mass_band(self, u_stage: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Rows lo <= i < hi of the weighted Gram matrix of the tensor
+        B-splines, upper half in band form.
+
+        Returns ``band`` of shape (hi - lo, p_u+1, n_v, 2p_v+1) with
+        ``band[i - lo, e, j, dj]`` the entry M[(i, j), (i + e, j + dj - p_v)];
+        it is zero for pairs that share no cell.  The v-points of
+        ``u_stage`` (``mass_u_stage``) are contracted per v-cell for the
+        pairs (c, d) of the B-splines active on it.  A cell whose first
+        B-spline is f adds them to the slots (f + c, p_v - c + d), which
+        lie 2p_v apart per c in the flattened (j, dj) plane: one block of
+        k 2p_v slots from (f, p_v), with zeros in the slots it lacks.  The
+        lexicographically lower entries are read from their mirror images,
+        M[(i, j), (i', j')] = M[(i', j'), (i, j)], so the slots e = 0,
+        dj < p_v hold entries that are not used.
+        """
+        Bv = self.bv.values[:, :, 0]
+        ncv, r, k = Bv.shape
+        n_v, pv = self.n_v, self.p_v
+        wv = 2 * pv + 1
+        rows = (hi - lo) * (self.p_u + 1)
+        Y = u_stage[lo:hi].reshape(rows, ncv, r)
+        c, d = np.divmod(np.arange(k * k), k)
+        T = np.zeros((ncv, r, k * (wv - 1)))
+        T[:, :, c * (wv - 1) + d] = (Bv[..., :, None] * Bv[..., None, :]).reshape(
+            ncv, r, -1)
+        band = np.zeros((rows, n_v * wv))
+        for cell, f in enumerate(self.bv.first.tolist()):
+            start = f * wv + pv
+            band[:, start:start + k * (wv - 1)] += Y[:, cell] @ T[cell]
+        return band.reshape(hi - lo, self.p_u + 1, n_v, wv)
 
     @cached_property
     def _gram_bands(self) -> list[np.ndarray]:
@@ -288,7 +334,7 @@ class PatchAssembler:
             values = self.sample_physical(f)
         W = self._cell_weights * self.absdet * values
         local = np.einsum("uqa,uvqr,vrc->uvac", self.bu.values[:, :, 0], W,
-                          self.bv.values[:, :, 0], optimize=True)
+                          self.bv.values[:, :, 0], optimize=_CELL_PATH)
         return np.bincount(self._cell_dofs.ravel(), local.ravel(),
                            minlength=self.n_u * self.n_v)
 
@@ -379,57 +425,94 @@ class DomainAssembler:
     def mass(self) -> TwoPatchMass:
         """Mass matrix of the full smooth space, C_L M_L C_L^T + C_R M_R C_R^T.
 
-        It is written straight into CSR from the patch bands: the interface
-        block sum_s A_s M_s[:3n, :3n] A_s^T (dense, its zeros dropped), the
-        couplings A_s M_s[:3n, 3n:] of the interface basis with the first
-        interior rows of each patch, and the interior band rows.  The
-        interface block keeps its upper triangle and mirrors it, and the
-        couplings are stored once and transposed, so M is exactly symmetric.
+        It is written once into preallocated CSR arrays.  The first rows
+        hold the interface block sum_s A_s M_s[:3n, :3n] A_s^T (dense, its
+        zeros dropped) and the couplings A_s M_s[:3n, 3n:] of the interface
+        basis with the first interior rows of each patch; the interior band
+        rows of L and then R follow.  The band rows i < 3 of both patches
+        come first, and with them the count of every row; then the interior
+        band of one patch at a time is written straight into its rows.  The
+        interface block keeps its upper triangle and mirrors it, the
+        couplings are stored once and transposed, and an interior entry
+        below the diagonal is read from its mirror image, so M is exactly
+        symmetric.
         """
         m, n = self.basis.num_basis, self.basis.n
         nr = INTERFACE_ROWS
         n_int = (n - nr) * n
         iface = np.zeros((m, m))
-        couplings, interiors, layout = [], [], []
+        counts, patches, u_stages = [], [], {}
         for s, A, offset in (("L", self.basis.A_L, m),
                              ("R", self.basis.A_R, m + n_int)):
             pa = self.asm[s]
-            band, keep = pa.mass_band()
+            u_stages[s] = pa.mass_u_stage()
             # interior u-rows nr..nr+c-1 share cells with the interface rows
             c = min(pa.p_u, n - nr)
-            T = A @ _band_block(band, nr, nr + c)
+            T = A @ _band_block(pa.mass_band(u_stages[s], 0, nr), nr + c)
             iface += T[:, :nr * n] @ A.T
             couple = T[:, nr * n:]
-            couplings.append((offset + np.arange(c * n), couple))
-            # interior rows (i, j), i >= nr, without the columns i' < nr
-            wu, wv = band.shape[2:]
-            keep = keep & (np.arange(n)[:, None] + np.arange(wu) - pa.p_u
-                           >= nr)[:, None, :, None]
-            band = band[nr:].reshape(n_int, -1)
-            keep = keep[nr:].reshape(n_int, -1)
-            cols = ((offset + np.arange(n_int, dtype=np.int32))[:, None]
-                    + _band_offsets(n, wu, wv).astype(np.int32))
-            near = slice(0, c * n)
-            interiors += [
-                _row_block(np.hstack([np.broadcast_to(np.arange(m), (c * n, m)),
-                                      cols[near]]),
-                           np.hstack([couple.T, band[near]]),
-                           np.hstack([couple.T != 0.0, keep[near]])),
-                _row_block(cols[c * n:], band[c * n:], keep[c * n:])]
+            # stored slots of the interior rows: the pairs sharing a cell
+            # (a 1D Gram entry is positive exactly for those), without the
+            # columns i' < nr
+            gram_u, gram_v = pa._gram_bands
+            wu = gram_u.shape[1]
+            keep_u = (gram_u[nr:] > 0.0) & (
+                np.arange(nr, n)[:, None] + np.arange(wu) - pa.p_u >= nr)
+            keep_v = gram_v > 0.0
+            rows = np.outer(keep_u.sum(axis=1), keep_v.sum(axis=1)).ravel()
+            rows[:c * n] += np.count_nonzero(couple, axis=0)
+            counts.append(rows)
+            patches.append((s, offset, c, couple, keep_u, keep_v))
+        iface = np.triu(iface) + np.triu(iface, 1).T
+        first = np.hstack([iface] + [couple for _, _, _, couple, _, _ in patches])
+        keep = first != 0.0
+        counts.insert(0, keep.sum(axis=1))
+        dim = m + 2 * n_int
+        indptr = np.zeros(dim + 1, dtype=np.int64)
+        np.cumsum(np.concatenate(counts), out=indptr[1:])
+        data = np.empty(indptr[-1])
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        data[:indptr[m]] = first[keep]
+        first_cols = np.concatenate(
+            [np.arange(m)] + [offset + np.arange(c * n)
+                              for _, offset, c, *_ in patches])
+        indices[:indptr[m]] = first_cols[np.nonzero(keep)[1]]
+        layout = []
+        for s, offset, c, couple, keep_u, keep_v in patches:
+            pa = self.asm[s]
+            band = pa.mass_band(u_stages.pop(s), nr, n)
+            rs = band[0].size
+            band = band.reshape(-1)
+            reads, cols = _band_reads(n, pa.p_u, pa.p_v)
+            # the first c u-rows: the couplings, then the band slots (those
+            # read outside the band are not stored)
+            near = slice(indptr[offset], indptr[offset + c * n])
+            keep = np.hstack([couple.T != 0.0, (keep_u[:c, None, :, None]
+                                                & keep_v[None, :, None, :]
+                                                ).reshape(c * n, -1)])
+            slots = band.take(np.arange(c)[:, None, None, None] * rs + reads,
+                              mode="clip").reshape(c * n, -1)
+            data[near] = np.hstack([couple.T, slots])[keep]
+            row, slot = np.nonzero(keep)
+            indices[near] = (np.concatenate([np.arange(m), cols[0].ravel()])[slot]
+                             + np.where(slot < m, 0, offset + row))
+            # the other u-rows: u-rows with the same slots share their reads
+            # and columns
+            patterns = {}
+            for i in range(c, n - nr):
+                key = keep_u[i].tobytes()
+                if key not in patterns:
+                    mask = keep_v[:, None, :] & keep_u[i][:, None]
+                    patterns[key] = reads[mask], cols[mask]
+                read, mask_cols = patterns[key]
+                block = slice(indptr[offset + i * n], indptr[offset + (i + 1) * n])
+                band.take(read + i * rs, out=data[block])
+                np.add(mask_cols, offset + i * n, out=indices[block])
             # the next patch's band is built without this one alive
-            del band, keep, cols
+            del band
             Mu, Mv = pa.mass_1d()
             layout.append((Mu[nr:, nr:], Mv))
-        iface = np.triu(iface) + np.triu(iface, 1).T
-        first = np.hstack([iface] + [couple for _, couple in couplings])
-        first_cols = np.concatenate([np.arange(m)]
-                                    + [cols for cols, _ in couplings])
-        dim = m + 2 * n_int
-        first_rows = _row_block(first_cols, first, first != 0.0)
-        counts, indices, data = zip(first_rows, *interiors)
-        indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-        return TwoPatchMass((np.concatenate(data), np.concatenate(indices),
-                             indptr), shape=(dim, dim),
+        return TwoPatchMass((data, indices, indptr), shape=(dim, dim),
                             layout=MassLayout(m, tuple(layout)))
 
     def load(self, f) -> np.ndarray:
@@ -608,15 +691,16 @@ class SPDFactor:
         return s * np.stack(cols, axis=1).reshape(b.shape)
 
     def _inverse_smallest(self, v0: np.ndarray) -> float:
-        """1 / lambda_min of A by LOBPCG, from a copy of v0."""
-        with warnings.catch_warnings():
-            # non-convergence raises below
-            warnings.simplefilter("ignore", UserWarning)
-            # lobpcg normalises its start block in place
-            lam, _, residuals = spla.lobpcg(
-                self.A, v0[:, None].copy(), M=self._precond, tol=LOBPCG_TOL,
-                maxiter=ITERATION_CAP, largest=False,
-                retResidualNormsHistory=True)
+        """1 / lambda_min of A by LOBPCG, from a copy of v0.
+
+        The warning filters are left alone, since they are process-wide
+        state: a run that does not converge warns and then raises.
+        """
+        # lobpcg normalises its start block in place
+        lam, _, residuals = spla.lobpcg(
+            self.A, v0[:, None].copy(), M=self._precond, tol=LOBPCG_TOL,
+            maxiter=ITERATION_CAP, largest=False,
+            retResidualNormsHistory=True)
         # a Rayleigh quotient bounds lambda_min from above
         if lam[0] <= 0.0:
             raise ValueError("matrix is not positive definite")

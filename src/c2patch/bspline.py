@@ -394,10 +394,11 @@ def insert_knot(kv: KnotVector, coeffs: np.ndarray, x: float) -> tuple[KnotVecto
     span = min(max(span, p), n - 1)
 
     new = np.empty((n + 1,) + coeffs.shape[1:], dtype=float)
-    new[:span - p + 1] = coeffs[:span - p + 1]
-    for i in range(span - p + 1, span + 1):
-        a = (x - t[i]) / (t[i + p] - t[i])
-        new[i] = a * coeffs[i] + (1.0 - a) * coeffs[i - 1]
+    lo = span - p + 1
+    new[:lo] = coeffs[:lo]
+    i = np.arange(lo, span + 1)
+    a = ((x - t[i]) / (t[i + p] - t[i])).reshape((-1,) + (1,) * (coeffs.ndim - 1))
+    new[lo:span + 1] = a * coeffs[lo:span + 1] + (1.0 - a) * coeffs[lo - 1:span]
     new[span + 1:] = coeffs[span:]
 
     bp = list(kv.breakpoints)

@@ -132,17 +132,18 @@ def _gauss_points(space: SplineSpace1D, nodes: np.ndarray) -> np.ndarray:
 
 
 def refine_geometry(geo: TwoPatchGeometry, target_kv: KnotVector) -> TwoPatchGeometry:
-    """Exact knot-insertion refinement of both patches into S(target)^2."""
+    """Exact knot-insertion refinement of both patches into S(target)^2.
+
+    The patches share one square spline space, so their control grids are
+    stacked and refined by one ``refine_to`` along u and one along v.
+    """
+    kv = geo.patch_L.space.space_u.kv
+    cp = np.concatenate([geo.patch(side).control_points for side in geo.sides],
+                        axis=-1)
+    cp = refine_to(kv, target_kv, cp)                      # along u
+    cp = np.swapaxes(refine_to(kv, target_kv, np.swapaxes(cp, 0, 1)), 0, 1)
     space = square_patch_space(target_kv)
-    patches = {}
-    for side in geo.sides:
-        patch = geo.patch(side)
-        kv = patch.space.space_u.kv
-        cp = patch.control_points
-        cp = refine_to(kv, target_kv, cp)                      # along u
-        cp = np.swapaxes(refine_to(kv, target_kv, np.swapaxes(cp, 0, 1)), 0, 1)
-        patches[side] = Patch(space, cp)
-    return TwoPatchGeometry(patches["L"], patches["R"])
+    return TwoPatchGeometry(Patch(space, cp[..., :2]), Patch(space, cp[..., 2:]))
 
 
 def represent_geometry(geo: TwoPatchGeometry, target_kv: KnotVector,

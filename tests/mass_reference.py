@@ -1,0 +1,118 @@
+"""Frozen reference for the two-patch mass: the full-band builder and CSR
+writer that the upper-half band replaced.  Each patch band is built over all
+2p+1 x 2p+1 slots, its lower half is taken from a sliding-window mirror
+view, and the CSR rows are gathered block by block and concatenated.  The
+tests require the same sparsity pattern as ``DomainAssembler.mass`` and
+values within 1e-15 of max |M|.
+"""
+
+import numpy as np
+import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
+
+INTERFACE_ROWS = 3
+
+
+def band_scatter(first, X, out):
+    """Add the cell blocks X[cell, a, b, ...] into ``out`` in band form."""
+    p = X.shape[1] - 1
+    for a in range(p + 1):
+        out[first + a, p - a:2 * p + 1 - a] += X[:, a]
+    return out
+
+
+def band_block(band, rows, cols):
+    """Dense M[(i, j), (i', j')] for i < rows and i' < cols of a tensor band."""
+    _, n_v, wu, wv = band.shape
+    i = np.arange(rows)[:, None, None, None]
+    j = np.arange(n_v)[None, :, None, None]
+    di = np.arange(cols)[None, None, :, None] - i + wu // 2
+    dj = np.arange(n_v)[None, None, None, :] - j + wv // 2
+    inside = (di >= 0) & (di < wu) & (dj >= 0) & (dj < wv)
+    block = np.where(inside, band[i, j, di.clip(0, wu - 1), dj.clip(0, wv - 1)],
+                     0.0)
+    return block.reshape(rows * n_v, cols * n_v)
+
+
+def band_offsets(n_v, wu, wv):
+    """Flat column minus flat row of each band slot (di, dj): (wu * wv,)."""
+    return ((np.arange(wu)[:, None] - wu // 2) * n_v
+            + np.arange(wv)[None, :] - wv // 2).ravel()
+
+
+def row_block(cols, vals, keep):
+    """(entries per row, column indices, values) of a block of CSR rows."""
+    keep = np.broadcast_to(keep, vals.shape)
+    cols = np.broadcast_to(cols, vals.shape)[keep]
+    return keep.sum(axis=1), cols.astype(np.int32, copy=False), vals[keep]
+
+
+def mass_band(pa):
+    """(band, keep) of shape (n_u, n_v, 2p_u+1, 2p_v+1) of a ``PatchAssembler``."""
+    Bu = pa.bu.values[:, :, 0]
+    Bv = pa.bv.values[:, :, 0]
+    ncu, q, ku = Bu.shape
+    ncv, r, kv = Bv.shape
+    n_u, n_v, pu, pv = pa.n_u, pa.n_v, pa.p_u, pa.p_v
+    Tu = (Bu[..., :, None] * Bu[..., None, :]).reshape(ncu, q, ku * ku)
+    Tv = (Bv[..., :, None] * Bv[..., None, :]).reshape(ncv, r, kv * kv)
+    W = (pa._cell_weights * pa.absdet).transpose(0, 2, 1, 3)
+    X = np.matmul(Tu.transpose(0, 2, 1), W.reshape(ncu, q, ncv * r))
+    Y = band_scatter(pa.bu.first, X.reshape(ncu, ku, ku, ncv, r),
+                     np.zeros((n_u, 2 * pu + 1, ncv, r)))
+    Y = Y.transpose(2, 3, 0, 1).reshape(ncv, r, -1)
+    Z = np.matmul(Tv.transpose(0, 2, 1), Y).reshape(ncv, kv, kv, n_u, -1)
+    padded = np.zeros((n_v + 2 * pv, 2 * pv + 1, n_u + 2 * pu, 2 * pu + 1))
+    band_scatter(pa.bv.first, Z, padded[pv:pv + n_v, :, pu:pu + n_u])
+    padded = padded.transpose(2, 0, 3, 1)
+    band = padded[pu:pu + n_u, pv:pv + n_v]
+    windows = sliding_window_view(padded, band.shape[2:], axis=(0, 1))
+    mirror = windows[:, :, ::-1, ::-1].diagonal(axis1=2, axis2=4).diagonal(
+        axis1=2, axis2=3)
+    gram_u, gram_v = pa._gram_bands
+    keep = (gram_u > 0.0)[:, None, :, None] & (gram_v > 0.0)[None, :, None, :]
+    _, _, di, dj = np.ogrid[:1, :1, :2 * pu + 1, :2 * pv + 1]
+    below = (di < pu) | ((di == pu) & (dj < pv))
+    return np.where(below & keep, mirror, band), keep
+
+
+def mass(asm):
+    """The two-patch mass of a ``DomainAssembler`` as a plain CSR matrix."""
+    m, n = asm.basis.num_basis, asm.basis.n
+    nr = INTERFACE_ROWS
+    n_int = (n - nr) * n
+    iface = np.zeros((m, m))
+    couplings, interiors = [], []
+    for s, A, offset in (("L", asm.basis.A_L, m),
+                         ("R", asm.basis.A_R, m + n_int)):
+        pa = asm.asm[s]
+        band, keep = mass_band(pa)
+        c = min(pa.p_u, n - nr)
+        T = A @ band_block(band, nr, nr + c)
+        iface += T[:, :nr * n] @ A.T
+        couple = T[:, nr * n:]
+        couplings.append((offset + np.arange(c * n), couple))
+        wu, wv = band.shape[2:]
+        keep = keep & (np.arange(n)[:, None] + np.arange(wu) - pa.p_u
+                       >= nr)[:, None, :, None]
+        band = band[nr:].reshape(n_int, -1)
+        keep = keep[nr:].reshape(n_int, -1)
+        cols = ((offset + np.arange(n_int, dtype=np.int32))[:, None]
+                + band_offsets(n, wu, wv).astype(np.int32))
+        near = slice(0, c * n)
+        interiors += [
+            row_block(np.hstack([np.broadcast_to(np.arange(m), (c * n, m)),
+                                 cols[near]]),
+                      np.hstack([couple.T, band[near]]),
+                      np.hstack([couple.T != 0.0, keep[near]])),
+            row_block(cols[c * n:], band[c * n:], keep[c * n:])]
+    iface = np.triu(iface) + np.triu(iface, 1).T
+    first = np.hstack([iface] + [couple for _, couple in couplings])
+    first_cols = np.concatenate([np.arange(m)]
+                                + [cols for cols, _ in couplings])
+    dim = m + 2 * n_int
+    first_rows = row_block(first_cols, first, first != 0.0)
+    counts, indices, data = zip(first_rows, *interiors)
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    return sp.csr_matrix((np.concatenate(data), np.concatenate(indices),
+                          indptr), shape=(dim, dim))

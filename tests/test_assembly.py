@@ -2,6 +2,7 @@
 
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,12 +16,14 @@ from c2patch.assembly import (DomainAssembler, KroneckerPreconditioner,
                               MassLayout, PatchAssembler, SPDFactor,
                               TwoPatchMass, _band_block, _identity_geometry,
                               convergence_study, discrete_relative_error,
-                              fit_bilinear_like, gauss_rule, reports_to_csv,
+                              fit_bilinear_like, gauss_legendre, gauss_rule,
+                              reference_projection, reports_to_csv,
                               scaled_condition_number, solve_spd)
 from c2patch.bspline import SplineSpace1D, make_knot_vector, uniform_inner_knots
 from c2patch.geometry import Patch, TwoPatchGeometry, bilinear_from_vertices
 from c2patch.gluing import gluing_from_bilinear, gluing_invariants
 from c2patch.smooth import build_basis_v2, build_basis_w2
+from tests import mass_reference
 
 
 def field_one(x1, x2):
@@ -66,6 +69,15 @@ class TestGaussRule:
     def test_rejects_zero_points(self):
         with pytest.raises(ValueError):
             gauss_rule(0, [(0.0, 1.0)])
+
+    def test_legendre_rule_cached_and_read_only(self):
+        x, w = gauss_legendre(10)
+        assert gauss_legendre(10)[0] is x
+        assert not x.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        ref_x, ref_w = np.polynomial.legendre.leggauss(10)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +158,53 @@ class TestMassAndLoad:
         assert_allclose(M @ b, rhs, atol=1e-12 * np.abs(rhs).max())
 
 
+def _assert_matches_frozen_writer(asm):
+    """The same pattern as the full-band writer in ``mass_reference``,
+    M exactly equal to M^T, and values within 1e-15 max |M|."""
+    M = asm.mass()
+    ref = mass_reference.mass(asm)
+    assert np.array_equal(M.indptr, ref.indptr)
+    assert np.array_equal(M.indices, ref.indices)
+    scale = np.abs(ref.data).max()
+    assert np.abs(M.data - ref.data).max() <= 1e-15 * scale
+    assert (M != M.T).nnz == 0
+
+
+@pytest.mark.parametrize("study", ["a/v2", "a/w2", "b/v2", "b/w2"])
+def test_table2_masses_match_frozen_writer(study, request):
+    # the Table-2 masses of levels 0-3
+    from c2patch.geometry import refine_geometry
+    name, space = study.split("/")
+    geo0, gluing = request.getfixturevalue(f"fitted_{name}")
+    build = build_basis_v2 if space == "v2" else build_basis_w2
+    for level in range(4):
+        k = 2 ** level - 1
+        kv = make_knot_vector(5, 2, k, uniform_inner_knots(k))
+        basis = build(gluing, gluing_invariants(gluing, kv), 5, 2, k)
+        geo = refine_geometry(geo0, kv) if k else geo0
+        _assert_matches_frozen_writer(DomainAssembler(geo, basis))
+
+
+@pytest.mark.parametrize("name", ["a", "b"])
+def test_fit_masses_match_frozen_writer(name, request):
+    geo = request.getfixturevalue(f"geo_{name}")
+    reference = request.getfixturevalue(f"bilinear_{name}")
+    gluing = request.getfixturevalue(f"gluing_{name}")
+    asm, _, _ = reference_projection(geo, reference, gluing)
+    _assert_matches_frozen_writer(asm)
+
+
+def test_band_rows_split_anywhere(fitted_b):
+    # rows lo..hi-1 of the upper band do not depend on the other rows
+    from c2patch.geometry import refine_geometry
+    kv = make_knot_vector(5, 2, 3, uniform_inner_knots(3))
+    pa = PatchAssembler(refine_geometry(fitted_b[0], kv).patch_R)
+    u_stage = pa.mass_u_stage()
+    band = pa.mass_band(u_stage, 0, pa.n_u)
+    for lo, hi in ((0, 3), (3, pa.n_u), (5, 9)):
+        assert np.array_equal(pa.mass_band(u_stage, lo, hi), band[lo:hi])
+
+
 @pytest.mark.parametrize("study", ["a/v2", "b/w2"])
 def test_two_patch_mass_matches_cell_loop(study, request):
     # C_L M_L C_L^T + C_R M_R C_R^T from the dense per-cell patch masses
@@ -185,7 +244,7 @@ def test_two_patch_mass_matches_cell_loop(study, request):
 
 def _patch_mass(pa):
     """The dense patch mass from its band."""
-    return _band_block(pa.mass_band()[0], pa.n_u, pa.n_u)
+    return _band_block(pa.mass_band(pa.mass_u_stage(), 0, pa.n_u), pa.n_u)
 
 
 def _cell_loop_reference(pa, values):
@@ -512,7 +571,9 @@ class TestSPDFactor:
         factor = SPDFactor(M)
         with pytest.raises(ValueError, match="PCG did not converge"):
             factor.solve(rhs)
-        with pytest.raises(ValueError, match="LOBPCG did not converge"):
+        # LOBPCG warns that it stopped unconverged, then the factor raises
+        with pytest.warns(UserWarning), \
+                pytest.raises(ValueError, match="LOBPCG did not converge"):
             factor.condition_number()
         assert cli.main(["table2", "--geometry", "builtin:fitted_a",
                          "--levels", "3"]) == 1
@@ -569,6 +630,16 @@ class TestSPDFactor:
             if getattr(M, "layout", None) is None:
                 A = (A + A.T) * 0.5
             assert np.array_equal(SPDFactor(M).A, A)
+
+    def test_converged_lobpcg_warns_nothing(self, level3_spectrum):
+        # the solver sets no warning filter of its own (process-wide state);
+        # a converged lambda_min emits no warning at all
+        M, _, _ = level3_spectrum
+        factor = SPDFactor(M)
+        assert factor._precond is not None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            factor.condition_number()
 
     def test_lobpcg_keeps_the_callers_start_vector(self, level3_mass,
                                                    monkeypatch):
@@ -672,7 +743,8 @@ class TestTwoThreadCondition:
         monkeypatch.setattr(SPDFactor, "_inverse_smallest", failing_lobpcg)
         factor = SPDFactor(M)
         threads = threading.active_count()
-        with pytest.raises(ValueError, match="LOBPCG did not converge"):
+        with pytest.warns(UserWarning), \
+                pytest.raises(ValueError, match="LOBPCG did not converge"):
             factor.condition_number()
         assert alive_at_raise == [threads + 1]
         assert threading.active_count() == threads

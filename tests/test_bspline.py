@@ -376,6 +376,38 @@ class TestInsertion:
         with pytest.raises(ValueError):
             refine_to(fine, coarse, np.zeros(fine.dim))
 
+    def test_insert_knot_matches_row_by_row_boehm(self):
+        # the affected rows are updated at once, bit for bit as one by one
+        kv = make_knot_vector(5, 2, 3, (0.2, 0.5, 0.7))
+        c = rng_coeffs(SplineSpace1D(kv), 7).reshape(-1, 1) * np.arange(1, 4)
+        for x in (0.1, 0.5, 0.63):
+            _, got = insert_knot(kv, c, x)
+            t, p = kv.knots, kv.degree
+            span = min(max(int(np.searchsorted(t, x, side="right")) - 1, p),
+                       kv.dim - 1)
+            want = np.insert(c, span, 0.0, axis=0)
+            for i in range(span - p + 1, span + 1):
+                a = (x - t[i]) / (t[i + p] - t[i])
+                want[i] = a * c[i] + (1.0 - a) * c[i - 1]
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", ["a", "b"])
+    def test_refine_geometry_is_patchwise_refine_to(self, name, request):
+        # both patches stacked, one refine_to per direction: the control
+        # grids of refining each patch along u, then along v
+        from c2patch.geometry import refine_geometry
+        geo, _ = request.getfixturevalue(f"fitted_{name}")
+        kv = geo.patch_L.space.space_u.kv
+        for k in (1, 3, 7):
+            target = make_knot_vector(5, 2, k, uniform_inner_knots(k))
+            fine = refine_geometry(geo, target)
+            for side in ("L", "R"):
+                cp = refine_to(kv, target, geo.patch(side).control_points)
+                cp = np.swapaxes(refine_to(kv, target, np.swapaxes(cp, 0, 1)),
+                                 0, 1)
+                assert np.array_equal(fine.patch(side).control_points, cp)
+                assert fine.patch(side).space.space_u.kv == target
+
 
 knot_counts = st.integers(min_value=0, max_value=4)
 degrees = st.integers(min_value=1, max_value=7)
