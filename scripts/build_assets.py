@@ -9,9 +9,9 @@ Writes, for each bundled instance 'a' and 'b':
 
 from pathlib import Path
 
-from c2patch.builtin import (initial_geometry, reference_fitted_geometry,
-                             reference_gluing)
+from c2patch.builtin import initial_geometry, reference_fitted_geometry
 from c2patch.geometry import bilinear_from_vertices, save_geometry
+from c2patch.gluing import gluing_from_bilinear
 
 ASSETS = Path(__file__).resolve().parent.parent / "src" / "c2patch" / "assets"
 
@@ -24,7 +24,7 @@ def main():
         save_geometry(ASSETS / f"initial_{name}.json", geo, regularity=2)
 
         fhat = bilinear_from_vertices(geo)
-        g = reference_gluing(name)
+        g = gluing_from_bilinear(fhat)
         save_geometry(ASSETS / f"bilinear_{name}.json", fhat, gluing=g,
                       regularity=0)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -58,10 +58,6 @@ class QuadratureRule:
 
     nodes: np.ndarray      # (ncells, q)
     weights: np.ndarray    # (ncells, q)
-
-    @property
-    def points_per_cell(self) -> int:
-        return self.nodes.shape[1]
 
 
 @cache
@@ -115,35 +111,6 @@ def _basis_on_cells(space: SplineSpace1D, rule: QuadratureRule,
     first, values = space.eval_basis(rule.nodes, max_deriv)
     # Gauss nodes lie inside their cell, so one span serves the whole cell
     return _BasisOnCells(first[:, 0], values)
-
-
-def _band_scatter(first: np.ndarray, X: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Add the cell blocks X[cell, a, b, ...] into ``out`` in band form.
-
-    ``out`` has shape (n, 2p+1, ...) and out[i, d] is the matrix entry
-    (i, i + d - p): cell c adds X[c, a, b] at row first[c] + a and offset
-    p - a + b.
-    """
-    p = X.shape[1] - 1
-    for a in range(p + 1):
-        # the rows first + a are distinct, so the add has no duplicates
-        out[first + a, p - a:2 * p + 1 - a] += X[:, a]
-    return out
-
-
-@cache
-def _upper_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs (a, b), a <= b < k, row by row; built once per k."""
-    return np.triu_indices(k)
-
-
-def _band_to_dense(band: np.ndarray) -> np.ndarray:
-    """The dense n x n matrix of a band (n, 2p+1) from ``_band_scatter``."""
-    n, width = band.shape
-    i = np.arange(n)[:, None]
-    d = np.arange(n)[None, :] - i + width // 2
-    inside = (d >= 0) & (d < width)
-    return np.where(inside, band[i, d.clip(0, width - 1)], 0.0)
 
 
 def _band_block(band: np.ndarray, cols: int) -> np.ndarray:
@@ -223,14 +190,12 @@ class PatchAssembler:
                               * self.rule_v.weights[None, :, None, :])
         self._geometry_data()
 
-    def _on_cells(self, coeffs: np.ndarray, du: int = 0,
-                  dv: int = 0) -> np.ndarray:
-        """Derivative (du, dv) of the tensor spline with coefficient grid
-        ``coeffs`` (n_u, n_v, ...) at every quadrature point:
-        (ncu, ncv, q, r, ...)."""
+    def _on_cells(self, coeffs: np.ndarray) -> np.ndarray:
+        """The tensor spline with coefficient grid ``coeffs`` (n_u, n_v, ...)
+        at every quadrature point: (ncu, ncv, q, r, ...)."""
         local = coeffs[self._cell_i, self._cell_j]    # (ncu, ncv, pu+1, pv+1, ...)
-        return np.einsum("uqa,uvab...,vrb->uvqr...", self.bu.values[:, :, du],
-                         local, self.bv.values[:, :, dv], optimize=_CELL_PATH)
+        return np.einsum("uqa,uvab...,vrb->uvqr...", self.bu.values[:, :, 0],
+                         local, self.bv.values[:, :, 0], optimize=_CELL_PATH)
 
     def _geometry_data(self):
         """|det J| and physical coordinates at every quadrature point.
@@ -259,7 +224,7 @@ class PatchAssembler:
         Bu = self.bu.values[:, :, 0]
         ncu, q, k = Bu.shape
         ncv, r = self.rule_v.weights.shape
-        a, b = _upper_pairs(k)
+        a, b = np.triu_indices(k)
         # pair (a, b) lands in row a, slot b - a of the cell's block
         T = np.zeros((ncu, q, k * k))
         T[:, :, a * k + b - a] = Bu[..., a] * Bu[..., b]
@@ -302,23 +267,23 @@ class PatchAssembler:
             band[:, start:start + k * (wv - 1)] += Y[:, cell] @ T[cell]
         return band.reshape(hi - lo, self.p_u + 1, n_v, wv)
 
-    @cached_property
-    def _gram_bands(self) -> list[np.ndarray]:
-        """Parametric 1D Gram matrices of the u and v spaces in band form,
-        built once per patch for the mass pattern and the mass layout."""
-        bands = []
+    def mass_1d(self) -> tuple[np.ndarray, np.ndarray]:
+        """Parametric Gram matrices (M_u, M_v) of the two spline spaces.
+
+        A cell whose first B-spline is f adds its block to the rows f..f+p;
+        row f + a of every cell is added at once, as the rows are distinct.
+        """
+        grams = []
         for basis, rule, n in ((self.bu, self.rule_u, self.n_u),
                                (self.bv, self.rule_v, self.n_v)):
             B = basis.values[:, :, 0]
             local = np.einsum("cqa,cq,cqb->cab", B, rule.weights, B)
-            bands.append(_band_scatter(basis.first, local,
-                                       np.zeros((n, 2 * B.shape[-1] - 1))))
-        return bands
-
-    def mass_1d(self) -> tuple[np.ndarray, np.ndarray]:
-        """Parametric Gram matrices (M_u, M_v) of the two spline spaces."""
-        gram_u, gram_v = self._gram_bands
-        return _band_to_dense(gram_u), _band_to_dense(gram_v)
+            cols = basis.first[:, None] + np.arange(B.shape[-1])
+            G = np.zeros((n, n))
+            for a in range(B.shape[-1]):
+                G[cols[:, a:a + 1], cols] += local[:, a]
+            grams.append(G)
+        return grams[0], grams[1]
 
     def sample_physical(self, f) -> np.ndarray:
         """f(x1, x2) sampled at every quadrature point: (ncu, ncv, q, r)."""
@@ -451,14 +416,13 @@ class DomainAssembler:
             T = A @ _band_block(pa.mass_band(u_stages[s], 0, nr), nr + c)
             iface += T[:, :nr * n] @ A.T
             couple = T[:, nr * n:]
-            # stored slots of the interior rows: the pairs sharing a cell
-            # (a 1D Gram entry is positive exactly for those), without the
-            # columns i' < nr
-            gram_u, gram_v = pa._gram_bands
-            wu = gram_u.shape[1]
-            keep_u = (gram_u[nr:] > 0.0) & (
-                np.arange(nr, n)[:, None] + np.arange(wu) - pa.p_u >= nr)
-            keep_v = gram_v > 0.0
+            # stored slots of the interior rows: the pairs sharing a cell,
+            # without the columns i' < nr
+            space = pa.patch.space
+            keep_u = space.space_u.overlap()[nr:] & (
+                np.arange(nr, n)[:, None] + np.arange(2 * pa.p_u + 1) - pa.p_u
+                >= nr)
+            keep_v = space.space_v.overlap()
             rows = np.outer(keep_u.sum(axis=1), keep_v.sum(axis=1)).ravel()
             rows[:c * n] += np.count_nonzero(couple, axis=0)
             counts.append(rows)
@@ -807,9 +771,7 @@ class ApproxReport:
 
 
 def convergence_study(F0: TwoPatchGeometry, gluing: GluingData, space: str,
-                      levels: int, f, points_per_cell: int | None = None,
-                      with_cond: bool = True,
-                      on_report=None) -> list[ApproxReport]:
+                      levels: int, f, on_report=None) -> list[ApproxReport]:
     """Dyadic h-refinement study: levels L = 0..levels, k = 2^L - 1.
 
     The level-0 geometry is refined exactly by knot insertion; the gluing
@@ -836,11 +798,11 @@ def convergence_study(F0: TwoPatchGeometry, gluing: GluingData, space: str,
             basis = build_basis_v2(gluing, inv, p, base_r, k)
         else:
             basis = build_basis_w2(gluing, inv, p, base_r, k)
-        asm = DomainAssembler(geo, basis, points_per_cell)
+        asm = DomainAssembler(geo, basis)
         factor = SPDFactor(asm.mass())
         b = factor.solve(asm.load(f))
         err = asm.relative_l2_error(b, f)
-        cond = factor.condition_number() if with_cond else float("nan")
+        cond = factor.condition_number()
         rate = None if prev_err is None else float(np.log2(prev_err / err))
         cond_rate = None if prev_cond is None else float(np.log2(prev_cond / cond))
         report = ApproxReport(L, dim_v1(p, base_r, k), basis.num_basis,

@@ -82,9 +82,9 @@ class KnotVector:
         """Number of B-spline basis functions."""
         return len(self.knots) - self.degree - 1
 
-    def multiplicity_of(self, x: float, tol: float = KNOT_TOL) -> int:
+    def multiplicity_of(self, x: float) -> int:
         for b, m in zip(self.breakpoints, self.multiplicities):
-            if abs(b - x) <= tol:
+            if abs(b - x) <= KNOT_TOL:
                 return m
         return 0
 
@@ -329,6 +329,20 @@ class SplineSpace1D:
         cols = solve_banded((p, p), self._collocation_banded,
                             samples.reshape(self.dim, -1))
         return cols.reshape(samples.shape)
+
+    def overlap(self) -> np.ndarray:
+        """Which B-splines share a nonempty knot span, in band form.
+
+        Entry [i, d] of the (dim, 2p+1) mask is True when i and j = i + d - p
+        do: max(t_i, t_j) < min(t_{i+p+1}, t_{j+p+1}).
+        """
+        p, t = self.degree, self.knots
+        i = np.arange(self.dim)[:, None]
+        j = i + np.arange(2 * p + 1) - p
+        inside = (j >= 0) & (j < self.dim)
+        j = j.clip(0, self.dim - 1)
+        return inside & (np.maximum(t[i], t[j])
+                         < np.minimum(t[i + p + 1], t[j + p + 1]))
 
     def spans(self) -> list[tuple[int, float, float]]:
         """Nonempty knot spans as (span_index, left, right)."""

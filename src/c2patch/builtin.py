@@ -180,14 +180,6 @@ def reference_interface_rows(name: str) -> dict:
     return out
 
 
-def reference_gluing(name: str):
-    """Gluing data of the bundled geometries (from the vertex interpolant)."""
-    from .geometry import bilinear_from_vertices
-    from .gluing import gluing_from_bilinear
-
-    return gluing_from_bilinear(bilinear_from_vertices(initial_geometry(name)))
-
-
 def reference_fitted_geometry(name: str) -> TwoPatchGeometry:
     """The bundled smooth biquintic geometry 'a' or 'b'.
 

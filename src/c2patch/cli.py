@@ -17,7 +17,7 @@ from .bspline import make_knot_vector, uniform_inner_knots
 from .geometry import (GeometryError, bilinear_from_vertices,
                        geometry_from_dict, refine_geometry,
                        represent_geometry, save_geometry)
-from .gluing import (GluingData, GluingError, beta_from_gluing,
+from .gluing import (GluingData, beta_from_gluing,
                      gluing_from_bilinear, gluing_invariants,
                      verify_bilinear_like, verify_sign_condition)
 
@@ -61,10 +61,7 @@ def _load(path: str):
 
 def _gluing_for(geo, gluing_raw):
     if gluing_raw is not None:
-        try:
-            return GluingData.from_dict(gluing_raw)
-        except GluingError as exc:
-            raise CommandError(str(exc)) from exc
+        return GluingData.from_dict(gluing_raw)
     if geo.patch_L.degree == 1:
         return gluing_from_bilinear(geo)
     raise CommandError(
@@ -215,11 +212,8 @@ def cmd_verify(args) -> int:
 
 def cmd_fit(args) -> int:
     geo, _gluing, _file_r = _load(args.initial)
-    try:
-        fhat = bilinear_from_vertices(geo)
-        g = gluing_from_bilinear(fhat)
-    except (GeometryError, GluingError) as exc:
-        raise CommandError(str(exc)) from exc
+    fhat = bilinear_from_vertices(geo)
+    g = gluing_from_bilinear(fhat)
     result = assembly.fit_bilinear_like(geo, fhat, g, weighted=not args.unweighted)
     print(f"discrete relative error: {result.epsilon:.6g}")
     if args.out:
@@ -230,11 +224,8 @@ def cmd_fit(args) -> int:
 
 def cmd_bilinear(args) -> int:
     geo, _gluing, _file_r = _load(args.initial)
-    try:
-        fhat = bilinear_from_vertices(geo)
-        g = gluing_from_bilinear(fhat)
-    except (GeometryError, GluingError) as exc:
-        raise CommandError(str(exc)) from exc
+    fhat = bilinear_from_vertices(geo)
+    g = gluing_from_bilinear(fhat)
     if args.out:
         save_geometry(args.out, fhat, gluing=g, regularity=0)
         print(f"bilinear interpolant written to {args.out}")
@@ -250,27 +241,26 @@ def cmd_table2(args) -> int:
     g = _gluing_for(geo, gluing_raw)
     f = fields.resolve_field(args.function)
     space = args.space
-    reports = []
+    reports, failure = [], None
     try:
         assembly.convergence_study(geo, g, space, args.levels, f,
                                    on_report=reports.append)
     except Exception as exc:
-        # flush whatever finished, with a trailing error row
-        csv_text = assembly.reports_to_csv(reports)
-        csv_text += f"# error at level {len(reports)}: {exc}\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(csv_text)
-        else:
-            sys.stdout.write(csv_text)
-        raise CommandError(f"convergence study failed: {exc}") from exc
+        failure = exc
+    # whatever finished, with a trailing error row after a failure
     csv_text = assembly.reports_to_csv(reports)
+    if failure is not None:
+        csv_text += f"# error at level {len(reports)}: {failure}\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(csv_text)
-        print(f"wrote {args.out}")
     else:
         sys.stdout.write(csv_text)
+    if failure is not None:
+        raise CommandError(
+            f"convergence study failed: {failure}") from failure
+    if args.out:
+        print(f"wrote {args.out}")
     for rep in reports:
         rate = "-" if rep.rate is None else f"{rep.rate:.3g}"
         crate = "-" if rep.cond_rate is None else f"{rep.cond_rate:.3g}"
@@ -348,7 +338,7 @@ def main(argv=None) -> int:
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (GeometryError, GluingError, fields.FieldError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except smooth.IndeterminateRankError as exc:

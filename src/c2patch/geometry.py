@@ -95,8 +95,8 @@ class TwoPatchGeometry:
         lo, hi = pts.min(axis=0), pts.max(axis=0)
         return float(np.hypot(*(hi - lo)))
 
-    def interface_mismatch(self, n_samples: int = 64) -> float:
-        vs = np.linspace(0.0, 1.0, n_samples)
+    def interface_mismatch(self) -> float:
+        vs = np.linspace(0.0, 1.0, 64)
         d = self.patch_L.eval(0.0, vs) - self.patch_R.eval(0.0, vs)
         return float(np.hypot(d[:, 0], d[:, 1]).max())
 
@@ -146,8 +146,8 @@ def refine_geometry(geo: TwoPatchGeometry, target_kv: KnotVector) -> TwoPatchGeo
     return TwoPatchGeometry(Patch(space, cp[..., :2]), Patch(space, cp[..., 2:]))
 
 
-def represent_geometry(geo: TwoPatchGeometry, target_kv: KnotVector,
-                       tol: float = 1e-9) -> TwoPatchGeometry:
+def represent_geometry(geo: TwoPatchGeometry,
+                       target_kv: KnotVector) -> TwoPatchGeometry:
     """Represent both patches in S(target)^2 by Greville-grid interpolation.
 
     Exact (up to roundoff) when the patches already lie in the target space,
@@ -167,7 +167,7 @@ def represent_geometry(geo: TwoPatchGeometry, target_kv: KnotVector,
         new = Patch(space, cp)
         err = np.abs(new.eval(check_us, check_vs)
                      - patch.eval(check_us, check_vs)).max()
-        if err > tol * max(np.abs(samples).max(), 1.0):
+        if err > 1e-9 * max(np.abs(samples).max(), 1.0):
             raise GeometryError(
                 f"patch {side!r} is not representable in the target space "
                 f"(residual {err:.2e})")
@@ -199,15 +199,11 @@ def _patch_to_dict(patch: Patch) -> dict:
                                for x, y in patch.control_points.reshape(-1, 2)]}
 
 
-def geometry_to_dict(geo: TwoPatchGeometry, gluing=None,
-                     regularity: int | None = None) -> dict:
+def geometry_to_dict(geo: TwoPatchGeometry, gluing=None, *,
+                     regularity: int) -> dict:
     kv = geo.patch_L.space.space_u.kv
-    p = kv.degree
-    if regularity is None:
-        mults = set(kv.multiplicities[1:-1])
-        regularity = p - max(mults) if mults else max(p - 1, 0)
     out = {
-        "degree": p,
+        "degree": kv.degree,
         "regularity": int(regularity),
         "knots_interior": [float(t) for t in kv.inner_knots],
         "patches": {side: _patch_to_dict(geo.patch(side)) for side in geo.sides},
@@ -262,8 +258,9 @@ def load_geometry(path) -> tuple[TwoPatchGeometry, dict | None]:
     return geometry_from_dict(data)
 
 
-def save_geometry(path, geo: TwoPatchGeometry, gluing=None,
-                  regularity: int | None = None) -> None:
+def save_geometry(path, geo: TwoPatchGeometry, gluing=None, *,
+                  regularity: int) -> None:
     with open(path, "w") as fh:
-        json.dump(geometry_to_dict(geo, gluing, regularity), fh, indent=1)
+        json.dump(geometry_to_dict(geo, gluing, regularity=regularity), fh,
+                  indent=1)
         fh.write("\n")

@@ -40,8 +40,8 @@ class LinearPoly:
     def poly(self) -> Polynomial:
         return Polynomial([self.const, self.slope])
 
-    def degree(self, scale: float | None = None) -> int:
-        scale = scale if scale else max(abs(self.const), abs(self.slope), 1.0)
+    def degree(self) -> int:
+        scale = max(abs(self.const), abs(self.slope), 1.0)
         return 1 if abs(self.slope) > COEF_TOL * scale else 0
 
     def root(self) -> float:
@@ -146,9 +146,9 @@ def gluing_from_bilinear(fhat: TwoPatchGeometry) -> GluingData:
     return g
 
 
-def _poly_degree(poly: Polynomial, scale: float | None = None) -> int:
+def _poly_degree(poly: Polynomial) -> int:
     coef = poly.coef
-    scale = scale if scale else max(np.abs(coef).max(), 1.0)
+    scale = max(np.abs(coef).max(), 1.0)
     deg = -1
     for i, c in enumerate(coef):
         if abs(c) > COEF_TOL * scale:

@@ -3,7 +3,9 @@ writer that the upper-half band replaced.  Each patch band is built over all
 2p+1 x 2p+1 slots, its lower half is taken from a sliding-window mirror
 view, and the CSR rows are gathered block by block and concatenated.  The
 tests require the same sparsity pattern as ``DomainAssembler.mass`` and
-values within 1e-15 of max |M|.
+values within 1e-15 of max |M|.  The 1D Gram matrices are kept in band form
+here, as the assembler kept them before it built them densely; the stored
+slots are those whose 1D Gram entries are positive.
 """
 
 import numpy as np
@@ -19,6 +21,28 @@ def band_scatter(first, X, out):
     for a in range(p + 1):
         out[first + a, p - a:2 * p + 1 - a] += X[:, a]
     return out
+
+
+def gram_bands(pa):
+    """The parametric 1D Gram matrices (n, 2p+1) of a ``PatchAssembler`` in
+    band form: entry [i, d] is the integral of N_i N_{i+d-p}."""
+    bands = []
+    for basis, rule, n in ((pa.bu, pa.rule_u, pa.n_u),
+                           (pa.bv, pa.rule_v, pa.n_v)):
+        B = basis.values[:, :, 0]
+        local = np.einsum("cqa,cq,cqb->cab", B, rule.weights, B)
+        bands.append(band_scatter(basis.first, local,
+                                  np.zeros((n, 2 * B.shape[-1] - 1))))
+    return bands
+
+
+def band_to_dense(band):
+    """The dense n x n matrix of a band (n, 2p+1)."""
+    n, width = band.shape
+    i = np.arange(n)[:, None]
+    d = np.arange(n)[None, :] - i + width // 2
+    inside = (d >= 0) & (d < width)
+    return np.where(inside, band[i, d.clip(0, width - 1)], 0.0)
 
 
 def band_block(band, rows, cols):
@@ -69,7 +93,7 @@ def mass_band(pa):
     windows = sliding_window_view(padded, band.shape[2:], axis=(0, 1))
     mirror = windows[:, :, ::-1, ::-1].diagonal(axis1=2, axis2=4).diagonal(
         axis1=2, axis2=3)
-    gram_u, gram_v = pa._gram_bands
+    gram_u, gram_v = gram_bands(pa)
     keep = (gram_u > 0.0)[:, None, :, None] & (gram_v > 0.0)[None, :, None, :]
     _, _, di, dj = np.ogrid[:1, :1, :2 * pu + 1, :2 * pv + 1]
     below = (di < pu) | ((di == pu) & (dj < pv))

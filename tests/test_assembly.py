@@ -205,6 +205,19 @@ def test_band_rows_split_anywhere(fitted_b):
         assert np.array_equal(pa.mass_band(u_stage, lo, hi), band[lo:hi])
 
 
+@pytest.mark.parametrize("level", range(6))
+def test_mass_1d_bitwise_equal_to_band_path(level):
+    # the Table-2 spaces, and the fit's 8-point rule at level 0
+    k = 2 ** level - 1
+    patch = _identity_geometry(
+        make_knot_vector(5, 2, k, uniform_inner_knots(k))).patch_R
+    rules = (None, asm_mod.FIT_POINTS_PER_CELL) if level == 0 else (None,)
+    for points_per_cell in rules:
+        pa = PatchAssembler(patch, points_per_cell)
+        for gram, band in zip(pa.mass_1d(), mass_reference.gram_bands(pa)):
+            assert gram.tobytes() == mass_reference.band_to_dense(band).tobytes()
+
+
 @pytest.mark.parametrize("study", ["a/v2", "b/w2"])
 def test_two_patch_mass_matches_cell_loop(study, request):
     # C_L M_L C_L^T + C_R M_R C_R^T from the dense per-cell patch masses
@@ -834,13 +847,13 @@ class TestConvergence:
     def test_representable_field_noise_floor(self, fitted_b):
         geo, gluing = fitted_b
         reports = convergence_study(geo, gluing, "v2", 1,
-                                    lambda x, y: x + 2.0 * y, with_cond=False)
+                                    lambda x, y: x + 2.0 * y)
         for rep in reports:
             assert rep.rel_l2_error < 1e-11
 
     def test_subspace_never_beats_full_space(self, fitted_b):
         geo, gluing = fitted_b
-        rv = convergence_study(geo, gluing, "v2", 1, field_osc, with_cond=False)
-        rw = convergence_study(geo, gluing, "w2", 1, field_osc, with_cond=False)
+        rv = convergence_study(geo, gluing, "v2", 1, field_osc)
+        rw = convergence_study(geo, gluing, "w2", 1, field_osc)
         for a, b in zip(rv, rw):
             assert b.rel_l2_error >= a.rel_l2_error * (1 - 1e-10)

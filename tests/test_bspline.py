@@ -282,6 +282,42 @@ def rng_coeffs(s, seed=0):
     return np.random.default_rng(seed).standard_normal(s.dim)
 
 
+class TestOverlap:
+    @staticmethod
+    def _gram_positive(s):
+        """Gram > 0 by Gauss quadrature over every nonempty span, in the
+        band form of ``overlap``."""
+        x, w = np.polynomial.legendre.leggauss(s.degree + 1)
+        G = np.zeros((s.dim, s.dim))
+        for _, a, b in s.spans():
+            B = s.basis_matrix(0.5 * (a + b) + 0.5 * (b - a) * x)[0]
+            G += B.T @ (0.5 * (b - a) * w[:, None] * B)
+        p = s.degree
+        i = np.arange(s.dim)[:, None]
+        j = i + np.arange(2 * p + 1) - p
+        inside = (j >= 0) & (j < s.dim)
+        return inside & (G[i, j.clip(0, s.dim - 1)] > 0.0)
+
+    def test_matches_gram_on_random_knot_vectors(self):
+        # multiplicities up to p, and k = 0 for every degree
+        gen = np.random.default_rng(7)
+        count = 0
+        for p in range(1, 8):
+            for k in range(6):
+                for _ in range(8 if k else 1):
+                    inner = np.sort(gen.choice(np.arange(1, 64), k,
+                                               replace=False)) / 64.0
+                    mult = tuple(int(m) for m in gen.integers(1, p + 1, k))
+                    s = SplineSpace1D(KnotVector(
+                        p, (0.0,) + tuple(inner) + (1.0,),
+                        (p + 1,) + mult + (p + 1,)))
+                    mask = s.overlap()
+                    assert mask.shape == (s.dim, 2 * p + 1)
+                    assert np.array_equal(mask, self._gram_positive(s))
+                    count += 1
+        assert count == 7 * (1 + 5 * 8)
+
+
 class TestGreville:
     def test_polynomial_space(self):
         s = space(5, 4, 0)

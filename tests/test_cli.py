@@ -212,7 +212,14 @@ class TestExitCodes:
     def test_unknown_builtin_exits_one(self):
         assert run_cli("dim", "--geometry", "builtin:nope") == 1
 
-    def test_sign_condition_violation_exits_one(self, tmp_path):
+    @staticmethod
+    def _assert_one_error_line(capsys, match):
+        err = capsys.readouterr().err
+        lines = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(lines) == 1 and match in lines[0]
+        assert "Traceback" not in err
+
+    def test_sign_condition_violation_exits_one(self, tmp_path, capsys):
         # both patches on the same side of the interface
         from tests.test_gluing import bilinear
         geo = bilinear(
@@ -221,7 +228,18 @@ class TestExitCodes:
              (1, 1): (-1, 1.5)})
         path = tmp_path / "bad_geo.json"
         save_geometry(path, geo, regularity=0)
-        assert run_cli("fit", "--initial", str(path)) == 1
+        for command in ("fit", "bilinear"):
+            assert run_cli(command, "--initial", str(path)) == 1
+            self._assert_one_error_line(capsys, "sign condition")
+
+    def test_malformed_gluing_record_one_error_line(self, tmp_path, capsys):
+        ref = resources.files("c2patch") / "assets" / "fitted_a.json"
+        data = json.loads(ref.read_text())
+        del data["gluing"]["beta_R"]
+        path = tmp_path / "bad_gluing.json"
+        path.write_text(json.dumps(data))
+        assert run_cli("dim", "--geometry", str(path)) == 1
+        self._assert_one_error_line(capsys, "malformed gluing record")
 
     def test_indeterminate_rank_exits_two(self, monkeypatch, capsys):
         from c2patch.smooth import IndeterminateRankError
