@@ -573,9 +573,7 @@ class SPDFactor:
     other matrix is scaled into a dense copy and factored by Cholesky.  A
     matrix that is not positive definite raises ``ValueError``: Cholesky
     fails, CG meets a direction of nonpositive curvature, or LOBPCG a
-    Rayleigh quotient <= 0.  The set-up, solves and the condition number
-    run with numpy's and scipy's OpenBLAS at one thread each
-    (``blas.one_thread``).
+    Rayleigh quotient <= 0.
     """
 
     def __init__(self, M):
@@ -587,27 +585,26 @@ class SPDFactor:
         self._precond = None
         n = M.shape[0]
         layout = getattr(M, "layout", None)
-        with blas.one_thread():
-            if layout is not None and n >= KRONECKER_CUTOFF:
-                self.A = spla.LinearOperator((n, n), matvec=self._product,
-                                             matmat=self._product, dtype=float)
-                self._precond = KroneckerPreconditioner(M, self.scale, layout)
-            else:
-                # the entries are scaled before the one dense copy is made;
-                # each s_i s_j is formed before it multiplies M_ij, so a
-                # symmetric M gives an exactly symmetric A
-                C = sp.csr_matrix(M)
-                rows = np.repeat(np.arange(n), np.diff(C.indptr))
-                A = sp.csr_matrix(
-                    (C.data * (self.scale[rows] * self.scale[C.indices]),
-                     C.indices, C.indptr), shape=C.shape).toarray()
-                # a TwoPatchMass is exactly symmetric already
-                self.A = A if layout is not None else (A + A.T) * 0.5
-                try:
-                    self._cho = sla.cho_factor(self.A)
-                except np.linalg.LinAlgError:
-                    raise ValueError(
-                        "matrix is not positive definite") from None
+        if layout is not None and n >= KRONECKER_CUTOFF:
+            self.A = spla.LinearOperator((n, n), matvec=self._product,
+                                         matmat=self._product, dtype=float)
+            self._precond = KroneckerPreconditioner(M, self.scale, layout)
+        else:
+            # the entries are scaled before the one dense copy is made;
+            # each s_i s_j is formed before it multiplies M_ij, so a
+            # symmetric M gives an exactly symmetric A
+            C = sp.csr_matrix(M)
+            rows = np.repeat(np.arange(n), np.diff(C.indptr))
+            A = sp.csr_matrix(
+                (C.data * (self.scale[rows] * self.scale[C.indices]),
+                 C.indices, C.indptr), shape=C.shape).toarray()
+            # a TwoPatchMass is exactly symmetric already
+            self.A = A if layout is not None else (A + A.T) * 0.5
+            try:
+                self._cho = sla.cho_factor(self.A)
+            except np.linalg.LinAlgError:
+                raise ValueError(
+                    "matrix is not positive definite") from None
 
     def _product(self, x: np.ndarray) -> np.ndarray:
         """A x = s * (M (s * x)) for x of shape (n,) or (n, k)."""
@@ -648,10 +645,9 @@ class SPDFactor:
         """M^(-1) rhs for a right-hand side of shape (n,) or (n, m)."""
         s = self.scale.reshape((-1,) + (1,) * (np.ndim(rhs) - 1))
         b = s * rhs
-        with blas.one_thread():
-            if self._precond is None:
-                return s * sla.cho_solve(self._cho, b)
-            cols = [self._pcg(c) for c in b.reshape(len(b), -1).T]
+        if self._precond is None:
+            return s * sla.cho_solve(self._cho, b)
+        cols = [self._pcg(c) for c in b.reshape(len(b), -1).T]
         return s * np.stack(cols, axis=1).reshape(b.shape)
 
     def _inverse_smallest(self, v0: np.ndarray) -> float:
@@ -680,23 +676,21 @@ class SPDFactor:
         ``tol``, which must lie in (0, 1), from a seeded start vector.
         1 / lambda_min comes from LOBPCG (absolute residual ``LOBPCG_TOL``)
         when A is preconditioned, and otherwise is the largest eigenvalue of
-        A^(-1), found the same way through the Cholesky factor.  Both run
-        with one BLAS thread per library; on the preconditioned path they
-        run side by side when ``blas.can_overlap()``, with the same result
-        as one after the other.
+        A^(-1), found the same way through the Cholesky factor.  On the
+        preconditioned path both run side by side when
+        ``blas.can_overlap()``, with the same result as one after the other.
         """
         if not 0.0 < tol < 1.0:
             raise ValueError(f"tol must lie in (0, 1), got {tol}")
         v0 = np.random.default_rng(0).standard_normal(self.A.shape[0])
-        with blas.one_thread():
-            if self._precond is not None:
-                largest, inverse_min = self._preconditioned_extremes(v0, tol)
-            else:
-                # the factor was checked once; the Lanczos vectors are finite
-                inverse_min = lanczos_largest(
-                    lambda y: sla.cho_solve(self._cho, y, check_finite=False),
-                    v0, tol)
-                largest = lanczos_largest(lambda x: self.A @ x, v0, tol)
+        if self._precond is not None:
+            largest, inverse_min = self._preconditioned_extremes(v0, tol)
+        else:
+            # the factor was checked once; the Lanczos vectors are finite
+            inverse_min = lanczos_largest(
+                lambda y: sla.cho_solve(self._cho, y, check_finite=False),
+                v0, tol)
+            largest = lanczos_largest(lambda x: self.A @ x, v0, tol)
         return float(largest * inverse_min)
 
     def _preconditioned_extremes(self, v0: np.ndarray,

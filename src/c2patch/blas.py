@@ -1,16 +1,16 @@
 """One thread each for the OpenBLAS libraries that numpy and scipy bundle.
 
-Each wheel vendors its own OpenBLAS with its own thread pool.  Pinned to
-one thread, a second Python thread can run BLAS work on the other core
-(notes/decisions.md).  The libraries are looked up on first use.
+Each wheel vendors its own OpenBLAS with its own thread pool.  Importing
+c2patch pins both to one thread for the rest of the process
+(``pin_single_thread``), so results are the same bits on every core count,
+and a second Python thread can run BLAS work on another core
+(notes/decisions.md).  A library that is not found is left as it is.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
-import threading
-from contextlib import contextmanager
 from functools import cache
 from pathlib import Path
 
@@ -21,10 +21,6 @@ _SYMBOLS = (("scipy_openblas_set_num_threads64_",
             ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
             ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
             ("openblas_set_num_threads", "openblas_get_num_threads"))
-
-_lock = threading.Lock()
-_depth = 0
-_saved: list = []
 
 
 @cache
@@ -52,33 +48,16 @@ def thread_controls() -> dict:
     return found
 
 
+def pin_single_thread() -> None:
+    """Both libraries at one thread from here on."""
+    for setter, _ in thread_controls().values():
+        setter(1)
+
+
 def can_overlap() -> bool:
-    """Both libraries can be pinned and the process may use two cores."""
+    """Both libraries are pinned and the process may use two cores."""
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:
         cores = os.cpu_count() or 1
     return len(thread_controls()) == 2 and cores >= 2
-
-
-@contextmanager
-def one_thread():
-    """Both libraries at one thread inside the block.  Blocks may nest and
-    run in several threads at once; the counts from before the first one
-    come back when the last one is left, also when it raises."""
-    global _depth, _saved
-    with _lock:
-        if _depth == 0:
-            _saved = [(setter, getter())
-                      for setter, getter in thread_controls().values()]
-            for setter, _ in _saved:
-                setter(1)
-        _depth += 1
-    try:
-        yield
-    finally:
-        with _lock:
-            _depth -= 1
-            if _depth == 0:
-                for setter, count in _saved:
-                    setter(count)

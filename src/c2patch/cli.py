@@ -68,12 +68,16 @@ def _gluing_for(geo, gluing_raw):
         "geometry file carries no gluing record and is not bilinear")
 
 
+def _check_degree(degree, advice=""):
+    if degree < 5:
+        raise CommandError(f"the geometry has degree {degree}, below the "
+                           f"least space degree 5{advice}")
+
+
 def _space_params(geo, args, file_r):
     degree = geo.patch_L.degree
-    if args.p is None and degree < 5:
-        raise CommandError(
-            f"the geometry has degree {degree}, below the least space degree "
-            f"5; pass --p 5 or higher")
+    if args.p is None:
+        _check_degree(degree, "; pass --p 5 or higher")
     p = degree if args.p is None else args.p
     file_kv = geo.patch_L.space.space_u.kv
     if args.r is not None:
@@ -238,6 +242,7 @@ def cmd_table2(args) -> int:
     if args.levels < 0:
         raise CommandError(f"--levels must be at least 0, got {args.levels}")
     geo, gluing_raw, _file_r = _load(args.geometry)
+    _check_degree(geo.patch_L.degree)
     g = _gluing_for(geo, gluing_raw)
     f = fields.resolve_field(args.function)
     space = args.space
@@ -245,7 +250,7 @@ def cmd_table2(args) -> int:
     try:
         assembly.convergence_study(geo, g, space, args.levels, f,
                                    on_report=reports.append)
-    except Exception as exc:
+    except ValueError as exc:
         failure = exc
     # whatever finished, with a trailing error row after a failure
     csv_text = assembly.reports_to_csv(reports)

@@ -216,14 +216,15 @@ def ttilde_knot_vector(p: int, r: int, inner_knots, beta_is_zero: bool,
 
 
 def gluing_invariants(g: GluingData, base: KnotVector) -> GluingInvariants:
-    """All derived gluing quantities for a base knot vector T_k^{p,r}."""
+    """All derived gluing quantities for a base knot vector T_k^{p,r};
+    gluing data that violate the sign condition raise ``GluingError``."""
+    if not verify_sign_condition(g):
+        raise GluingError("sign condition alpha_L * alpha_R < 0 fails on [0, 1]")
     beta = beta_from_gluing(g)
     beta_scale = max(np.abs(beta.coef).max(), 1.0)
     beta_is_zero = bool(np.abs(beta.coef).max() <= COEF_TOL)
 
     q = _monic_gcd_linear(g.alpha_L, g.alpha_R)
-    if q is None:
-        raise GluingError("alpha_L and alpha_R vanish identically")
     deg_q = _poly_degree(q)
 
     atilde = {}

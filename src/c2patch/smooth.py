@@ -19,7 +19,6 @@ from math import comb
 
 import numpy as np
 
-from . import blas
 from .bspline import KnotVector, SplineSpace1D, make_knot_vector
 from .geometry import TwoPatchGeometry
 from .gluing import GluingData, GluingInvariants, matching_weights
@@ -482,8 +481,7 @@ def constraint_nullspace_dim(F: TwoPatchGeometry, g: GluingData, p: int,
     norms = np.linalg.norm(C, axis=1)
     C = C[norms > 0.0] / norms[norms > 0.0, None]
 
-    with blas.one_thread():
-        sv = np.linalg.svd(C, compute_uv=False)
+    sv = np.linalg.svd(C, compute_uv=False)
     cutoff = ORACLE_ZERO_TOL * max(C.shape) * sv[0]
     rank = int((sv > cutoff).sum())
     nullity = 6 * n - rank

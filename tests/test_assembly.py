@@ -1,8 +1,12 @@
 """Tests for quadrature, assembly, projection and geometry fitting."""
 
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -682,29 +686,30 @@ needs_pin = pytest.mark.skipif(len(blas.thread_controls()) < 2,
 
 class TestTwoThreadCondition:
     @needs_pin
-    def test_pin_sets_one_thread_and_restores(self):
-        controls = blas.thread_controls().values()
+    def test_import_pins_one_thread(self):
+        assert [get() for _, get in blas.thread_controls().values()] == [1, 1]
 
-        def counts():
-            return [getter() for _, getter in controls]
+    @needs_pin
+    def test_study_bits_do_not_depend_on_thread_count(self):
+        # each run sees OPENBLAS_NUM_THREADS before either library loads
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "from c2patch import cli\n"
+                "for geometry, space in (('fitted_b', 'w2'), ('fitted_a', 'v2')):\n"
+                "    cli.main(['table2', '--geometry', 'builtin:' + geometry,"
+                " '--space', space, '--levels', '4'])")
+        src = str(Path(asm_mod.__file__).parents[1])
 
-        before = counts()
-        try:
-            for setter, _ in controls:
-                setter(2)
-            with blas.one_thread():
-                assert counts() == [1, 1]
-                with blas.one_thread():
-                    pass
-                assert counts() == [1, 1]
-            assert counts() == [2, 2]
-            with pytest.raises(RuntimeError, match="body"):
-                with blas.one_thread():
-                    raise RuntimeError("body")
-            assert counts() == [2, 2]
-        finally:
-            for (setter, _), count in zip(controls, before):
-                setter(count)
+        def run(threads):
+            out = subprocess.run(
+                [sys.executable, "-c", code, src], capture_output=True,
+                text=True, check=True, timeout=300,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": str(threads)})
+            rows = [line.split(",") for line in out.stdout.splitlines()
+                    if line[:1].isdigit()]
+            assert len(rows) == 10
+            return [(float(row[3]).hex(), float(row[5]).hex()) for row in rows]
+
+        assert run(1) == run(2)
 
     @needs_pin
     def test_overlapped_equals_serial(self, level3_spectrum, monkeypatch):

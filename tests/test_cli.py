@@ -187,7 +187,7 @@ class TestCommands:
         def failing(self, tol=1e-6):
             calls["n"] += 1
             if calls["n"] > 1:
-                raise RuntimeError("synthetic eigensolver failure")
+                raise ValueError("synthetic eigensolver failure")
             return orig(self, tol)
 
         monkeypatch.setattr(asm_mod.SPDFactor, "condition_number", failing)
@@ -230,6 +230,21 @@ class TestExitCodes:
         save_geometry(path, geo, regularity=0)
         for command in ("fit", "bilinear"):
             assert run_cli(command, "--initial", str(path)) == 1
+            self._assert_one_error_line(capsys, "sign condition")
+
+    @pytest.mark.parametrize("alpha_L", [[0.0, 0.0], [1.0, -2.0]],
+                             ids=["zero", "root-inside"])
+    def test_gluing_violating_sign_condition_exits_one(self, alpha_L, tmp_path,
+                                                       capsys):
+        # no space is built from gluing data that no regular geometry has
+        ref = resources.files("c2patch") / "assets" / "bilinear_a.json"
+        data = json.loads(ref.read_text())
+        data["gluing"]["alpha_L"] = alpha_L
+        path = tmp_path / "bad_sign.json"
+        path.write_text(json.dumps(data))
+        for command in (["dim"], ["basis", "--out", str(tmp_path / "b.jsonl")]):
+            assert run_cli(*command, "--geometry", str(path), "--p", "5",
+                           "--k", "2") == 1
             self._assert_one_error_line(capsys, "sign condition")
 
     def test_malformed_gluing_record_one_error_line(self, tmp_path, capsys):
@@ -309,6 +324,22 @@ class TestExitCodes:
     def test_negative_k_exits_one(self, capsys):
         assert run_cli("dim", "--geometry", "builtin:fitted_a", "--k", "-1") == 1
         assert "--k must be at least 0, got -1" in capsys.readouterr().err
+
+    def test_table2_low_degree_geometry_names_the_degree(self, capsys):
+        assert run_cli("table2", "--geometry", "builtin:bilinear_a") == 1
+        self._assert_one_error_line(
+            capsys, "degree 1, below the least space degree 5")
+
+    def test_table2_program_error_is_not_bad_input(self, monkeypatch, capsys):
+        # only the study's documented failures, all ValueError, exit 1
+        def broken(*args, **kwargs):
+            raise TypeError("synthetic program error")
+
+        monkeypatch.setattr(cli.assembly, "convergence_study", broken)
+        with pytest.raises(TypeError, match="synthetic program error"):
+            run_cli("table2", "--geometry", "builtin:fitted_a",
+                    "--levels", "0")
+        assert "error:" not in capsys.readouterr().err
 
     def test_table2_negative_levels_exits_one(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
