@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -590,14 +590,10 @@ class SPDFactor:
                                          matmat=self._product, dtype=float)
             self._precond = KroneckerPreconditioner(M, self.scale, layout)
         else:
-            # the entries are scaled before the one dense copy is made;
             # each s_i s_j is formed before it multiplies M_ij, so a
             # symmetric M gives an exactly symmetric A
-            C = sp.csr_matrix(M)
-            rows = np.repeat(np.arange(n), np.diff(C.indptr))
-            A = sp.csr_matrix(
-                (C.data * (self.scale[rows] * self.scale[C.indices]),
-                 C.indices, C.indptr), shape=C.shape).toarray()
+            A = ((M.toarray() if sp.issparse(M) else M)
+                 * np.outer(self.scale, self.scale))
             # a TwoPatchMass is exactly symmetric already
             self.A = A if layout is not None else (A + A.T) * 0.5
             try:
@@ -683,32 +679,20 @@ class SPDFactor:
         if not 0.0 < tol < 1.0:
             raise ValueError(f"tol must lie in (0, 1), got {tol}")
         v0 = np.random.default_rng(0).standard_normal(self.A.shape[0])
-        if self._precond is not None:
-            largest, inverse_min = self._preconditioned_extremes(v0, tol)
-        else:
+        if self._precond is None:
             # the factor was checked once; the Lanczos vectors are finite
-            inverse_min = lanczos_largest(
-                lambda y: sla.cho_solve(self._cho, y, check_finite=False),
-                v0, tol)
-            largest = lanczos_largest(lambda x: self.A @ x, v0, tol)
-        return float(largest * inverse_min)
-
-    def _preconditioned_extremes(self, v0: np.ndarray,
-                                 tol: float) -> tuple[float, float]:
-        """(lambda_max, 1 / lambda_min) of the preconditioned A.
-
-        With ``blas.can_overlap()``, Lanczos runs on a worker thread while
-        LOBPCG runs on this one, and the worker is joined before this
-        returns or raises; otherwise one runs after the other.
-        """
-        if not blas.can_overlap():
-            inverse_min = self._inverse_smallest(v0)
-            return lanczos_largest(lambda x: self.A @ x, v0, tol), inverse_min
-        with ThreadPoolExecutor(max_workers=1) as worker:
-            largest = worker.submit(lanczos_largest, lambda x: self.A @ x,
-                                    v0, tol)
-            inverse_min = self._inverse_smallest(v0)
-        return largest.result(), inverse_min
+            inverse_min = partial(lanczos_largest, lambda y: sla.cho_solve(
+                self._cho, y, check_finite=False), v0, tol)
+        else:
+            inverse_min = partial(self._inverse_smallest, v0)
+        largest = partial(lanczos_largest, lambda x: self.A @ x, v0, tol)
+        if self._precond is not None and blas.can_overlap():
+            # lambda_max on a worker thread, joined before this returns or
+            # raises
+            with ThreadPoolExecutor(max_workers=1) as worker:
+                future = worker.submit(largest)
+                return float(inverse_min() * future.result())
+        return float(inverse_min() * largest())
 
 
 def lanczos_largest(apply: Callable[[np.ndarray], np.ndarray],
@@ -826,7 +810,6 @@ def reports_to_csv(reports: list[ApproxReport]) -> str:
 class FitResult:
     geometry: TwoPatchGeometry
     epsilon: float
-    coefficients: np.ndarray    # (2, dim) solution vectors per coordinate
 
 
 def discrete_relative_error(F_tilde: TwoPatchGeometry,
@@ -891,7 +874,7 @@ def fit_bilinear_like(F_tilde: TwoPatchGeometry,
     asm, M, loads = reference_projection(F_tilde, F_hat, gluing, weighted)
     sol = SPDFactor(M).solve(loads.T).T
     fitted = geometry_from_solutions(asm, sol)
-    return FitResult(fitted, discrete_relative_error(F_tilde, fitted), sol)
+    return FitResult(fitted, discrete_relative_error(F_tilde, fitted))
 
 
 def _identity_geometry(kv: KnotVector) -> TwoPatchGeometry:

@@ -25,10 +25,6 @@ from scipy.linalg import solve_banded
 KNOT_TOL = 1e-12
 
 
-def _as_float_tuple(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
-
-
 @dataclass(frozen=True)
 class KnotVector:
     """Open knot vector on [0, 1] stored as distinct breakpoints + multiplicities.
@@ -122,7 +118,7 @@ def make_knot_vector(p: int, r: int, k: int, inner_knots=()) -> KnotVector:
         raise ValueError(f"degree must be >= 1, got {p}")
     if not 0 <= r <= p - 1:
         raise ValueError(f"regularity r={r} outside 0..{p - 1}")
-    inner = _as_float_tuple(inner_knots)
+    inner = tuple(float(v) for v in inner_knots)
     if len(inner) != k:
         raise ValueError(f"expected {k} interior knots, got {len(inner)}")
     if any(not 0.0 < t < 1.0 for t in inner):

@@ -26,10 +26,8 @@ EXIT_INVALID = 1
 EXIT_INDETERMINATE = 2
 
 
-class CommandError(Exception):
-    def __init__(self, message, code=EXIT_INVALID):
-        super().__init__(message)
-        self.code = code
+class CommandError(ValueError):
+    """Bad command-line input; ``main`` prints it and exits 1."""
 
 
 def _resolve_geometry_path(path: str):
@@ -56,7 +54,7 @@ def _load(path: str):
         geo, gluing_raw = geometry_from_dict(data)
     except GeometryError as exc:
         raise CommandError(f"invalid geometry file: {exc}") from exc
-    return geo, gluing_raw, int(data.get("regularity", 2))
+    return geo, gluing_raw, int(data["regularity"])
 
 
 def _gluing_for(geo, gluing_raw):
@@ -340,10 +338,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CommandError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # every OSError comes from a path the user gave
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except smooth.IndeterminateRankError as exc:

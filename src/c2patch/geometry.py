@@ -216,12 +216,15 @@ def geometry_to_dict(geo: TwoPatchGeometry, gluing=None, *,
 def geometry_from_dict(data: dict) -> tuple[TwoPatchGeometry, dict | None]:
     """Parse the geometry schema; returns (geometry, raw gluing dict or None)."""
     try:
-        p = int(data["degree"])
-        r = int(data["regularity"])
+        p, r = (float(data[key]) for key in ("degree", "regularity"))
         inner = [float(t) for t in data["knots_interior"]]
         patches_raw = data["patches"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GeometryError(f"malformed geometry record: {exc}") from exc
+    for name, value in (("degree", p), ("regularity", r)):
+        if not value.is_integer():
+            raise GeometryError(f"{name} {value} is not an integer")
+    p, r = int(p), int(r)
     if not 0 <= r <= p - 1:
         raise GeometryError(f"regularity {r} invalid for degree {p}")
     if not np.isfinite(inner).all():
@@ -238,8 +241,6 @@ def geometry_from_dict(data: dict) -> tuple[TwoPatchGeometry, dict | None]:
         except (KeyError, TypeError, ValueError) as exc:
             raise GeometryError(
                 f"patch {side!r}: malformed control points: {exc}") from exc
-        if not np.isfinite(pts).all():
-            raise GeometryError(f"patch {side!r}: non-finite control point")
         if pts.shape != (n * n, 2):
             raise GeometryError(
                 f"patch {side!r}: expected {n * n} control points, got {pts.shape}")

@@ -41,8 +41,7 @@ class LinearPoly:
         return Polynomial([self.const, self.slope])
 
     def degree(self) -> int:
-        scale = max(abs(self.const), abs(self.slope), 1.0)
-        return 1 if abs(self.slope) > COEF_TOL * scale else 0
+        return max(_poly_degree(self.poly), 0)
 
     def root(self) -> float:
         if self.degree() == 0:
@@ -57,7 +56,10 @@ class LinearPoly:
 
     @staticmethod
     def from_list(data) -> "LinearPoly":
-        a, b = (float(x) for x in (list(data) + [0.0, 0.0])[:2])
+        data = list(data)
+        if not 1 <= len(data) <= 2:
+            raise ValueError(f"{len(data)} coefficients of a linear polynomial")
+        a, b = (float(x) for x in (data + [0.0])[:2])
         if not (np.isfinite(a) and np.isfinite(b)):
             raise ValueError(f"non-finite coefficients {[a, b]}")
         return LinearPoly(a, b)
@@ -227,15 +229,10 @@ def gluing_invariants(g: GluingData, base: KnotVector) -> GluingInvariants:
     q = _monic_gcd_linear(g.alpha_L, g.alpha_R)
     deg_q = _poly_degree(q)
 
-    atilde = {}
-    for side, alpha in (("L", g.alpha_L), ("R", g.alpha_R)):
-        if deg_q == 0:
-            atilde[side] = alpha.poly
-        else:
-            quo, rem = divmod(alpha.poly, q)
-            if np.abs(rem.coef).max() > 1e-9 * max(abs(alpha.const), abs(alpha.slope), 1.0):
-                raise GluingError("q does not divide alpha")
-            atilde[side] = quo
+    # q = v - rho with rho the shared root of both alphas, so alpha / q is
+    # alpha's slope
+    atilde = {side: Polynomial([alpha.slope]) if deg_q else alpha.poly
+              for side, alpha in (("L", g.alpha_L), ("R", g.alpha_R))}
 
     gcd_beta = _monic_gcd_linear(g.beta_L, g.beta_R)
     if gcd_beta is not None and _poly_degree(gcd_beta) == deg_q and (

@@ -29,6 +29,8 @@ ORACLE_OVERSAMPLE = 4     # the oracle collocates 4 (p + 1) points per knot span
 # the collocation matrix are zero (numpy's ``matrix_rank`` rule); genuine
 # ones fall below 1e-9 of the largest as k grows
 ORACLE_ZERO_TOL = np.finfo(float).eps
+# the oracle raises when kept and dropped singular values are closer
+ORACLE_MIN_GAP = 1e2
 
 
 class DegreeBudgetError(ValueError):
@@ -81,10 +83,7 @@ def dim_gamma(inv: GluingInvariants, p: int, r: int, k: int) -> tuple[int, int, 
 
 def dim_v2_from_numbers(p: int, r: int, k: int, d_atilde: int, d_h: int,
                         z_beta: int) -> int:
-    _check_params(p, r, k)
-    if p - 2 * d_atilde < r + 1:
-        raise DegreeBudgetError(
-            f"p - 2*d_atilde = {p - 2 * d_atilde} < r + 1 = {r + 1}")
+    dim_gamma_from_numbers(p, r, k, d_atilde, d_h, z_beta)   # raises if invalid
     return (k + 1) * (3 * (p + 1) - 3 * d_atilde - d_h) - (3 * r + 5) * k + 2 * z_beta
 
 
@@ -332,18 +331,11 @@ def _assemble_basis(kind: str, families, g, inv, trace_space) -> SmoothBasis:
     targets = np.stack([rows[i]["LR".index(side)]
                         for i, side in _COMBINATIONS], axis=1)   # (x, 5, T)
 
-    # row i of a function is zero unless one of its slots 0..i has a part
-    lowest = [min(slot for slot, *_ in f.parts) for f in families]
-    live = (np.array([i for i, _ in _COMBINATIONS])[:, None]
-            >= np.repeat(lowest, [len(f.cols) for f in families]))  # (5, T)
-
     coeffs = trace_space.interpolate(targets[:n])                # (n, 5, T)
-    coeffs[:, ~live] = 0.0
     check = targets[n:]
     approx = trace_space.eval_function(coeffs, mids)[0]
     resid = (np.abs(approx - check).max(axis=0)
              / np.maximum(1.0, np.abs(check).max(axis=0)))
-    resid[~live] = 0.0
     bad = np.argwhere(~(resid.T <= TRACE_RESID_TOL))
     if len(bad):
         m, c = bad[0]
@@ -371,9 +363,7 @@ def _spline_space(p: int, r: int, inner) -> SplineSpace1D:
 def build_basis_v2(g: GluingData, inv: GluingInvariants, p: int, r: int,
                    k: int) -> SmoothBasis:
     """Explicit basis of the interface part of the full C2 space."""
-    _check_params(p, r, k)
-    if p - 2 * inv.d_atilde < r + 1:
-        raise DegreeBudgetError("triplet spaces degenerate: p - 2*d_atilde < r + 1")
+    count = sum(dim_gamma(inv, p, r, k))
     inner = inv.ttilde.inner_knots
     if len(inner) != k:
         raise ValueError("invariants were built for a different knot count")
@@ -419,22 +409,20 @@ def build_basis_v2(g: GluingData, inv: GluingInvariants, p: int, r: int,
     # second transversal family
     families.append(_regular("Gamma2", s2, 2))
 
-    assert sum(len(f.cols) for f in families) == sum(dim_gamma(inv, p, r, k))
+    assert sum(len(f.cols) for f in families) == count
     return _assemble_basis("v2", families, g, inv, trace_space)
 
 
 def build_basis_w2(g: GluingData, inv: GluingInvariants, p: int, r: int,
                    k: int) -> SmoothBasis:
     """Basis of the uniformly constructible interface subspace."""
-    _check_params(p, r, k)
     d_alpha = inv.d_alpha
-    if p - 2 * d_alpha < r:
-        raise DegreeBudgetError("triplet spaces degenerate: p - 2*d_alpha < r")
+    count = dim_w2(p, r, k, d_alpha)
     inner = inv.ttilde.inner_knots
     families = (_regular("W0", _spline_space(p, r + 2, inner), 0),
                 _regular("W1", _spline_space(p - d_alpha, r + 1, inner), 1),
                 _regular("W2", _spline_space(p - 2 * d_alpha, r, inner), 2))
-    assert sum(len(f.cols) for f in families) == dim_w2(p, r, k, d_alpha)
+    assert sum(len(f.cols) for f in families) == count
     return _assemble_basis("w2", families, g, inv, _spline_space(p, r, inner))
 
 
@@ -450,8 +438,7 @@ class OracleResult:
 
 
 def constraint_nullspace_dim(F: TwoPatchGeometry, g: GluingData, p: int,
-                             r: int, k: int,
-                             min_gap: float = 1e2) -> OracleResult:
+                             r: int, k: int) -> OracleResult:
     """Nullspace dimension of the collocated interface smoothness system.
 
     Collocates the matching equations of ``gluing.matching_weights`` in the
@@ -459,7 +446,7 @@ def constraint_nullspace_dim(F: TwoPatchGeometry, g: GluingData, p: int,
     nullspace (singular values below ``ORACLE_ZERO_TOL`` times the
     largest and times the larger dimension of the system).  Raises
     IndeterminateRankError when the spectral gap between kept and dropped
-    singular values is smaller than ``min_gap``.
+    singular values is smaller than ``ORACLE_MIN_GAP``.
     """
     _check_params(p, r, k)
     kv = F.patch_L.space.space_u.kv
@@ -489,9 +476,9 @@ def constraint_nullspace_dim(F: TwoPatchGeometry, g: GluingData, p: int,
         gap = np.inf
     else:
         gap = sv[rank - 1] / sv[rank] if sv[rank] > 0 else np.inf
-    if gap < min_gap:
+    if gap < ORACLE_MIN_GAP:
         raise IndeterminateRankError(
-            f"singular value gap {gap:.1e} below {min_gap:.0e}; "
+            f"singular value gap {gap:.1e} below {ORACLE_MIN_GAP:.0e}; "
             f"rank decision is ambiguous")
     return OracleResult(nullity, float(gap), sv)
 

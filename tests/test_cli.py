@@ -341,6 +341,45 @@ class TestExitCodes:
                     "--levels", "0")
         assert "error:" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["basis", "--geometry", "builtin:fitted_a"],
+        ["fit", "--initial", "builtin:initial_a"],
+        ["bilinear", "--initial", "builtin:initial_a"],
+        ["table2", "--geometry", "builtin:fitted_a", "--levels", "0"],
+    ], ids=lambda command: command[0])
+    def test_unwritable_out_exits_one(self, command, tmp_path, capsys):
+        out = tmp_path / "missing" / "out"
+        assert run_cli(*command, "--out", str(out)) == 1
+        self._assert_one_error_line(capsys, str(out))
+
+    @pytest.mark.parametrize("beta_L", [[-1 / 6, 5 / 18, 5.0], []],
+                             ids=["three", "none"])
+    def test_gluing_record_coefficient_count_exits_one(self, beta_L, tmp_path,
+                                                       capsys):
+        # gluing functions are linear: a third coefficient is not dropped,
+        # and no coefficient is not the zero function
+        ref = resources.files("c2patch") / "assets" / "fitted_a.json"
+        data = json.loads(ref.read_text())
+        data["gluing"]["beta_L"] = beta_L
+        path = tmp_path / "gluing.json"
+        path.write_text(json.dumps(data))
+        assert run_cli("gluing", "--geometry", str(path)) == 1
+        self._assert_one_error_line(capsys, "malformed gluing record")
+
+    @pytest.mark.parametrize("key, value", [("degree", 5.9),
+                                            ("regularity", 2.7)])
+    def test_non_integral_degree_or_regularity_exits_one(self, key, value,
+                                                         tmp_path, capsys):
+        ref = resources.files("c2patch") / "assets" / "fitted_a.json"
+        data = json.loads(ref.read_text())
+        path = tmp_path / "geo.json"
+        path.write_text(json.dumps(dict(data, degree=5.0, regularity=2.0)))
+        assert run_cli("dim", "--geometry", str(path)) == 0
+        assert capsys.readouterr().out.startswith("p=5 r=2 k=0\n")
+        path.write_text(json.dumps(dict(data, **{key: value})))
+        assert run_cli("dim", "--geometry", str(path)) == 1
+        self._assert_one_error_line(capsys, f"{key} {value} is not an integer")
+
     def test_table2_negative_levels_exits_one(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
         assert run_cli("table2", "--geometry", "builtin:fitted_a",

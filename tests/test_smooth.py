@@ -18,6 +18,7 @@ from c2patch.smooth import (TRACE_RESID_TOL, DegreeBudgetError, Family,
                             dim_v2, dim_v2_from_numbers, dim_w2, edge_rows,
                             interface_jets, select_refined_bspline,
                             verify_c2_at_interface)
+from tests.conftest import load_asset
 from tests.test_gluing import (mirrored_squares, squares_with_linear_beta,
                                squares_with_quadratic_beta)
 
@@ -255,6 +256,37 @@ class TestBasisConstruction:
                 if kind == "Gamma2":
                     assert np.abs(rows[0]).max() == 0.0
                     assert np.abs(rows[1]).max() == 0.0
+
+    @pytest.mark.parametrize("asset, p, ks", [("fitted_a", 5, (0, 3)),
+                                              ("fitted_b", 5, (0, 3)),
+                                              ("bilinear_b", 6, (0, 2))])
+    def test_rows_below_the_lowest_slot_are_zero(self, asset, p, ks):
+        # a family whose lowest trace slot is s has exactly zero u-rows
+        # 0..s-1 on both patches (-0.0 passes)
+        _, g = load_asset(asset)
+        for k in ks:
+            inv = invariants_for(g, p=p, k=k)
+            for build in (build_basis_v2, build_basis_w2):
+                basis = build(g, inv, p, 2, k)
+                lowest = [min(slot for slot, *_ in f.parts)
+                          for f in basis.families for _ in f.cols]
+                assert max(lowest) == 2
+                for m, s in enumerate(lowest):
+                    for side in "LR":
+                        assert (basis.rows(side, m)[:s] == 0.0).all()
+
+    @pytest.mark.parametrize("build", [build_basis_v2, build_basis_w2])
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_regularity_outside_range_raises_before_any_space(
+            self, gluing_a, build, r, monkeypatch):
+        inv = invariants_for(gluing_a, r=r, k=1)
+
+        def no_space(*args):
+            raise AssertionError("a spline space was built")
+
+        monkeypatch.setattr(smooth, "_spline_space", no_space)
+        with pytest.raises(ValueError, match=f"regularity r={r} outside 2..2"):
+            build(gluing_a, inv, 5, r, 1)
 
     def test_full_row_rank(self, gluing_a, gluing_b):
         for g in (gluing_a, gluing_b):
@@ -507,11 +539,12 @@ class TestOracle:
             assert res.nullspace_dim == want
             assert res.gap >= 1e3
 
-    def test_indeterminate_gap_raises(self, bilinear_a, gluing_a):
+    def test_indeterminate_gap_raises(self, bilinear_a, gluing_a, monkeypatch):
         kv = make_knot_vector(5, 2, 0)
         F = represent_geometry(bilinear_a, kv)
+        monkeypatch.setattr(smooth, "ORACLE_MIN_GAP", 1e30)
         with pytest.raises(IndeterminateRankError):
-            constraint_nullspace_dim(F, gluing_a, 5, 2, 0, min_gap=1e30)
+            constraint_nullspace_dim(F, gluing_a, 5, 2, 0)
 
 
 # ---------------------------------------------------------------------------
