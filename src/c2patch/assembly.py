@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cache, partial
-from typing import Callable, Sequence
+from functools import partial
+from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
@@ -23,7 +23,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import blas
-from .bspline import KnotVector, SplineSpace1D, make_knot_vector, uniform_inner_knots
+from .bspline import (KnotVector, QuadratureRule, SplineSpace1D, make_knot_vector,
+                      space_rule, uniform_inner_knots)
 from .geometry import (Patch, TwoPatchGeometry, bilinear_from_vertices,
                        refine_geometry, represent_geometry, square_patch_space)
 from .gluing import GluingData, gluing_from_bilinear, gluing_invariants
@@ -39,6 +40,8 @@ ITERATION_CAP = 500
 # ~1.5 ms a level-5 product) and raises past the cap (level 5 needs ~110).
 LANCZOS_CHECK = 4
 LANCZOS_CAP = 2000
+# relative accuracy of lambda_max, and of 1 / lambda_min on the dense path
+LANCZOS_TOL = 1e-6
 # An L2 error is quadratic in the solve error, so at 1e-13 it moved by up to
 # 6e-8 relative with the preconditioner (Table 2, level 5); at 1e-14 it is
 # within 1e-9 of a direct solve's, for one or two more iterations.
@@ -50,35 +53,6 @@ INTERFACE_ROWS = 3
 # the order of every three-operand cell contraction: the u-values with the
 # middle operand first, then the v-values (no path search per call)
 _CELL_PATH = ("einsum_path", (0, 1), (0, 1))
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Per-cell Gauss nodes and weights on [0, 1]."""
-
-    nodes: np.ndarray      # (ncells, q)
-    weights: np.ndarray    # (ncells, q)
-
-
-@cache
-def gauss_legendre(points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per point
-    count and read-only."""
-    x, w = np.polynomial.legendre.leggauss(points)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
-def gauss_rule(points_per_cell: int, cells: Sequence[tuple[float, float]]) -> QuadratureRule:
-    """Gauss-Legendre rule mapped to each cell (a, b)."""
-    if points_per_cell < 1:
-        raise ValueError("points_per_cell must be >= 1")
-    x, w = gauss_legendre(points_per_cell)
-    cells = np.asarray(cells, dtype=float)
-    mid = 0.5 * (cells[:, 0] + cells[:, 1])
-    half = 0.5 * (cells[:, 1] - cells[:, 0])
-    return QuadratureRule(mid[:, None] + half[:, None] * x[None, :],
-                          half[:, None] * w[None, :])
 
 
 def default_points_per_cell(space: SplineSpace1D) -> int:
@@ -93,11 +67,6 @@ def default_points_per_cell(space: SplineSpace1D) -> int:
     return max(2 * space.degree, -(-30 // ncells))
 
 
-def space_rule(space: SplineSpace1D, points_per_cell: int | None = None) -> QuadratureRule:
-    ppc = points_per_cell or default_points_per_cell(space)
-    return gauss_rule(ppc, [(a, b) for _, a, b in space.spans()])
-
-
 @dataclass(frozen=True)
 class _BasisOnCells:
     """B-spline values/derivatives at quadrature nodes, organized per cell."""
@@ -106,9 +75,8 @@ class _BasisOnCells:
     values: np.ndarray       # (ncells, q, nd+1, p+1)
 
 
-def _basis_on_cells(space: SplineSpace1D, rule: QuadratureRule,
-                    max_deriv: int = 1) -> _BasisOnCells:
-    first, values = space.eval_basis(rule.nodes, max_deriv)
+def _basis_on_cells(space: SplineSpace1D, rule: QuadratureRule) -> _BasisOnCells:
+    first, values = space.eval_basis(rule.nodes, 1)
     # Gauss nodes lie inside their cell, so one span serves the whole cell
     return _BasisOnCells(first[:, 0], values)
 
@@ -170,10 +138,11 @@ class PatchAssembler:
         self.patch = patch
         su = patch.space.space_u
         sv = patch.space.space_v
-        self.rule_u = space_rule(su, points_per_cell)
-        self.rule_v = space_rule(sv, points_per_cell)
-        self.bu = _basis_on_cells(su, self.rule_u, 1)
-        self.bv = _basis_on_cells(sv, self.rule_v, 1)
+        self.rule_u, self.rule_v = (
+            space_rule(s, points_per_cell or default_points_per_cell(s))
+            for s in (su, sv))
+        self.bu = _basis_on_cells(su, self.rule_u)
+        self.bv = _basis_on_cells(sv, self.rule_v)
         self.n_u = su.dim
         self.n_v = sv.dim
         self.p_u = su.degree
@@ -665,27 +634,25 @@ class SPDFactor:
                 f"LOBPCG did not converge within {ITERATION_CAP} iterations")
         return 1.0 / lam[0]
 
-    def condition_number(self, tol: float = 1e-6) -> float:
+    def condition_number(self) -> float:
         """Condition number of A, lambda_max / lambda_min.
 
         ``lanczos_largest`` finds lambda_max of A to the relative tolerance
-        ``tol``, which must lie in (0, 1), from a seeded start vector.
+        ``LANCZOS_TOL`` from a seeded start vector.
         1 / lambda_min comes from LOBPCG (absolute residual ``LOBPCG_TOL``)
         when A is preconditioned, and otherwise is the largest eigenvalue of
         A^(-1), found the same way through the Cholesky factor.  On the
         preconditioned path both run side by side when
         ``blas.can_overlap()``, with the same result as one after the other.
         """
-        if not 0.0 < tol < 1.0:
-            raise ValueError(f"tol must lie in (0, 1), got {tol}")
         v0 = np.random.default_rng(0).standard_normal(self.A.shape[0])
         if self._precond is None:
             # the factor was checked once; the Lanczos vectors are finite
             inverse_min = partial(lanczos_largest, lambda y: sla.cho_solve(
-                self._cho, y, check_finite=False), v0, tol)
+                self._cho, y, check_finite=False), v0, LANCZOS_TOL)
         else:
             inverse_min = partial(self._inverse_smallest, v0)
-        largest = partial(lanczos_largest, lambda x: self.A @ x, v0, tol)
+        largest = partial(lanczos_largest, lambda x: self.A @ x, v0, LANCZOS_TOL)
         if self._precond is not None and blas.can_overlap():
             # lambda_max on a worker thread, joined before this returns or
             # raises
@@ -728,9 +695,9 @@ def solve_spd(M, rhs: np.ndarray) -> np.ndarray:
     return SPDFactor(M).solve(rhs)
 
 
-def scaled_condition_number(M, tol: float = 1e-6) -> float:
+def scaled_condition_number(M) -> float:
     """Condition number of the diagonally scaled SPD matrix (see ``SPDFactor``)."""
-    return SPDFactor(M).condition_number(tol)
+    return SPDFactor(M).condition_number()
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,24 @@
 """Univariate and tensor-product B-spline spaces on [0, 1].
 
 Open knot vectors with per-knot multiplicity bookkeeping, basis evaluation
-with derivatives, Greville abscissae, collocation interpolation and knot
-insertion.  ``SplineSpace1D.eval_basis`` is the one Cox-de Boor evaluator:
-it takes whole arrays of points, and every other evaluation (spline
-functions, dense collocation matrices, tensor-product grids) is built on
-its output with array operations instead of per-point loops.  It is
-``find_span`` followed by ``SplineSpace1D._eval_spans``, the pass that takes
-the spans and runs the recurrences over all points and all basis functions
-at once; the float rule of ``smooth.select_refined_bspline`` calls that pass
-directly, with both one-sided limits at a knot in one call.  Everything is
-immutable after construction; operations are pure functions of their
-inputs.
+with derivatives, Greville abscissae, collocation interpolation, knot
+insertion and Gauss rules on the knot spans.  ``SplineSpace1D.eval_basis``
+is the one Cox-de Boor evaluator: it takes whole arrays of points, and
+every other evaluation (spline functions, dense collocation matrices,
+tensor-product grids) is built on its output with array operations instead
+of per-point loops.  It is ``find_span`` followed by
+``SplineSpace1D._eval_spans``, the pass that takes the spans and runs the
+recurrences over all points and all basis functions at once; the float rule
+of ``smooth.select_refined_bspline`` calls that pass directly, with both
+one-sided limits at a knot in one call.  Everything is immutable after
+construction; operations are pure functions of their inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -346,6 +347,40 @@ class SplineSpace1D:
         return [(i, t[i], t[i + 1])
                 for i in range(self.degree, self.dim)
                 if t[i + 1] - t[i] > KNOT_TOL]
+
+
+@dataclass(frozen=True)
+class QuadratureRule:
+    """Per-cell Gauss nodes and weights on [0, 1]."""
+
+    nodes: np.ndarray      # (ncells, q)
+    weights: np.ndarray    # (ncells, q)
+
+
+@cache
+def gauss_legendre(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per point
+    count and read-only."""
+    x, w = np.polynomial.legendre.leggauss(points)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def gauss_rule(points_per_cell: int, cells: Sequence[tuple[float, float]]) -> QuadratureRule:
+    """Gauss-Legendre rule mapped to each cell (a, b)."""
+    if points_per_cell < 1:
+        raise ValueError("points_per_cell must be >= 1")
+    x, w = gauss_legendre(points_per_cell)
+    cells = np.asarray(cells, dtype=float)
+    mid = 0.5 * (cells[:, 0] + cells[:, 1])
+    half = 0.5 * (cells[:, 1] - cells[:, 0])
+    return QuadratureRule(mid[:, None] + half[:, None] * x[None, :],
+                          half[:, None] * w[None, :])
+
+
+def space_rule(space: SplineSpace1D, points_per_cell: int) -> QuadratureRule:
+    """Gauss-Legendre rule mapped into every nonempty knot span of ``space``."""
+    return gauss_rule(points_per_cell, [(a, b) for _, a, b in space.spans()])
 
 
 @dataclass(frozen=True)

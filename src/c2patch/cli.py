@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation failure, 2 numerical indeterminacy.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from importlib import resources
@@ -122,23 +123,25 @@ def cmd_dim(args) -> int:
 def cmd_gluing(args) -> int:
     geo, gluing_raw, _file_r = _load(args.geometry)
     g = _gluing_for(geo, gluing_raw)
-    beta = beta_from_gluing(g)
-    print(f"alpha_L = {g.alpha_L.to_list()}")
-    print(f"alpha_R = {g.alpha_R.to_list()}")
-    print(f"beta_L  = {g.beta_L.to_list()}")
-    print(f"beta_R  = {g.beta_R.to_list()}")
-    print(f"beta    = {beta.coef.tolist()}")
-    print(f"sign condition: {'OK' if verify_sign_condition(g) else 'VIOLATED'}")
-    return EXIT_OK if verify_sign_condition(g) else EXIT_INVALID
+    rows = dict(g.to_dict(), beta=beta_from_gluing(g).coef.tolist())
+    for key, coef in rows.items():
+        print(f"{key:<7} = {coef}")
+    ok = verify_sign_condition(g)
+    print(f"sign condition: {'OK' if ok else 'VIOLATED'}")
+    return EXIT_OK if ok else EXIT_INVALID
 
 
-def _build_basis(geo, g, args, file_r):
-    """Basis at the requested parameters + the geometry refined to match.
+def _output(path):
+    """The ``--out`` file opened for writing, or stdout (left open)."""
+    return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
+
+
+def _build_basis(geo, g, space, p, r, k, inner):
+    """Basis at the given parameters + the geometry refined to match.
 
     A bilinear geometry lies in every space, so it is represented at the
     space's degree; any other geometry must have that degree.
     """
-    p, r, k, inner = _space_params(geo, args, file_r)
     degree = geo.patch_L.degree
     if p != degree and degree != 1:
         raise CommandError(
@@ -149,23 +152,19 @@ def _build_basis(geo, g, args, file_r):
         geo = represent_geometry(geo, kv)
     elif kv != geo.patch_L.space.space_u.kv:
         geo = refine_geometry(geo, kv)
-    if args.space == "v2":
-        return smooth.build_basis_v2(g, inv, p, r, k), inv, geo
-    return smooth.build_basis_w2(g, inv, p, r, k), inv, geo
+    build = smooth.build_basis_v2 if space == "v2" else smooth.build_basis_w2
+    return build(g, inv, p, r, k), inv, geo
 
 
 def cmd_basis(args) -> int:
     geo, gluing_raw, file_r = _load(args.geometry)
     g = _gluing_for(geo, gluing_raw)
-    basis, _, _ = _build_basis(geo, g, args, file_r)
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
+    basis, _, _ = _build_basis(geo, g, args.space,
+                               *_space_params(geo, args, file_r))
+    with _output(args.out) as out:
         for record in basis.records():
             out.write(json.dumps(record))
             out.write("\n")
-    finally:
-        if args.out:
-            out.close()
     print(f"exported {basis.num_basis} basis records "
           f"({args.space})", file=sys.stderr)
     return EXIT_OK
@@ -184,21 +183,14 @@ def cmd_verify(args) -> int:
     print(report)
     all_ok = report.passed
 
-    basis, inv, geo = _build_basis(geo, g, args, file_r)
-    worst_vals = [0.0, 0.0, 0.0]
-    for m in range(basis.num_basis):
-        rep = smooth.verify_c2_at_interface(
-            geo, basis.rows("L", m), basis.rows("R", m),
-            n_samples=args.samples, tol=args.tol)
-        worst_vals[0] = max(worst_vals[0], rep.value_diff)
-        worst_vals[1] = max(worst_vals[1], rep.grad_diff)
-        worst_vals[2] = max(worst_vals[2], rep.hess_diff)
-    worst = smooth.C2Report(*worst_vals, args.tol)
+    p, r, k, inner = _space_params(geo, args, file_r)
+    basis, inv, geo = _build_basis(geo, g, args.space, p, r, k, inner)
+    worst = smooth.verify_c2_at_interface(geo, basis.A_L, basis.A_R,
+                                          n_samples=args.samples, tol=args.tol)
     print(f"{basis.num_basis} basis functions ({args.space}): {worst}")
     all_ok = all_ok and worst.passed
 
     if args.oracle:
-        p, r, k, _ = _space_params(geo, args, file_r)
         try:
             res = smooth.constraint_nullspace_dim(geo, g, p, r, k)
         except smooth.IndeterminateRankError as exc:
@@ -214,6 +206,8 @@ def cmd_verify(args) -> int:
 
 def cmd_fit(args) -> int:
     geo, _gluing, _file_r = _load(args.initial)
+    if args.out:
+        open(args.out, "w").close()     # a bad path fails before the fit
     fhat = bilinear_from_vertices(geo)
     g = gluing_from_bilinear(fhat)
     result = assembly.fit_bilinear_like(geo, fhat, g, weighted=not args.unweighted)
@@ -245,20 +239,16 @@ def cmd_table2(args) -> int:
     f = fields.resolve_field(args.function)
     space = args.space
     reports, failure = [], None
-    try:
-        assembly.convergence_study(geo, g, space, args.levels, f,
-                                   on_report=reports.append)
-    except ValueError as exc:
-        failure = exc
-    # whatever finished, with a trailing error row after a failure
-    csv_text = assembly.reports_to_csv(reports)
-    if failure is not None:
-        csv_text += f"# error at level {len(reports)}: {failure}\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    with _output(args.out) as out:
+        try:
+            assembly.convergence_study(geo, g, space, args.levels, f,
+                                       on_report=reports.append)
+        except ValueError as exc:
+            failure = exc
+        # whatever finished, with a trailing error row after a failure
+        out.write(assembly.reports_to_csv(reports))
+        if failure is not None:
+            out.write(f"# error at level {len(reports)}: {failure}\n")
     if failure is not None:
         raise CommandError(
             f"convergence study failed: {failure}") from failure

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .bspline import (KnotVector, SplineSpace1D, TensorSplineSpace,
-                      make_knot_vector, refine_to)
+                      make_knot_vector, refine_to, space_rule)
 
 INTERFACE_TOL = 1e-10
 
@@ -50,10 +50,9 @@ class Patch:
     def degree(self) -> int:
         return self.space.space_u.degree
 
-    def eval(self, us, vs, du: int = 0, dv: int = 0) -> np.ndarray:
-        """d_u^du d_v^dv F on the grid us x vs:
-        shape us.shape + vs.shape + (2,)."""
-        return self.space.eval(self.control_points, us, vs, du, dv)
+    def eval(self, us, vs) -> np.ndarray:
+        """F on the grid us x vs: shape us.shape + vs.shape + (2,)."""
+        return self.space.eval(self.control_points, us, vs)
 
     def derivs(self, us, vs, max_du: int, max_dv: int) -> np.ndarray:
         """All mixed derivatives on the grid us x vs:
@@ -104,8 +103,7 @@ class TwoPatchGeometry:
         """Smallest |det J| over Gauss sample grids of both patches."""
         dets = []
         for patch in (self.patch_L, self.patch_R):
-            nodes, _ = np.polynomial.legendre.leggauss(patch.degree + 1)
-            us, vs = (_gauss_points(s, nodes)
+            us, vs = (space_rule(s, patch.degree + 1).nodes.ravel()
                       for s in (patch.space.space_u, patch.space.space_v))
             d = patch.derivs(us, vs, 1, 1)
             dets.append(d[1, 0, ..., 0] * d[0, 1, ..., 1]
@@ -122,13 +120,6 @@ class TwoPatchGeometry:
                 f"patch interfaces disagree: max |F_L(0,v) - F_R(0,v)| = {mism:.3e}")
         if self.min_abs_jacobian() <= 0.0:
             raise GeometryError("patch Jacobian vanishes on the sample grid")
-
-
-def _gauss_points(space: SplineSpace1D, nodes: np.ndarray) -> np.ndarray:
-    """The Gauss ``nodes`` mapped into every nonempty knot span, flattened."""
-    spans = np.array([(a, b) for _, a, b in space.spans()])
-    a, b = spans[:, :1], spans[:, 1:]
-    return (0.5 * (a + b) + 0.5 * (b - a) * nodes).ravel()
 
 
 def refine_geometry(geo: TwoPatchGeometry, target_kv: KnotVector) -> TwoPatchGeometry:

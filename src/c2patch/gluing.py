@@ -6,6 +6,13 @@ the shared edge.  Derived quantities: the quadratic beta, the common monic
 factor q of the alphas, the reduced alphas, the auxiliary factor h, the set
 of interior knots where beta vanishes, and the smoothness-adjusted knot
 vector used by the trace space of the smooth basis.
+
+The G2 conditions do not change when both alphas are multiplied by the same
+number, and neither does any decision made here: each zero, degree and
+common-root decision is taken on the gluing data with both alphas divided
+by their common scale (``_normalised_alphas``), where a coefficient of size at
+most ``COEF_TOL`` counts as zero, and a knot is a root of beta where beta is
+at most ``ROOT_TOL`` times its own largest coefficient.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from .geometry import TwoPatchGeometry
 
 ROOT_TOL = 1e-10
 COEF_TOL = 1e-12
+GLUING_KEYS = ("alpha_L", "alpha_R", "beta_L", "beta_R")
 
 
 class GluingError(ValueError):
@@ -27,88 +35,71 @@ class GluingError(ValueError):
 
 
 @dataclass(frozen=True)
-class LinearPoly:
-    """The linear polynomial const + slope * v on [0, 1]."""
-
-    const: float
-    slope: float = 0.0
-
-    def __call__(self, v):
-        return self.const + self.slope * np.asarray(v, dtype=float)
-
-    @property
-    def poly(self) -> Polynomial:
-        return Polynomial([self.const, self.slope])
-
-    def degree(self) -> int:
-        return max(_poly_degree(self.poly), 0)
-
-    def root(self) -> float:
-        if self.degree() == 0:
-            raise ValueError("constant polynomial has no root")
-        return -self.const / self.slope
-
-    def is_zero(self) -> bool:
-        return abs(self.const) <= COEF_TOL and abs(self.slope) <= COEF_TOL
-
-    def to_list(self) -> list[float]:
-        return [float(self.const), float(self.slope)]
-
-    @staticmethod
-    def from_list(data) -> "LinearPoly":
-        data = list(data)
-        if not 1 <= len(data) <= 2:
-            raise ValueError(f"{len(data)} coefficients of a linear polynomial")
-        a, b = (float(x) for x in (data + [0.0])[:2])
-        if not (np.isfinite(a) and np.isfinite(b)):
-            raise ValueError(f"non-finite coefficients {[a, b]}")
-        return LinearPoly(a, b)
-
-
-@dataclass(frozen=True)
 class GluingData:
-    """Linear gluing functions of a two-patch interface."""
+    """Linear gluing functions of a two-patch interface, each a
+    ``Polynomial`` with the two coefficients [const, slope]."""
 
-    alpha_L: LinearPoly
-    alpha_R: LinearPoly
-    beta_L: LinearPoly
-    beta_R: LinearPoly
+    alpha_L: Polynomial
+    alpha_R: Polynomial
+    beta_L: Polynomial
+    beta_R: Polynomial
 
-    def alpha(self, side: str) -> LinearPoly:
+    def alpha(self, side: str) -> Polynomial:
         return self.alpha_L if side == "L" else self.alpha_R
 
-    def beta(self, side: str) -> LinearPoly:
+    def beta(self, side: str) -> Polynomial:
         return self.beta_L if side == "L" else self.beta_R
 
     def to_dict(self) -> dict:
-        return {"alpha_L": self.alpha_L.to_list(),
-                "alpha_R": self.alpha_R.to_list(),
-                "beta_L": self.beta_L.to_list(),
-                "beta_R": self.beta_R.to_list()}
+        return {key: getattr(self, key).coef.tolist() for key in GLUING_KEYS}
 
     @staticmethod
     def from_dict(data: dict) -> "GluingData":
+        """Gluing data from one or two finite coefficients per function."""
         try:
-            return GluingData(*(LinearPoly.from_list(data[key]) for key in
-                                ("alpha_L", "alpha_R", "beta_L", "beta_R")))
+            coefs = [np.array(data[key], dtype=float) for key in GLUING_KEYS]
         except (KeyError, TypeError, ValueError) as exc:
             raise GluingError(f"malformed gluing record: {exc}") from exc
+        for key, c in zip(GLUING_KEYS, coefs):
+            if c.ndim != 1 or not 1 <= len(c) <= 2:
+                raise GluingError(f"malformed gluing record: {key} must list "
+                                  f"one or two coefficients, got {data[key]!r}")
+            if not np.isfinite(c).all():
+                raise GluingError(f"malformed gluing record: {key} has "
+                                  f"non-finite coefficients {c.tolist()}")
+        return GluingData(*(Polynomial(np.pad(c, (0, 2 - len(c))))
+                            for c in coefs))
+
+
+def _normalised_alphas(g: GluingData) -> tuple[np.ndarray, float]:
+    """The coefficients of alpha_L and alpha_R (rows) divided by the power
+    of two just above the largest of them, an exact division, and that
+    power."""
+    coef = np.array([g.alpha_L.coef, g.alpha_R.coef])
+    scale = np.ldexp(1.0, np.frexp(np.abs(coef).max())[1])
+    return coef / scale, scale
+
+
+def _degree(coef: np.ndarray) -> int:
+    """Degree of a polynomial of normalised gluing data, given by its
+    coefficients; -1 for zero."""
+    return int(np.flatnonzero(np.abs(coef) > COEF_TOL).max(initial=-1))
 
 
 def verify_sign_condition(g: GluingData) -> bool:
-    """True iff alpha_L * alpha_R < 0 on all of [0, 1]."""
-    for lin in (g.alpha_L, g.alpha_R):
-        if lin.is_zero():
-            return False
-        if lin.degree() == 1 and 0.0 <= lin.root() <= 1.0:
-            return False
-    return bool(g.alpha_L(0.0) * g.alpha_R(0.0) < 0.0
-                and g.alpha_L(1.0) * g.alpha_R(1.0) < 0.0)
+    """True iff alpha_L * alpha_R < 0 on all of [0, 1]: neither alpha is
+    zero, their signs differ at v = 0 and at v = 1, and alpha_L has the same
+    sign at both ends, so that neither has a root in [0, 1]."""
+    alphas, _ = _normalised_alphas(g)
+    if min(_degree(a) for a in alphas) < 0:
+        return False
+    (l0, l1), (r0, r1) = ((a[0], a[0] + a[1]) for a in alphas)
+    return bool(l0 * r0 < 0.0 and l1 * r1 < 0.0 and l0 * l1 > 0.0)
 
 
 def beta_from_gluing(g: GluingData) -> Polynomial:
     """beta = alpha_L * beta_R - alpha_R * beta_L (degree <= 2)."""
-    poly = g.alpha_L.poly * g.beta_R.poly - g.alpha_R.poly * g.beta_L.poly
+    poly = g.alpha_L * g.beta_R - g.alpha_R * g.beta_L
     coef = np.zeros(3)
     coef[:len(poly.coef)] = poly.coef
     return Polynomial(coef)
@@ -137,10 +128,10 @@ def gluing_from_bilinear(fhat: TwoPatchGeometry) -> GluingData:
         d0 = cp[1, 0] - cp[0, 0]            # D_u F(0, 0)
         d1 = cp[1, 1] - cp[0, 1]            # D_u F(0, 1)
         # D_u F(0, v) = d0 + (d1 - d0) v
-        alphas[side] = LinearPoly(float(d0[0] * edge[1] - d0[1] * edge[0]),
-                                  float((d1 - d0)[0] * edge[1] - (d1 - d0)[1] * edge[0]))
-        betas[side] = LinearPoly(float(d0 @ edge) / edge_sq,
-                                 float((d1 - d0) @ edge) / edge_sq)
+        alphas[side] = Polynomial([d0[0] * edge[1] - d0[1] * edge[0],
+                                   (d1 - d0)[0] * edge[1] - (d1 - d0)[1] * edge[0]])
+        betas[side] = Polynomial([float(d0 @ edge) / edge_sq,
+                                  float((d1 - d0) @ edge) / edge_sq])
 
     g = GluingData(alphas["L"], alphas["R"], betas["L"], betas["R"])
     if not verify_sign_condition(g):
@@ -148,31 +139,18 @@ def gluing_from_bilinear(fhat: TwoPatchGeometry) -> GluingData:
     return g
 
 
-def _poly_degree(poly: Polynomial) -> int:
-    coef = poly.coef
-    scale = max(np.abs(coef).max(), 1.0)
-    deg = -1
-    for i, c in enumerate(coef):
-        if abs(c) > COEF_TOL * scale:
-            deg = i
-    return deg
-
-
-def _monic_gcd_linear(f: LinearPoly, g: LinearPoly) -> Polynomial | None:
-    """Monic gcd of two linear polynomials via root comparison.
+def _monic_gcd_linear(f: np.ndarray, g: np.ndarray) -> Polynomial | None:
+    """Monic gcd of two linear polynomials of normalised gluing data, given
+    by their coefficients, via root comparison.
 
     Returns None when both polynomials vanish identically (gcd undefined).
     """
-    fz, gz = f.is_zero(), g.is_zero()
-    if fz and gz:
+    nonzero = [c for c in (f, g) if _degree(c) >= 0]
+    if not nonzero:
         return None
-    if fz or gz:
-        nz = g if fz else f
-        if nz.degree() == 1:
-            return Polynomial([-nz.root(), 1.0])
-        return Polynomial([1.0])
-    if f.degree() == 1 and g.degree() == 1 and abs(f.root() - g.root()) <= ROOT_TOL:
-        return Polynomial([-0.5 * (f.root() + g.root()), 1.0])
+    roots = [-c[0] / c[1] for c in nonzero if _degree(c) == 1]
+    if len(roots) == len(nonzero) and np.ptp(roots) <= ROOT_TOL:
+        return Polynomial([-np.mean(roots), 1.0])
     return Polynomial([1.0])
 
 
@@ -200,13 +178,13 @@ class GluingInvariants:
 
 def ttilde_knot_vector(p: int, r: int, inner_knots, beta_is_zero: bool,
                        Z_beta) -> tuple[KnotVector, str]:
-    """Smoothness-adjusted knot vector: the four-branch selection by beta."""
+    """Smoothness-adjusted knot vector: the base one where beta vanishes,
+    else regularity r + 1 with the knots of ``Z_beta`` raised once."""
     k = len(inner_knots)
     if beta_is_zero:
         branch = "beta==0: base"
     else:
-        names = {0: "r+1", 1: "r+1, one knot raised", 2: "r+1, two knots raised"}
-        branch = names[len(Z_beta)]
+        branch = f"r+1, knots {list(Z_beta)} raised" if Z_beta else "r+1"
     if k == 0:
         return make_knot_vector(p, p - 1, 0), branch
     if beta_is_zero:
@@ -223,46 +201,40 @@ def gluing_invariants(g: GluingData, base: KnotVector) -> GluingInvariants:
     if not verify_sign_condition(g):
         raise GluingError("sign condition alpha_L * alpha_R < 0 fails on [0, 1]")
     beta = beta_from_gluing(g)
-    beta_scale = max(np.abs(beta.coef).max(), 1.0)
-    beta_is_zero = bool(np.abs(beta.coef).max() <= COEF_TOL)
+    alphas, scale = _normalised_alphas(g)
+    beta_is_zero = _degree(beta.coef / scale) < 0
 
-    q = _monic_gcd_linear(g.alpha_L, g.alpha_R)
-    deg_q = _poly_degree(q)
+    q = _monic_gcd_linear(*alphas)
+    deg_q = q.degree()
 
     # q = v - rho with rho the shared root of both alphas, so alpha / q is
     # alpha's slope
-    atilde = {side: Polynomial([alpha.slope]) if deg_q else alpha.poly
+    atilde = {side: Polynomial(alpha.coef[1:]) if deg_q else alpha
               for side, alpha in (("L", g.alpha_L), ("R", g.alpha_R))}
 
-    gcd_beta = _monic_gcd_linear(g.beta_L, g.beta_R)
-    if gcd_beta is not None and _poly_degree(gcd_beta) == deg_q and (
-            deg_q == 0 or abs(gcd_beta.coef[0] - q.coef[0]) <= ROOT_TOL):
+    # h = 1 where q also divides both betas, unless both vanish
+    gcd_beta = _monic_gcd_linear(g.beta_L.coef, g.beta_R.coef)
+    h = q
+    if deg_q and gcd_beta is not None and gcd_beta.degree() == 1 and abs(
+            gcd_beta.coef[0] - q.coef[0]) <= ROOT_TOL:
         h = Polynomial([1.0])
-    else:
-        h = q
 
-    d_alpha = max(g.alpha_L.degree(), g.alpha_R.degree())
-    d_atilde = max(_poly_degree(atilde["L"]), _poly_degree(atilde["R"]))
-    d_h = _poly_degree(h)
+    d_alpha = max(_degree(a) for a in alphas)
 
     inner = base.inner_knots
-    if beta_is_zero:
-        Z = tuple(range(1, len(inner) + 1))
-    else:
-        Z = tuple(i + 1 for i, tau in enumerate(inner)
-                  if abs(beta(tau)) < ROOT_TOL * beta_scale)
+    near = np.abs(beta(np.array(inner))) < ROOT_TOL * np.abs(beta.coef).max()
+    Z = tuple(int(i) + 1 for i in np.flatnonzero(near | beta_is_zero))
 
     p = base.degree
     mults = set(base.multiplicities[1:-1])
     if mults and len(mults) != 1:
         raise GluingError("base knot vector must have uniform interior multiplicity")
     r = p - mults.pop() if mults else p - 1
-    ttilde, branch = ttilde_knot_vector(p, r, inner, beta_is_zero,
-                                        () if beta_is_zero else Z)
+    ttilde, branch = ttilde_knot_vector(p, r, inner, beta_is_zero, Z)
 
     return GluingInvariants(
         q=q, h=h, atilde_L=atilde["L"], atilde_R=atilde["R"], beta=beta,
-        d_alpha=d_alpha, d_atilde=d_atilde, d_h=d_h,
+        d_alpha=d_alpha, d_atilde=d_alpha - deg_q, d_h=h.degree(),
         Z_beta=Z, z_beta=len(Z), beta_is_zero=beta_is_zero,
         ttilde=ttilde, ttilde_branch=branch)
 
@@ -299,8 +271,8 @@ def matching_weights(g: GluingData, vs) -> np.ndarray:
     """
     vs = np.atleast_1d(np.asarray(vs, dtype=float))
     aL, aR, bv = g.alpha_L(vs), g.alpha_R(vs), beta_from_gluing(g)(vs)
-    eta = 2.0 * g.alpha_L.slope * aR * bv
-    theta = 2.0 * (aL * g.beta_L.slope - g.alpha_L.slope * g.beta_L(vs)) * aR * bv
+    eta = 2.0 * g.alpha_L.coef[1] * aR * bv
+    theta = 2.0 * (aL * g.beta_L.coef[1] - g.alpha_L.coef[1] * g.beta_L(vs)) * aR * bv
     W = np.zeros((len(vs), 3, 2, 3, 3))
     W[:, 0, 0, 0, 0] = 1.0
     W[:, 0, 1, 0, 0] = -1.0

@@ -245,14 +245,15 @@ def interface_jets(kind: str, families, g: GluingData, inv: GluingInvariants,
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     g0, g1, g2 = _component_derivs(families, xs)
+    if kind == "w2":
+        qv, qd = 1.0, 0.0
+    else:
+        # q is monic of degree d_alpha - d_atilde (0 or 1)
+        qv, qd = inv.q(xs)[:, None], float(inv.d_alpha - inv.d_atilde)
     out = np.empty((2, 3) + g0.shape[1:])
     for i, side in enumerate(("L", "R")):
         beta = g.beta(side)(xs)[:, None]
-        if kind == "w2":
-            alpha, qv, qd = g.alpha(side)(xs)[:, None], 1.0, 0.0
-        else:
-            alpha, qv = inv.atilde(side)(xs)[:, None], inv.q(xs)[:, None]
-            qd = inv.q.deriv()(xs)[:, None] if inv.q.degree() >= 1 else 0.0
+        alpha = (g.alpha(side) if kind == "w2" else inv.atilde(side))(xs)[:, None]
         out[i, 0] = g0[0]
         out[i, 1] = beta * g0[1] + alpha * g1[0]
         out[i, 2] = (beta ** 2 * g0[2]
@@ -373,36 +374,37 @@ def build_basis_v2(g: GluingData, inv: GluingInvariants, p: int, r: int,
     s1_base = _spline_space(p - inv.d_atilde - inv.d_h, r + 1, inner)
     s2 = _spline_space(p - 2 * inv.d_atilde, r, inner)
 
-    h_poly = None if inv.d_h == 0 and abs(inv.h(0.0) - 1.0) < 1e-14 else inv.h
-    q_poly = None if inv.q.degree() == 0 else inv.q
+    # q and h are 1 at degree 0; q has degree 1 where it takes the alphas'
+    # shared root out of atilde
+    h_poly = inv.h if inv.d_h else None
+    q_poly = inv.q if inv.d_atilde < inv.d_alpha else None
 
     # trace family: plain B-splines of the smoother space
     families = [_regular("Gamma0_regular", s0, 0)]
 
+    # the gluing data at the interior knots
+    aL, aR, bL, bR, qk = (f(np.array(inner)).tolist() for f in (
+        inv.atilde_L, inv.atilde_R, g.beta_L, g.beta_R, inv.q))
+
     # one function per interior knot, from the once-raised space
-    for j, tau in enumerate(inner):
-        aL, aR = float(inv.atilde_L(tau)), float(inv.atilde_R(tau))
-        bL, bR = float(g.beta_L(tau)), float(g.beta_R(tau))
-        c1 = -(aR * bL + aL * bR) / (2.0 * aR * aL * float(inv.q(tau)))
-        c2 = (bL * bR) / (aL * aR)
+    for j in range(k):
+        c1 = -(aR[j] * bL[j] + aL[j] * bR[j]) / (2.0 * aR[j] * aL[j] * qk[j])
+        c2 = (bL[j] * bR[j]) / (aL[j] * aR[j])
         families.append(_refined("Gamma0_knot", s0.kv, j + 1, 1, (
             (0, 0, None, 1.0), (1, 1, q_poly, c1), (2, 2, None, c2))))
 
     # extra trace functions at the roots of beta, from the twice-raised space
     for ell in inv.Z_beta:
-        tau = inner[ell - 1]
-        aL = float(inv.atilde_L(tau))
-        bL = float(g.beta_L(tau))
-        c1 = -bL / (float(inv.q(tau)) * aL)
-        c2 = (bL / aL) ** 2
+        j = ell - 1
+        c1 = -bL[j] / (qk[j] * aL[j])
+        c2 = (bL[j] / aL[j]) ** 2
         families.append(_refined("Gamma0_zbeta", s0.kv, ell, 2, (
             (0, 0, None, 1.0), (1, 1, q_poly, c1), (2, 2, None, c2))))
 
     # first transversal family
     families.append(_regular("Gamma1_regular", s1_base, 1, h_poly))
     for ell in inv.Z_beta:
-        tau = inner[ell - 1]
-        c2 = -2.0 * float(g.beta_L(tau)) / float(inv.atilde_L(tau))
+        c2 = -2.0 * bL[ell - 1] / aL[ell - 1]
         families.append(_refined("Gamma1_zbeta", s1_base.kv, ell, 1, (
             (1, 0, h_poly, 1.0), (2, 1, h_poly, c2))))
 
@@ -506,20 +508,22 @@ class C2Report:
 
 
 def _physical_jets(d):
-    """Value, gradient and Hessian in physical space, from the parametric
-    jets ``d[a, b, c, ...]`` = d_u^a d_v^b of (x, y, function)."""
+    """Values, gradients and Hessians in physical space, from the parametric
+    jets ``d[a, b, c, ...]`` = d_u^a d_v^b of (x, y, f_1, ..., f_T): shape
+    (7, T, ...), with the value, the gradient and the Hessian (row-major)
+    along the first axis."""
     # J = [[x_u, x_v], [y_u, y_v]] and its inverse by Cramer's rule
     J = np.array([[d[1, 0, 0], d[0, 1, 0]], [d[1, 0, 1], d[0, 1, 1]]])
     Jinv = np.array([[J[1, 1], -J[0, 1]], [-J[1, 0], J[0, 0]]]) \
         / (J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0])
-    grad = np.einsum("ji...,j...->i...", Jinv, d[[1, 0], [0, 1], 2])   # (2, ...)
-    # parametric Hessians of x, y and the function: (2, 2, 3, ...)
+    grad = np.einsum("ji...,j...->i...", Jinv, d[[1, 0], [0, 1], 2:])  # (2, T, ...)
+    # parametric Hessians of x, y and the functions: (2, 2, 2 + T, ...)
     hess = np.array([[d[2, 0], d[1, 1]], [d[1, 1], d[0, 2]]])
-    hf = hess[:, :, 2] - grad[0] * hess[:, :, 0] - grad[1] * hess[:, :, 1]
+    hf = hess[:, :, 2:] - grad[0] * hess[:, :, :1] - grad[1] * hess[:, :, 1:2]
     # H = J^-T hf J^-1
     H = np.einsum("ki...,kl...->il...", Jinv, hf)
     H = np.einsum("il...,lj...->ij...", H, Jinv)
-    return d[0, 0, 2], grad, H
+    return np.concatenate([d[None, 0, 0, 2:], grad, H.reshape((4,) + H.shape[2:])])
 
 
 def verify_c2_at_interface(F: TwoPatchGeometry, rows_L: np.ndarray,
@@ -528,33 +532,42 @@ def verify_c2_at_interface(F: TwoPatchGeometry, rows_L: np.ndarray,
     """Compare value, gradient and Hessian across the interface.
 
     ``rows_L`` / ``rows_R`` hold the three interface coefficient rows of the
-    respective patch (shape (3, n)); the remaining coefficients are zero.
-    The jets at u = 0 involve only the u-rows 0..p of the control points and
-    of the function, so only those are contracted with the v-collocation
+    respective patch, of shape (3, n) or (3n,) for one function and with a
+    leading axis for several; the remaining coefficients are zero.  The
+    jets at u = 0 involve only the u-rows 0..p of the control points and of
+    the functions, so only those are contracted with the v-collocation
     matrices of the ``n_samples`` cell midpoints, which each spline space
-    keeps after the first check.  Differences are scaled by the magnitude
-    of the quantity compared.
+    keeps after the first check.  Differences are scaled by the magnitude of
+    the quantity compared, function by function, and the report holds the
+    worst function's.
     """
     n = F.patch_L.space.space_u.dim
     d = []
     for side, rows in (("L", rows_L), ("R", rows_R)):
         rows = np.asarray(rows, dtype=float)
-        if rows.shape == (3 * n,):
-            rows = rows.reshape(3, n)
-        if rows.shape != (3, n):
-            raise ValueError(f"rows_{side} must have shape (3, {n})")
+        if rows.shape[-1:] == (3 * n,):
+            rows = rows.reshape(rows.shape[:-1] + (3, n))
+        if rows.ndim not in (2, 3) or rows.shape[-2:] != (3, n):
+            raise ValueError(f"rows_{side} must have shape (3, {n}), with "
+                             f"a leading axis for several functions")
+        rows = rows.reshape(-1, 3, n)
         patch = F.patch(side)
         Nu = patch.space.space_u.jets_at_zero                     # (3, q)
         Bv = patch.space.space_v.midpoint_jets(n_samples)         # (3, m, n)
         q = Nu.shape[1]
-        head = np.zeros((q, n, 3))
+        c = 2 + len(rows)                   # x, y and the functions
+        head = np.zeros((q, n, c))
         head[..., :2] = patch.control_points[:q]
-        head[:3, :, 2] = rows[:q]
+        head[:3, :, 2:] = rows[:, :q].transpose(1, 2, 0)
         # (a, i) x (i, j c) -> (a c, j); (a c, j) x (j, b v) -> (a, c, b, v)
-        X = (Nu @ head.reshape(q, 3 * n)).reshape(3, n, 3).swapaxes(1, 2)
-        d.append((X.reshape(9, n) @ Bv.reshape(-1, n).T).reshape(3, 3, 3, -1))
+        X = (Nu @ head.reshape(q, c * n)).reshape(3, n, c).swapaxes(1, 2)
+        d.append((X.reshape(3 * c, n) @ Bv.reshape(-1, n).T).reshape(3, c, 3, -1))
     # (side, a, c, b, v) -> (a, b, c, side, v)
-    jets = _physical_jets(np.array(d).transpose(1, 3, 2, 0, 4))
-    rel = [np.abs(a[..., 0, :] - a[..., 1, :]).max() / max(1.0, np.abs(a).max())
-           for a in jets]
-    return C2Report(*(float(x) for x in rel), tol)
+    jets = _physical_jets(np.array(d).transpose(1, 3, 2, 0, 4))  # (7, T, side, v)
+    diff = np.abs(jets[:, :, 0] - jets[:, :, 1]).max(axis=-1)        # (7, T)
+    size = np.abs(jets).max(axis=(2, 3))
+    # value, gradient and Hessian rows, each function scaled by its own size
+    parts = [0, 1, 3]
+    rel = (np.maximum.reduceat(diff, parts)
+           / np.maximum(1.0, np.maximum.reduceat(size, parts)))
+    return C2Report(*rel.max(axis=1).tolist(), tol)

@@ -136,10 +136,12 @@ class TestCommands:
         assert "27 basis functions (v2)" in out and "PASS" in out
         assert "oracle=27 formula=27 OK" in out
 
-    @pytest.mark.parametrize("command", ["basis", "dim"])
+    @pytest.mark.parametrize("command", [
+        ("basis",), ("dim",), ("verify", "--k", "3", "--oracle"),
+    ], ids=lambda command: command[0])
     def test_lifted_geometry_defaults_to_r2(self, command, capsys):
         # the bilinear asset stores its patches' own continuity, r = 0
-        args = (command, "--geometry", "builtin:bilinear_a", "--p", "5")
+        args = (*command, "--geometry", "builtin:bilinear_a", "--p", "5")
         assert run_cli(*args) == 0
         default = capsys.readouterr().out
         assert run_cli(*args, "--r", "2") == 0
@@ -184,11 +186,11 @@ class TestCommands:
         calls = {"n": 0}
         orig = asm_mod.SPDFactor.condition_number
 
-        def failing(self, tol=1e-6):
+        def failing(self):
             calls["n"] += 1
             if calls["n"] > 1:
                 raise ValueError("synthetic eigensolver failure")
-            return orig(self, tol)
+            return orig(self)
 
         monkeypatch.setattr(asm_mod.SPDFactor, "condition_number", failing)
         assert run_cli("table2", "--geometry", "builtin:fitted_b",
@@ -214,10 +216,13 @@ class TestExitCodes:
 
     @staticmethod
     def _assert_one_error_line(capsys, match):
-        err = capsys.readouterr().err
-        lines = [line for line in err.splitlines() if line.startswith("error:")]
+        """Checks stderr and returns stdout."""
+        captured = capsys.readouterr()
+        lines = [line for line in captured.err.splitlines()
+                 if line.startswith("error:")]
         assert len(lines) == 1 and match in lines[0]
-        assert "Traceback" not in err
+        assert "Traceback" not in captured.err
+        return captured.out
 
     def test_sign_condition_violation_exits_one(self, tmp_path, capsys):
         # both patches on the same side of the interface
@@ -347,10 +352,17 @@ class TestExitCodes:
         ["bilinear", "--initial", "builtin:initial_a"],
         ["table2", "--geometry", "builtin:fitted_a", "--levels", "0"],
     ], ids=lambda command: command[0])
-    def test_unwritable_out_exits_one(self, command, tmp_path, capsys):
+    def test_unwritable_out_exits_one(self, command, tmp_path, monkeypatch,
+                                      capsys):
+        # the path fails before any fit or study starts
+        def never(*args, **kwargs):
+            raise AssertionError("work started before --out was opened")
+
+        for name in ("fit_bilinear_like", "convergence_study"):
+            monkeypatch.setattr(cli.assembly, name, never)
         out = tmp_path / "missing" / "out"
         assert run_cli(*command, "--out", str(out)) == 1
-        self._assert_one_error_line(capsys, str(out))
+        assert self._assert_one_error_line(capsys, str(out)) == ""
 
     @pytest.mark.parametrize("beta_L", [[-1 / 6, 5 / 18, 5.0], []],
                              ids=["three", "none"])

@@ -9,10 +9,12 @@ from numpy.testing import assert_allclose
 from c2patch.bspline import make_knot_vector, uniform_inner_knots
 from c2patch.geometry import (GeometryError, Patch, TwoPatchGeometry,
                               bilinear_from_vertices, square_patch_space)
-from c2patch.gluing import (GluingData, GluingError, LinearPoly,
+from c2patch.gluing import (GLUING_KEYS, GluingData, GluingError,
                             beta_from_gluing, gluing_from_bilinear,
                             gluing_invariants, ttilde_knot_vector,
                             verify_bilinear_like, verify_sign_condition)
+from c2patch.smooth import build_basis_v2, dim_v2, dim_w2
+from tests.conftest import load_asset
 
 
 def bilinear(corners_L, corners_R):
@@ -25,6 +27,18 @@ def bilinear(corners_L, corners_R):
             cp[i, j] = xy
         patches.append(Patch(space, cp))
     return TwoPatchGeometry(*patches)
+
+
+def gluing_data(*coefs):
+    """Gluing data from the coefficients of alpha_L, alpha_R, beta_L, beta_R."""
+    return GluingData.from_dict(dict(zip(GLUING_KEYS, coefs)))
+
+
+def scaled(geo, s):
+    """``geo`` with every control point multiplied by ``s``."""
+    return TwoPatchGeometry(*(Patch(geo.patch(side).space,
+                                    s * geo.patch(side).control_points)
+                              for side in geo.sides))
 
 
 def mirrored_squares():
@@ -45,6 +59,24 @@ def squares_with_quadratic_beta():
         {(0, 0): (0, 0), (0, 1): (0, 1),
          (1, 0): (-1, -19 / 32), (1, 1): (-2, -19 / 32 + 1 / 2 + 1)},
         {(0, 0): (0, 0), (0, 1): (0, 1), (1, 0): (2, 1), (1, 1): (2, 1)})
+
+
+# geometry and interior knots of each scaling case
+SCALING_GEOMETRIES = {
+    "bilinear_a": (lambda: load_asset("bilinear_a")[0], uniform_inner_knots(3)),
+    "bilinear_b": (lambda: load_asset("bilinear_b")[0], uniform_inner_knots(3)),
+    "mirrored_squares": (mirrored_squares, uniform_inner_knots(3)),
+    "linear_beta": (squares_with_linear_beta, (0.5,)),
+    "quadratic_beta": (squares_with_quadratic_beta, (0.25, 0.5, 0.75)),
+}
+
+
+def _scale_free_facts(geo, inner):
+    k = len(inner)
+    inv = gluing_invariants(gluing_from_bilinear(geo),
+                            make_knot_vector(5, 2, k, inner))
+    return (inv.d_alpha, inv.d_atilde, inv.d_h, inv.Z_beta, inv.beta_is_zero,
+            inv.ttilde, dim_v2(inv, 5, 2, k), dim_w2(5, 2, k, inv.d_alpha))
 
 
 class TestBilinearFromVertices:
@@ -88,23 +120,23 @@ class TestBilinearFromVertices:
 
 class TestGluingExtraction:
     def test_geometry_a_linear_functions(self, gluing_a):
-        assert_allclose(gluing_a.alpha_L.to_list(), [-9, -1], atol=1e-12)
-        assert_allclose(gluing_a.alpha_R.to_list(), [10.5, -1.5], atol=1e-12)
-        assert_allclose(gluing_a.beta_L.to_list(), [-1 / 6, 5 / 18], atol=1e-12)
-        assert_allclose(gluing_a.beta_R.to_list(), [-1 / 12, 1 / 4], atol=1e-12)
+        assert_allclose(gluing_a.alpha_L.coef, [-9, -1], atol=1e-12)
+        assert_allclose(gluing_a.alpha_R.coef, [10.5, -1.5], atol=1e-12)
+        assert_allclose(gluing_a.beta_L.coef, [-1 / 6, 5 / 18], atol=1e-12)
+        assert_allclose(gluing_a.beta_R.coef, [-1 / 12, 1 / 4], atol=1e-12)
 
     def test_geometry_b_linear_functions(self, gluing_b):
-        assert_allclose(gluing_b.alpha_L.to_list(), [-18, 9], atol=1e-12)
-        assert_allclose(gluing_b.alpha_R.to_list(), [18, -9], atol=1e-12)
-        assert_allclose(gluing_b.beta_L.to_list(), [1, -0.5], atol=1e-12)
-        assert_allclose(gluing_b.beta_R.to_list(), [1, -0.5], atol=1e-12)
+        assert_allclose(gluing_b.alpha_L.coef, [-18, 9], atol=1e-12)
+        assert_allclose(gluing_b.alpha_R.coef, [18, -9], atol=1e-12)
+        assert_allclose(gluing_b.beta_L.coef, [1, -0.5], atol=1e-12)
+        assert_allclose(gluing_b.beta_R.coef, [1, -0.5], atol=1e-12)
 
     def test_mirrored_squares(self):
         g = gluing_from_bilinear(mirrored_squares())
-        assert_allclose(g.alpha_L.to_list(), [-1, 0], atol=1e-14)
-        assert_allclose(g.alpha_R.to_list(), [1, 0], atol=1e-14)
-        assert_allclose(g.beta_L.to_list(), [0, 0], atol=1e-14)
-        assert_allclose(g.beta_R.to_list(), [0, 0], atol=1e-14)
+        assert_allclose(g.alpha_L.coef, [-1, 0], atol=1e-14)
+        assert_allclose(g.alpha_R.coef, [1, 0], atol=1e-14)
+        assert_allclose(g.beta_L.coef, [0, 0], atol=1e-14)
+        assert_allclose(g.beta_R.coef, [0, 0], atol=1e-14)
 
     def test_requires_bilinear(self, geo_a):
         with pytest.raises(GluingError):
@@ -146,13 +178,11 @@ class TestSignCondition:
         assert verify_sign_condition(gluing_a)
 
     def test_interior_root_fails(self):
-        g = GluingData(LinearPoly(-0.5, 1.0), LinearPoly(1.0, 0.0),
-                       LinearPoly(0.0), LinearPoly(0.0))
+        g = gluing_data([-0.5, 1.0], [1.0, 0.0], [0.0], [0.0])
         assert not verify_sign_condition(g)
 
     def test_constant_case(self):
-        g = GluingData(LinearPoly(-1.0), LinearPoly(1.0),
-                       LinearPoly(0.0), LinearPoly(0.0))
+        g = gluing_data([-1.0], [1.0], [0.0], [0.0])
         assert verify_sign_condition(g)
 
 
@@ -173,7 +203,7 @@ class TestInvariants:
         # q * atilde reproduces alpha coefficient-wise
         for side, alpha in (("L", gluing_b.alpha_L), ("R", gluing_b.alpha_R)):
             prod = inv.q * inv.atilde(side)
-            assert_allclose(prod.coef[:2], alpha.to_list(), atol=1e-12)
+            assert_allclose(prod.coef[:2], alpha.coef, atol=1e-12)
 
     def test_beta_root_at_knot(self):
         g = gluing_from_bilinear(squares_with_linear_beta())
@@ -201,18 +231,31 @@ class TestInvariants:
         assert inv.z_beta == 3
         assert inv.ttilde == kv
 
-    def test_scaling_invariance(self, gluing_a):
-        kv = make_knot_vector(5, 2, 3, uniform_inner_knots(3))
-        base = gluing_invariants(gluing_a, kv)
-        scaled = GluingData(
-            LinearPoly(2 * gluing_a.alpha_L.const, 2 * gluing_a.alpha_L.slope),
-            LinearPoly(2 * gluing_a.alpha_R.const, 2 * gluing_a.alpha_R.slope),
-            gluing_a.beta_L, gluing_a.beta_R)
-        inv = gluing_invariants(scaled, kv)
-        assert inv.Z_beta == base.Z_beta
-        assert inv.z_beta == base.z_beta
-        assert inv.d_atilde == base.d_atilde
-        assert inv.d_h == base.d_h
+    @pytest.mark.parametrize("s", [1e-8, 1e-7, 1e-6, 1e-5, 1e-3, 1e3, 1e6, 1e8])
+    @pytest.mark.parametrize("name", list(SCALING_GEOMETRIES))
+    def test_scaling_invariance(self, name, s):
+        # scaling the domain by s multiplies both alphas by s^2 and leaves
+        # the betas alone, which changes none of the invariants
+        make, inner = SCALING_GEOMETRIES[name]
+        geo = make()
+        assert _scale_free_facts(scaled(geo, s), inner) == \
+            _scale_free_facts(geo, inner)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_tiny_constant_beta_has_no_roots(self, k):
+        g = gluing_data([-1, 0], [1, 0], [5e-11, 0], [0, 0])
+        inv = gluing_invariants(g, make_knot_vector(5, 2, k, uniform_inner_knots(k)))
+        assert_allclose(inv.beta.coef, [-5e-11, 0, 0])
+        assert not inv.beta_is_zero and inv.Z_beta == ()
+
+    @pytest.mark.parametrize("k, Z, count", [(1, (1,), 21), (3, (2,), 29)])
+    def test_double_root_of_beta_on_a_knot(self, k, Z, count):
+        g = gluing_data([-1, 0], [2, -1], [0, 1], [-0.25, -1])
+        inv = gluing_invariants(g, make_knot_vector(5, 2, k, uniform_inner_knots(k)))
+        assert_allclose(inv.beta.coef, [0.25, -1, 1])     # (v - 1/2)^2
+        assert inv.Z_beta == Z
+        assert dim_v2(inv, 5, 2, k) == count
+        assert build_basis_v2(g, inv, 5, 2, k).num_basis == count
 
 
 class TestTtildeBranches:
@@ -229,6 +272,9 @@ class TestTtildeBranches:
                 assert list(t.multiplicities[1:-1]) == [
                     2 + (1 if i + 1 in Z else 0) for i in range(2)]
         assert len(seen) == 4
+        # beta has at most two roots, but a knot vector takes any number
+        t, branch = ttilde_knot_vector(5, 2, (0.3, 0.5, 0.7), False, (1, 2, 3))
+        assert t.multiplicities[1:-1] == (3, 3, 3) and "[1, 2, 3]" in branch
 
 
 class TestBilinearLikeVerification:
