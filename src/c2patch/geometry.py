@@ -158,7 +158,7 @@ def represent_geometry(geo: TwoPatchGeometry,
         new = Patch(space, cp)
         err = np.abs(new.eval(check_us, check_vs)
                      - patch.eval(check_us, check_vs)).max()
-        if err > 1e-9 * max(np.abs(samples).max(), 1.0):
+        if err > 1e-9 * np.abs(samples).max():
             raise GeometryError(
                 f"patch {side!r} is not representable in the target space "
                 f"(residual {err:.2e})")

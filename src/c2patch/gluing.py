@@ -3,9 +3,8 @@
 The gluing data consists of four linear polynomials (alpha_L, alpha_R,
 beta_L, beta_R) relating transversal derivatives of the two patches along
 the shared edge.  Derived quantities: the quadratic beta, the common monic
-factor q of the alphas, the reduced alphas, the auxiliary factor h, the set
-of interior knots where beta vanishes, and the smoothness-adjusted knot
-vector used by the trace space of the smooth basis.
+factor q of the alphas, the reduced alphas, the auxiliary factor h and the
+set of interior knots where beta vanishes.
 
 The G2 conditions do not change when both alphas are multiplied by the same
 number, and neither does any decision made here: each zero, degree and
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .bspline import KnotVector, make_knot_vector
+from .bspline import KnotVector
 from .geometry import TwoPatchGeometry
 
 ROOT_TOL = 1e-10
@@ -167,36 +166,19 @@ class GluingInvariants:
     d_atilde: int
     d_h: int
     Z_beta: tuple[int, ...]       # 1-based interior-knot indices with beta = 0
-    z_beta: int
     beta_is_zero: bool
-    ttilde: KnotVector
-    ttilde_branch: str
+    inner_knots: tuple[float, ...]
+
+    @property
+    def z_beta(self) -> int:
+        return len(self.Z_beta)
 
     def atilde(self, side: str) -> Polynomial:
         return self.atilde_L if side == "L" else self.atilde_R
 
 
-def ttilde_knot_vector(p: int, r: int, inner_knots, beta_is_zero: bool,
-                       Z_beta) -> tuple[KnotVector, str]:
-    """Smoothness-adjusted knot vector: the base one where beta vanishes,
-    else regularity r + 1 with the knots of ``Z_beta`` raised once."""
-    k = len(inner_knots)
-    if beta_is_zero:
-        branch = "beta==0: base"
-    else:
-        branch = f"r+1, knots {list(Z_beta)} raised" if Z_beta else "r+1"
-    if k == 0:
-        return make_knot_vector(p, p - 1, 0), branch
-    if beta_is_zero:
-        return make_knot_vector(p, r, k, inner_knots), branch
-    kv = make_knot_vector(p, r + 1, k, inner_knots)
-    for ell in Z_beta:
-        kv = kv.with_raised_multiplicity(ell, 1)
-    return kv, branch
-
-
 def gluing_invariants(g: GluingData, base: KnotVector) -> GluingInvariants:
-    """All derived gluing quantities for a base knot vector T_k^{p,r};
+    """All derived gluing quantities at the interior knots of ``base``;
     gluing data that violate the sign condition raise ``GluingError``."""
     if not verify_sign_condition(g):
         raise GluingError("sign condition alpha_L * alpha_R < 0 fails on [0, 1]")
@@ -225,18 +207,10 @@ def gluing_invariants(g: GluingData, base: KnotVector) -> GluingInvariants:
     near = np.abs(beta(np.array(inner))) < ROOT_TOL * np.abs(beta.coef).max()
     Z = tuple(int(i) + 1 for i in np.flatnonzero(near | beta_is_zero))
 
-    p = base.degree
-    mults = set(base.multiplicities[1:-1])
-    if mults and len(mults) != 1:
-        raise GluingError("base knot vector must have uniform interior multiplicity")
-    r = p - mults.pop() if mults else p - 1
-    ttilde, branch = ttilde_knot_vector(p, r, inner, beta_is_zero, Z)
-
     return GluingInvariants(
         q=q, h=h, atilde_L=atilde["L"], atilde_R=atilde["R"], beta=beta,
         d_alpha=d_alpha, d_atilde=d_alpha - deg_q, d_h=h.degree(),
-        Z_beta=Z, z_beta=len(Z), beta_is_zero=beta_is_zero,
-        ttilde=ttilde, ttilde_branch=branch)
+        Z_beta=Z, beta_is_zero=beta_is_zero, inner_knots=inner)
 
 
 @dataclass(frozen=True)
@@ -250,7 +224,8 @@ class ResidualReport:
 
     @property
     def passed(self) -> bool:
-        return max(self.c0, self.c1, self.c2) < self.tol
+        # a NaN residual fails, wherever it stands
+        return all(r < self.tol for r in (self.c0, self.c1, self.c2))
 
     def __str__(self):
         status = "PASS" if self.passed else "FAIL"
@@ -288,23 +263,31 @@ def matching_weights(g: GluingData, vs) -> np.ndarray:
     return W
 
 
+def interface_samples(F: TwoPatchGeometry) -> int:
+    """Sample count of the interface checks when none is given: 2 (p + 1)
+    per knot span of the interface, so that it grows with the trace space."""
+    p = F.patch_L.degree
+    return 2 * (p + 1) * (F.patch_L.space.space_v.kv.num_inner + 1)
+
+
 def verify_bilinear_like(F: TwoPatchGeometry, g: GluingData,
                          n_samples: int | None = None,
                          tol: float = 1e-9) -> ResidualReport:
     """Sampled residuals of the three vector matching equations along u = 0.
 
-    The equations are those of ``matching_weights``.  Residuals are scaled
-    by the domain diameter.
+    The equations are those of ``matching_weights``.  Each residual is
+    scaled by the largest size its terms reach at the samples, so that
+    the report does not change with the scale of the domain.
     """
-    p = F.patch_L.degree
-    k = F.patch_L.space.space_u.kv.num_inner
     if n_samples is None:
-        n_samples = 2 * (p + 1) * (k + 1)
+        n_samples = interface_samples(F)
     vs = np.linspace(0.0, 1.0, n_samples)
     W = matching_weights(g, vs)
     jets = np.stack([F.patch_L.derivs(0.0, vs, 2, 2),
                      F.patch_R.derivs(0.0, vs, 2, 2)])
     r = np.einsum("vesab,sabvc->vec", W, jets)
+    # |residual| <= size, so an equation whose terms all vanish reads 0
+    size = np.einsum("vesab,sabv->ve", np.abs(W),
+                     np.hypot(jets[..., 0], jets[..., 1])).max(axis=0)
     worst = np.hypot(r[..., 0], r[..., 1]).max(axis=0)
-    c0, c1, c2 = (float(w) for w in worst / max(F.diameter, 1e-30))
-    return ResidualReport(c0, c1, c2, tol)
+    return ResidualReport(*(worst / np.where(size > 0, size, 1.0)).tolist(), tol)

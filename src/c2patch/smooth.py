@@ -21,7 +21,8 @@ import numpy as np
 
 from .bspline import KnotVector, SplineSpace1D, make_knot_vector
 from .geometry import TwoPatchGeometry
-from .gluing import GluingData, GluingInvariants, matching_weights
+from .gluing import (GluingData, GluingInvariants, interface_samples,
+                     matching_weights)
 
 TRACE_RESID_TOL = 1e-9
 ORACLE_OVERSAMPLE = 4     # the oracle collocates 4 (p + 1) points per knot span
@@ -365,7 +366,7 @@ def build_basis_v2(g: GluingData, inv: GluingInvariants, p: int, r: int,
                    k: int) -> SmoothBasis:
     """Explicit basis of the interface part of the full C2 space."""
     count = sum(dim_gamma(inv, p, r, k))
-    inner = inv.ttilde.inner_knots
+    inner = inv.inner_knots
     if len(inner) != k:
         raise ValueError("invariants were built for a different knot count")
 
@@ -420,7 +421,7 @@ def build_basis_w2(g: GluingData, inv: GluingInvariants, p: int, r: int,
     """Basis of the uniformly constructible interface subspace."""
     d_alpha = inv.d_alpha
     count = dim_w2(p, r, k, d_alpha)
-    inner = inv.ttilde.inner_knots
+    inner = inv.inner_knots
     families = (_regular("W0", _spline_space(p, r + 2, inner), 0),
                 _regular("W1", _spline_space(p - d_alpha, r + 1, inner), 1),
                 _regular("W2", _spline_space(p - 2 * d_alpha, r, inner), 2))
@@ -436,7 +437,6 @@ def build_basis_w2(g: GluingData, inv: GluingInvariants, p: int, r: int,
 class OracleResult:
     nullspace_dim: int
     gap: float
-    singular_values: np.ndarray
 
 
 def constraint_nullspace_dim(F: TwoPatchGeometry, g: GluingData, p: int,
@@ -482,7 +482,7 @@ def constraint_nullspace_dim(F: TwoPatchGeometry, g: GluingData, p: int,
         raise IndeterminateRankError(
             f"singular value gap {gap:.1e} below {ORACLE_MIN_GAP:.0e}; "
             f"rank decision is ambiguous")
-    return OracleResult(nullity, float(gap), sv)
+    return OracleResult(nullity, float(gap))
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +498,8 @@ class C2Report:
 
     @property
     def passed(self) -> bool:
-        return max(self.value_diff, self.grad_diff, self.hess_diff) < self.tol
+        return all(d < self.tol for d in (self.value_diff, self.grad_diff,
+                                          self.hess_diff))
 
     def __str__(self):
         status = "PASS" if self.passed else "FAIL"
@@ -527,7 +528,7 @@ def _physical_jets(d):
 
 
 def verify_c2_at_interface(F: TwoPatchGeometry, rows_L: np.ndarray,
-                           rows_R: np.ndarray, n_samples: int = 50,
+                           rows_R: np.ndarray, n_samples: int | None = None,
                            tol: float = 1e-8) -> C2Report:
     """Compare value, gradient and Hessian across the interface.
 
@@ -536,12 +537,17 @@ def verify_c2_at_interface(F: TwoPatchGeometry, rows_L: np.ndarray,
     leading axis for several; the remaining coefficients are zero.  The
     jets at u = 0 involve only the u-rows 0..p of the control points and of
     the functions, so only those are contracted with the v-collocation
-    matrices of the ``n_samples`` cell midpoints, which each spline space
-    keeps after the first check.  Differences are scaled by the magnitude of
-    the quantity compared, function by function, and the report holds the
-    worst function's.
+    matrices of the ``n_samples`` cell midpoints (``interface_samples``
+    when None), which each spline space keeps after the first check.
+    Differences are scaled function by function: each derivative order by
+    the largest of its own size and the sizes of the lower orders divided
+    by the matching power of the domain diameter, so that the scaling
+    follows the domain and a zero Hessian is never a divisor.  The report
+    holds the worst function's.
     """
     n = F.patch_L.space.space_u.dim
+    if n_samples is None:
+        n_samples = interface_samples(F)
     d = []
     for side, rows in (("L", rows_L), ("R", rows_R)):
         rows = np.asarray(rows, dtype=float)
@@ -566,8 +572,11 @@ def verify_c2_at_interface(F: TwoPatchGeometry, rows_L: np.ndarray,
     jets = _physical_jets(np.array(d).transpose(1, 3, 2, 0, 4))  # (7, T, side, v)
     diff = np.abs(jets[:, :, 0] - jets[:, :, 1]).max(axis=-1)        # (7, T)
     size = np.abs(jets).max(axis=(2, 3))
-    # value, gradient and Hessian rows, each function scaled by its own size
+    # value, gradient and Hessian rows; where a scale is zero, so are both
+    # sides and their difference
     parts = [0, 1, 3]
-    rel = (np.maximum.reduceat(diff, parts)
-           / np.maximum(1.0, np.maximum.reduceat(size, parts)))
+    diff, size = (np.maximum.reduceat(a, parts) for a in (diff, size))
+    powers = F.diameter ** np.arange(3)[:, None]
+    scale = np.maximum.accumulate(size * powers, axis=0) / powers
+    rel = diff / np.where(scale > 0, scale, 1.0)
     return C2Report(*rel.max(axis=1).tolist(), tol)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from c2patch.builtin import initial_geometry
-from c2patch.geometry import bilinear_from_vertices, geometry_from_dict
+from c2patch.geometry import (Patch, TwoPatchGeometry, bilinear_from_vertices,
+                              geometry_from_dict)
 from c2patch.gluing import GluingData, gluing_from_bilinear
 
 
@@ -15,6 +16,13 @@ def load_asset(name):
     geo, gluing_raw = geometry_from_dict(data)
     gluing = GluingData.from_dict(gluing_raw) if gluing_raw else None
     return geo, gluing
+
+
+def scaled(geo, s):
+    """``geo`` with every control point multiplied by ``s``."""
+    return TwoPatchGeometry(*(Patch(geo.patch(side).space,
+                                    s * geo.patch(side).control_points)
+                              for side in geo.sides))
 
 
 @pytest.fixture(scope="session")

@@ -9,10 +9,12 @@ import pytest
 from c2patch import cli
 from c2patch.fields import FieldError, parse_expression, resolve_field
 from c2patch.builtin import reference_fitted_geometry
+from c2patch.bspline import make_knot_vector, uniform_inner_knots
 from c2patch.geometry import (GeometryError, Patch, TwoPatchGeometry,
                               geometry_from_dict, geometry_to_dict,
-                              load_geometry, save_geometry)
-from tests.conftest import load_asset
+                              load_geometry, refine_geometry,
+                              represent_geometry, save_geometry)
+from tests.conftest import load_asset, scaled
 
 
 def run_cli(*argv):
@@ -63,6 +65,22 @@ class TestGeometryFormat:
                                 "knots_interior": [],
                                 "patches": {"L": {"control_points": [[0, 0]]}}})
 
+    def test_represent_rejects_a_small_unrepresentable_patch(self, fitted_a):
+        # a patch outside the k = 0 space stays outside it when shrunk
+        fine = refine_geometry(fitted_a[0], make_knot_vector(5, 2, 1, (0.5,)))
+        cp = fine.patch_R.control_points.copy()
+        cp[4, 4] += 0.3
+        moved = TwoPatchGeometry(fine.patch_L, Patch(fine.patch_R.space, cp))
+        for s in (1.0, 1e-6, 1e-9):
+            with pytest.raises(GeometryError, match="not representable"):
+                represent_geometry(scaled(moved, s), make_knot_vector(5, 2, 0))
+
+    @pytest.mark.parametrize("s", [1e-8, 1e-4, 1.0, 1e4, 1e8])
+    def test_represent_bilinear_at_any_scale(self, s):
+        kv = make_knot_vector(5, 2, 3, uniform_inner_knots(3))
+        for name in ("bilinear_a", "bilinear_b"):
+            represent_geometry(scaled(load_asset(name)[0], s), kv)
+
 
 class TestExpressions:
     def test_registry_default(self):
@@ -106,6 +124,33 @@ class TestCommands:
                        "--oracle") == 0
         out = capsys.readouterr().out
         assert "oracle=18 formula=18 OK" in out
+
+    def test_verify_w2_oracle_names_v2(self, capsys):
+        # the oracle's nullity is dim V2, which contains the W2 basis checked
+        assert run_cli("verify", "--geometry", "builtin:bilinear_a", "--p", "5",
+                       "--k", "1", "--space", "w2", "--oracle") == 0
+        assert "oracle dim_V2=19 >= dim_W2=18 OK" in capsys.readouterr().out
+
+    def test_verify_finds_a_defect_between_50_samples(self, tmp_path, fitted_a,
+                                                      capsys):
+        # at k = 20 the trace space has 66 functions, so one of them vanishes
+        # at 50 equispaced points; added to the x coordinates of u-row 2 of
+        # patch R, it breaks the second-order matching only between them
+        geo, g = fitted_a
+        fine = refine_geometry(geo, make_knot_vector(5, 2, 20,
+                                                     uniform_inner_knots(20)))
+        space = fine.patch_R.space
+        B = space.space_v.basis_matrix(np.linspace(0.0, 1.0, 50))[0]
+        bump = np.linalg.svd(B)[2][-1]
+        cp = fine.patch_R.control_points.copy()
+        cp[2, :, 0] += 1e-3 * bump / np.abs(bump).max()
+        path = tmp_path / "defect.json"
+        save_geometry(path, TwoPatchGeometry(fine.patch_L, Patch(space, cp)),
+                      gluing=g, regularity=2)
+        run_cli("verify", "--geometry", str(path))
+        line, = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("interface residuals:")]
+        assert line.endswith("FAIL"), line
 
     def test_basis_export(self, tmp_path):
         out = tmp_path / "basis.jsonl"
@@ -319,12 +364,6 @@ class TestExitCodes:
         path.write_text(json.dumps(data))
         assert run_cli("dim", "--geometry", str(path)) == 1
         assert "patch 'L': malformed control points" in capsys.readouterr().err
-
-    def test_verify_without_samples_exits_one(self, capsys):
-        assert run_cli("verify", "--geometry", "builtin:fitted_a",
-                       "--samples", "0") == 1
-        out = capsys.readouterr()
-        assert "--samples" in out.err and "PASS" not in out.out
 
     def test_negative_k_exits_one(self, capsys):
         assert run_cli("dim", "--geometry", "builtin:fitted_a", "--k", "-1") == 1

@@ -8,13 +8,14 @@ from numpy.testing import assert_allclose
 
 from c2patch.bspline import make_knot_vector, uniform_inner_knots
 from c2patch.geometry import (GeometryError, Patch, TwoPatchGeometry,
-                              bilinear_from_vertices, square_patch_space)
+                              bilinear_from_vertices, refine_geometry,
+                              square_patch_space)
 from c2patch.gluing import (GLUING_KEYS, GluingData, GluingError,
-                            beta_from_gluing, gluing_from_bilinear,
-                            gluing_invariants, ttilde_knot_vector,
+                            ResidualReport, beta_from_gluing,
+                            gluing_from_bilinear, gluing_invariants,
                             verify_bilinear_like, verify_sign_condition)
-from c2patch.smooth import build_basis_v2, dim_v2, dim_w2
-from tests.conftest import load_asset
+from c2patch.smooth import C2Report, build_basis_v2, dim_gamma, dim_v2, dim_w2
+from tests.conftest import load_asset, scaled
 
 
 def bilinear(corners_L, corners_R):
@@ -32,13 +33,6 @@ def bilinear(corners_L, corners_R):
 def gluing_data(*coefs):
     """Gluing data from the coefficients of alpha_L, alpha_R, beta_L, beta_R."""
     return GluingData.from_dict(dict(zip(GLUING_KEYS, coefs)))
-
-
-def scaled(geo, s):
-    """``geo`` with every control point multiplied by ``s``."""
-    return TwoPatchGeometry(*(Patch(geo.patch(side).space,
-                                    s * geo.patch(side).control_points)
-                              for side in geo.sides))
 
 
 def mirrored_squares():
@@ -76,7 +70,7 @@ def _scale_free_facts(geo, inner):
     inv = gluing_invariants(gluing_from_bilinear(geo),
                             make_knot_vector(5, 2, k, inner))
     return (inv.d_alpha, inv.d_atilde, inv.d_h, inv.Z_beta, inv.beta_is_zero,
-            inv.ttilde, dim_v2(inv, 5, 2, k), dim_w2(5, 2, k, inv.d_alpha))
+            dim_v2(inv, 5, 2, k), dim_w2(5, 2, k, inv.d_alpha))
 
 
 class TestBilinearFromVertices:
@@ -211,7 +205,6 @@ class TestInvariants:
         inv = gluing_invariants(g, kv)
         assert inv.Z_beta == (1,)
         assert inv.z_beta == 1
-        assert inv.ttilde.multiplicities == (6, 3, 6)
 
     def test_two_beta_roots(self):
         g = gluing_from_bilinear(squares_with_quadratic_beta())
@@ -221,7 +214,6 @@ class TestInvariants:
         inv = gluing_invariants(g, kv)
         assert inv.Z_beta == (1, 3)
         assert inv.z_beta == 2
-        assert inv.ttilde.multiplicities == (6, 3, 2, 3, 6)
 
     def test_beta_identically_zero(self):
         g = gluing_from_bilinear(mirrored_squares())
@@ -229,7 +221,6 @@ class TestInvariants:
         inv = gluing_invariants(g, kv)
         assert inv.beta_is_zero
         assert inv.z_beta == 3
-        assert inv.ttilde == kv
 
     @pytest.mark.parametrize("s", [1e-8, 1e-7, 1e-6, 1e-5, 1e-3, 1e3, 1e6, 1e8])
     @pytest.mark.parametrize("name", list(SCALING_GEOMETRIES))
@@ -258,23 +249,24 @@ class TestInvariants:
         assert build_basis_v2(g, inv, 5, 2, k).num_basis == count
 
 
-class TestTtildeBranches:
-    def test_branch_totality(self):
-        kv = make_knot_vector(5, 2, 2, (0.4, 0.6))
-        cases = [(True, ()), (False, ()), (False, (1,)), (False, (1, 2))]
-        seen = set()
-        for beta_zero, Z in cases:
-            t, branch = ttilde_knot_vector(5, 2, (0.4, 0.6), beta_zero, Z)
-            seen.add(branch)
-            if beta_zero:
-                assert t == kv
-            else:
-                assert list(t.multiplicities[1:-1]) == [
-                    2 + (1 if i + 1 in Z else 0) for i in range(2)]
-        assert len(seen) == 4
-        # beta has at most two roots, but a knot vector takes any number
-        t, branch = ttilde_knot_vector(5, 2, (0.3, 0.5, 0.7), False, (1, 2, 3))
-        assert t.multiplicities[1:-1] == (3, 3, 3) and "[1, 2, 3]" in branch
+class TestTraceSpace:
+    # the trace space of the Gamma0 family is S(T~): the base knots at
+    # regularity r + 1 with each root of beta raised once, or the base knots
+    # where beta vanishes; its dimension is g0
+    @pytest.mark.parametrize("make, inner, z_beta", [
+        (mirrored_squares, (0.25, 0.5, 0.75), 3),
+        (squares_with_linear_beta, (0.25, 0.75), 0),
+        (squares_with_linear_beta, (0.5,), 1),
+        (squares_with_quadratic_beta, (0.25, 0.5, 0.75), 2),
+    ], ids=["beta-zero", "no-root", "one-root", "two-roots"])
+    def test_gamma0_count_is_g0(self, make, inner, z_beta):
+        g = gluing_from_bilinear(make())
+        k = len(inner)
+        inv = gluing_invariants(g, make_knot_vector(5, 2, k, inner))
+        assert inv.z_beta == z_beta and inv.inner_knots == inner
+        kinds = build_basis_v2(g, inv, 5, 2, k).kinds
+        g0 = dim_gamma(inv, 5, 2, k)[0]
+        assert sum(name.startswith("Gamma0_") for name in kinds) == g0
 
 
 class TestBilinearLikeVerification:
@@ -292,6 +284,26 @@ class TestBilinearLikeVerification:
         for geo, g in ((bilinear_a, gluing_a), (bilinear_b, gluing_b)):
             report = verify_bilinear_like(geo, g, tol=1e-10)
             assert report.passed, str(report)
+
+    @pytest.mark.parametrize("s", [1e-6, 1e6])
+    def test_scaled_bilinear_passes(self, bilinear_a, s):
+        # every term of an equation scales with the same power of s
+        geo = scaled(bilinear_a, s)
+        report = verify_bilinear_like(geo, gluing_from_bilinear(geo), tol=1e-10)
+        assert report.passed, str(report)
+
+    def test_fine_exact_refinement_passes(self, fitted_b):
+        # the second-order terms grow like k^2, and so does their roundoff
+        geo, g = fitted_b
+        fine = refine_geometry(geo, make_knot_vector(5, 2, 31,
+                                                     uniform_inner_knots(31)))
+        report = verify_bilinear_like(fine, g, tol=1e-8)
+        assert report.passed, str(report)
+
+    @pytest.mark.parametrize("c", [(np.nan, 0.0, 0.0), (0.0, 0.0, np.nan)])
+    def test_nan_residual_fails(self, c):
+        assert not ResidualReport(*c, tol=1e-8).passed
+        assert not C2Report(*c, tol=1e-8).passed
 
     def test_fitted_geometries_pass(self, fitted_a, fitted_b):
         for geo, g in (fitted_a, fitted_b):

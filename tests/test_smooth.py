@@ -18,7 +18,7 @@ from c2patch.smooth import (TRACE_RESID_TOL, DegreeBudgetError, Family,
                             dim_v2, dim_v2_from_numbers, dim_w2, edge_rows,
                             interface_jets, select_refined_bspline,
                             verify_c2_at_interface)
-from tests.conftest import load_asset
+from tests.conftest import load_asset, scaled
 from tests.test_gluing import (mirrored_squares, squares_with_linear_beta,
                                squares_with_quadratic_beta)
 
@@ -431,6 +431,29 @@ class TestC2Verification:
         assert not rep.passed
         assert rep.grad_diff > 1e-3
 
+    @pytest.mark.parametrize("s", [1e-8, 1e8])
+    def test_broken_input_fails_at_any_scale(self, fitted_a, s):
+        # gradients shrink like 1/s and Hessians like 1/s^2 on a large domain
+        geo, _ = fitted_a
+        n = geo.patch_L.space.space_u.dim
+        rows_L, rows_R = np.zeros((2, 3, n))
+        rows_L[1, 2] = 1.0
+        rep = verify_c2_at_interface(scaled(geo, s), rows_L, rows_R, 10, 1e-8)
+        assert not rep.passed and rep.grad_diff > 1e-3
+
+    @pytest.mark.parametrize("s", [1e-8, 1e-4, 1.0, 1e4, 1e8])
+    def test_bundled_bases_pass_at_any_scale(self, fitted_a, fitted_b, s):
+        # the same rows on the scaled domain are the same functions, scaled
+        for geo, g in (fitted_a, fitted_b):
+            for k in (0, 3):
+                kv = make_knot_vector(5, 2, k, uniform_inner_knots(k))
+                F = scaled(refine_geometry(geo, kv) if k else geo, s)
+                inv = gluing_invariants(g, kv)
+                for build in (build_basis_v2, build_basis_w2):
+                    basis = build(g, inv, 5, 2, k)
+                    rep = verify_c2_at_interface(F, basis.A_L, basis.A_R)
+                    assert rep.passed, f"{build.__name__} k={k}: {rep}"
+
 
 def tilted_interface_with_common_factor():
     """alpha_S = +-9(v-2) but beta_L, beta_R without the common root.
@@ -609,7 +632,7 @@ def _surface_from_function_reference(kind, comps, g, inv, side, trace_space):
 
 def _basis_reference(basis, g, inv, p=5, r=2):
     """(A_L, A_R) of ``basis`` built one function and one side at a time."""
-    inner = inv.ttilde.inner_knots
+    inner = inv.inner_knots
     trace = SplineSpace1D(make_knot_vector(p, r, len(inner), inner))
     A_L, A_R = np.zeros_like(basis.A_L), np.zeros_like(basis.A_R)
     m = 0
@@ -746,8 +769,12 @@ def _c2_reference(F, rows_L, rows_R, n_samples):
         grid = np.zeros((n, n))
         grid[:3] = rows
         jets.append(_physical_jets_reference(F.patch(side), grid, vs))
-    return [np.abs(a - b).max() / max(1.0, np.abs(a).max(), np.abs(b).max())
-            for a, b in zip(*jets)]
+    # order o is scaled by max(its size, the scale of order o - 1 / diameter)
+    out, scale = [], 0.0
+    for a, b in zip(*jets):
+        scale = max(scale / F.diameter, np.abs(a).max(), np.abs(b).max())
+        out.append(np.abs(a - b).max() / scale if scale else 0.0)
+    return out
 
 
 class TestC2CheckRows:
