@@ -21,7 +21,6 @@ from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 KNOT_TOL = 1e-12
 
@@ -144,7 +143,6 @@ class SplineSpace1D:
         self.degree = kv.degree
         self.knots = kv.knots
         self.dim = kv.dim
-        self._midpoint_jets: dict[int, np.ndarray] = {}
 
     def __repr__(self):
         return (f"SplineSpace1D(p={self.degree}, dim={self.dim}, "
@@ -270,17 +268,6 @@ class SplineSpace1D:
         ders.flags.writeable = False
         return ders
 
-    def midpoint_jets(self, count: int) -> np.ndarray:
-        """``basis_matrix(xs, 2)`` at the midpoints xs = (i + 1/2) / count of
-        ``count`` equal cells: shape (3, count, dim), read-only, computed
-        once per count and space."""
-        out = self._midpoint_jets.get(count)
-        if out is None:
-            out = self.basis_matrix((np.arange(count) + 0.5) / count, 2)
-            out.flags.writeable = False
-            self._midpoint_jets[count] = out
-        return out
-
     def eval_function(self, coeffs, xs, max_deriv: int = 0) -> np.ndarray:
         """Evaluate a spline (given by its coefficients) and derivatives.
 
@@ -319,6 +306,9 @@ class SplineSpace1D:
         ``samples`` has shape ``(dim,) + trailing``; every trailing column is
         interpolated in one banded solve.
         """
+        # imported here, so that the CLI starts without scipy.linalg
+        from scipy.linalg import solve_banded
+
         samples = np.asarray(samples, dtype=float)
         if samples.shape[0] != self.dim:
             raise ValueError(f"expected {self.dim} samples, got {samples.shape[0]}")

@@ -13,7 +13,7 @@ import sys
 from importlib import resources
 
 
-from . import assembly, fields, smooth
+from . import fields, smooth
 from .bspline import make_knot_vector, uniform_inner_knots
 from .geometry import (GeometryError, bilinear_from_vertices,
                        geometry_from_dict, refine_geometry,
@@ -209,6 +209,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    # assembly loads scipy.sparse and scipy.linalg, which the other
+    # commands do not need
+    from . import assembly
+
     geo, _gluing, _file_r = _load(args.initial)
     if args.out:
         open(args.out, "w").close()     # a bad path fails before the fit
@@ -235,6 +239,8 @@ def cmd_bilinear(args) -> int:
 
 
 def cmd_table2(args) -> int:
+    from . import assembly
+
     if args.levels < 0:
         raise CommandError(f"--levels must be at least 0, got {args.levels}")
     geo, gluing_raw, _file_r = _load(args.geometry)

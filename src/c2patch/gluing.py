@@ -263,11 +263,19 @@ def matching_weights(g: GluingData, vs) -> np.ndarray:
     return W
 
 
-def interface_samples(F: TwoPatchGeometry) -> int:
-    """Sample count of the interface checks when none is given: 2 (p + 1)
-    per knot span of the interface, so that it grows with the trace space."""
-    p = F.patch_L.degree
-    return 2 * (p + 1) * (F.patch_L.space.space_v.kv.num_inner + 1)
+def interface_samples(F: TwoPatchGeometry,
+                      n_samples: int | None = None) -> int:
+    """Sample count of the interface checks: ``n_samples``, which must be
+    a positive integer, or when None 2 (p + 1) per knot span of the
+    interface, so that it grows with the trace space."""
+    if n_samples is None:
+        p = F.patch_L.degree
+        return 2 * (p + 1) * (F.patch_L.space.space_v.kv.num_inner + 1)
+    if (isinstance(n_samples, bool)
+            or not isinstance(n_samples, (int, np.integer)) or n_samples < 1):
+        raise ValueError(
+            f"n_samples must be a positive integer, got {n_samples!r}")
+    return int(n_samples)
 
 
 def verify_bilinear_like(F: TwoPatchGeometry, g: GluingData,
@@ -279,9 +287,7 @@ def verify_bilinear_like(F: TwoPatchGeometry, g: GluingData,
     scaled by the largest size its terms reach at the samples, so that
     the report does not change with the scale of the domain.
     """
-    if n_samples is None:
-        n_samples = interface_samples(F)
-    vs = np.linspace(0.0, 1.0, n_samples)
+    vs = np.linspace(0.0, 1.0, interface_samples(F, n_samples))
     W = matching_weights(g, vs)
     jets = np.stack([F.patch_L.derivs(0.0, vs, 2, 2),
                      F.patch_R.derivs(0.0, vs, 2, 2)])

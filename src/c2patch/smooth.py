@@ -527,6 +527,52 @@ def _physical_jets(d):
     return np.concatenate([d[None, 0, 0, 2:], grad, H.reshape((4,) + H.shape[2:])])
 
 
+def _c2_frame(F: TwoPatchGeometry, n_samples: int):
+    """The check's local linear maps at the ``n_samples`` cell midpoints
+    v = (i + 1/2) / n_samples, one ``(index, maps)`` pair per side.
+
+    Only the v-B-splines first[v]..first[v] + p are nonzero at sample v,
+    so the jets there depend on the 3 (p + 1) interface coefficients of
+    u-rows i = 0..2 and columns first[v] + l, which ``index[v]`` picks
+    out of the flat rows (i n + first[v] + l, at position i (p + 1) + l).
+    ``maps[v]``, of shape (7, 3 (p + 1)), takes them to the physical
+    value, gradient and Hessian at (0, v); its columns are the
+    ``_physical_jets`` of the unit jets Nu[a, i] B_l^(b)(v) on the patch's
+    geometry.  The maps depend only on the geometry and the count, so
+    they are built once per count, kept on the geometry and read-only;
+    a v-space that both patches share is evaluated once.
+    """
+    frames = vars(F).setdefault("_c2_frames", {})
+    if n_samples in frames:
+        return frames[n_samples]
+    vs = (np.arange(n_samples) + 0.5) / n_samples
+    evals, frame = {}, []
+    for side in F.sides:
+        patch = F.patch(side)
+        space_v = patch.space.space_v
+        if space_v not in evals:
+            evals[space_v] = space_v.eval_basis(vs, 2)
+        first, Bv = evals[space_v]                           # (v,), (v, b, l)
+        Nu = patch.space.space_u.jets_at_zero                # (a, i)
+        q = Nu.shape[1]
+        cols = first[:, None] + np.arange(q)                 # (v, l)
+        # parametric jets d[a, b, c, v] of x, y and the 3q unit functions;
+        # the u-rows nearly cancel in the u-derivatives, so they are
+        # combined before the v-sums
+        X = (Nu @ patch.control_points[:q].reshape(q, -1)).reshape(3, -1, 2)
+        geo = np.einsum("avlc,vbl->abcv", X[:, cols], Bv)
+        unit = np.einsum("ai,vbl->abilv", Nu[:, :3], Bv)
+        d = np.concatenate([geo, unit.reshape(3, 3, 3 * q, -1)], axis=2)
+        maps = np.ascontiguousarray(_physical_jets(d).transpose(2, 0, 1))
+        index = space_v.dim * np.arange(3)[:, None] + cols[:, None]  # (v, i, l)
+        index = index.reshape(n_samples, 3 * q)
+        for a in (index, maps):
+            a.flags.writeable = False
+        frame.append((index, maps))
+    frames[n_samples] = frame = tuple(frame)
+    return frame
+
+
 def verify_c2_at_interface(F: TwoPatchGeometry, rows_L: np.ndarray,
                            rows_R: np.ndarray, n_samples: int | None = None,
                            tol: float = 1e-8) -> C2Report:
@@ -535,10 +581,9 @@ def verify_c2_at_interface(F: TwoPatchGeometry, rows_L: np.ndarray,
     ``rows_L`` / ``rows_R`` hold the three interface coefficient rows of the
     respective patch, of shape (3, n) or (3n,) for one function and with a
     leading axis for several; the remaining coefficients are zero.  The
-    jets at u = 0 involve only the u-rows 0..p of the control points and of
-    the functions, so only those are contracted with the v-collocation
-    matrices of the ``n_samples`` cell midpoints (``interface_samples``
-    when None), which each spline space keeps after the first check.
+    jets at the ``n_samples`` cell midpoints (``interface_samples`` when
+    None) are linear in the coefficients active there, so each side takes
+    one batched product with the local maps of ``_c2_frame``.
     Differences are scaled function by function: each derivative order by
     the largest of its own size and the sizes of the lower orders divided
     by the matching power of the domain diameter, so that the scaling
@@ -546,9 +591,8 @@ def verify_c2_at_interface(F: TwoPatchGeometry, rows_L: np.ndarray,
     holds the worst function's.
     """
     n = F.patch_L.space.space_u.dim
-    if n_samples is None:
-        n_samples = interface_samples(F)
-    d = []
+    n_samples = interface_samples(F, n_samples)
+    flat = []
     for side, rows in (("L", rows_L), ("R", rows_R)):
         rows = np.asarray(rows, dtype=float)
         if rows.shape[-1:] == (3 * n,):
@@ -556,22 +600,12 @@ def verify_c2_at_interface(F: TwoPatchGeometry, rows_L: np.ndarray,
         if rows.ndim not in (2, 3) or rows.shape[-2:] != (3, n):
             raise ValueError(f"rows_{side} must have shape (3, {n}), with "
                              f"a leading axis for several functions")
-        rows = rows.reshape(-1, 3, n)
-        patch = F.patch(side)
-        Nu = patch.space.space_u.jets_at_zero                     # (3, q)
-        Bv = patch.space.space_v.midpoint_jets(n_samples)         # (3, m, n)
-        q = Nu.shape[1]
-        c = 2 + len(rows)                   # x, y and the functions
-        head = np.zeros((q, n, c))
-        head[..., :2] = patch.control_points[:q]
-        head[:3, :, 2:] = rows[:, :q].transpose(1, 2, 0)
-        # (a, i) x (i, j c) -> (a c, j); (a c, j) x (j, b v) -> (a, c, b, v)
-        X = (Nu @ head.reshape(q, c * n)).reshape(3, n, c).swapaxes(1, 2)
-        d.append((X.reshape(3 * c, n) @ Bv.reshape(-1, n).T).reshape(3, c, 3, -1))
-    # (side, a, c, b, v) -> (a, b, c, side, v)
-    jets = _physical_jets(np.array(d).transpose(1, 3, 2, 0, 4))  # (7, T, side, v)
-    diff = np.abs(jets[:, :, 0] - jets[:, :, 1]).max(axis=-1)        # (7, T)
-    size = np.abs(jets).max(axis=(2, 3))
+        flat.append(rows.reshape(-1, 3 * n))
+    # (v, 7, 3q) x (v, 3q, T) -> (v, 7, T) per side
+    jets = [maps @ rows.T[index]
+            for rows, (index, maps) in zip(flat, _c2_frame(F, n_samples))]
+    diff = np.abs(jets[0] - jets[1]).max(axis=0)                 # (7, T)
+    size = np.maximum(*(np.abs(j).max(axis=0) for j in jets))
     # value, gradient and Hessian rows; where a scale is zero, so are both
     # sides and their difference
     parts = [0, 1, 3]

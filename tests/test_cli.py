@@ -6,7 +6,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from c2patch import cli
+from c2patch import assembly, cli
 from c2patch.fields import FieldError, parse_expression, resolve_field
 from c2patch.builtin import reference_fitted_geometry
 from c2patch.bspline import make_knot_vector, uniform_inner_knots
@@ -379,7 +379,7 @@ class TestExitCodes:
         def broken(*args, **kwargs):
             raise TypeError("synthetic program error")
 
-        monkeypatch.setattr(cli.assembly, "convergence_study", broken)
+        monkeypatch.setattr(assembly, "convergence_study", broken)
         with pytest.raises(TypeError, match="synthetic program error"):
             run_cli("table2", "--geometry", "builtin:fitted_a",
                     "--levels", "0")
@@ -398,7 +398,7 @@ class TestExitCodes:
             raise AssertionError("work started before --out was opened")
 
         for name in ("fit_bilinear_like", "convergence_study"):
-            monkeypatch.setattr(cli.assembly, name, never)
+            monkeypatch.setattr(assembly, name, never)
         out = tmp_path / "missing" / "out"
         assert run_cli(*command, "--out", str(out)) == 1
         assert self._assert_one_error_line(capsys, str(out)) == ""

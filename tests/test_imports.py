@@ -49,3 +49,15 @@ def test_package_import_does_not_load_scipy_interpolate():
         [sys.executable, "-c", code, str(Path(c2patch.__file__).parents[1])],
         capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_does_not_load_scipy_linalg_or_sparse():
+    # they cost ~0.25 s at start-up; fit, table2 and the banded solve of
+    # SplineSpace1D.interpolate import them when they run
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import c2patch.cli; "
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse') "
+            "if m in sys.modules))")
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(Path(c2patch.__file__).parents[1])],
+        capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -10,7 +10,8 @@ from numpy.testing import assert_allclose
 from c2patch import smooth
 from c2patch.bspline import SplineSpace1D, make_knot_vector, uniform_inner_knots
 from c2patch.geometry import refine_geometry, represent_geometry
-from c2patch.gluing import gluing_from_bilinear, gluing_invariants
+from c2patch.gluing import (gluing_from_bilinear, gluing_invariants,
+                            verify_bilinear_like)
 from c2patch.smooth import (TRACE_RESID_TOL, DegreeBudgetError, Family,
                             IndeterminateRankError, RepresentationError,
                             build_basis_v2, build_basis_w2,
@@ -777,22 +778,53 @@ def _c2_reference(F, rows_L, rows_R, n_samples):
     return out
 
 
+def _bases(pairs, k):
+    """(geometry, basis) of each (fitted asset, gluing) pair and both
+    spaces at k."""
+    kv = make_knot_vector(5, 2, k, uniform_inner_knots(k))
+    for (geo, _), g in pairs:
+        F = refine_geometry(geo, kv) if k else geo
+        inv = gluing_invariants(g, kv)
+        for build in (build_basis_v2, build_basis_w2):
+            yield F, build(g, inv, 5, 2, k)
+
+
+def _perturbed(rows, rng):
+    """``rows`` plus a random perturbation of 1e-3 of their size."""
+    return rows + 1e-3 * np.abs(rows).max() * rng.standard_normal(rows.shape)
+
+
 class TestC2CheckRows:
+    @pytest.mark.parametrize("k", [0, 1, 3, 7])
+    def test_genuine_functions_pass_with_reference(self, fitted_a, fitted_b,
+                                                   gluing_a, gluing_b, k):
+        # both computations of genuine C2 functions read roundoff
+        pairs = ((fitted_a, gluing_a), (fitted_b, gluing_b))
+        for F, basis in _bases(pairs, k):
+            for m in range(basis.num_basis):
+                rows_L, rows_R = basis.rows("L", m), basis.rows("R", m)
+                rep = verify_c2_at_interface(F, rows_L, rows_R, 50, 1e-8)
+                want = _c2_reference(F, rows_L, rows_R, 50)
+                assert rep.passed
+                got = (rep.value_diff, rep.grad_diff, rep.hess_diff)
+                assert max(got) <= 1e-12 and max(want) <= 1e-12
+
     @pytest.mark.parametrize("k", [0, 1, 3, 7])
     def test_matches_full_grid_reference(self, fitted_a, fitted_b, gluing_a,
                                          gluing_b, k):
-        kv = make_knot_vector(5, 2, k, uniform_inner_knots(k))
-        for (geo, _), g in ((fitted_a, gluing_a), (fitted_b, gluing_b)):
-            F = refine_geometry(geo, kv) if k else geo
-            inv = gluing_invariants(g, kv)
-            for build in (build_basis_v2, build_basis_w2):
-                basis = build(g, inv, 5, 2, k)
-                for m in range(basis.num_basis):
-                    rows_L, rows_R = basis.rows("L", m), basis.rows("R", m)
-                    rep = verify_c2_at_interface(F, rows_L, rows_R, 50, 1e-8)
-                    want = _c2_reference(F, rows_L, rows_R, 50)
-                    got = (rep.value_diff, rep.grad_diff, rep.hess_diff)
-                    assert_allclose(got, want, rtol=0, atol=1e-15)
+        # perturbed right rows give residuals of 1e-3 to 1, which both
+        # computations must agree on far above roundoff
+        rng = np.random.default_rng(k)
+        pairs = ((fitted_a, gluing_a), (fitted_b, gluing_b))
+        for F, basis in _bases(pairs, k):
+            for m in range(basis.num_basis):
+                rows_L = basis.rows("L", m)
+                rows_R = _perturbed(basis.rows("R", m), rng)
+                rep = verify_c2_at_interface(F, rows_L, rows_R, 50, 1e-8)
+                want = _c2_reference(F, rows_L, rows_R, 50)
+                assert min(want) > 1e-5 and not rep.passed
+                assert_allclose((rep.value_diff, rep.grad_diff, rep.hess_diff),
+                                want, rtol=1e-10, atol=0)
 
     def test_sample_matrices_computed_once(self, fitted_a, gluing_a, monkeypatch):
         kv = make_knot_vector(5, 2, 3, uniform_inner_knots(3))
@@ -801,15 +833,57 @@ class TestC2CheckRows:
         calls = _count_eval_basis(monkeypatch)
         for m in range(basis.num_basis):
             verify_c2_at_interface(F, basis.rows("L", m), basis.rows("R", m), 30)
+        # the u-jets at zero and the v-basis at the samples, each once:
+        # both patches share one space
+        assert F.patch_L.space is F.patch_R.space
         assert 0 < len(calls) <= 2
 
-        space = F.patch_L.space.space_v
-        first = space.midpoint_jets(30)
-        assert space.midpoint_jets(30) is first
-        other = space.midpoint_jets(31)
-        assert other.shape == (3, 31, space.dim) and other is not first
-        assert len(calls) == 3
-        for memo in (first, other, F.patch_L.space.space_u.jets_at_zero):
-            assert not memo.flags.writeable
-            with pytest.raises(ValueError):
-                memo[0, 0] = 1.0
+        frame = smooth._c2_frame(F, 30)
+        assert smooth._c2_frame(F, 30) is frame
+        before = len(calls)
+        other = smooth._c2_frame(F, 31)
+        assert other is not frame and len(calls) == before + 1
+        n = F.patch_L.space.space_u.dim
+        for index, maps in other:
+            assert index.shape == (31, 18) and maps.shape == (31, 7, 18)
+            assert index.min() >= 0 and index.max() < 3 * n
+        for index, maps in frame + other:
+            for memo in (index, maps):
+                assert not memo.flags.writeable
+                with pytest.raises(ValueError):
+                    memo[0, 0] = 1
+        assert not F.patch_L.space.space_u.jets_at_zero.flags.writeable
+
+    def test_batched_report_is_the_worst_single_one(self, fitted_b, gluing_b):
+        # a genuine basis passes; with every third right row perturbed,
+        # it fails
+        rng = np.random.default_rng(1)
+        for F, basis in _bases([(fitted_b, gluing_b)], 3):
+            broken = basis.A_R.copy()
+            broken[::3] = _perturbed(broken[::3], rng)
+            for A_R, passed in ((basis.A_R, True), (broken, False)):
+                single = [verify_c2_at_interface(F, basis.A_L[m], A_R[m], 40)
+                          for m in range(basis.num_basis)]
+                batched = verify_c2_at_interface(F, basis.A_L, A_R, 40)
+                assert batched.passed == passed
+                assert all(r.passed for r in single) == passed
+                worst = [max(getattr(r, name) for r in single)
+                         for name in ("value_diff", "grad_diff", "hess_diff")]
+                got = (batched.value_diff, batched.grad_diff, batched.hess_diff)
+                assert_allclose(got, worst, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("count", [0, -1, 2.5, True, "50", None])
+    def test_sample_count_must_be_a_positive_integer(self, fitted_a, gluing_a,
+                                                     count):
+        geo = fitted_a[0]
+        n = geo.patch_L.space.space_u.dim
+        rows = np.zeros((3, n))
+        if count is None:                     # numpy integers are counts
+            count = np.int64(7)
+            assert verify_c2_at_interface(geo, rows, rows, count).passed
+            assert verify_bilinear_like(geo, gluing_a, count).passed
+            return
+        with pytest.raises(ValueError, match="n_samples"):
+            verify_c2_at_interface(geo, rows, rows, count)
+        with pytest.raises(ValueError, match="n_samples"):
+            verify_bilinear_like(geo, gluing_a, count)
