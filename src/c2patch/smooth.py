@@ -529,25 +529,29 @@ def _physical_jets(d):
 
 def _c2_frame(F: TwoPatchGeometry, n_samples: int):
     """The check's local linear maps at the ``n_samples`` cell midpoints
-    v = (i + 1/2) / n_samples, one ``(index, maps)`` pair per side.
+    v = (i + 1/2) / n_samples, as ``(index, maps)`` with a leading side
+    axis.
 
     Only the v-B-splines first[v]..first[v] + p are nonzero at sample v,
-    so the jets there depend on the 3 (p + 1) interface coefficients of
-    u-rows i = 0..2 and columns first[v] + l, which ``index[v]`` picks
-    out of the flat rows (i n + first[v] + l, at position i (p + 1) + l).
-    ``maps[v]``, of shape (7, 3 (p + 1)), takes them to the physical
-    value, gradient and Hessian at (0, v); its columns are the
-    ``_physical_jets`` of the unit jets Nu[a, i] B_l^(b)(v) on the patch's
-    geometry.  The maps depend only on the geometry and the count, so
-    they are built once per count, kept on the geometry and read-only;
-    a v-space that both patches share is evaluated once.
+    so a side's jets there depend on the 3 (p + 1) interface coefficients
+    of u-rows i = 0..2 and columns first[v] + l.  ``index[s, v]`` picks
+    them out of the rows of both sides laid end to end, [rows_L | rows_R],
+    at position i (p + 1) + l.  ``maps[s, v]``, of shape (7, 3 (p + 1)),
+    takes them to the physical value, the gradient times the domain
+    diameter D and the Hessian times D^2, which compare at any scale; its
+    columns are the ``_physical_jets`` of the unit jets Nu[a, i]
+    B_l^(b)(v) on the patch's geometry.  The maps depend only on the
+    geometry and the count, so they are built once per count, kept on the
+    geometry and read-only; a v-space that both patches share is
+    evaluated once.
     """
     frames = vars(F).setdefault("_c2_frames", {})
     if n_samples in frames:
         return frames[n_samples]
     vs = (np.arange(n_samples) + 0.5) / n_samples
-    evals, frame = {}, []
-    for side in F.sides:
+    scales = F.diameter ** np.array([0, 1, 1, 2, 2, 2, 2])[:, None]
+    evals, index, maps = {}, [], []
+    for s, side in enumerate(F.sides):
         patch = F.patch(side)
         space_v = patch.space.space_v
         if space_v not in evals:
@@ -563,13 +567,12 @@ def _c2_frame(F: TwoPatchGeometry, n_samples: int):
         geo = np.einsum("avlc,vbl->abcv", X[:, cols], Bv)
         unit = np.einsum("ai,vbl->abilv", Nu[:, :3], Bv)
         d = np.concatenate([geo, unit.reshape(3, 3, 3 * q, -1)], axis=2)
-        maps = np.ascontiguousarray(_physical_jets(d).transpose(2, 0, 1))
-        index = space_v.dim * np.arange(3)[:, None] + cols[:, None]  # (v, i, l)
-        index = index.reshape(n_samples, 3 * q)
-        for a in (index, maps):
-            a.flags.writeable = False
-        frame.append((index, maps))
-    frames[n_samples] = frame = tuple(frame)
+        maps.append(_physical_jets(d).transpose(2, 0, 1) * scales)
+        rows = np.arange(3 * s, 3 * s + 3)[:, None]          # (i, 1)
+        index.append((space_v.dim * rows + cols[:, None]).reshape(n_samples, -1))
+    frame = frames[n_samples] = np.array(index), np.array(maps)
+    for a in frame:
+        a.flags.writeable = False
     return frame
 
 
@@ -582,8 +585,8 @@ def verify_c2_at_interface(F: TwoPatchGeometry, rows_L: np.ndarray,
     respective patch, of shape (3, n) or (3n,) for one function and with a
     leading axis for several; the remaining coefficients are zero.  The
     jets at the ``n_samples`` cell midpoints (``interface_samples`` when
-    None) are linear in the coefficients active there, so each side takes
-    one batched product with the local maps of ``_c2_frame``.
+    None) are linear in the coefficients active there, so they take one
+    batched product with the local maps of ``_c2_frame``.
     Differences are scaled function by function: each derivative order by
     the largest of its own size and the sizes of the lower orders divided
     by the matching power of the domain diameter, so that the scaling
@@ -601,16 +604,14 @@ def verify_c2_at_interface(F: TwoPatchGeometry, rows_L: np.ndarray,
             raise ValueError(f"rows_{side} must have shape (3, {n}), with "
                              f"a leading axis for several functions")
         flat.append(rows.reshape(-1, 3 * n))
-    # (v, 7, 3q) x (v, 3q, T) -> (v, 7, T) per side
-    jets = [maps @ rows.T[index]
-            for rows, (index, maps) in zip(flat, _c2_frame(F, n_samples))]
+    index, maps = _c2_frame(F, n_samples)
+    # (side, v, 7, 3q) x (side, v, 3q, T) -> (side, v, 7, T)
+    jets = maps @ np.take(np.hstack(flat).T, index, axis=0)
     diff = np.abs(jets[0] - jets[1]).max(axis=0)                 # (7, T)
-    size = np.maximum(*(np.abs(j).max(axis=0) for j in jets))
+    size = np.abs(jets).max(axis=(0, 1))
     # value, gradient and Hessian rows; where a scale is zero, so are both
     # sides and their difference
-    parts = [0, 1, 3]
-    diff, size = (np.maximum.reduceat(a, parts) for a in (diff, size))
-    powers = F.diameter ** np.arange(3)[:, None]
-    scale = np.maximum.accumulate(size * powers, axis=0) / powers
+    diff, size = np.maximum.reduceat([diff, size], [0, 1, 3], axis=1)
+    scale = np.maximum.accumulate(size, axis=0)
     rel = diff / np.where(scale > 0, scale, 1.0)
     return C2Report(*rel.max(axis=1).tolist(), tol)
