@@ -568,8 +568,9 @@ def _c2_frame(F: TwoPatchGeometry, n_samples: int):
         unit = np.einsum("ai,vbl->abilv", Nu[:, :3], Bv)
         d = np.concatenate([geo, unit.reshape(3, 3, 3 * q, -1)], axis=2)
         maps.append(_physical_jets(d).transpose(2, 0, 1) * scales)
-        rows = np.arange(3 * s, 3 * s + 3)[:, None]          # (i, 1)
-        index.append((space_v.dim * rows + cols[:, None]).reshape(n_samples, -1))
+        # u-row i of side s starts at (3 s + i) n in [rows_L | rows_R]
+        starts = space_v.dim * np.arange(3 * s, 3 * s + 3)[:, None]
+        index.append((starts + cols[:, None]).reshape(n_samples, -1))
     frame = frames[n_samples] = np.array(index), np.array(maps)
     for a in frame:
         a.flags.writeable = False
