@@ -26,7 +26,7 @@ from . import blas
 from .bspline import (KnotVector, QuadratureRule, SplineSpace1D, make_knot_vector,
                       space_rule, uniform_inner_knots)
 from .geometry import (Patch, TwoPatchGeometry, bilinear_from_vertices,
-                       refine_geometry, represent_geometry, square_patch_space)
+                       refine_geometry, represent_geometry)
 from .gluing import GluingData, gluing_from_bilinear, gluing_invariants
 from .smooth import SmoothBasis, build_basis_v2, build_basis_w2, dim_v1
 
@@ -84,87 +84,86 @@ def _basis_on_cells(space: SplineSpace1D, rule: QuadratureRule) -> _BasisOnCells
 def _band_block(band: np.ndarray, cols: int) -> np.ndarray:
     """Dense M[(i, j), (i', j')] for the rows i of an upper band, i' < cols.
 
-    ``band`` has shape (rows, p_u+1, n_v, 2p_v+1), see ``mass_band``, and
-    rows <= cols; the result has shape (rows * n_v, cols * n_v).  In its
-    first rows * n_v columns the entries below the diagonal are copies of
+    ``band`` has shape (rows, p+1, n, 2p+1), see ``mass_band``, and
+    rows <= cols; the result has shape (rows * n, cols * n).  In its
+    first rows * n columns the entries below the diagonal are copies of
     those above it.
     """
-    rows, k, n_v, wv = band.shape
+    rows, k, n, w = band.shape
     # the slots (i, e) and (j, dj) whose columns i', j' lie in the block
     ii = np.arange(rows)[:, None] + np.arange(k)
-    jj = np.arange(n_v)[:, None] + np.arange(wv) - wv // 2
+    jj = np.arange(n)[:, None] + np.arange(w) - w // 2
     i, e = np.nonzero(ii < cols)
-    j, dj = np.nonzero((jj >= 0) & (jj < n_v))
-    block = np.zeros((rows, n_v, cols, n_v))
+    j, dj = np.nonzero((jj >= 0) & (jj < n))
+    block = np.zeros((rows, n, cols, n))
     block[i[:, None], j, ii[i, e][:, None], jj[j, dj]] = band[i[:, None],
                                                               e[:, None], j, dj]
-    block = block.reshape(rows * n_v, cols * n_v)
-    square = block[:, :rows * n_v]
+    block = block.reshape(rows * n, cols * n)
+    square = block[:, :rows * n]
     square[...] = np.triu(square) + np.triu(square, 1).T
     return block
 
 
-def _band_reads(n_v: int, pu: int, pv: int) -> tuple[np.ndarray, np.ndarray]:
+def _band_reads(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Where the slots of the rows of an upper band are read, and their columns.
 
-    The slot (di, dj) of row (i, j) is the entry M[(i, j), (i + di - p_u,
-    j + dj - p_v)].  ``reads[j, di, dj]`` is its position in the flattened
+    The slot (di, dj) of row (i, j) is the entry M[(i, j), (i + di - p,
+    j + dj - p)].  ``reads[j, di, dj]`` is its position in the flattened
     band of ``mass_band`` less that of row i's first entry, and
-    ``cols[j, di, dj]`` its flat column less i n_v.  The lexicographically
+    ``cols[j, di, dj]`` its flat column less i n.  The lexicographically
     lower slots read their mirror images in the rows above, so that a
     matrix written from the reads is exactly symmetric.
     """
-    j = np.arange(n_v)[:, None, None]
-    di = np.arange(2 * pu + 1)[:, None] - pu
-    dj = np.arange(2 * pv + 1) - pv
-    wv = 2 * pv + 1
-    es = n_v * wv            # one slot e further
-    rs = (pu + 1) * es       # one row i further
+    j = np.arange(n)[:, None, None]
+    di = np.arange(2 * p + 1)[:, None] - p
+    dj = np.arange(2 * p + 1) - p
+    w = 2 * p + 1
+    es = n * w               # one slot e further
+    rs = (p + 1) * es        # one row i further
     reads = np.where((di > 0) | ((di == 0) & (dj >= 0)),
-                     di * es + j * wv + dj + pv,
-                     di * (rs - es) + (j + dj) * wv + pv - dj)
-    return reads, (j + di * n_v + dj).astype(np.int32)
+                     di * es + j * w + dj + p,
+                     di * (rs - es) + (j + dj) * w + p - dj)
+    return reads, (j + di * n + dj).astype(np.int32)
 
 
 class PatchAssembler:
     """Quadrature data of one patch: weights, physical points, |det J|.
 
-    Every integral is taken over all cells at once: the cells are leading
-    array axes ``(ncu, ncv)`` and each cell's local B-spline products are
+    The patch's one spline space S serves both directions, so one Gauss
+    rule and one table of B-spline values on its cells do too.  Every
+    integral is taken over all cells at once: the cells are leading array
+    axes ``(ncu, ncv)`` and each cell's local B-spline products are
     contracted with one ``einsum``.
     """
 
     def __init__(self, patch: Patch, points_per_cell: int | None = None):
         self.patch = patch
-        su = patch.space.space_u
-        sv = patch.space.space_v
-        self.rule_u, self.rule_v = (
-            space_rule(s, points_per_cell or default_points_per_cell(s))
-            for s in (su, sv))
-        self.bu = _basis_on_cells(su, self.rule_u)
-        self.bv = _basis_on_cells(sv, self.rule_v)
-        self.n_u = su.dim
-        self.n_v = sv.dim
-        self.p_u = su.degree
-        self.p_v = sv.degree
+        space = patch.space
+        self.rule = space_rule(space,
+                               points_per_cell or default_points_per_cell(space))
+        # the rule along u and along v, under the names of the directions
+        self.rule_u = self.rule_v = self.rule
+        self.cells = _basis_on_cells(space, self.rule)
+        self.n = space.dim
+        self.p = space.degree
         # tensor indices (i, j) of the B-splines active on each cell
-        iu = self.bu.first[:, None] + np.arange(self.p_u + 1)
-        iv = self.bv.first[:, None] + np.arange(self.p_v + 1)
-        self._cell_i = iu[:, None, :, None]        # (ncu, 1, pu+1, 1)
-        self._cell_j = iv[None, :, None, :]        # (1, ncv, 1, pv+1)
-        # flat indices i*n_v + j of those B-splines: (ncu, ncv, nloc)
-        self._cell_dofs = (self._cell_i * self.n_v + self._cell_j).reshape(
-            len(iu), len(iv), -1)
-        self._cell_weights = (self.rule_u.weights[:, None, :, None]
-                              * self.rule_v.weights[None, :, None, :])
+        active = self.cells.first[:, None] + np.arange(self.p + 1)
+        self._cell_i = active[:, None, :, None]    # (ncu, 1, p+1, 1)
+        self._cell_j = active[None, :, None, :]    # (1, ncv, 1, p+1)
+        # flat indices i*n + j of those B-splines: (ncu, ncv, nloc)
+        self._cell_dofs = (self._cell_i * self.n + self._cell_j).reshape(
+            len(active), len(active), -1)
+        w = self.rule.weights
+        self._cell_weights = w[:, None, :, None] * w[None, :, None, :]
         self._geometry_data()
 
     def _on_cells(self, coeffs: np.ndarray) -> np.ndarray:
-        """The tensor spline with coefficient grid ``coeffs`` (n_u, n_v, ...)
+        """The tensor spline with coefficient grid ``coeffs`` (n, n, ...)
         at every quadrature point: (ncu, ncv, q, r, ...)."""
-        local = coeffs[self._cell_i, self._cell_j]    # (ncu, ncv, pu+1, pv+1, ...)
-        return np.einsum("uqa,uvab...,vrb->uvqr...", self.bu.values[:, :, 0],
-                         local, self.bv.values[:, :, 0], optimize=_CELL_PATH)
+        local = coeffs[self._cell_i, self._cell_j]    # (ncu, ncv, p+1, p+1, ...)
+        B = self.cells.values[:, :, 0]
+        return np.einsum("uqa,uvab...,vrb->uvqr...", B, local, B,
+                         optimize=_CELL_PATH)
 
     def _geometry_data(self):
         """|det J| and physical coordinates at every quadrature point.
@@ -173,9 +172,10 @@ class PatchAssembler:
         F_v come from one contraction over values and first derivatives.
         """
         local = self.patch.control_points[self._cell_i, self._cell_j]
+        B = self.cells.values[:, :, :2]
         # (ncu, ncv, q, r, du, dv, 2)
-        F = np.einsum("uqda,uvab...,vreb->uvqrde...", self.bu.values[:, :, :2],
-                      local, self.bv.values[:, :, :2], optimize=_CELL_PATH)
+        F = np.einsum("uqda,uvab...,vreb->uvqrde...", B, local, B,
+                      optimize=_CELL_PATH)
         Fu, Fv = F[..., 1, 0, :], F[..., 0, 1, :]
         self.absdet = np.abs(Fu[..., 0] * Fv[..., 1] - Fu[..., 1] * Fv[..., 0])
         self.phys = np.ascontiguousarray(F[..., 0, 0, :])   # (ncu, ncv, q, r, 2)
@@ -183,76 +183,73 @@ class PatchAssembler:
     def mass_u_stage(self) -> np.ndarray:
         """The u-stage of the sum-factorised mass, for the upper half only.
 
-        Returns Y of shape (n_u, p_u+1, ncv, r): Y[i, e, c, t] is the
-        integral along u of N_i N_{i+e} |det J| times the weights, at the
-        v-point t of v-cell c.  The u-points are contracted per u-cell for
-        the pairs (a, b), b >= a, of the B-splines active on it.  A cell
-        whose first B-spline is f adds its pairs to the rows f..f+p_u of Y
-        as one block, with zeros in the slots of the pairs it lacks.
+        Returns Y of shape (n, p+1, ncv, r): Y[i, e, c, t] is the integral
+        along u of N_i N_{i+e} |det J| times the weights, at the v-point t
+        of v-cell c.  The u-points are contracted per u-cell for the pairs
+        (a, b), b >= a, of the B-splines active on it.  A cell whose first
+        B-spline is f adds its pairs to the rows f..f+p of Y as one block,
+        with zeros in the slots of the pairs it lacks.
         """
-        Bu = self.bu.values[:, :, 0]
+        Bu = self.cells.values[:, :, 0]
         ncu, q, k = Bu.shape
-        ncv, r = self.rule_v.weights.shape
+        ncv, r = self.rule.weights.shape
         a, b = np.triu_indices(k)
         # pair (a, b) lands in row a, slot b - a of the cell's block
         T = np.zeros((ncu, q, k * k))
         T[:, :, a * k + b - a] = Bu[..., a] * Bu[..., b]
         W = (self._cell_weights * self.absdet).transpose(0, 2, 1, 3)
         X = np.matmul(T.transpose(0, 2, 1), W.reshape(ncu, q, ncv * r))
-        Y = np.zeros((self.n_u * k, ncv * r))
-        for cell, f in enumerate(self.bu.first.tolist()):
+        Y = np.zeros((self.n * k, ncv * r))
+        for cell, f in enumerate(self.cells.first.tolist()):
             Y[f * k:(f + k) * k] += X[cell]
-        return Y.reshape(self.n_u, k, ncv, r)
+        return Y.reshape(self.n, k, ncv, r)
 
     def mass_band(self, u_stage: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """Rows lo <= i < hi of the weighted Gram matrix of the tensor
         B-splines, upper half in band form.
 
-        Returns ``band`` of shape (hi - lo, p_u+1, n_v, 2p_v+1) with
-        ``band[i - lo, e, j, dj]`` the entry M[(i, j), (i + e, j + dj - p_v)];
+        Returns ``band`` of shape (hi - lo, p+1, n, 2p+1) with
+        ``band[i - lo, e, j, dj]`` the entry M[(i, j), (i + e, j + dj - p)];
         it is zero for pairs that share no cell.  The v-points of
         ``u_stage`` (``mass_u_stage``) are contracted per v-cell for the
         pairs (c, d) of the B-splines active on it.  A cell whose first
-        B-spline is f adds them to the slots (f + c, p_v - c + d), which
-        lie 2p_v apart per c in the flattened (j, dj) plane: one block of
-        k 2p_v slots from (f, p_v), with zeros in the slots it lacks.  The
+        B-spline is f adds them to the slots (f + c, p - c + d), which lie
+        2p apart per c in the flattened (j, dj) plane: one block of k 2p
+        slots from (f, p), with zeros in the slots it lacks.  The
         lexicographically lower entries are read from their mirror images,
         M[(i, j), (i', j')] = M[(i', j'), (i, j)], so the slots e = 0,
-        dj < p_v hold entries that are not used.
+        dj < p hold entries that are not used.
         """
-        Bv = self.bv.values[:, :, 0]
+        Bv = self.cells.values[:, :, 0]
         ncv, r, k = Bv.shape
-        n_v, pv = self.n_v, self.p_v
-        wv = 2 * pv + 1
-        rows = (hi - lo) * (self.p_u + 1)
+        n, p = self.n, self.p
+        w = 2 * p + 1
+        rows = (hi - lo) * (p + 1)
         Y = u_stage[lo:hi].reshape(rows, ncv, r)
         c, d = np.divmod(np.arange(k * k), k)
-        T = np.zeros((ncv, r, k * (wv - 1)))
-        T[:, :, c * (wv - 1) + d] = (Bv[..., :, None] * Bv[..., None, :]).reshape(
+        T = np.zeros((ncv, r, k * (w - 1)))
+        T[:, :, c * (w - 1) + d] = (Bv[..., :, None] * Bv[..., None, :]).reshape(
             ncv, r, -1)
-        band = np.zeros((rows, n_v * wv))
-        for cell, f in enumerate(self.bv.first.tolist()):
-            start = f * wv + pv
-            band[:, start:start + k * (wv - 1)] += Y[:, cell] @ T[cell]
-        return band.reshape(hi - lo, self.p_u + 1, n_v, wv)
+        band = np.zeros((rows, n * w))
+        for cell, f in enumerate(self.cells.first.tolist()):
+            start = f * w + p
+            band[:, start:start + k * (w - 1)] += Y[:, cell] @ T[cell]
+        return band.reshape(hi - lo, p + 1, n, w)
 
-    def mass_1d(self) -> tuple[np.ndarray, np.ndarray]:
-        """Parametric Gram matrices (M_u, M_v) of the two spline spaces.
+    def mass_1d(self) -> np.ndarray:
+        """The parametric Gram matrix of the spline space, which is that of
+        the u- and of the v-direction.
 
         A cell whose first B-spline is f adds its block to the rows f..f+p;
         row f + a of every cell is added at once, as the rows are distinct.
         """
-        grams = []
-        for basis, rule, n in ((self.bu, self.rule_u, self.n_u),
-                               (self.bv, self.rule_v, self.n_v)):
-            B = basis.values[:, :, 0]
-            local = np.einsum("cqa,cq,cqb->cab", B, rule.weights, B)
-            cols = basis.first[:, None] + np.arange(B.shape[-1])
-            G = np.zeros((n, n))
-            for a in range(B.shape[-1]):
-                G[cols[:, a:a + 1], cols] += local[:, a]
-            grams.append(G)
-        return grams[0], grams[1]
+        B = self.cells.values[:, :, 0]
+        local = np.einsum("cqa,cq,cqb->cab", B, self.rule.weights, B)
+        cols = self.cells.first[:, None] + np.arange(B.shape[-1])
+        G = np.zeros((self.n, self.n))
+        for a in range(B.shape[-1]):
+            G[cols[:, a:a + 1], cols] += local[:, a]
+        return G
 
     def sample_physical(self, f) -> np.ndarray:
         """f(x1, x2) sampled at every quadrature point: (ncu, ncv, q, r)."""
@@ -267,16 +264,16 @@ class PatchAssembler:
         if values is None:
             values = self.sample_physical(f)
         W = self._cell_weights * self.absdet * values
-        local = np.einsum("uqa,uvqr,vrc->uvac", self.bu.values[:, :, 0], W,
-                          self.bv.values[:, :, 0], optimize=_CELL_PATH)
+        B = self.cells.values[:, :, 0]
+        local = np.einsum("uqa,uvqr,vrc->uvac", B, W, B, optimize=_CELL_PATH)
         return np.bincount(self._cell_dofs.ravel(), local.ravel(),
-                           minlength=self.n_u * self.n_v)
+                           minlength=self.n * self.n)
 
     def integrate_sq_diff(self, coeffs_flat: np.ndarray,
                           f: Callable[[np.ndarray, np.ndarray], np.ndarray] | None,
                           ) -> tuple[float, float]:
         """(||g - f||^2, ||f||^2) over the patch; f = 0 when f is None."""
-        g = self._on_cells(coeffs_flat.reshape(self.n_u, self.n_v))
+        g = self._on_cells(coeffs_flat.reshape(self.n, self.n))
         W = self._cell_weights * self.absdet
         if f is None:
             return float((W * g ** 2).sum()), 0.0
@@ -374,30 +371,30 @@ class DomainAssembler:
         m, n = self.basis.num_basis, self.basis.n
         nr = INTERFACE_ROWS
         n_int = (n - nr) * n
+        offsets = {"L": m, "R": m + n_int}
+        space = self.F.space
+        p = space.degree
+        # interior u-rows nr..nr+c-1 share cells with the interface rows
+        c = min(p, n - nr)
+        # stored slots of the interior rows, the same in both patches: the
+        # pairs sharing a cell, without the columns i' < nr
+        keep_v = space.overlap()
+        keep_u = keep_v[nr:] & (
+            np.arange(nr, n)[:, None] + np.arange(2 * p + 1) - p >= nr)
+        interior_counts = np.outer(keep_u.sum(axis=1), keep_v.sum(axis=1)).ravel()
         iface = np.zeros((m, m))
-        counts, patches, u_stages = [], [], {}
-        for s, A, offset in (("L", self.basis.A_L, m),
-                             ("R", self.basis.A_R, m + n_int)):
+        counts, couples, u_stages = [], {}, {}
+        for s, A in (("L", self.basis.A_L), ("R", self.basis.A_R)):
             pa = self.asm[s]
             u_stages[s] = pa.mass_u_stage()
-            # interior u-rows nr..nr+c-1 share cells with the interface rows
-            c = min(pa.p_u, n - nr)
             T = A @ _band_block(pa.mass_band(u_stages[s], 0, nr), nr + c)
             iface += T[:, :nr * n] @ A.T
-            couple = T[:, nr * n:]
-            # stored slots of the interior rows: the pairs sharing a cell,
-            # without the columns i' < nr
-            space = pa.patch.space
-            keep_u = space.space_u.overlap()[nr:] & (
-                np.arange(nr, n)[:, None] + np.arange(2 * pa.p_u + 1) - pa.p_u
-                >= nr)
-            keep_v = space.space_v.overlap()
-            rows = np.outer(keep_u.sum(axis=1), keep_v.sum(axis=1)).ravel()
-            rows[:c * n] += np.count_nonzero(couple, axis=0)
+            couples[s] = T[:, nr * n:]
+            rows = interior_counts.copy()
+            rows[:c * n] += np.count_nonzero(couples[s], axis=0)
             counts.append(rows)
-            patches.append((s, offset, c, couple, keep_u, keep_v))
         iface = np.triu(iface) + np.triu(iface, 1).T
-        first = np.hstack([iface] + [couple for _, _, _, couple, _, _ in patches])
+        first = np.hstack([iface, couples["L"], couples["R"]])
         keep = first != 0.0
         counts.insert(0, keep.sum(axis=1))
         dim = m + 2 * n_int
@@ -408,45 +405,46 @@ class DomainAssembler:
         data[:indptr[m]] = first[keep]
         first_cols = np.concatenate(
             [np.arange(m)] + [offset + np.arange(c * n)
-                              for _, offset, c, *_ in patches])
+                              for offset in offsets.values()])
         indices[:indptr[m]] = first_cols[np.nonzero(keep)[1]]
-        layout = []
-        for s, offset, c, couple, keep_u, keep_v in patches:
-            pa = self.asm[s]
-            band = pa.mass_band(u_stages.pop(s), nr, n)
+        reads, cols = _band_reads(n, p)
+        # the band slots of the first c u-rows (those read outside the band
+        # are not stored); the other u-rows with the same slots share their
+        # reads and columns
+        near_keep = (keep_u[:c, None, :, None]
+                     & keep_v[None, :, None, :]).reshape(c * n, -1)
+        patterns, far = {}, []
+        for i in range(c, n - nr):
+            key = keep_u[i].tobytes()
+            if key not in patterns:
+                mask = keep_v[:, None, :] & keep_u[i][:, None]
+                patterns[key] = reads[mask], cols[mask]
+            far.append(patterns[key])
+        for s, offset in offsets.items():
+            band = self.asm[s].mass_band(u_stages.pop(s), nr, n)
             rs = band[0].size
             band = band.reshape(-1)
-            reads, cols = _band_reads(n, pa.p_u, pa.p_v)
-            # the first c u-rows: the couplings, then the band slots (those
-            # read outside the band are not stored)
+            # the first c u-rows: the couplings, then the band slots
+            couple = couples[s]
             near = slice(indptr[offset], indptr[offset + c * n])
-            keep = np.hstack([couple.T != 0.0, (keep_u[:c, None, :, None]
-                                                & keep_v[None, :, None, :]
-                                                ).reshape(c * n, -1)])
+            keep = np.hstack([couple.T != 0.0, near_keep])
             slots = band.take(np.arange(c)[:, None, None, None] * rs + reads,
                               mode="clip").reshape(c * n, -1)
             data[near] = np.hstack([couple.T, slots])[keep]
             row, slot = np.nonzero(keep)
             indices[near] = (np.concatenate([np.arange(m), cols[0].ravel()])[slot]
                              + np.where(slot < m, 0, offset + row))
-            # the other u-rows: u-rows with the same slots share their reads
-            # and columns
-            patterns = {}
-            for i in range(c, n - nr):
-                key = keep_u[i].tobytes()
-                if key not in patterns:
-                    mask = keep_v[:, None, :] & keep_u[i][:, None]
-                    patterns[key] = reads[mask], cols[mask]
-                read, mask_cols = patterns[key]
+            for i, (read, mask_cols) in enumerate(far, start=c):
                 block = slice(indptr[offset + i * n], indptr[offset + (i + 1) * n])
                 band.take(read + i * rs, out=data[block])
                 np.add(mask_cols, offset + i * n, out=indices[block])
             # the next patch's band is built without this one alive
             del band
-            Mu, Mv = pa.mass_1d()
-            layout.append((Mu[nr:, nr:], Mv))
+        # both interiors are the grid S x S less the u-rows i < nr
+        G = self.asm["L"].mass_1d()
+        interior = (G[nr:, nr:], G)
         return TwoPatchMass((data, indices, indptr), shape=(dim, dim),
-                            layout=MassLayout(m, tuple(layout)))
+                            layout=MassLayout(m, (interior, interior)))
 
     def load(self, f) -> np.ndarray:
         return sum(self.C[s] @ self.asm[s].load(f) for s in ("L", "R"))
@@ -719,8 +717,8 @@ def convergence_study(F0: TwoPatchGeometry, gluing: GluingData, space: str,
                       levels: int, f, on_report=None) -> list[ApproxReport]:
     """Dyadic h-refinement study: levels L = 0..levels, k = 2^L - 1.
 
-    The level-0 geometry is refined exactly by knot insertion; the gluing
-    data is level-independent.  Each level's mass matrix gets one
+    The level-0 geometry ``F0``, which has no interior knots, is refined
+    exactly by knot insertion; the gluing data is level-independent.  Each level's mass matrix gets one
     ``SPDFactor``, which serves the solve and the condition number: dense
     Cholesky below ``KRONECKER_CUTOFF`` unknowns (levels 0-2), the
     preconditioned iterations from there on.  ``on_report`` is called with
@@ -729,7 +727,12 @@ def convergence_study(F0: TwoPatchGeometry, gluing: GluingData, space: str,
     """
     if space not in ("v2", "w2"):
         raise ValueError("space must be 'v2' or 'w2'")
-    p = F0.patch_L.degree
+    inner = F0.space.kv.inner_knots
+    if inner:
+        raise ValueError(
+            f"the level-0 geometry must have no interior knots, got "
+            f"{len(inner)}: {list(inner)}")
+    p = F0.space.degree
     base_r = 2
     reports: list[ApproxReport] = []
     prev_err = None
@@ -737,7 +740,7 @@ def convergence_study(F0: TwoPatchGeometry, gluing: GluingData, space: str,
     for L in range(levels + 1):
         k = 2 ** L - 1
         kv = make_knot_vector(p, base_r, k, uniform_inner_knots(k))
-        geo = refine_geometry(F0, kv) if k else F0
+        geo = refine_geometry(F0, kv)
         inv = gluing_invariants(gluing, kv)
         if space == "v2":
             basis = build_basis_v2(gluing, inv, p, base_r, k)
@@ -806,7 +809,7 @@ def reference_projection(F_tilde: TwoPatchGeometry, F_hat: TwoPatchGeometry,
     for side in ("L", "R"):
         pa = asm.asm[side]
         # input patch on the quadrature grid, laid out (ncu, ncv, q, r, 2)
-        values = F_tilde.patch(side).eval(pa.rule_u.nodes, pa.rule_v.nodes)
+        values = F_tilde.patch(side).eval(pa.rule.nodes, pa.rule.nodes)
         values = values.transpose(0, 2, 1, 3, 4)
         for c in (0, 1):
             loads[c] += asm.C[side] @ pa.load(values=values[..., c])
@@ -817,7 +820,7 @@ def geometry_from_solutions(asm: DomainAssembler,
                             sol: np.ndarray) -> TwoPatchGeometry:
     """The geometry whose two coordinates have coefficient vectors ``sol``."""
     n = asm.basis.n
-    space = asm.F.patch_L.space
+    space = asm.F.space
     patches = [Patch(space, np.stack([asm.patch_coefficients(sol[c], side)
                                       .reshape(n, n) for c in (0, 1)], axis=-1))
                for side in ("L", "R")]
@@ -846,10 +849,9 @@ def fit_bilinear_like(F_tilde: TwoPatchGeometry,
 
 def _identity_geometry(kv: KnotVector) -> TwoPatchGeometry:
     """Two unit-square patches mirrored across x = 0 (|det J| = 1)."""
-    space = square_patch_space(kv)
     s = SplineSpace1D(kv)
     gx = s.interpolate(s.greville())
     cp_R = np.stack(np.meshgrid(gx, gx, indexing="ij"), axis=-1)
     cp_L = cp_R.copy()
     cp_L[:, :, 0] *= -1.0
-    return TwoPatchGeometry(Patch(space, cp_L), Patch(space, cp_R))
+    return TwoPatchGeometry(Patch(s, cp_L), Patch(s, cp_R))

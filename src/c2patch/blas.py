@@ -10,6 +10,7 @@ and a second Python thread can run BLAS work on another core
 from __future__ import annotations
 
 import ctypes
+import importlib.util
 import os
 from functools import cache
 from pathlib import Path
@@ -26,13 +27,17 @@ _SYMBOLS = (("scipy_openblas_set_num_threads64_",
 @cache
 def thread_controls() -> dict:
     """(setter, getter) of each package's OpenBLAS, keyed "numpy" and
-    "scipy"; a package whose library or symbols are not found is absent."""
-    import numpy
-    import scipy
+    "scipy"; a package whose library or symbols are not found is absent.
 
+    The packages are found without importing them: importing scipy costs
+    ~10 ms, and a library loaded here is the one that the package's own
+    extension modules bind to when they are imported later."""
     found = {}
-    for pkg in (numpy, scipy):
-        libs = Path(pkg.__file__).parent.parent / f"{pkg.__name__}.libs"
+    for package in ("numpy", "scipy"):
+        spec = importlib.util.find_spec(package)
+        if spec is None or spec.origin is None:
+            continue
+        libs = Path(spec.origin).parent.parent / f"{package}.libs"
         for lib in sorted(libs.glob("*openblas*")):
             try:
                 handle = ctypes.CDLL(str(lib))
@@ -43,7 +48,7 @@ def thread_controls() -> dict:
             if names:
                 setter, getter = (getattr(handle, name) for name in names[0])
                 setter.argtypes, setter.restype = [ctypes.c_int], None
-                found[pkg.__name__] = (setter, getter)
+                found[package] = (setter, getter)
                 break
     return found
 

@@ -1,12 +1,12 @@
-"""Univariate and tensor-product B-spline spaces on [0, 1].
+"""Univariate B-spline spaces on [0, 1].
 
 Open knot vectors with per-knot multiplicity bookkeeping, basis evaluation
 with derivatives, Greville abscissae, collocation interpolation, knot
 insertion and Gauss rules on the knot spans.  ``SplineSpace1D.eval_basis``
 is the one Cox-de Boor evaluator: it takes whole arrays of points, and
-every other evaluation (spline functions, dense collocation matrices,
-tensor-product grids) is built on its output with array operations instead
-of per-point loops.  It is ``find_span`` followed by
+every other evaluation (spline functions, dense collocation matrices, the
+tensor-product patches of ``geometry.Patch``) is built on its output with
+array operations instead of per-point loops.  It is ``find_span`` followed by
 ``SplineSpace1D._eval_spans``, the pass that takes the spans and runs the
 recurrences over all points and all basis functions at once; the float rule
 of ``smooth.select_refined_bspline`` calls that pass directly, with both
@@ -371,44 +371,6 @@ def gauss_rule(points_per_cell: int, cells: Sequence[tuple[float, float]]) -> Qu
 def space_rule(space: SplineSpace1D, points_per_cell: int) -> QuadratureRule:
     """Gauss-Legendre rule mapped into every nonempty knot span of ``space``."""
     return gauss_rule(points_per_cell, [(a, b) for _, a, b in space.spans()])
-
-
-@dataclass(frozen=True)
-class TensorSplineSpace:
-    """Tensor-product spline space on the unit square."""
-
-    space_u: SplineSpace1D
-    space_v: SplineSpace1D
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.space_u.dim, self.space_v.dim)
-
-    def derivs(self, coeffs, us, vs, max_du: int, max_dv: int) -> np.ndarray:
-        """All mixed derivatives d_u^a d_v^b, a <= max_du, b <= max_dv, of
-        sum_{i,j} c_{i,j} N_i(u) N_j(v) on the grid ``us`` x ``vs``.
-
-        ``coeffs`` has shape ``self.shape + trailing``; the result has shape
-        ``(max_du + 1, max_dv + 1) + us.shape + vs.shape + trailing``.
-        """
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape[:2] != self.shape:
-            raise ValueError(f"coefficient grid {coeffs.shape} does not match "
-                             f"space shape {self.shape}")
-        us = np.asarray(us, dtype=float)
-        vs = np.asarray(vs, dtype=float)
-        Bu = self.space_u.basis_matrix(us.reshape(-1), max_du)
-        Bv = self.space_v.basis_matrix(vs.reshape(-1), max_dv)
-        c = coeffs.reshape(self.shape + (-1,))
-        # (a, u, j, c) x (b, v, j) -> (a, u, c, b, v) -> (a, b, u, v, c)
-        out = np.tensordot(np.tensordot(Bu, c, 1), Bv, (2, 2))
-        out = out.transpose(0, 3, 1, 4, 2)
-        return out.reshape(out.shape[:2] + us.shape + vs.shape + coeffs.shape[2:])
-
-    def eval(self, coeffs, us, vs, du: int = 0, dv: int = 0) -> np.ndarray:
-        """d_u^du d_v^dv sum_{i,j} c_{i,j} N_i(u) N_j(v) on the grid
-        ``us`` x ``vs``."""
-        return self.derivs(coeffs, us, vs, du, dv)[du, dv]
 
 
 def insert_knot(kv: KnotVector, coeffs: np.ndarray, x: float) -> tuple[KnotVector, np.ndarray]:

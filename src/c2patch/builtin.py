@@ -24,8 +24,8 @@ from math import comb
 
 import numpy as np
 
-from .bspline import make_knot_vector
-from .geometry import Patch, TwoPatchGeometry, square_patch_space
+from .bspline import SplineSpace1D, make_knot_vector
+from .geometry import Patch, TwoPatchGeometry
 
 
 def _monomial_to_bezier_1d(coeffs: list[Fraction], n: int) -> list[Fraction]:
@@ -55,7 +55,7 @@ def _monomial_to_bezier_2d(table, denom: int, n: int) -> np.ndarray:
 
 
 def _bicubic_patch(x_table, x_den, y_table, y_den) -> Patch:
-    space = square_patch_space(make_knot_vector(3, 2, 0))
+    space = SplineSpace1D(make_knot_vector(3, 2, 0))
     cx = _monomial_to_bezier_2d(x_table, x_den, 3)
     cy = _monomial_to_bezier_2d(y_table, y_den, 3)
     return Patch(space, np.stack([cx, cy], axis=-1))

@@ -61,7 +61,7 @@ def _load(path: str):
 def _gluing_for(geo, gluing_raw):
     if gluing_raw is not None:
         return GluingData.from_dict(gluing_raw)
-    if geo.patch_L.degree == 1:
+    if geo.space.degree == 1:
         return gluing_from_bilinear(geo)
     raise CommandError(
         "geometry file carries no gluing record and is not bilinear")
@@ -74,11 +74,10 @@ def _check_degree(degree, advice=""):
 
 
 def _space_params(geo, args, file_r):
-    degree = geo.patch_L.degree
+    degree = geo.space.degree
     if args.p is None:
         _check_degree(degree, "; pass --p 5 or higher")
     p = degree if args.p is None else args.p
-    file_kv = geo.patch_L.space.space_u.kv
     if args.r is not None:
         r = args.r
     else:
@@ -86,7 +85,7 @@ def _space_params(geo, args, file_r):
         # not of a space; the paper's spaces use r = 2
         r = file_r if degree >= 5 else 2
     if args.k is None:
-        inner = file_kv.inner_knots
+        inner = geo.space.kv.inner_knots
         k = len(inner)
     else:
         k = args.k
@@ -141,7 +140,7 @@ def _build_basis(geo, g, space, p, r, k, inner):
     A bilinear geometry lies in every space, so it is represented at the
     space's degree; any other geometry must have that degree.
     """
-    degree = geo.patch_L.degree
+    degree = geo.space.degree
     if p != degree and degree != 1:
         raise CommandError(
             f"space degree {p} does not match the geometry degree {degree}")
@@ -149,7 +148,7 @@ def _build_basis(geo, g, space, p, r, k, inner):
     inv = gluing_invariants(g, kv)
     if degree != p:
         geo = represent_geometry(geo, kv)
-    elif kv != geo.patch_L.space.space_u.kv:
+    elif kv != geo.space.kv:
         geo = refine_geometry(geo, kv)
     build = smooth.build_basis_v2 if space == "v2" else smooth.build_basis_w2
     return build(g, inv, p, r, k), inv, geo
@@ -244,7 +243,7 @@ def cmd_table2(args) -> int:
     if args.levels < 0:
         raise CommandError(f"--levels must be at least 0, got {args.levels}")
     geo, gluing_raw, _file_r = _load(args.geometry)
-    _check_degree(geo.patch_L.degree)
+    _check_degree(geo.space.degree)
     g = _gluing_for(geo, gluing_raw)
     f = fields.resolve_field(args.function)
     space = args.space

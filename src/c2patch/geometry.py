@@ -1,6 +1,9 @@
 """Two-patch planar geometries: spline patches sharing the u = 0 edge.
 
-Includes the JSON geometry schema used by the CLI:
+Both patches and both parametric directions use one univariate spline
+space S, so a geometry has one space (``TwoPatchGeometry.space``).  The
+JSON geometry schema used by the CLI gives S by its degree, regularity and
+interior knots:
 
     {
       "degree": p, "regularity": r, "knots_interior": [...],
@@ -21,8 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .bspline import (KnotVector, SplineSpace1D, TensorSplineSpace,
-                      make_knot_vector, refine_to, space_rule)
+from .bspline import (KnotVector, SplineSpace1D, make_knot_vector, refine_to,
+                      space_rule)
 
 INTERFACE_TOL = 1e-10
 
@@ -33,48 +36,57 @@ class GeometryError(ValueError):
 
 @dataclass(frozen=True)
 class Patch:
-    """A planar tensor-product spline patch."""
+    """A planar tensor-product spline patch in S x S for one univariate
+    spline space S, used along u and along v."""
 
-    space: TensorSplineSpace
-    control_points: np.ndarray  # (n_u, n_v, 2)
+    space: SplineSpace1D
+    control_points: np.ndarray  # (n, n, 2), n = space.dim
 
     def __post_init__(self):
         cp = np.asarray(self.control_points, dtype=float)
-        want = self.space.shape + (2,)
+        want = (self.space.dim, self.space.dim, 2)
         if cp.shape != want:
             raise GeometryError(
                 f"control point grid {cp.shape} does not match {want}")
         object.__setattr__(self, "control_points", cp)
 
-    @property
-    def degree(self) -> int:
-        return self.space.space_u.degree
-
-    def eval(self, us, vs) -> np.ndarray:
-        """F on the grid us x vs: shape us.shape + vs.shape + (2,)."""
-        return self.space.eval(self.control_points, us, vs)
+    def eval(self, us, vs, du: int = 0, dv: int = 0) -> np.ndarray:
+        """d_u^du d_v^dv F on the grid us x vs: shape us.shape + vs.shape
+        + (2,)."""
+        return self.derivs(us, vs, du, dv)[du, dv]
 
     def derivs(self, us, vs, max_du: int, max_dv: int) -> np.ndarray:
-        """All mixed derivatives on the grid us x vs:
-        shape (max_du+1, max_dv+1) + us.shape + vs.shape + (2,)."""
-        return self.space.derivs(self.control_points, us, vs, max_du, max_dv)
-
-
-def square_patch_space(kv: KnotVector) -> TensorSplineSpace:
-    s = SplineSpace1D(kv)
-    return TensorSplineSpace(s, s)
+        """All mixed derivatives d_u^a d_v^b F, a <= max_du, b <= max_dv, on
+        the grid us x vs: shape (max_du+1, max_dv+1) + us.shape + vs.shape
+        + (2,)."""
+        us = np.asarray(us, dtype=float)
+        vs = np.asarray(vs, dtype=float)
+        Bu = self.space.basis_matrix(us.reshape(-1), max_du)
+        Bv = self.space.basis_matrix(vs.reshape(-1), max_dv)
+        # (a, u, j, c) x (b, v, j) -> (a, u, c, b, v) -> (a, b, u, v, c)
+        out = np.tensordot(np.tensordot(Bu, self.control_points, 1), Bv, (2, 2))
+        out = out.transpose(0, 3, 1, 4, 2)
+        return out.reshape(out.shape[:2] + us.shape + vs.shape + (2,))
 
 
 @dataclass(frozen=True)
 class TwoPatchGeometry:
-    """Two spline patches F_L, F_R sharing the interface F_L(0, v) = F_R(0, v)."""
+    """Two spline patches F_L, F_R in one space S x S that share the
+    interface F_L(0, v) = F_R(0, v)."""
 
     patch_L: Patch
     patch_R: Patch
 
     def __post_init__(self):
-        if self.patch_L.space.shape != self.patch_R.space.shape:
-            raise GeometryError("patches must live in the same spline space")
+        if self.patch_L.space != self.patch_R.space:
+            raise GeometryError(
+                f"patches must live in one spline space, got "
+                f"{self.patch_L.space} and {self.patch_R.space}")
+
+    @property
+    def space(self) -> SplineSpace1D:
+        """The univariate spline space S of both patches and directions."""
+        return self.patch_L.space
 
     def patch(self, side: str) -> Patch:
         if side == "L":
@@ -95,19 +107,20 @@ class TwoPatchGeometry:
         return float(np.hypot(*(hi - lo)))
 
     def interface_mismatch(self) -> float:
-        vs = np.linspace(0.0, 1.0, 64)
-        d = self.patch_L.eval(0.0, vs) - self.patch_R.eval(0.0, vs)
+        """Largest distance between the interface control points of the
+        two patches.  It bounds max_v |F_L(0, v) - F_R(0, v)| (partition of
+        unity) and is zero exactly when the interface curves agree (the
+        B-splines are linearly independent)."""
+        d = self.patch_L.control_points[0] - self.patch_R.control_points[0]
         return float(np.hypot(d[:, 0], d[:, 1]).max())
 
     def min_abs_jacobian(self) -> float:
         """Smallest |det J| over Gauss sample grids of both patches."""
-        dets = []
-        for patch in (self.patch_L, self.patch_R):
-            us, vs = (space_rule(s, patch.degree + 1).nodes.ravel()
-                      for s in (patch.space.space_u, patch.space.space_v))
-            d = patch.derivs(us, vs, 1, 1)
-            dets.append(d[1, 0, ..., 0] * d[0, 1, ..., 1]
-                        - d[1, 0, ..., 1] * d[0, 1, ..., 0])
+        xs = space_rule(self.space, self.space.degree + 1).nodes.ravel()
+        d = np.array([patch.derivs(xs, xs, 1, 1)
+                      for patch in (self.patch_L, self.patch_R)])
+        dets = d[:, 1, 0, ..., 0] * d[:, 0, 1, ..., 1] \
+            - d[:, 1, 0, ..., 1] * d[:, 0, 1, ..., 0]
         return float(np.abs(dets).min())
 
     def validate(self) -> None:
@@ -117,7 +130,8 @@ class TwoPatchGeometry:
         mism = self.interface_mismatch()
         if mism > INTERFACE_TOL * max(self.diameter, 1e-30):
             raise GeometryError(
-                f"patch interfaces disagree: max |F_L(0,v) - F_R(0,v)| = {mism:.3e}")
+                f"patch interfaces disagree: interface control points "
+                f"differ by up to {mism:.3e}")
         if self.min_abs_jacobian() <= 0.0:
             raise GeometryError("patch Jacobian vanishes on the sample grid")
 
@@ -125,15 +139,15 @@ class TwoPatchGeometry:
 def refine_geometry(geo: TwoPatchGeometry, target_kv: KnotVector) -> TwoPatchGeometry:
     """Exact knot-insertion refinement of both patches into S(target)^2.
 
-    The patches share one square spline space, so their control grids are
-    stacked and refined by one ``refine_to`` along u and one along v.
+    The patches share one spline space, so their control grids are stacked
+    and refined by one ``refine_to`` along u and one along v.
     """
-    kv = geo.patch_L.space.space_u.kv
+    kv = geo.space.kv
     cp = np.concatenate([geo.patch(side).control_points for side in geo.sides],
                         axis=-1)
     cp = refine_to(kv, target_kv, cp)                      # along u
     cp = np.swapaxes(refine_to(kv, target_kv, np.swapaxes(cp, 0, 1)), 0, 1)
-    space = square_patch_space(target_kv)
+    space = SplineSpace1D(target_kv)
     return TwoPatchGeometry(Patch(space, cp[..., :2]), Patch(space, cp[..., 2:]))
 
 
@@ -145,16 +159,15 @@ def represent_geometry(geo: TwoPatchGeometry,
     e.g. low-degree polynomial patches re-expressed at a higher degree; a
     residual check at off-grid points guards against inexact inputs.
     """
-    space = square_patch_space(target_kv)
-    s1 = space.space_u
-    xi = s1.greville()
+    space = SplineSpace1D(target_kv)
+    xi = space.greville()
     check_us, check_vs = np.array([0.37, 0.73]), np.array([0.51, 0.18])
     patches = {}
     for side in geo.sides:
         patch = geo.patch(side)
         samples = patch.eval(xi, xi)
-        cp = s1.interpolate(samples)                                 # along u
-        cp = np.swapaxes(s1.interpolate(np.swapaxes(cp, 0, 1)), 0, 1)  # along v
+        cp = space.interpolate(samples)                              # along u
+        cp = np.swapaxes(space.interpolate(np.swapaxes(cp, 0, 1)), 0, 1)  # along v
         new = Patch(space, cp)
         err = np.abs(new.eval(check_us, check_vs)
                      - patch.eval(check_us, check_vs)).max()
@@ -168,8 +181,7 @@ def represent_geometry(geo: TwoPatchGeometry,
 
 def bilinear_from_vertices(initial: TwoPatchGeometry) -> TwoPatchGeometry:
     """Bilinear two-patch geometry interpolating the four corners of each patch."""
-    kv1 = make_knot_vector(1, 0, 0)
-    space = square_patch_space(kv1)
+    space = SplineSpace1D(make_knot_vector(1, 0, 0))
     corner_tol = INTERFACE_TOL * max(initial.diameter, 1e-30)
     ends = np.array([0.0, 1.0])
     d = initial.patch_L.eval(0.0, ends) - initial.patch_R.eval(0.0, ends)
@@ -192,7 +204,7 @@ def _patch_to_dict(patch: Patch) -> dict:
 
 def geometry_to_dict(geo: TwoPatchGeometry, gluing=None, *,
                      regularity: int) -> dict:
-    kv = geo.patch_L.space.space_u.kv
+    kv = geo.space.kv
     out = {
         "degree": kv.degree,
         "regularity": int(regularity),
@@ -220,9 +232,8 @@ def geometry_from_dict(data: dict) -> tuple[TwoPatchGeometry, dict | None]:
         raise GeometryError(f"regularity {r} invalid for degree {p}")
     if not np.isfinite(inner).all():
         raise GeometryError("non-finite interior knot")
-    kv = make_knot_vector(p, r, len(inner), inner)
-    space = square_patch_space(kv)
-    n = kv.dim
+    space = SplineSpace1D(make_knot_vector(p, r, len(inner), inner))
+    n = space.dim
     patches = {}
     for side in ("L", "R"):
         if side not in patches_raw:

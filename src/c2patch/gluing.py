@@ -110,9 +110,8 @@ def gluing_from_bilinear(fhat: TwoPatchGeometry) -> GluingData:
     alpha_S(v) = det[D_u F_S(0, v), F0'(v)] and
     beta_S(v)  = D_u F_S(0, v) . F0'(v) / |F0'(v)|^2.
     """
-    for side in fhat.sides:
-        if fhat.patch(side).degree != 1:
-            raise GluingError("gluing extraction requires bilinear patches")
+    if fhat.space.degree != 1:
+        raise GluingError("gluing extraction requires bilinear patches")
 
     cp_L = fhat.patch_L.control_points
     edge = cp_L[0, 1] - cp_L[0, 0]          # F0'(v), constant for bilinear
@@ -269,8 +268,7 @@ def interface_samples(F: TwoPatchGeometry,
     a positive integer, or when None 2 (p + 1) per knot span of the
     interface, so that it grows with the trace space."""
     if n_samples is None:
-        p = F.patch_L.degree
-        return 2 * (p + 1) * (F.patch_L.space.space_v.kv.num_inner + 1)
+        return 2 * (F.space.degree + 1) * (F.space.kv.num_inner + 1)
     if (isinstance(n_samples, bool)
             or not isinstance(n_samples, (int, np.integer)) or n_samples < 1):
         raise ValueError(

@@ -108,13 +108,13 @@ def dim_w2(p: int, r: int, k: int, d_alpha: int) -> int:
 # edge functions in the transversal direction
 
 
-def edge_rows(space_u: SplineSpace1D) -> np.ndarray:
+def edge_rows(space: SplineSpace1D) -> np.ndarray:
     """Coefficients of u-basis functions 0..2 (rows) in the three edge
     profiles (columns) with unit value, slope and curvature at u = 0; row a
     weighs the trace jets that make up u-row a of a patch.
     """
-    p = space_u.degree
-    inner = space_u.kv.inner_knots
+    p = space.degree
+    inner = space.kv.inner_knots
     tau1 = inner[0] if inner else 1.0
     return np.array([[1.0, 0.0, 0.0],
                      [1.0, tau1 / p, 0.0],
@@ -451,18 +451,16 @@ def constraint_nullspace_dim(F: TwoPatchGeometry, g: GluingData, p: int,
     singular values is smaller than ``ORACLE_MIN_GAP``.
     """
     _check_params(p, r, k)
-    kv = F.patch_L.space.space_u.kv
-    if kv.degree != p or kv.num_inner != k:
+    space = F.space
+    if space.degree != p or space.kv.num_inner != k:
         raise ValueError("geometry space does not match the requested (p, k)")
-    trace = SplineSpace1D(kv)
-    n = trace.dim
+    n = space.dim
 
     vs = np.linspace(0.0, 1.0, ORACLE_OVERSAMPLE * (p + 1) * (k + 1))
     W = matching_weights(g, vs)
     # u-jets of the first three u-basis functions at u = 0; the others vanish
-    _, du_ders = trace.eval_basis(0.0, 2)
-    Nu = du_ders[:, :3]
-    Nv = trace.basis_matrix(vs, 2)
+    Nu = space.jets_at_zero[:, :3]
+    Nv = space.basis_matrix(vs, 2)
 
     # unknown layout: d[(side, i, j)] -> side * 3n + i * n + j
     C = np.einsum("vesab,ai,bvj->vesij", W, Nu, Nv, optimize=True)
@@ -542,34 +540,32 @@ def _c2_frame(F: TwoPatchGeometry, n_samples: int):
     columns are the ``_physical_jets`` of the unit jets Nu[a, i]
     B_l^(b)(v) on the patch's geometry.  The maps depend only on the
     geometry and the count, so they are built once per count, kept on the
-    geometry and read-only; a v-space that both patches share is
-    evaluated once.
+    geometry and read-only.
     """
     frames = vars(F).setdefault("_c2_frames", {})
     if n_samples in frames:
         return frames[n_samples]
     vs = (np.arange(n_samples) + 0.5) / n_samples
     scales = F.diameter ** np.array([0, 1, 1, 2, 2, 2, 2])[:, None]
-    evals, index, maps = {}, [], []
+    space = F.space
+    first, Bv = space.eval_basis(vs, 2)                      # (v,), (v, b, l)
+    Nu = space.jets_at_zero                                  # (a, i)
+    q = Nu.shape[1]
+    cols = first[:, None] + np.arange(q)                     # (v, l)
+    # parametric jets of the 3q unit functions, the same on both sides
+    unit = np.einsum("ai,vbl->abilv", Nu[:, :3], Bv).reshape(3, 3, 3 * q, -1)
+    index, maps = [], []
     for s, side in enumerate(F.sides):
-        patch = F.patch(side)
-        space_v = patch.space.space_v
-        if space_v not in evals:
-            evals[space_v] = space_v.eval_basis(vs, 2)
-        first, Bv = evals[space_v]                           # (v,), (v, b, l)
-        Nu = patch.space.space_u.jets_at_zero                # (a, i)
-        q = Nu.shape[1]
-        cols = first[:, None] + np.arange(q)                 # (v, l)
-        # parametric jets d[a, b, c, v] of x, y and the 3q unit functions;
-        # the u-rows nearly cancel in the u-derivatives, so they are
-        # combined before the v-sums
-        X = (Nu @ patch.control_points[:q].reshape(q, -1)).reshape(3, -1, 2)
+        # parametric jets d[a, b, c, v] of x, y and the unit functions; the
+        # u-rows nearly cancel in the u-derivatives, so they are combined
+        # before the v-sums
+        cp = F.patch(side).control_points
+        X = (Nu @ cp[:q].reshape(q, -1)).reshape(3, -1, 2)
         geo = np.einsum("avlc,vbl->abcv", X[:, cols], Bv)
-        unit = np.einsum("ai,vbl->abilv", Nu[:, :3], Bv)
-        d = np.concatenate([geo, unit.reshape(3, 3, 3 * q, -1)], axis=2)
+        d = np.concatenate([geo, unit], axis=2)
         maps.append(_physical_jets(d).transpose(2, 0, 1) * scales)
         # u-row i of side s starts at (3 s + i) n in [rows_L | rows_R]
-        starts = space_v.dim * np.arange(3 * s, 3 * s + 3)[:, None]
+        starts = space.dim * np.arange(3 * s, 3 * s + 3)[:, None]
         index.append((starts + cols[:, None]).reshape(n_samples, -1))
     frame = frames[n_samples] = np.array(index), np.array(maps)
     for a in frame:
@@ -594,7 +590,7 @@ def verify_c2_at_interface(F: TwoPatchGeometry, rows_L: np.ndarray,
     follows the domain and a zero Hessian is never a divisor.  The report
     holds the worst function's.
     """
-    n = F.patch_L.space.space_u.dim
+    n = F.space.dim
     n_samples = interface_samples(F, n_samples)
     flat = []
     for side, rows in (("L", rows_L), ("R", rows_R)):

@@ -3,8 +3,8 @@ writer that the upper-half band replaced.  Each patch band is built over all
 2p+1 x 2p+1 slots, its lower half is taken from a sliding-window mirror
 view, and the CSR rows are gathered block by block and concatenated.  The
 tests require the same sparsity pattern as ``DomainAssembler.mass`` and
-values within 1e-15 of max |M|.  The 1D Gram matrices are kept in band form
-here, as the assembler kept them before it built them densely; the stored
+values within 1e-15 of max |M|.  The 1D Gram matrix is kept in band form
+here, as the assembler kept it before it built it densely; the stored
 slots are those whose 1D Gram entries are positive.
 """
 
@@ -23,17 +23,13 @@ def band_scatter(first, X, out):
     return out
 
 
-def gram_bands(pa):
-    """The parametric 1D Gram matrices (n, 2p+1) of a ``PatchAssembler`` in
+def gram_band(pa):
+    """The parametric 1D Gram matrix (n, 2p+1) of a ``PatchAssembler`` in
     band form: entry [i, d] is the integral of N_i N_{i+d-p}."""
-    bands = []
-    for basis, rule, n in ((pa.bu, pa.rule_u, pa.n_u),
-                           (pa.bv, pa.rule_v, pa.n_v)):
-        B = basis.values[:, :, 0]
-        local = np.einsum("cqa,cq,cqb->cab", B, rule.weights, B)
-        bands.append(band_scatter(basis.first, local,
-                                  np.zeros((n, 2 * B.shape[-1] - 1))))
-    return bands
+    B = pa.cells.values[:, :, 0]
+    local = np.einsum("cqa,cq,cqb->cab", B, pa.rule.weights, B)
+    return band_scatter(pa.cells.first, local,
+                        np.zeros((pa.n, 2 * B.shape[-1] - 1)))
 
 
 def band_to_dense(band):
@@ -73,28 +69,28 @@ def row_block(cols, vals, keep):
 
 def mass_band(pa):
     """(band, keep) of shape (n_u, n_v, 2p_u+1, 2p_v+1) of a ``PatchAssembler``."""
-    Bu = pa.bu.values[:, :, 0]
-    Bv = pa.bv.values[:, :, 0]
+    Bu = Bv = pa.cells.values[:, :, 0]
     ncu, q, ku = Bu.shape
     ncv, r, kv = Bv.shape
-    n_u, n_v, pu, pv = pa.n_u, pa.n_v, pa.p_u, pa.p_v
+    n_u = n_v = pa.n
+    pu = pv = pa.p
     Tu = (Bu[..., :, None] * Bu[..., None, :]).reshape(ncu, q, ku * ku)
     Tv = (Bv[..., :, None] * Bv[..., None, :]).reshape(ncv, r, kv * kv)
     W = (pa._cell_weights * pa.absdet).transpose(0, 2, 1, 3)
     X = np.matmul(Tu.transpose(0, 2, 1), W.reshape(ncu, q, ncv * r))
-    Y = band_scatter(pa.bu.first, X.reshape(ncu, ku, ku, ncv, r),
+    Y = band_scatter(pa.cells.first, X.reshape(ncu, ku, ku, ncv, r),
                      np.zeros((n_u, 2 * pu + 1, ncv, r)))
     Y = Y.transpose(2, 3, 0, 1).reshape(ncv, r, -1)
     Z = np.matmul(Tv.transpose(0, 2, 1), Y).reshape(ncv, kv, kv, n_u, -1)
     padded = np.zeros((n_v + 2 * pv, 2 * pv + 1, n_u + 2 * pu, 2 * pu + 1))
-    band_scatter(pa.bv.first, Z, padded[pv:pv + n_v, :, pu:pu + n_u])
+    band_scatter(pa.cells.first, Z, padded[pv:pv + n_v, :, pu:pu + n_u])
     padded = padded.transpose(2, 0, 3, 1)
     band = padded[pu:pu + n_u, pv:pv + n_v]
     windows = sliding_window_view(padded, band.shape[2:], axis=(0, 1))
     mirror = windows[:, :, ::-1, ::-1].diagonal(axis1=2, axis2=4).diagonal(
         axis1=2, axis2=3)
-    gram_u, gram_v = gram_bands(pa)
-    keep = (gram_u > 0.0)[:, None, :, None] & (gram_v > 0.0)[None, :, None, :]
+    gram = gram_band(pa) > 0.0
+    keep = gram[:, None, :, None] & gram[None, :, None, :]
     _, _, di, dj = np.ogrid[:1, :1, :2 * pu + 1, :2 * pv + 1]
     below = (di < pu) | ((di == pu) & (dj < pv))
     return np.where(below & keep, mirror, band), keep
@@ -111,13 +107,13 @@ def mass(asm):
                          ("R", asm.basis.A_R, m + n_int)):
         pa = asm.asm[s]
         band, keep = mass_band(pa)
-        c = min(pa.p_u, n - nr)
+        c = min(pa.p, n - nr)
         T = A @ band_block(band, nr, nr + c)
         iface += T[:, :nr * n] @ A.T
         couple = T[:, nr * n:]
         couplings.append((offset + np.arange(c * n), couple))
         wu, wv = band.shape[2:]
-        keep = keep & (np.arange(n)[:, None] + np.arange(wu) - pa.p_u
+        keep = keep & (np.arange(n)[:, None] + np.arange(wu) - pa.p
                        >= nr)[:, None, :, None]
         band = band[nr:].reshape(n_int, -1)
         keep = keep[nr:].reshape(n_int, -1)

@@ -102,7 +102,7 @@ class TestMassAndLoad:
         pa = PatchAssembler(geo.patch_R, 8)
         M = _patch_mass(pa)
         assert_allclose(M, M.T, atol=1e-14)
-        s = geo.patch_R.space.space_u
+        s = geo.patch_R.space
         # diagonal entries equal products of univariate self-integrals for
         # separable index pairs: check one entry against dense quadrature
         rule = gauss_rule(20, [(0.0, 0.5), (0.5, 1.0)])
@@ -114,9 +114,9 @@ class TestMassAndLoad:
         # separable entry ((2,3),(3,2)) = (integral N2 N3)^2 when |det J| = 1
         assert M[2 * n + 3, 3 * n + 2] == pytest.approx(ref * ref, abs=1e-12)
         # |det J| = 1: the patch mass is the Kronecker product of 1D Grams
-        Mu, Mv = pa.mass_1d()
-        assert Mu[2, 3] == pytest.approx(ref, abs=1e-13)
-        assert np.abs(M - np.kron(Mu, Mv)).max() <= 1e-13 * np.abs(M).max()
+        G = pa.mass_1d()
+        assert G[2, 3] == pytest.approx(ref, abs=1e-13)
+        assert np.abs(M - np.kron(G, G)).max() <= 1e-13 * np.abs(M).max()
 
     def test_batched_cells_match_cell_loop(self, fitted_b):
         from c2patch.geometry import refine_geometry
@@ -131,7 +131,7 @@ class TestMassAndLoad:
 
     def test_mass_spd_and_permutation(self, fitted_a, unit_setup):
         geo, gluing = fitted_a
-        kv = geo.patch_L.space.space_u.kv
+        kv = geo.space.kv
         inv = gluing_invariants(gluing, kv)
         basis = build_basis_v2(gluing, inv, 5, 2, 0)
         M = DomainAssembler(geo, basis).mass().toarray()
@@ -143,7 +143,7 @@ class TestMassAndLoad:
 
     def test_zero_field_zero_load(self, fitted_a):
         geo, gluing = fitted_a
-        kv = geo.patch_L.space.space_u.kv
+        kv = geo.space.kv
         inv = gluing_invariants(gluing, kv)
         basis = build_basis_v2(gluing, inv, 5, 2, 0)
         rhs = DomainAssembler(geo, basis).load(lambda x, y: np.zeros_like(x))
@@ -152,7 +152,7 @@ class TestMassAndLoad:
     def test_constant_field_matches_mass_action(self, fitted_a):
         # f = 1 is representable: load must equal M @ (coefficients of 1)
         geo, gluing = fitted_a
-        kv = geo.patch_L.space.space_u.kv
+        kv = geo.space.kv
         inv = gluing_invariants(gluing, kv)
         basis = build_basis_v2(gluing, inv, 5, 2, 0)
         asm = DomainAssembler(geo, basis)
@@ -205,8 +205,8 @@ def test_band_rows_split_anywhere(fitted_b):
     kv = make_knot_vector(5, 2, 3, uniform_inner_knots(3))
     pa = PatchAssembler(refine_geometry(fitted_b[0], kv).patch_R)
     u_stage = pa.mass_u_stage()
-    band = pa.mass_band(u_stage, 0, pa.n_u)
-    for lo, hi in ((0, 3), (3, pa.n_u), (5, 9)):
+    band = pa.mass_band(u_stage, 0, pa.n)
+    for lo, hi in ((0, 3), (3, pa.n), (5, 9)):
         assert np.array_equal(pa.mass_band(u_stage, lo, hi), band[lo:hi])
 
 
@@ -219,8 +219,8 @@ def test_mass_1d_bitwise_equal_to_band_path(level):
     rules = (None, asm_mod.FIT_POINTS_PER_CELL) if level == 0 else (None,)
     for points_per_cell in rules:
         pa = PatchAssembler(patch, points_per_cell)
-        for gram, band in zip(pa.mass_1d(), mass_reference.gram_bands(pa)):
-            assert gram.tobytes() == mass_reference.band_to_dense(band).tobytes()
+        band = mass_reference.gram_band(pa)
+        assert pa.mass_1d().tobytes() == mass_reference.band_to_dense(band).tobytes()
 
 
 @pytest.mark.parametrize("study", ["a/v2", "b/w2"])
@@ -249,35 +249,32 @@ def test_two_patch_mass_matches_cell_loop(study, request):
     assert (M != M.T).nnz == 0
     for side in "LR":
         pa = asm.asm[side]
-        for Mi, basis_1d, rule, n in zip(pa.mass_1d(), (pa.bu, pa.bv),
-                                         (pa.rule_u, pa.rule_v),
-                                         (pa.n_u, pa.n_v)):
-            gram = np.zeros((n, n))
-            for c, first in enumerate(basis_1d.first):
-                B = basis_1d.values[c, :, 0, :]
-                idx = np.arange(first, first + B.shape[1])
-                gram[np.ix_(idx, idx)] += B.T @ (rule.weights[c][:, None] * B)
-            assert np.abs(Mi - gram).max() <= 1e-14 * np.abs(gram).max()
+        gram = np.zeros((pa.n, pa.n))
+        for c, first in enumerate(pa.cells.first):
+            B = pa.cells.values[c, :, 0, :]
+            idx = np.arange(first, first + B.shape[1])
+            gram[np.ix_(idx, idx)] += B.T @ (pa.rule.weights[c][:, None] * B)
+        assert np.abs(pa.mass_1d() - gram).max() <= 1e-14 * np.abs(gram).max()
 
 
 def _patch_mass(pa):
     """The dense patch mass from its band."""
-    return _band_block(pa.mass_band(pa.mass_u_stage(), 0, pa.n_u), pa.n_u)
+    return _band_block(pa.mass_band(pa.mass_u_stage(), 0, pa.n), pa.n)
 
 
 def _cell_loop_reference(pa, values):
     """Mass matrix and load of one patch, one cell at a time (dense)."""
-    n2 = pa.n_u * pa.n_v
+    n2 = pa.n * pa.n
     M = np.zeros((n2, n2))
     load = np.zeros(n2)
-    for cu, fu in enumerate(pa.bu.first):
-        Bu = pa.bu.values[cu, :, 0, :]
-        for cv, fv in enumerate(pa.bv.first):
-            Bv = pa.bv.values[cv, :, 0, :]
-            W = (pa.rule_u.weights[cu][:, None] * pa.rule_v.weights[cv][None, :]
+    for cu, fu in enumerate(pa.cells.first):
+        Bu = pa.cells.values[cu, :, 0, :]
+        for cv, fv in enumerate(pa.cells.first):
+            Bv = pa.cells.values[cv, :, 0, :]
+            W = (pa.rule.weights[cu][:, None] * pa.rule.weights[cv][None, :]
                  * pa.absdet[cu, cv])
-            gi = (np.arange(fu, fu + pa.p_u + 1)[:, None] * pa.n_v
-                  + np.arange(fv, fv + pa.p_v + 1)[None, :]).ravel()
+            gi = (np.arange(fu, fu + pa.p + 1)[:, None] * pa.n
+                  + np.arange(fv, fv + pa.p + 1)[None, :]).ravel()
             local = np.einsum("qa,qb,qr,rc,rd->acbd", Bu, Bu, W, Bv, Bv)
             M[np.ix_(gi, gi)] += local.reshape(len(gi), len(gi))
             load[gi] += np.einsum("qa,qr,rc->ac", Bu, W * values[cu, cv],
@@ -295,7 +292,7 @@ def _basis_value(space, j, x):
 class TestProjection:
     def test_reproduces_member_function(self, fitted_b):
         geo, gluing = fitted_b
-        kv = geo.patch_L.space.space_u.kv
+        kv = geo.space.kv
         inv = gluing_invariants(gluing, kv)
         basis = build_basis_v2(gluing, inv, 5, 2, 0)
         asm = DomainAssembler(geo, basis)
@@ -314,8 +311,8 @@ class TestProjection:
             pa = asm.asm[s]
             n = basis.n
             grid = grids[s].reshape(n, n)
-            ts = geo.patch(s).space
-            vals = ts.eval(grid, pa.rule_u.nodes, pa.rule_v.nodes)
+            patch = Patch(geo.space, np.dstack([grid, grid]))
+            vals = patch.eval(pa.rule.nodes, pa.rule.nodes)[..., 0]
             vals = vals.transpose(0, 2, 1, 3)       # (ncu, ncv, q, r)
             rhs += asm.C[s] @ pa.load(values=vals)
         b = solve_spd(M, rhs)
@@ -328,7 +325,7 @@ class TestProjection:
 
     def test_galerkin_orthogonality(self, fitted_a):
         geo, gluing = fitted_a
-        kv = geo.patch_L.space.space_u.kv
+        kv = geo.space.kv
         inv = gluing_invariants(gluing, kv)
         basis = build_basis_v2(gluing, inv, 5, 2, 0)
         asm = DomainAssembler(geo, basis)
@@ -823,7 +820,7 @@ class TestConvergence:
             geo = refine_geometry(geo0, kv) if k else geo0
             inv = gluing_invariants(gluing, kv)
             basis = build_basis_v2(gluing, inv, 5, 2, k)
-            ppc = default_points_per_cell(geo.patch_L.space.space_u)
+            ppc = default_points_per_cell(geo.space)
             M1 = DomainAssembler(geo, basis, ppc).mass().toarray()
             M2 = DomainAssembler(geo, basis, 2 * ppc).mass().toarray()
             assert np.abs(M1 - M2).max() < 1e-10 * np.abs(M1).max()

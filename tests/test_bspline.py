@@ -1,4 +1,4 @@
-"""Tests for the univariate/tensor B-spline kernel."""
+"""Tests for the B-spline kernel and the tensor-product patches built on it."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from c2patch.bspline import (KnotVector, SplineSpace1D, TensorSplineSpace,
-                             insert_knot, make_knot_vector, refine_to,
-                             uniform_inner_knots)
+from c2patch.bspline import (KnotVector, SplineSpace1D, insert_knot,
+                             make_knot_vector, refine_to, uniform_inner_knots)
+from c2patch.geometry import Patch
 from tests.kernel_reference import eval_basis_loops
 
 
@@ -200,11 +200,10 @@ class TestBatchedKernel:
         assert s.basis_matrix([0.1, 0.2], 1).shape == (2, 2, s.dim)
         assert s.eval_function(np.ones((s.dim, 3)), [0.1, 0.2], 1).shape \
             == (2, 2, 3)
-        ts = TensorSplineSpace(s, s)
-        c = np.ones(ts.shape + (2,))
-        assert ts.derivs(c, [0.1, 0.2, 0.3], 0.5, 2, 1).shape == (3, 2, 3, 2)
-        assert ts.eval(c, 0.1, [0.2, 0.3]).shape == (2, 2)
-        assert np.ndim(ts.eval(c[..., 0], 0.1, 0.2)) == 0
+        patch = Patch(s, np.ones((s.dim, s.dim, 2)))
+        assert patch.derivs([0.1, 0.2, 0.3], 0.5, 2, 1).shape == (3, 2, 3, 2)
+        assert patch.eval(0.1, [0.2, 0.3]).shape == (2, 2)
+        assert patch.eval(0.1, 0.2).shape == (2,)
 
     def test_batched_out_of_range(self):
         s = space(5, 2, 0)
@@ -357,32 +356,37 @@ class TestInterpolation:
 
 
 class TestTensor:
+    # a patch in S x S: the tensor-product spline of each coordinate
+
     def test_constant(self):
         s = space(5, 2, 1, (0.5,))
-        ts = TensorSplineSpace(s, s)
-        coeffs = np.ones(ts.shape)
+        patch = Patch(s, np.ones((s.dim, s.dim, 2)))
         for u, v in [(0.0, 0.3), (0.7, 0.7), (1.0, 1.0)]:
-            assert ts.eval(coeffs, u, v) == pytest.approx(1.0)
+            assert patch.eval(u, v) == pytest.approx([1.0, 1.0])
 
     def test_separable(self):
         s = space(5, 2, 1, (0.5,))
-        ts = TensorSplineSpace(s, s)
         cu, cv = rng_coeffs(s, 1), rng_coeffs(s, 2)
         coeffs = np.outer(cu, cv)
+        patch = Patch(s, np.stack([coeffs, 2.0 * coeffs], axis=-1))
         for u, v in [(0.1, 0.9), (0.55, 0.2)]:
             fu = s.eval_function(cu, [u], 1)[:, 0]
             fv = float(s.eval_function(cv, [v])[0, 0])
-            assert ts.eval(coeffs, u, v) == pytest.approx(float(fu[0]) * fv)
-            assert ts.eval(coeffs, u, v, du=1) == pytest.approx(
-                float(fu[1]) * fv)
+            want = float(fu[0]) * fv
+            assert patch.eval(u, v) == pytest.approx([want, 2.0 * want])
+            want = float(fu[1]) * fv
+            assert patch.eval(u, v, du=1) == pytest.approx([want, 2.0 * want])
 
     def test_linear_precision_derivative(self):
+        # the identity map (u, v) -> (u, v)
         s = space(5, 2, 1, (0.5,))
-        ts = TensorSplineSpace(s, s)
         xi = s.greville()
         coeffs = np.tile(s.interpolate(xi)[:, None], (1, s.dim))
-        assert ts.eval(coeffs, 0.3, 0.8, du=1) == pytest.approx(1.0)
-        assert ts.eval(coeffs, 0.3, 0.8, dv=1) == pytest.approx(0.0, abs=1e-12)
+        patch = Patch(s, np.stack([coeffs, coeffs.T], axis=-1))
+        assert patch.eval(0.3, 0.8, du=1) == pytest.approx([1.0, 0.0],
+                                                           abs=1e-12)
+        assert patch.eval(0.3, 0.8, dv=1) == pytest.approx([0.0, 1.0],
+                                                           abs=1e-12)
 
 
 class TestInsertion:
@@ -430,11 +434,12 @@ class TestInsertion:
     @pytest.mark.parametrize("name", ["a", "b"])
     def test_refine_geometry_is_patchwise_refine_to(self, name, request):
         # both patches stacked, one refine_to per direction: the control
-        # grids of refining each patch along u, then along v
+        # grids of refining each patch along u, then along v (at k = 0, the
+        # grids themselves)
         from c2patch.geometry import refine_geometry
         geo, _ = request.getfixturevalue(f"fitted_{name}")
-        kv = geo.patch_L.space.space_u.kv
-        for k in (1, 3, 7):
+        kv = geo.space.kv
+        for k in (0, 1, 3, 7):
             target = make_knot_vector(5, 2, k, uniform_inner_knots(k))
             fine = refine_geometry(geo, target)
             for side in ("L", "R"):
@@ -442,7 +447,7 @@ class TestInsertion:
                 cp = np.swapaxes(refine_to(kv, target, np.swapaxes(cp, 0, 1)),
                                  0, 1)
                 assert np.array_equal(fine.patch(side).control_points, cp)
-                assert fine.patch(side).space.space_u.kv == target
+                assert fine.patch(side).space.kv == target
 
 
 knot_counts = st.integers(min_value=0, max_value=4)

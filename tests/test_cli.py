@@ -21,7 +21,39 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
+def blind_interface_gap(geo):
+    """``geo`` refined to k = 31, where the trace space has 99 functions,
+    with the interface row of patch R moved by 1e-3 diameters along a
+    trace spline that vanishes at 64 equispaced points."""
+    fine = refine_geometry(geo, make_knot_vector(5, 2, 31,
+                                                 uniform_inner_knots(31)))
+    B = fine.space.basis_matrix(np.linspace(0.0, 1.0, 64))[0]
+    bump = np.linalg.svd(B)[2][-1]
+    cp = fine.patch_R.control_points.copy()
+    cp[0, :, 0] += 1e-3 * fine.diameter * bump / np.abs(bump).max()
+    return TwoPatchGeometry(fine.patch_L, Patch(fine.space, cp))
+
+
 class TestGeometryFormat:
+    def test_patches_on_different_knots_rejected(self, fitted_a):
+        # equal dimensions, different spaces: inner knot 0.5 for L, 0.3 for R
+        L, R = (refine_geometry(fitted_a[0], make_knot_vector(5, 2, 1, (t,)))
+                for t in (0.5, 0.3))
+        assert L.space.dim == R.space.dim
+        with pytest.raises(GeometryError, match="one spline space"):
+            TwoPatchGeometry(L.patch_L, R.patch_R)
+
+    def test_interface_gap_between_samples_rejected(self, fitted_a):
+        geo = blind_interface_gap(fitted_a[0])
+        vs = np.linspace(0.0, 1.0, 64)
+        d = geo.patch_L.eval(0.0, vs) - geo.patch_R.eval(0.0, vs)
+        assert np.abs(d).max() < 1e-12 * geo.diameter
+        vs = np.linspace(0.0, 1.0, 1001)
+        d = geo.patch_L.eval(0.0, vs) - geo.patch_R.eval(0.0, vs)
+        assert np.abs(d).max() > 1e-4 * geo.diameter
+        with pytest.raises(GeometryError, match="interfaces disagree"):
+            geo.validate()
+
     def test_validate_rejects_non_finite_in_memory(self):
         # a NaN on the interface row must not slip through the sampled
         # interface and Jacobian checks
@@ -140,7 +172,7 @@ class TestCommands:
         fine = refine_geometry(geo, make_knot_vector(5, 2, 20,
                                                      uniform_inner_knots(20)))
         space = fine.patch_R.space
-        B = space.space_v.basis_matrix(np.linspace(0.0, 1.0, 50))[0]
+        B = space.basis_matrix(np.linspace(0.0, 1.0, 50))[0]
         bump = np.linalg.svd(B)[2][-1]
         cp = fine.patch_R.control_points.copy()
         cp[2, :, 0] += 1e-3 * bump / np.abs(bump).max()
@@ -205,7 +237,7 @@ class TestCommands:
         assert run_cli("bilinear", "--initial", "builtin:initial_a",
                        "--out", str(out)) == 0
         geo, gluing_raw = load_geometry(out)
-        assert geo.patch_L.degree == 1
+        assert geo.space.degree == 1
         assert gluing_raw is not None
 
     def test_table2_levels_zero(self, tmp_path):
@@ -431,6 +463,26 @@ class TestExitCodes:
         assert run_cli("dim", "--geometry", str(path)) == 1
         self._assert_one_error_line(capsys, f"{key} {value} is not an integer")
 
+    def test_interface_gap_between_samples_exits_one(self, tmp_path, fitted_a,
+                                                     capsys):
+        geo, gluing = fitted_a
+        path = tmp_path / "gap.json"
+        save_geometry(path, blind_interface_gap(geo), gluing=gluing,
+                      regularity=2)
+        assert run_cli("dim", "--geometry", str(path)) == 1
+        self._assert_one_error_line(capsys, "patch interfaces disagree")
+
+    def test_table2_geometry_with_interior_knots_exits_one(self, tmp_path,
+                                                           fitted_a, capsys):
+        # the study refines a geometry without interior knots
+        geo, gluing = fitted_a
+        path = tmp_path / "k3.json"
+        save_geometry(path, refine_geometry(geo, make_knot_vector(
+            5, 2, 3, uniform_inner_knots(3))), gluing=gluing, regularity=2)
+        assert run_cli("table2", "--geometry", str(path), "--levels", "1") == 1
+        self._assert_one_error_line(
+            capsys, "no interior knots, got 3: [0.25, 0.5, 0.75]")
+
     def test_table2_negative_levels_exits_one(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
         assert run_cli("table2", "--geometry", "builtin:fitted_a",
@@ -445,7 +497,7 @@ def test_bundled_assets_consistent(fitted_a, fitted_b):
         bil, raw = load_asset(f"bilinear_{name}")
         assert raw is not None
         init, _ = load_asset(f"initial_{name}")
-        assert init.patch_L.degree == 3
+        assert init.space.degree == 3
 
 
 @pytest.mark.parametrize("name", ["a", "b"])

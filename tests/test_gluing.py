@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from c2patch.bspline import make_knot_vector, uniform_inner_knots
+from c2patch.bspline import SplineSpace1D, make_knot_vector, uniform_inner_knots
 from c2patch.geometry import (GeometryError, Patch, TwoPatchGeometry,
-                              bilinear_from_vertices, refine_geometry,
-                              square_patch_space)
+                              bilinear_from_vertices, refine_geometry)
 from c2patch.gluing import (GLUING_KEYS, GluingData, GluingError,
                             ResidualReport, beta_from_gluing,
                             gluing_from_bilinear, gluing_invariants,
@@ -20,7 +19,7 @@ from tests.conftest import load_asset, scaled
 
 def bilinear(corners_L, corners_R):
     """Two bilinear patches from corner dictionaries {(i,j): (x,y)}."""
-    space = square_patch_space(make_knot_vector(1, 0, 0))
+    space = SplineSpace1D(make_knot_vector(1, 0, 0))
     patches = []
     for corners in (corners_L, corners_R):
         cp = np.zeros((2, 2, 2))

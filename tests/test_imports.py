@@ -39,6 +39,16 @@ def test_no_unused_imports():
     assert not found, f"unused imports: {found}"
 
 
+def test_package_import_does_not_load_scipy():
+    # the BLAS pin finds scipy's OpenBLAS without importing scipy
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import c2patch; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(Path(c2patch.__file__).parents[1])],
+        capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
 def test_package_import_does_not_load_scipy_interpolate():
     # scipy.interpolate costs ~0.3 s and ~17 MB at start-up; it is used only
     # as an independent reference in the tests

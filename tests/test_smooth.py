@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from c2patch import smooth
 from c2patch.bspline import SplineSpace1D, make_knot_vector, uniform_inner_knots
-from c2patch.geometry import refine_geometry, represent_geometry
+from c2patch.geometry import Patch, refine_geometry, represent_geometry
 from c2patch.gluing import (gluing_from_bilinear, gluing_invariants,
                             verify_bilinear_like)
 from c2patch.smooth import (TRACE_RESID_TOL, DegreeBudgetError, Family,
@@ -36,11 +36,11 @@ def unit(space, index):
     return c
 
 
-def edge_profiles(space_u, us):
+def edge_profiles(space, us):
     """Values of the three edge profiles at ``us``, shape (len(us), 3)."""
-    c = np.zeros((space_u.dim, 3))
-    c[:3] = edge_rows(space_u)
-    return space_u.eval_function(c, us)[0]
+    c = np.zeros((space.dim, 3))
+    c[:3] = edge_rows(space)
+    return space.eval_function(c, us)[0]
 
 
 class TestDimensions:
@@ -347,7 +347,6 @@ class TestSurfaceFromTriplet:
     def test_example_forms_direct_evaluation(self, gluing_a):
         # simple closed forms when q = 1: the second-transversal family is
         # atilde^2 N_j(v) M2(u)
-        from c2patch.bspline import TensorSplineSpace
         k = 3
         kv = make_knot_vector(5, 2, k, uniform_inner_knots(k))
         inv = gluing_invariants(gluing_a, kv)
@@ -361,22 +360,21 @@ class TestSurfaceFromTriplet:
             rows = basis.rows("L", offset + j)
             grid = np.zeros((basis.n, basis.n))
             grid[:3] = rows
-            ts = TensorSplineSpace(trace, trace)
+            patch = Patch(trace, np.dstack([grid, grid]))
             for u in us:
                 M2 = edge_profiles(trace, [u])[0, 2]
                 for v in vs:
                     Nj = s2.eval_function(unit(s2, j), [v])[0, 0]
                     direct = (inv.atilde_L(v) ** 2) * Nj * M2
-                    assert ts.eval(grid, u, v) == pytest.approx(direct, abs=1e-11)
+                    assert patch.eval(u, v) == pytest.approx(
+                        [direct, direct], abs=1e-11)
 
     def test_roundtrip_against_triplet_formula(self, gluing_b):
-        from c2patch.bspline import TensorSplineSpace
         k = 1
         kv = make_knot_vector(5, 2, k, (0.5,))
         inv = gluing_invariants(gluing_b, kv)
         basis = build_basis_v2(gluing_b, inv, 5, 2, k)
         trace = SplineSpace1D(kv)
-        ts = TensorSplineSpace(trace, trace)
         rng = np.random.default_rng(7)
         pts = rng.uniform(0.0, 1.0, size=(40, 2))
         M = edge_profiles(trace, pts[:, 0])
@@ -385,15 +383,17 @@ class TestSurfaceFromTriplet:
         for m in (0, 8, 12, basis.num_basis - 1):
             grid = np.zeros((basis.n, basis.n))
             grid[:3] = basis.rows("L", m)
+            patch = Patch(trace, np.dstack([grid, grid]))
             for i, (u, v) in enumerate(pts):
                 direct = (val[i, m] * M[i, 0] + du[i, m] * M[i, 1]
                           + duu[i, m] * M[i, 2])
-                assert ts.eval(grid, u, v) == pytest.approx(direct, abs=1e-11)
+                assert patch.eval(u, v) == pytest.approx([direct, direct],
+                                                         abs=1e-11)
 
 
 class TestC2Verification:
     def geometry_in_space(self, geo, kv):
-        if geo.patch_L.degree == kv.degree:
+        if geo.space.degree == kv.degree:
             return refine_geometry(geo, kv)
         return represent_geometry(geo, kv)
 
@@ -416,7 +416,7 @@ class TestC2Verification:
 
     def test_interior_function_trivially_smooth(self, fitted_a):
         geo, _ = fitted_a
-        n = geo.patch_L.space.space_u.dim
+        n = geo.space.dim
         rows = np.zeros((3, n))
         rep = verify_c2_at_interface(geo, rows, rows, 10, 1e-8)
         assert rep.passed
@@ -424,7 +424,7 @@ class TestC2Verification:
 
     def test_broken_input_fails(self, fitted_a):
         geo, _ = fitted_a
-        n = geo.patch_L.space.space_u.dim
+        n = geo.space.dim
         rows_L = np.zeros((3, n))
         rows_L[1, 2] = 1.0  # raw tensor B-spline on one patch only
         rows_R = np.zeros((3, n))
@@ -436,7 +436,7 @@ class TestC2Verification:
     def test_broken_input_fails_at_any_scale(self, fitted_a, s):
         # gradients shrink like 1/s and Hessians like 1/s^2 on a large domain
         geo, _ = fitted_a
-        n = geo.patch_L.space.space_u.dim
+        n = geo.space.dim
         rows_L, rows_R = np.zeros((2, 3, n))
         rows_L[1, 2] = 1.0
         rep = verify_c2_at_interface(scaled(geo, s), rows_L, rows_R, 10, 1e-8)
@@ -749,8 +749,9 @@ class TestBatchedBasis:
 
 def _physical_jets_reference(patch, coeffs, vs):
     """The full-grid C2 jets: the whole tensor space evaluated at (0, vs)."""
-    d = patch.space.derivs(np.dstack([patch.control_points, coeffs]),
-                           0.0, vs, 2, 2)
+    B = patch.space.basis_matrix(np.concatenate([[0.0], vs]), 2)
+    d = np.einsum("ai,bvj,ijc->abvc", B[:, 0], B[:, 1:],
+                  np.dstack([patch.control_points, coeffs]))
     J = np.stack([d[1, 0, :, :2], d[0, 1, :, :2]], axis=-1)
     Jinv = np.linalg.inv(J)
     JinvT = np.swapaxes(Jinv, 1, 2)
@@ -763,7 +764,7 @@ def _physical_jets_reference(patch, coeffs, vs):
 
 
 def _c2_reference(F, rows_L, rows_R, n_samples):
-    n = F.patch_L.space.space_u.dim
+    n = F.space.dim
     vs = (np.arange(n_samples) + 0.5) / n_samples
     jets = []
     for side, rows in (("L", rows_L), ("R", rows_R)):
@@ -846,10 +847,10 @@ class TestC2CheckRows:
         index, maps = other
         assert index.shape == (2, 31, 18) and maps.shape == (2, 31, 7, 18)
         # side R reads the second half of [rows_L | rows_R]
-        n = F.patch_L.space.space_u.dim
+        n = F.space.dim
         assert 0 <= index[0].min() and index[0].max() < 3 * n <= index[1].min()
         assert index[1].max() < 6 * n
-        for memo in frame + other + (F.patch_L.space.space_u.jets_at_zero,):
+        for memo in frame + other + (F.space.jets_at_zero,):
             assert not memo.flags.writeable
             with pytest.raises(ValueError):
                 memo[0, 0] = 1
@@ -877,7 +878,7 @@ class TestC2CheckRows:
     def test_sample_count_must_be_a_positive_integer(self, fitted_a, gluing_a,
                                                      count):
         geo = fitted_a[0]
-        rows = np.zeros((3, geo.patch_L.space.space_u.dim))
+        rows = np.zeros((3, geo.space.dim))
         for check, args in ((verify_c2_at_interface, (geo, rows, rows)),
                             (verify_bilinear_like, (geo, gluing_a))):
             assert check(*args, np.int64(7)).passed
