@@ -318,12 +318,12 @@ class MassLayout:
     """Block layout of a two-patch mass matrix (see ``full_space_matrices``).
 
     The first ``interface`` unknowns are the interface basis.  The interior
-    grids of L and R follow, each a tensor grid whose parametric 1D Gram
-    matrices (M_u, M_v) are listed in ``interiors``.
+    grids of L and R follow, the same tensor grid in both patches, whose
+    parametric 1D Gram matrices (M_u, M_v) are ``grams``.
     """
 
     interface: int
-    interiors: tuple[tuple[np.ndarray, np.ndarray], ...]
+    grams: tuple[np.ndarray, np.ndarray]
 
 
 class TwoPatchMass(sp.csr_matrix):
@@ -442,9 +442,8 @@ class DomainAssembler:
             del band
         # both interiors are the grid S x S less the u-rows i < nr
         G = self.asm["L"].mass_1d()
-        interior = (G[nr:, nr:], G)
         return TwoPatchMass((data, indices, indptr), shape=(dim, dim),
-                            layout=MassLayout(m, (interior, interior)))
+                            layout=MassLayout(m, (G[nr:, nr:], G)))
 
     def load(self, f) -> np.ndarray:
         return sum(self.C[s] @ self.asm[s].load(f) for s in ("L", "R"))
@@ -479,9 +478,11 @@ class KroneckerPreconditioner:
 
     applies B^(-1) = (D + E)^(-T) D (D + E)^(-1) with D = diag(A_II, K_L,
     K_R) and E the couplings A_sI below it, which is symmetric and positive
-    definite.  The couplings are held as one dense block over the interior
-    unknowns that touch the interface, and every block product is a dense
-    numpy product, so that one BLAS library serves each application.
+    definite.  Both interiors have the same grid and 1D Gram matrices, so
+    K_L = K_R, and M_u and M_v are inverted once.  The couplings are held
+    as one dense block over the interior unknowns that touch the interface,
+    and every block product is a dense numpy product, so that one BLAS
+    library serves each application.
     """
 
     def __init__(self, M: sp.csr_matrix, scale: np.ndarray, layout: MassLayout):
@@ -499,32 +500,50 @@ class KroneckerPreconditioner:
         except np.linalg.LinAlgError:
             raise ValueError("matrix is not positive definite") from None
         L_inv = np.linalg.inv(L)
-        self._interface = m
+        self.layout = layout
+        # A_II, which the eigensolvers' starts read too
+        self.interface_block = A_rows[:, :m].copy()
         self._interface_inverse = L_inv.T @ L_inv
         self._coupled = kept[m:]
         self._coupling = np.ascontiguousarray(A_rows[:, m:])
-        self._interiors = []
-        for Mu, Mv in layout.interiors:
-            block = slice(m, m + Mu.shape[0] * Mv.shape[0])
-            w = np.sqrt(np.outer(Mu.diagonal(), Mv.diagonal()).ravel())
-            self._interiors.append((block, w, np.linalg.inv(Mu),
-                                    np.linalg.inv(Mv)))
-            m = block.stop
+        # the two interiors: one tensor grid and one pair of Gram matrices,
+        # inverted once
+        Mu, Mv = layout.grams
+        size = Mu.shape[0] * Mv.shape[0]
+        self.interiors = (slice(m, m + size), slice(m + size, m + 2 * size))
+        self._w = np.sqrt(np.outer(Mu.diagonal(), Mv.diagonal()).ravel())
+        self._Iu, self._Iv = np.linalg.inv(Mu), np.linalg.inv(Mv)
+
+    def _interior_solve(self, z: np.ndarray, y: np.ndarray) -> None:
+        """y_s = K_s^(-1) z_s on both interiors, for z and y of shape (n, k)."""
+        w, Iu, Iv = self._w, self._Iu, self._Iv
+        for block in self.interiors:
+            x = (w[:, None] * z[block]).T.reshape(-1, len(Iu), len(Iv))
+            y[block] = w[:, None] * (Iu @ x @ Iv.T).reshape(len(x), -1).T
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """The preconditioner applied to r of shape (n,) or (n, k)."""
         r2 = r.reshape(r.shape[0], -1)
-        m, cols = self._interface, self._coupled
+        m, cols = self.layout.interface, self._coupled
         w_I = self._interface_inverse @ r2[:m]
         # the interior residuals less the coupling with w_I
         z = r2.copy()
         z[cols] -= self._coupling.T @ w_I
         y = np.empty_like(r2)
-        for block, w, Iu, Iv in self._interiors:
-            x = (w[:, None] * z[block]).T.reshape(-1, len(Iu), len(Iv))
-            y[block] = w[:, None] * (Iu @ x @ Iv.T).reshape(len(x), -1).T
+        self._interior_solve(z, y)
         y[:m] = w_I - self._interface_inverse @ (self._coupling @ y[cols])
         return y.reshape(r.shape)
+
+    def extend(self, x_I: np.ndarray) -> np.ndarray:
+        """x_I on the interface, extended into the interiors by
+        x_K = -K^(-1) A_KI x_I."""
+        m, n = self.layout.interface, self.interiors[-1].stop
+        z = np.zeros((n, 1))
+        z[self._coupled, 0] = -(self._coupling.T @ x_I)
+        x = np.empty((n, 1))
+        self._interior_solve(z, x)
+        x[:m, 0] = x_I
+        return x[:, 0]
 
 
 class SPDFactor:
@@ -540,7 +559,9 @@ class SPDFactor:
     other matrix is scaled into a dense copy and factored by Cholesky.  A
     matrix that is not positive definite raises ``ValueError``: Cholesky
     fails, CG meets a direction of nonpositive curvature, or LOBPCG a
-    Rayleigh quotient <= 0.
+    Rayleigh quotient <= 0.  An eigenvalue of the condition number that a
+    Rayleigh quotient of its start shows to be no extreme one raises
+    ``ValueError`` too.
     """
 
     def __init__(self, M):
@@ -613,15 +634,100 @@ class SPDFactor:
         cols = [self._pcg(c) for c in b.reshape(len(b), -1).T]
         return s * np.stack(cols, axis=1).reshape(b.shape)
 
-    def _inverse_smallest(self, v0: np.ndarray) -> float:
-        """1 / lambda_min of A by LOBPCG, from a copy of v0.
+    def _interface_mode(self, index: int) -> tuple[float, np.ndarray]:
+        """Eigenpair ``index`` of A_II, counted from the lowest."""
+        value, vector = sla.eigh(self._precond.interface_block,
+                                 subset_by_index=[index, index])
+        return float(value[0]), _signed(vector[:, 0])
 
-        The warning filters are left alone, since they are process-wide
-        state: a run that does not converge warns and then raises.
+    def _top_corner(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """The outer-corner principal submatrix of A whose top eigenvalue is
+        the largest of the four: its unknowns, top eigenvector and top
+        eigenvalue.
+
+        A corner holds the last u-rows (away from the interface) and the
+        first or last v-columns of one interior, p + 4 each way: the p + 1
+        B-splines that share a cell with the last one, and three more.
         """
+        P = self._precond
+        Mu, Mv = P.layout.grams
+        nu, nv = len(Mu), len(Mv)
+        size = np.count_nonzero(Mv[-1]) + 3
+        cu, cv = min(size, nu), min(size, nv)
+        last = (nu - cu + np.arange(cu))[:, None] * nv
+        corners = np.stack([block.start + (last + j + np.arange(cv)).ravel()
+                            for block in P.interiors for j in (0, nv - cv)])
+        k = cu * cv
+        rows = self._M[corners.ravel()]
+        # one corner at a time, so that no dense temporary spans all four
+        blocks = np.stack([rows[c * k:(c + 1) * k][:, corner].toarray()
+                           for c, corner in enumerate(corners)])
+        s = self.scale[corners]
+        blocks *= s[:, :, None] * s[:, None, :]
+        pairs = [sla.eigh(block, subset_by_index=[k - 1, k - 1])
+                 for block in blocks]
+        top = int(np.argmax([value[0] for value, _ in pairs]))
+        value, vector = pairs[top]
+        return corners[top], _signed(vector[:, 0]), float(value[0])
+
+    def _top_start(self, v0: np.ndarray) -> tuple[np.ndarray, float]:
+        """lambda_max's start on the preconditioned path, and a Rayleigh
+        quotient of A, which bounds lambda_max from below.
+
+        The start is the sum of the top eigenvectors of the top outer corner
+        (``_top_corner``) and of A_II, each normalised and zero-extended,
+        and 1e-3 of v0, normalised, so that the Krylov space holds every
+        direction.  The quotients of the first two are their eigenvalues.
+        """
+        m = self._precond.layout.interface
+        value, vector = self._interface_mode(m - 1)
+        corner, corner_vector, corner_value = self._top_corner()
+        start = (1e-3 / np.linalg.norm(v0)) * v0
+        start[:m] += vector
+        start[corner] += corner_vector
+        return start, max(value, corner_value)
+
+    def _low_start(self, v0: np.ndarray) -> tuple[np.ndarray, float]:
+        """LOBPCG's start on the preconditioned path, and a Rayleigh
+        quotient of A, which bounds lambda_min from above.
+
+        The lowest eigenvector x_I of A_II is extended into the interiors
+        (``KroneckerPreconditioner.extend``).  When its Rayleigh quotient is
+        below that of the interiors' lowest Kronecker mode e_u (x) e_v, on
+        both interiors, the start is that extension, normalised, plus 1e-3
+        of v0, normalised; otherwise it is v0.  The bound is the least of
+        the two quotients and the eigenvalue of x_I.
+        """
+        P = self._precond
+        value, vector = self._interface_mode(0)
+        extended = P.extend(vector)
+        # K_s = G_u (x) G_v with G the Jacobi-scaled 1D Gram matrices
+        e_u, e_v = (sla.eigh(G / np.sqrt(np.outer(G.diagonal(), G.diagonal())),
+                             subset_by_index=[0, 0])[1][:, 0]
+                    for G in P.layout.grams)
+        mode = np.zeros_like(v0)
+        for block in P.interiors:
+            mode[block] = np.outer(e_u, e_v).ravel()
+        q_ext, q_mode = (x @ self._product(x) / (x @ x)
+                         for x in (extended, mode))
+        ceiling = float(min(value, q_ext, q_mode))
+        if q_ext < q_mode:
+            return (extended / np.linalg.norm(extended)
+                    + (1e-3 / np.linalg.norm(v0)) * v0), ceiling
+        return v0, ceiling
+
+    def _inverse_smallest(self, v0: np.ndarray) -> float:
+        """1 / lambda_min of A by LOBPCG, from a copy of ``_low_start(v0)``.
+
+        A lambda that lies above the start's Rayleigh quotient by more than
+        the residual norm is not lambda_min, and raises.  The warning
+        filters are left alone, since they are process-wide state: a run
+        that does not converge warns and then raises.
+        """
+        start, ceiling = self._low_start(v0)
         # lobpcg normalises its start block in place
         lam, _, residuals = spla.lobpcg(
-            self.A, v0[:, None].copy(), M=self._precond, tol=LOBPCG_TOL,
+            self.A, start[:, None].copy(), M=self._precond, tol=LOBPCG_TOL,
             maxiter=ITERATION_CAP, largest=False,
             retResidualNormsHistory=True)
         # a Rayleigh quotient bounds lambda_min from above
@@ -630,27 +736,57 @@ class SPDFactor:
         if residuals[-1] > LOBPCG_TOL:
             raise ValueError(
                 f"LOBPCG did not converge within {ITERATION_CAP} iterations")
+        # an eigenvalue lies within the residual norm of lam
+        if lam[0] - LOBPCG_TOL > ceiling:
+            raise ValueError(
+                f"LOBPCG missed lambda_min: {float(lam[0])!r} lies above "
+                f"the Rayleigh quotient {ceiling!r}")
         return 1.0 / lam[0]
+
+    def _largest(self, start: np.ndarray, floor: float) -> float:
+        """lambda_max of A by ``lanczos_largest``, from ``start``.
+
+        ``floor`` is a Rayleigh quotient of A (``_top_start``).  A theta that
+        lies below it by more than the stop rule's tolerance is not
+        lambda_max, and raises.
+        """
+        theta = lanczos_largest(lambda x: self.A @ x, start, LANCZOS_TOL)
+        # the stop rule puts an eigenvalue within LANCZOS_TOL theta of theta
+        if theta * (1.0 + LANCZOS_TOL) < floor:
+            raise ValueError(
+                f"Lanczos missed lambda_max: {theta!r} lies below the "
+                f"Rayleigh quotient {floor!r}")
+        return theta
 
     def condition_number(self) -> float:
         """Condition number of A, lambda_max / lambda_min.
 
         ``lanczos_largest`` finds lambda_max of A to the relative tolerance
-        ``LANCZOS_TOL`` from a seeded start vector.
+        ``LANCZOS_TOL``.
         1 / lambda_min comes from LOBPCG (absolute residual ``LOBPCG_TOL``)
         when A is preconditioned, and otherwise is the largest eigenvalue of
-        A^(-1), found the same way through the Cholesky factor.  On the
-        preconditioned path both run side by side when
-        ``blas.can_overlap()``, with the same result as one after the other.
+        A^(-1), found the same way through the Cholesky factor.  Where A is
+        factored, both start from a seeded random vector v0.  On the
+        preconditioned path each starts where its eigenvector lives
+        (``_top_start``, ``_low_start``), with a part of v0, and a result
+        beyond a Rayleigh quotient of A raises ``ValueError``; both run side
+        by side when ``blas.can_overlap()``, with the same result as one
+        after the other.
         """
         v0 = np.random.default_rng(0).standard_normal(self.A.shape[0])
         if self._precond is None:
             # the factor was checked once; the Lanczos vectors are finite
             inverse_min = partial(lanczos_largest, lambda y: sla.cho_solve(
                 self._cho, y, check_finite=False), v0, LANCZOS_TOL)
+            largest = partial(lanczos_largest, lambda x: self.A @ x, v0,
+                              LANCZOS_TOL)
         else:
             inverse_min = partial(self._inverse_smallest, v0)
-        largest = partial(lanczos_largest, lambda x: self.A @ x, v0, LANCZOS_TOL)
+            # lambda_max's start is built on this thread, so that the worker
+            # runs the recurrence alone: LAPACK calls on the worker would
+            # give it a buffer of its own in each BLAS library, ~2 MB more
+            # resident
+            largest = partial(self._largest, *self._top_start(v0))
         if self._precond is not None and blas.can_overlap():
             # lambda_max on a worker thread, joined before this returns or
             # raises
@@ -658,6 +794,12 @@ class SPDFactor:
                 future = worker.submit(largest)
                 return float(inverse_min() * future.result())
         return float(inverse_min() * largest())
+
+
+def _signed(v: np.ndarray) -> np.ndarray:
+    """The eigenvector v with its entry of largest magnitude positive, so
+    that a start does not depend on the sign LAPACK returns."""
+    return v if v[np.argmax(np.abs(v))] > 0.0 else -v
 
 
 def lanczos_largest(apply: Callable[[np.ndarray], np.ndarray],
@@ -713,6 +855,18 @@ class ApproxReport:
     cond_rate: float | None
 
 
+def check_study_input(F0: TwoPatchGeometry, space: str) -> None:
+    """Raises ``ValueError`` unless ``convergence_study`` can start from the
+    level-0 geometry ``F0`` in ``space``."""
+    if space not in ("v2", "w2"):
+        raise ValueError("space must be 'v2' or 'w2'")
+    inner = F0.space.kv.inner_knots
+    if inner:
+        raise ValueError(
+            f"the level-0 geometry must have no interior knots, got "
+            f"{len(inner)}: {list(inner)}")
+
+
 def convergence_study(F0: TwoPatchGeometry, gluing: GluingData, space: str,
                       levels: int, f, on_report=None) -> list[ApproxReport]:
     """Dyadic h-refinement study: levels L = 0..levels, k = 2^L - 1.
@@ -723,15 +877,10 @@ def convergence_study(F0: TwoPatchGeometry, gluing: GluingData, space: str,
     Cholesky below ``KRONECKER_CUTOFF`` unknowns (levels 0-2), the
     preconditioned iterations from there on.  ``on_report`` is called with
     each finished per-level report, which allows callers to flush partial
-    results.
+    results.  Inputs that ``check_study_input`` rejects raise before any
+    level.
     """
-    if space not in ("v2", "w2"):
-        raise ValueError("space must be 'v2' or 'w2'")
-    inner = F0.space.kv.inner_knots
-    if inner:
-        raise ValueError(
-            f"the level-0 geometry must have no interior knots, got "
-            f"{len(inner)}: {list(inner)}")
+    check_study_input(F0, space)
     p = F0.space.degree
     base_r = 2
     reports: list[ApproxReport] = []

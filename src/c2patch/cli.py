@@ -247,6 +247,8 @@ def cmd_table2(args) -> int:
     g = _gluing_for(geo, gluing_raw)
     f = fields.resolve_field(args.function)
     space = args.space
+    # an input the study rejects is no failure at a level: no table
+    assembly.check_study_input(geo, space)
     reports, failure = [], None
     with _output(args.out) as out:
         try:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 import c2patch.assembly as asm_mod
@@ -376,17 +377,17 @@ def _tridiagonal(coupling, n=60):
 def _with_layout(M, interface, grid):
     """M as a ``TwoPatchMass``: ``interface`` unknowns, then two interiors
     on ``grid`` = (n_u, n_v) tensor grids with identity 1D Gram matrices."""
-    grams = (np.eye(grid[0]), np.eye(grid[1]))
-    return TwoPatchMass(sp.csr_matrix(M),
-                        layout=MassLayout(interface, (grams, grams)))
+    return TwoPatchMass(sp.csr_matrix(M), layout=MassLayout(
+        interface, (np.eye(grid[0]), np.eye(grid[1]))))
 
 
-def _level3_system(geo0, gluing, space="v2"):
-    """Mass matrix and load of a Table-2 study at level 3."""
+def _study_system(geo0, gluing, space="v2", level=3):
+    """Mass matrix and load of a Table-2 study at one level."""
     from c2patch.geometry import refine_geometry
-    kv = make_knot_vector(5, 2, 7, uniform_inner_knots(7))
+    k = 2 ** level - 1
+    kv = make_knot_vector(5, 2, k, uniform_inner_knots(k))
     build = build_basis_v2 if space == "v2" else build_basis_w2
-    basis = build(gluing, gluing_invariants(gluing, kv), 5, 2, 7)
+    basis = build(gluing, gluing_invariants(gluing, kv), 5, 2, k)
     asm = DomainAssembler(refine_geometry(geo0, kv), basis)
     return asm.mass(), asm.load(field_osc)
 
@@ -394,14 +395,14 @@ def _level3_system(geo0, gluing, space="v2"):
 @pytest.fixture(scope="module")
 def level3_mass(fitted_a):
     """Mass matrix and load of Table-2 geometry a, V2, level 3."""
-    return _level3_system(*fitted_a)
+    return _study_system(*fitted_a)
 
 
 @pytest.fixture(scope="module", params=["a/v2", "a/w2", "b/v2", "b/w2"])
 def level3_spectrum(request):
     """Level-3 mass, load and eigenvalues of the scaled mass, per study."""
     name, space = request.param.split("/")
-    M, rhs = _level3_system(*request.getfixturevalue(f"fitted_{name}"), space)
+    M, rhs = _study_system(*request.getfixturevalue(f"fitted_{name}"), space)
     s = 1.0 / np.sqrt(M.diagonal())
     return M, rhs, np.linalg.eigvalsh(s[:, None] * M.toarray() * s[None, :])
 
@@ -468,9 +469,10 @@ class TestSPDFactor:
                                                           rel=1e-8)
 
     # preconditioner applications of one solve and one condition number at
-    # level 3: 33, 59, 39 and 80 with the Gauss-Seidel sweep across the
-    # interface, 53, 90, 64 and 179 with the block-diagonal preconditioner
-    APPLICATIONS_BOUND = {"a/v2": 40, "a/w2": 72, "b/v2": 48, "b/w2": 100}
+    # level 3: 29, 59, 35 and 80 with LOBPCG started where its eigenvector
+    # lives; 33, 59, 39 and 80 from a random start; 53, 90, 64 and 179 with
+    # the block-diagonal preconditioner
+    APPLICATIONS_BOUND = {"a/v2": 32, "a/w2": 65, "b/v2": 38, "b/w2": 88}
 
     def test_preconditioner_spd_and_effective(self, level3_spectrum, request,
                                               monkeypatch):
@@ -486,21 +488,26 @@ class TestSPDFactor:
                                             * np.linalg.norm(Pv))
             assert u @ Pu > 0.0
         calls = []
+        apply = KroneckerPreconditioner.__call__
 
-        def counted(r):
+        def counted(self, r):
             calls.append(None)
-            return precond(r)
+            return apply(self, r)
 
-        factor._precond = counted
+        monkeypatch.setattr(KroneckerPreconditioner, "__call__", counted)
         factor.solve(rhs)
         factor.condition_number()
         study = request.node.callspec.params["level3_spectrum"]
         assert len(calls) <= self.APPLICATIONS_BOUND[study]
 
-    # CSR products of lambda_max at level 3 (a/V2, a/W2, b/V2, b/W2): 84, 80,
-    # 40 and 76 with a check every 4 steps (ARPACK took 91, 81, 41 and 81),
-    # plus ~10 %
-    LANCZOS_PRODUCTS_BOUND = {"a/v2": 92, "a/w2": 88, "b/v2": 44, "b/w2": 84}
+    # CSR products of lambda_max at level 3 (a/V2, a/W2, b/V2, b/W2) with a
+    # check every 4 steps, plus ~10 %: 76, 56, 32 and 48 from the corner
+    # and interface start of the preconditioned path; 84, 80, 40 and 76
+    # from the seeded random start of the factored path (ARPACK took 91,
+    # 81, 41 and 81)
+    LANCZOS_PRODUCTS_BOUND = {
+        "kronecker": {"a/v2": 84, "a/w2": 62, "b/v2": 36, "b/w2": 53},
+        "lu": {"a/v2": 92, "a/w2": 88, "b/v2": 44, "b/w2": 84}}
 
     # "lu": the path that factors A, by Cholesky (A = L L^T)
     @pytest.mark.parametrize("path", ["kronecker", "lu"])
@@ -533,7 +540,7 @@ class TestSPDFactor:
         lam_max, calls = runs[-1]
         assert lam_max == pytest.approx(ev[-1], rel=1e-10)
         study = request.node.callspec.params["level3_spectrum"]
-        assert len(calls) <= self.LANCZOS_PRODUCTS_BOUND[study]
+        assert len(calls) <= self.LANCZOS_PRODUCTS_BOUND[path][study]
         if path == "lu":
             assert runs[0][0] == pytest.approx(1.0 / ev[0], rel=1e-10)
 
@@ -590,10 +597,25 @@ class TestSPDFactor:
         M, _ = level3_mass
         layout = M.layout
         assert layout.interface == 43      # dim V2 at level 3
-        assert [(Mu.shape, Mv.shape) for Mu, Mv in layout.interiors] == [
-            ((24, 24), (27, 27))] * 2      # (n - 3) x n grids, n = 27
+        # both interiors are (n - 3) x n grids, n = 27
+        assert [G.shape for G in layout.grams] == [(24, 24), (27, 27)]
         for derived in (sp.csr_matrix(M), M[:, :], M + M, 2.0 * M, M.copy()):
             assert getattr(derived, "layout", None) is None
+
+    def test_shared_grams_inverted_once(self, level3_mass, monkeypatch):
+        # the interface factor and one pair of 1D Gram matrices for both
+        # interiors
+        M, _ = level3_mass
+        inverted = []
+        inv = np.linalg.inv
+
+        def counted(a):
+            inverted.append(a.shape)
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        KroneckerPreconditioner(M, 1.0 / np.sqrt(M.diagonal()), M.layout)
+        assert inverted == [(43, 43), (24, 24), (27, 27)]
 
     def test_study_factors_once_per_level(self, fitted_b, monkeypatch):
         # levels 0-3 have 54, 133, 399 and 1363 dofs; each level sees one
@@ -648,24 +670,193 @@ class TestSPDFactor:
             factor.condition_number()
 
     def test_lobpcg_keeps_the_callers_start_vector(self, level3_mass,
-                                                   monkeypatch):
+                                                   fitted_a, monkeypatch):
         M, _ = level3_mass
         factor = SPDFactor(M)
         v0 = np.random.default_rng(0).standard_normal(M.shape[0])
         kept = v0.copy()
         factor._inverse_smallest(v0)
         assert np.array_equal(v0, kept)
-        # lambda_max's Lanczos starts from the seeded vector itself
-        starts = []
-        lanczos = asm_mod.lanczos_largest
+        # the two threads start from arrays of their own, which neither
+        # solver writes to; LOBPCG normalises a copy of its start.  V2 (a)
+        # starts LOBPCG from the interface, W2 from the seeded vector.
+        starts = {}
+        lanczos, lobpcg = asm_mod.lanczos_largest, spla.lobpcg
+        low_start = SPDFactor._low_start
 
-        def recorded(apply, v0, tol):
-            starts.append(v0.copy())
-            return lanczos(apply, v0, tol)
+        def recorded_lanczos(apply, x, tol):
+            starts["lanczos"] = x, x.copy()
+            return lanczos(apply, x, tol)
 
-        monkeypatch.setattr(asm_mod, "lanczos_largest", recorded)
+        def recorded_low_start(self, x):
+            start, ceiling = low_start(self, x)
+            starts["lobpcg"] = start, start.copy()
+            return start, ceiling
+
+        def recorded_lobpcg(A, X, *args, **kwargs):
+            starts["lobpcg block"] = X
+            return lobpcg(A, X, *args, **kwargs)
+
+        monkeypatch.setattr(asm_mod, "lanczos_largest", recorded_lanczos)
+        monkeypatch.setattr(SPDFactor, "_low_start", recorded_low_start)
+        monkeypatch.setattr(spla, "lobpcg", recorded_lobpcg)
+        monkeypatch.setattr(blas, "can_overlap", lambda: True)
+        for mass in (M, _study_system(*fitted_a, "w2")[0]):
+            SPDFactor(mass).condition_number()
+            (x_max, x_max_before), (x_min, x_min_before) = (
+                starts["lanczos"], starts["lobpcg"])
+            block = starts["lobpcg block"]
+            for a, b in ((x_max, x_min), (x_max, block), (x_min, block)):
+                assert not np.shares_memory(a, b)
+            assert np.array_equal(x_max, x_max_before)
+            assert np.array_equal(x_min, x_min_before)
+
+
+@pytest.fixture(scope="module", params=["a/v2", "a/w2", "b/v2", "b/w2"])
+def level4_mass(request):
+    """Level-4 mass of a Table-2 study."""
+    name, space = request.param.split("/")
+    return _study_system(*request.getfixturevalue(f"fitted_{name}"), space,
+                         level=4)[0]
+
+
+def _decoupled(interface=20, grid=(4, 5)):
+    """A ``TwoPatchMass`` whose interface and interiors do not couple:
+    tridiag(-c, 4, -c) with c = 1.9 on the interface, 0.5 on L and 1.5 on
+    R, so that the scaled blocks have their eigenvalues in (0.05, 1.95),
+    (0.75, 1.25) and (0.25, 1.75)."""
+    size = grid[0] * grid[1]
+    blocks = [sp.diags([-c * np.ones(k - 1), 4.0 * np.ones(k),
+                        -c * np.ones(k - 1)], [-1, 0, 1])
+              for c, k in ((1.9, interface), (0.5, size), (1.5, size))]
+    return _with_layout(sp.block_diag(blocks), interface, grid)
+
+
+class TestEigensolverStarts:
+    """The starts of lambda_max's Lanczos and LOBPCG on the preconditioned
+    path, and the Rayleigh quotients that check their results."""
+
+    def test_start_quotients_bound_the_extremes(self, level3_spectrum,
+                                                request):
+        M, _, ev = level3_spectrum
+        factor = SPDFactor(M)
+        v0 = np.random.default_rng(0).standard_normal(M.shape[0])
+        _, floor = factor._top_start(v0)
+        start, ceiling = factor._low_start(v0)
+        assert ev[0] <= ceiling and floor <= ev[-1]
+        # V2's lowest eigenvector lies on the interface, W2's in the
+        # interiors, where LOBPCG keeps the seeded start
+        if request.node.callspec.params["level3_spectrum"].endswith("v2"):
+            m = M.layout.interface
+            assert np.linalg.norm(start[:m]) > 0.9 * np.linalg.norm(start)
+        else:
+            assert start is v0
+
+    # level-4 CSR products of lambda_max (a/V2, a/W2, b/V2, b/W2): 60, 48, 40
+    # and 48 from the corner and interface start, 92, 80, 48 and 80 from the
+    # seeded random vector; the length of LOBPCG's residual history for
+    # V2's lambda_min: 13 (a) and 16 (b) from the extended interface mode,
+    # 18 and 22 from the random vector; plus ~10 %
+    LANCZOS_LEVEL4_BOUND = {"a/v2": 66, "a/w2": 53, "b/v2": 44, "b/w2": 53}
+    LOBPCG_LEVEL4_BOUND = {"a/v2": 14, "b/v2": 17}
+
+    def test_level4_step_counts(self, level4_mass, request, monkeypatch):
+        counts = {}
+        lanczos, lobpcg = asm_mod.lanczos_largest, spla.lobpcg
+
+        def counted_lanczos(apply, x, tol):
+            calls = []
+
+            def counted_apply(y):
+                calls.append(None)
+                return apply(y)
+
+            theta = lanczos(counted_apply, x, tol)
+            counts["lanczos"] = len(calls)
+            return theta
+
+        def counted_lobpcg(*args, **kwargs):
+            result = lobpcg(*args, **kwargs)
+            counts["lobpcg"] = len(result[-1])
+            return result
+
+        monkeypatch.setattr(asm_mod, "lanczos_largest", counted_lanczos)
+        monkeypatch.setattr(spla, "lobpcg", counted_lobpcg)
+        factor = SPDFactor(level4_mass)
+        assert factor._precond is not None
         factor.condition_number()
-        assert len(starts) == 1 and np.array_equal(starts[0], kept)
+        study = request.node.callspec.params["level4_mass"]
+        assert counts["lanczos"] <= self.LANCZOS_LEVEL4_BOUND[study]
+        if study in self.LOBPCG_LEVEL4_BOUND:
+            assert counts["lobpcg"] <= self.LOBPCG_LEVEL4_BOUND[study]
+
+    @pytest.mark.parametrize("level4_mass", ["a/v2"], indirect=True)
+    def test_swapped_interiors_give_the_same_cond(self, level4_mass):
+        # L and R trade places, and the top corner with them
+        M = level4_mass
+        factor = SPDFactor(M)
+        left, right = factor._precond.interiors
+        perm = np.concatenate([np.arange(left.start),
+                               np.arange(right.start, right.stop),
+                               np.arange(left.start, left.stop)])
+        swapped = SPDFactor(TwoPatchMass(M[perm][:, perm], layout=M.layout))
+        corner = factor._top_corner()[0]
+        moved = swapped._top_corner()[0]
+        assert np.array_equal(perm[moved], corner)
+        assert (corner[0] < right.start) != (moved[0] < right.start)
+        assert swapped.condition_number() == pytest.approx(
+            factor.condition_number(), rel=1e-10)
+
+    def test_decoupled_blocks_give_the_dense_cond(self, monkeypatch):
+        # both extremes are eigenvalues of A_II, so each start's Rayleigh
+        # quotient is the extreme itself: no guard may fire on roundoff
+        M = _decoupled()
+        s = 1.0 / np.sqrt(M.diagonal())
+        ev = np.linalg.eigvalsh(s[:, None] * M.toarray() * s[None, :])
+        monkeypatch.setattr(asm_mod, "KRONECKER_CUTOFF", 0)
+        assert SPDFactor(M).condition_number() == pytest.approx(
+            ev[-1] / ev[0], rel=1e-8)
+
+    def test_start_on_one_block_is_caught(self, monkeypatch):
+        # L couples with nothing, so a start on L converges to an
+        # eigenvalue of L: below the top interface mode and above the
+        # lowest one
+        monkeypatch.setattr(asm_mod, "KRONECKER_CUTOFF", 0)
+        factor = SPDFactor(_decoupled())
+        v0 = np.random.default_rng(0).standard_normal(factor.A.shape[0])
+        on_left = np.zeros_like(v0)
+        on_left[factor._precond.interiors[0]] = 1.0
+        top_start, low_start = factor._top_start, factor._low_start
+        monkeypatch.setattr(factor, "_top_start",
+                            lambda x: (on_left, top_start(x)[1]))
+        monkeypatch.setattr(factor, "_low_start",
+                            lambda x: (on_left, low_start(x)[1]))
+        with pytest.raises(ValueError, match="Lanczos missed lambda_max"):
+            factor._largest(*factor._top_start(v0))
+        with pytest.raises(ValueError, match="LOBPCG missed lambda_min"):
+            factor._inverse_smallest(v0)
+        with pytest.raises(ValueError, match="missed"):
+            factor.condition_number()
+
+    @pytest.mark.parametrize("level4_mass", ["a/w2"], indirect=True)
+    def test_lobpcg_from_one_interior_is_caught(self, level4_mass,
+                                                monkeypatch):
+        # from the lowest Kronecker mode of one interior alone, LOBPCG
+        # converges to a higher eigenvalue and its residual test passes; the
+        # mode on both interiors has a lower quotient
+        factor = SPDFactor(level4_mass)
+        P = factor._precond
+        e_u, e_v = (np.linalg.eigh(G / np.sqrt(np.outer(G.diagonal(),
+                                                        G.diagonal())))[1][:, 0]
+                    for G in P.layout.grams)
+        v0 = np.random.default_rng(0).standard_normal(factor.A.shape[0])
+        one_interior = np.zeros_like(v0)
+        one_interior[P.interiors[0]] = np.outer(e_u, e_v).ravel()
+        low_start = factor._low_start
+        monkeypatch.setattr(factor, "_low_start",
+                            lambda x: (one_interior, low_start(x)[1]))
+        with pytest.raises(ValueError, match="LOBPCG missed lambda_min"):
+            factor._inverse_smallest(v0)
 
 
 # the overlapped condition number needs both libraries pinned
