@@ -462,27 +462,29 @@ class DomainAssembler:
 
 
 class KroneckerPreconditioner:
-    """Symmetric block Gauss-Seidel preconditioner of a scaled two-patch
-    mass A = S M S, over the interface I and the interiors L and R.
+    """The exact inverse of a block approximation B of a scaled two-patch
+    mass A (diag(A) = 1), over the interface I and the interiors L and R.
 
-    The interface block A_II is inverted through its Cholesky factor.  Each
-    interior block, a tensor grid, is approximated as in Loli, Sangalli &
-    Tani ("Easy and efficient preconditioning of the isogeometric mass
-    matrix", CAMWA 2022) by K_s = W^(-1) (M_u (x) M_v) W^(-1) with
-    W^2 = diag(M_u (x) M_v) / diag(A), where diag(A) = 1 by the scaling.
-    The interiors do not couple each other, so one sweep from the interface
-    into the interiors and back,
+    B keeps the interface block A_II and its couplings C = A_IK with the
+    interiors K = (L, R), and replaces each interior block, a tensor grid,
+    as in Loli, Sangalli & Tani ("Easy and efficient preconditioning of the
+    isogeometric mass matrix", CAMWA 2022), by K_s = W^(-1) (M_u (x) M_v)
+    W^(-1) with W^2 = diag(M_u (x) M_v).  The interiors do not couple each
+    other, and B^(-1) is applied by block elimination with the Schur
+    complement S = A_II - C K^(-1) C^T (Saad, "Iterative Methods for Sparse
+    Linear Systems", 2003, ch. 14):
 
-        w_I = A_II^(-1) r_I,  y_s = K_s^(-1) (r_s - A_sI w_I),
-        y_I = w_I - A_II^(-1) sum_s A_Is y_s,
+        y_I = S^(-1) (r_I - C K^(-1) r_K),  y_K = K^(-1) (r_K - C^T y_I).
 
-    applies B^(-1) = (D + E)^(-T) D (D + E)^(-1) with D = diag(A_II, K_L,
-    K_R) and E the couplings A_sI below it, which is symmetric and positive
-    definite.  Both interiors have the same grid and 1D Gram matrices, so
-    K_L = K_R, and M_u and M_v are inverted once.  The couplings are held
-    as one dense block over the interior unknowns that touch the interface,
-    and every block product is a dense numpy product, so that one BLAS
-    library serves each application.
+    B is symmetric, and positive definite exactly when S is.  The interior
+    unknowns that couple with the interface lie in the first c <= p u-rows
+    of each interior, so C K^(-1) r_K reads c rows of M_u^(-1), and S is
+    formed once from those unknowns alone, where
+    K^(-1)[a, b] = w_a w_b (M_u^(-1))[i_a, i_b] (M_v^(-1))[j_a, j_b], and
+    factored by Cholesky.  Both interiors have the same grid and 1D Gram
+    matrices, so K_L = K_R, M_u and M_v are inverted once, and each product
+    with them serves both interiors.  The couplings are one dense block
+    over the interior unknowns that touch the interface.
     """
 
     def __init__(self, M: sp.csr_matrix, scale: np.ndarray, layout: MassLayout):
@@ -491,59 +493,78 @@ class KroneckerPreconditioner:
         # interior columns they couple with
         rows = M[:m]
         touched = np.zeros(M.shape[0], dtype=bool)
-        touched[:m] = True
         touched[rows.indices] = True
-        kept = np.flatnonzero(touched)
-        A_rows = rows[:, kept].toarray() * (scale[:m, None] * scale[kept])
-        try:
-            L = np.linalg.cholesky(A_rows[:, :m])
-        except np.linalg.LinAlgError:
-            raise ValueError("matrix is not positive definite") from None
-        L_inv = np.linalg.inv(L)
+        touched[:m] = False
+        coupled = np.flatnonzero(touched)
+        s = scale[:m, None]
+        schur = rows[:, :m].toarray() * (s * scale[:m])
+        self._coupling = rows[:, coupled].toarray() * (s * scale[coupled])
+        # the interior unknowns that couple with the interface
+        self.coupled = coupled
         self.layout = layout
-        # A_II, which the eigensolvers' starts read too
-        self.interface_block = A_rows[:, :m].copy()
-        self._interface_inverse = L_inv.T @ L_inv
-        self._coupled = kept[m:]
-        self._coupling = np.ascontiguousarray(A_rows[:, m:])
         # the two interiors: one tensor grid and one pair of Gram matrices,
         # inverted once
         Mu, Mv = layout.grams
-        size = Mu.shape[0] * Mv.shape[0]
+        nv, size = len(Mv), Mu.shape[0] * Mv.shape[0]
         self.interiors = (slice(m, m + size), slice(m + size, m + 2 * size))
-        self._w = np.sqrt(np.outer(Mu.diagonal(), Mv.diagonal()).ravel())
+        # W on both interiors, which lie one after the other
+        w = np.sqrt(np.outer(Mu.diagonal(), Mv.diagonal())).ravel()
+        self._w = np.tile(w, 2)
         self._Iu, self._Iv = np.linalg.inv(Mu), np.linalg.inv(Mv)
+        # the coupled unknowns: their indices in both interiors, W there,
+        # and their indices in the first c u-rows of both
+        self._flat = coupled - m
+        self._w_coupled = self._w[self._flat, None]
+        interior, grid = np.divmod(self._flat, size)
+        self._c = c = int(grid.max()) // nv + 1 if len(grid) else 0
+        self._near = interior * c * nv + grid
+        # S = A_II - C K^(-1) C^T, from W C^T on the first c u-rows
+        X = np.zeros((m, 2 * c * nv))
+        X[:, self._near] = self._coupling * self._w_coupled.T
+        Z = self._Iu[:c, :c] @ (X.reshape(2 * m, c, nv) @ self._Iv.T)
+        schur -= X @ Z.reshape(m, -1).T
+        try:
+            self._schur = sla.cho_factor(schur, lower=True, check_finite=False)
+        except np.linalg.LinAlgError:
+            raise ValueError(
+                "preconditioner is not positive definite: the interface's "
+                "Schur complement S = A_II - C K^(-1) C^T has a nonpositive "
+                "pivot") from None
 
-    def _interior_solve(self, z: np.ndarray, y: np.ndarray) -> None:
-        """y_s = K_s^(-1) z_s on both interiors, for z and y of shape (n, k)."""
-        w, Iu, Iv = self._w, self._Iu, self._Iv
-        for block in self.interiors:
-            x = (w[:, None] * z[block]).T.reshape(-1, len(Iu), len(Iv))
-            y[block] = w[:, None] * (Iu @ x @ Iv.T).reshape(len(x), -1).T
+    def schur_complement(self) -> np.ndarray:
+        """S = L L^T from its Cholesky factor L."""
+        L = np.tril(self._schur[0])
+        return L @ L.T
+
+    def _grid_solve(self, z: np.ndarray, rows: int) -> np.ndarray:
+        """(M_u^(-1) (x) M_v^(-1)) z on both interiors, for z of shape
+        (k, n - m): its first ``rows`` u-rows in each, (k, 2 rows nv)."""
+        Iu, Iv = self._Iu, self._Iv
+        x = z.reshape(-1, len(Iu), len(Iv))
+        return (Iu[:rows] @ x @ Iv.T).reshape(len(z), -1)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        """The preconditioner applied to r of shape (n,) or (n, k)."""
+        """B^(-1) r for r of shape (n,) or (n, k)."""
         r2 = r.reshape(r.shape[0], -1)
-        m, cols = self.layout.interface, self._coupled
-        w_I = self._interface_inverse @ r2[:m]
-        # the interior residuals less the coupling with w_I
-        z = r2.copy()
-        z[cols] -= self._coupling.T @ w_I
+        m, w, w_coupled = self.layout.interface, self._w, self._w_coupled
+        # W r_K, one row per column of r
+        z = np.ascontiguousarray((w[:, None] * r2[m:]).T)
+        # K^(-1) r_K on the coupled unknowns, from the first c u-rows
+        coupled = w_coupled * self._grid_solve(z, self._c)[:, self._near].T
         y = np.empty_like(r2)
-        self._interior_solve(z, y)
-        y[:m] = w_I - self._interface_inverse @ (self._coupling @ y[cols])
+        y[:m] = sla.cho_solve(self._schur, r2[:m] - self._coupling @ coupled,
+                              check_finite=False)
+        z[:, self._flat] -= (w_coupled * (self._coupling.T @ y[:m])).T
+        y[m:] = w[:, None] * self._grid_solve(z, len(self._Iu)).T
         return y.reshape(r.shape)
 
     def extend(self, x_I: np.ndarray) -> np.ndarray:
         """x_I on the interface, extended into the interiors by
-        x_K = -K^(-1) A_KI x_I."""
-        m, n = self.layout.interface, self.interiors[-1].stop
-        z = np.zeros((n, 1))
-        z[self._coupled, 0] = -(self._coupling.T @ x_I)
-        x = np.empty((n, 1))
-        self._interior_solve(z, x)
-        x[:m, 0] = x_I
-        return x[:, 0]
+        x_K = -K^(-1) C^T x_I."""
+        z = np.zeros((1, len(self._w)))
+        z[0, self._flat] = -(self._w_coupled[:, 0] * (self._coupling.T @ x_I))
+        x_K = self._w * self._grid_solve(z, len(self._Iu))[0]
+        return np.concatenate([x_I, x_K])
 
 
 class SPDFactor:
@@ -553,13 +574,14 @@ class SPDFactor:
     ``TwoPatchMass`` of ``KRONECKER_CUTOFF`` or more unknowns is not
     factored, nor copied: A is applied as s * (M (s * x)), solves run
     preconditioned CG and lambda_min comes from LOBPCG, both with a
-    ``KroneckerPreconditioner``, a symmetric block Gauss-Seidel sweep over
-    the interface and the two patch interiors.  An iteration that does not
-    converge within ``ITERATION_CAP`` steps raises ``ValueError``.  Any
-    other matrix is scaled into a dense copy and factored by Cholesky.  A
-    matrix that is not positive definite raises ``ValueError``: Cholesky
-    fails, CG meets a direction of nonpositive curvature, or LOBPCG a
-    Rayleigh quotient <= 0.  An eigenvalue of the condition number that a
+    ``KroneckerPreconditioner``, which eliminates the interface exactly
+    against Kronecker approximations of the two patch interiors.  An
+    iteration that does not converge within ``ITERATION_CAP`` steps raises
+    ``ValueError``.  Any other matrix is scaled into a dense copy and
+    factored by Cholesky.  A matrix that is not positive definite raises
+    ``ValueError``: Cholesky fails, CG meets a direction of nonpositive
+    curvature, or LOBPCG a Rayleigh quotient <= 0; so does a preconditioner
+    whose Schur complement is not positive definite.  An eigenvalue of the condition number that a
     Rayleigh quotient of its start shows to be no extreme one raises
     ``ValueError`` too.
     """
@@ -634,30 +656,29 @@ class SPDFactor:
         cols = [self._pcg(c) for c in b.reshape(len(b), -1).T]
         return s * np.stack(cols, axis=1).reshape(b.shape)
 
-    def _interface_mode(self, index: int) -> tuple[float, np.ndarray]:
-        """Eigenpair ``index`` of A_II, counted from the lowest."""
-        value, vector = sla.eigh(self._precond.interface_block,
-                                 subset_by_index=[index, index])
-        return float(value[0]), _signed(vector[:, 0])
-
-    def _top_corner(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """The outer-corner principal submatrix of A whose top eigenvalue is
-        the largest of the four: its unknowns, top eigenvector and top
-        eigenvalue.
-
-        A corner holds the last u-rows (away from the interface) and the
-        first or last v-columns of one interior, p + 4 each way: the p + 1
-        B-splines that share a cell with the last one, and three more.
-        """
+    def _corners(self, size: int) -> np.ndarray:
+        """The unknowns of the four outer corners of the interiors, one row
+        each: the last ``size`` u-rows (away from the interface) of one
+        interior by its first or last ``size`` v-columns, fewer where the
+        grid is smaller."""
         P = self._precond
-        Mu, Mv = P.layout.grams
-        nu, nv = len(Mu), len(Mv)
-        size = np.count_nonzero(Mv[-1]) + 3
+        nu, nv = (len(G) for G in P.layout.grams)
         cu, cv = min(size, nu), min(size, nv)
         last = (nu - cu + np.arange(cu))[:, None] * nv
-        corners = np.stack([block.start + (last + j + np.arange(cv)).ravel()
-                            for block in P.interiors for j in (0, nv - cv)])
-        k = cu * cv
+        return np.stack([block.start + (last + j + np.arange(cv)).ravel()
+                         for block in P.interiors for j in (0, nv - cv)])
+
+    def _top_corner(self) -> tuple[np.ndarray, np.ndarray, float, int]:
+        """The outer-corner principal submatrix of A whose top eigenvalue is
+        the largest of the four: its unknowns, top eigenvector, top
+        eigenvalue and its row in ``_corners``.
+
+        A corner is p + 4 unknowns each way: the p + 1 B-splines that share
+        a cell with the last one, and three more.
+        """
+        Mv = self._precond.layout.grams[1]
+        corners = self._corners(np.count_nonzero(Mv[-1]) + 3)
+        k = corners.shape[1]
         rows = self._M[corners.ravel()]
         # one corner at a time, so that no dense temporary spans all four
         blocks = np.stack([rows[c * k:(c + 1) * k][:, corner].toarray()
@@ -668,39 +689,90 @@ class SPDFactor:
                  for block in blocks]
         top = int(np.argmax([value[0] for value, _ in pairs]))
         value, vector = pairs[top]
-        return corners[top], _signed(vector[:, 0]), float(value[0])
+        return corners[top], _signed(vector[:, 0]), float(value[0]), top
+
+    def _corner_candidate(self) -> tuple[np.ndarray, float]:
+        """The top corner's eigenvector (``_top_corner``), refined by
+        ``lanczos_largest`` to a relative tolerance of 1e-4 on the principal
+        submatrix of A over the 4 (p + 1) x 4 (p + 1) unknowns of the same
+        corner, zero-extended; and its Rayleigh quotient in A."""
+        corner, vector, _, top = self._top_corner()
+        Mv = self._precond.layout.grams[1]
+        block = self._corners(4 * np.count_nonzero(Mv[-1]))[top]
+        sub = self._M[block][:, block]
+        s = self.scale[block]
+
+        def apply(x):
+            return s * (sub @ (s * x))
+
+        start = np.zeros(len(block))
+        start[np.searchsorted(block, corner)] = vector
+        _, x = lanczos_largest(apply, start, 1e-4, ritz_vector=True)
+        extended = np.zeros(self.A.shape[0])
+        extended[block] = x
+        return extended, float(x @ apply(x) / (x @ x))
+
+    def _interface_candidate(self) -> tuple[np.ndarray, float]:
+        """The top eigenvector (theta, x_I) of A_II, extended into the
+        interiors by two steps x_K <- (A x)_K / (theta - 1); and its
+        Rayleigh quotient in A.
+
+        The steps reach the interior unknowns that couple with the
+        interface, then those that couple with them, so only the rows of A
+        at these and at the interface are read.
+        """
+        P = self._precond
+        m, n = P.layout.interface, self.A.shape[0]
+        near = np.zeros(n, dtype=bool)
+        near[:m] = True
+        near[self._M[P.coupled].indices] = True
+        near = np.flatnonzero(near)
+        rows = self._M[near]
+        s = self.scale[near]
+
+        def apply(x):
+            """(A x) on the rows ``near``, for x zero elsewhere."""
+            return s * (rows @ (self.scale * x))
+
+        value, vector = sla.eigh(rows[:m, :m].toarray() * (s[:m, None] * s[:m]),
+                                 subset_by_index=[m - 1, m - 1])
+        x = np.zeros(n)
+        x[:m] = _signed(vector[:, 0])
+        # theta = 1 only where A_II = I
+        for _ in range(2 if value[0] > 1.0 else 0):
+            x[near[m:]] = apply(x)[m:] / (value[0] - 1.0)
+        return x, float(x[near] @ apply(x) / (x @ x))
 
     def _top_start(self, v0: np.ndarray) -> tuple[np.ndarray, float]:
         """lambda_max's start on the preconditioned path, and a Rayleigh
         quotient of A, which bounds lambda_max from below.
 
-        The start is the sum of the top eigenvectors of the top outer corner
-        (``_top_corner``) and of A_II, each normalised and zero-extended,
-        and 1e-3 of v0, normalised, so that the Krylov space holds every
-        direction.  The quotients of the first two are their eigenvalues.
+        Of the two candidates, the refined top corner
+        (``_corner_candidate``) and A_II's extended top eigenvector
+        (``_interface_candidate``), the one with the larger Rayleigh
+        quotient in A, normalised, plus 1e-3 of v0, normalised, so that the
+        Krylov space holds every direction.  The bound is that quotient.
         """
-        m = self._precond.layout.interface
-        value, vector = self._interface_mode(m - 1)
-        corner, corner_vector, corner_value = self._top_corner()
-        start = (1e-3 / np.linalg.norm(v0)) * v0
-        start[:m] += vector
-        start[corner] += corner_vector
-        return start, max(value, corner_value)
+        x, floor = max(self._corner_candidate(), self._interface_candidate(),
+                       key=lambda pair: pair[1])
+        return (x / np.linalg.norm(x)
+                + (1e-3 / np.linalg.norm(v0)) * v0), floor
 
     def _low_start(self, v0: np.ndarray) -> tuple[np.ndarray, float]:
         """LOBPCG's start on the preconditioned path, and a Rayleigh
         quotient of A, which bounds lambda_min from above.
 
-        The lowest eigenvector x_I of A_II is extended into the interiors
-        (``KroneckerPreconditioner.extend``).  When its Rayleigh quotient is
-        below that of the interiors' lowest Kronecker mode e_u (x) e_v, on
-        both interiors, the start is that extension, normalised, plus 1e-3
-        of v0, normalised; otherwise it is v0.  The bound is the least of
-        the two quotients and the eigenvalue of x_I.
+        The lowest eigenvector x_I of the preconditioner's Schur complement
+        S is extended into the interiors by x_K = -K^(-1) C^T x_I
+        (``KroneckerPreconditioner.extend``).  When its Rayleigh quotient
+        in A is below that of the interiors' lowest Kronecker mode
+        e_u (x) e_v, on both interiors, the start is that extension,
+        normalised, plus 1e-3 of v0, normalised; otherwise it is v0.  The
+        bound is the lesser of the two quotients.
         """
         P = self._precond
-        value, vector = self._interface_mode(0)
-        extended = P.extend(vector)
+        vector = sla.eigh(P.schur_complement(), subset_by_index=[0, 0])[1]
+        extended = P.extend(_signed(vector[:, 0]))
         # K_s = G_u (x) G_v with G the Jacobi-scaled 1D Gram matrices
         e_u, e_v = (sla.eigh(G / np.sqrt(np.outer(G.diagonal(), G.diagonal())),
                              subset_by_index=[0, 0])[1][:, 0]
@@ -710,7 +782,7 @@ class SPDFactor:
             mode[block] = np.outer(e_u, e_v).ravel()
         q_ext, q_mode = (x @ self._product(x) / (x @ x)
                          for x in (extended, mode))
-        ceiling = float(min(value, q_ext, q_mode))
+        ceiling = float(min(q_ext, q_mode))
         if q_ext < q_mode:
             return (extended / np.linalg.norm(extended)
                     + (1e-3 / np.linalg.norm(v0)) * v0), ceiling
@@ -803,7 +875,8 @@ def _signed(v: np.ndarray) -> np.ndarray:
 
 
 def lanczos_largest(apply: Callable[[np.ndarray], np.ndarray],
-                    v0: np.ndarray, tol: float) -> float:
+                    v0: np.ndarray, tol: float, ritz_vector: bool = False
+                    ) -> float | tuple[float, np.ndarray]:
     """Largest eigenvalue of the symmetric operator ``apply``, from v0.
 
     Three-term Lanczos recurrence, not reorthogonalised: the top Ritz value
@@ -811,11 +884,14 @@ def lanczos_largest(apply: Callable[[np.ndarray], np.ndarray],
     LAA 1980).  Every ``LANCZOS_CHECK`` steps it stops if the top Ritz pair
     (theta, s) of the tridiagonal matrix meets ARPACK's rule for
     ``which="LA"``, beta_k |s_k| <= tol |theta|; a zero beta_k leaves theta
-    exact.  Past ``LANCZOS_CAP`` steps it raises.
+    exact.  Past ``LANCZOS_CAP`` steps it raises.  With ``ritz_vector`` it
+    keeps the Lanczos vectors q_i and returns (theta, sum_i s_i q_i).
     """
     q, q_prev, b = v0 / np.linalg.norm(v0), 0.0, 0.0
-    alpha, beta = [], []
+    alpha, beta, basis = [], [], []
     for k in range(1, LANCZOS_CAP + 1):
+        if ritz_vector:
+            basis.append(q)
         w = apply(q)
         alpha.append(q @ w)
         w -= alpha[-1] * q + b * q_prev
@@ -824,6 +900,8 @@ def lanczos_largest(apply: Callable[[np.ndarray], np.ndarray],
             theta, s = sla.eigh_tridiagonal(alpha, beta, select="i",
                                             select_range=(k - 1, k - 1))
             if b * abs(s[-1, 0]) <= tol * abs(theta[0]):
+                if ritz_vector:
+                    return float(theta[0]), s[:, 0] @ np.array(basis)
                 return float(theta[0])
         beta.append(b)
         q_prev, q = q, w / b

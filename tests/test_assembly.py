@@ -381,14 +381,19 @@ def _with_layout(M, interface, grid):
         interface, (np.eye(grid[0]), np.eye(grid[1]))))
 
 
-def _study_system(geo0, gluing, space="v2", level=3):
-    """Mass matrix and load of a Table-2 study at one level."""
+def _study_assembler(geo0, gluing, space="v2", level=3):
+    """The assembler of a Table-2 study at one level."""
     from c2patch.geometry import refine_geometry
     k = 2 ** level - 1
     kv = make_knot_vector(5, 2, k, uniform_inner_knots(k))
     build = build_basis_v2 if space == "v2" else build_basis_w2
     basis = build(gluing, gluing_invariants(gluing, kv), 5, 2, k)
-    asm = DomainAssembler(refine_geometry(geo0, kv), basis)
+    return DomainAssembler(refine_geometry(geo0, kv), basis)
+
+
+def _study_system(geo0, gluing, space="v2", level=3):
+    """Mass matrix and load of a Table-2 study at one level."""
+    asm = _study_assembler(geo0, gluing, space, level)
     return asm.mass(), asm.load(field_osc)
 
 
@@ -451,6 +456,18 @@ class TestSPDFactor:
         assert factor.condition_number() == pytest.approx(ev[-1] / ev[0],
                                                           rel=1e-8)
 
+    def test_level4_error_matches_a_direct_solve(self, fitted_a):
+        # a/V2: the L2 error of the PCG solve against that of a sparse LU
+        # solve
+        asm = _study_assembler(*fitted_a, "v2", level=4)
+        M, rhs = asm.mass(), asm.load(field_osc)
+        factor = SPDFactor(M)
+        assert factor._precond is not None
+        direct = spla.splu(sp.csc_matrix(M)).solve(rhs)
+        err, ref = (asm.relative_l2_error(x, field_osc)
+                    for x in (factor.solve(rhs), direct))
+        assert abs(err - ref) <= 1e-9 * ref
+
     def test_preconditioned_setup_copies_nothing(self, level3_spectrum,
                                                 monkeypatch):
         M, rhs, ev = level3_spectrum
@@ -469,10 +486,11 @@ class TestSPDFactor:
                                                           rel=1e-8)
 
     # preconditioner applications of one solve and one condition number at
-    # level 3: 29, 59, 35 and 80 with LOBPCG started where its eigenvector
-    # lives; 33, 59, 39 and 80 from a random start; 53, 90, 64 and 179 with
-    # the block-diagonal preconditioner
-    APPLICATIONS_BOUND = {"a/v2": 32, "a/w2": 65, "b/v2": 38, "b/w2": 88}
+    # level 3, plus ~10 %: 14, 48, 15 and 65 with the interface eliminated
+    # exactly; 29, 59, 35 and 80 with the Gauss-Seidel sweep and LOBPCG
+    # started where its eigenvector lives; 33, 59, 39 and 80 from a random
+    # start; 53, 90, 64 and 179 with the block-diagonal preconditioner
+    APPLICATIONS_BOUND = {"a/v2": 16, "a/w2": 53, "b/v2": 17, "b/w2": 72}
 
     def test_preconditioner_spd_and_effective(self, level3_spectrum, request,
                                               monkeypatch):
@@ -501,12 +519,13 @@ class TestSPDFactor:
         assert len(calls) <= self.APPLICATIONS_BOUND[study]
 
     # CSR products of lambda_max at level 3 (a/V2, a/W2, b/V2, b/W2) with a
-    # check every 4 steps, plus ~10 %: 76, 56, 32 and 48 from the corner
-    # and interface start of the preconditioned path; 84, 80, 40 and 76
-    # from the seeded random start of the factored path (ARPACK took 91,
-    # 81, 41 and 81)
+    # check every 4 steps, plus ~10 % (b/W2: the bound of the sum start):
+    # 64, 56, 28 and 52 from the refined corner or the extended interface
+    # mode of the preconditioned path (76, 56, 32 and 48 from the sum of the
+    # corner and interface modes); 84, 80, 40 and 76 from the seeded random
+    # start of the factored path (ARPACK took 91, 81, 41 and 81)
     LANCZOS_PRODUCTS_BOUND = {
-        "kronecker": {"a/v2": 84, "a/w2": 62, "b/v2": 36, "b/w2": 53},
+        "kronecker": {"a/v2": 71, "a/w2": 62, "b/v2": 31, "b/w2": 53},
         "lu": {"a/v2": 92, "a/w2": 88, "b/v2": 44, "b/w2": 84}}
 
     # "lu": the path that factors A, by Cholesky (A = L L^T)
@@ -521,7 +540,11 @@ class TestSPDFactor:
         runs = []
         lanczos = asm_mod.lanczos_largest
 
-        def counted(apply, v0, tol):
+        def counted(apply, v0, tol, **kwargs):
+            if kwargs:
+                # the corner refinement of lambda_max's start, on a small
+                # principal submatrix
+                return lanczos(apply, v0, tol, **kwargs)
             calls = []
 
             def counted_apply(x):
@@ -554,17 +577,18 @@ class TestSPDFactor:
 
     def test_kronecker_path_rejects_indefinite(self, level3_spectrum,
                                                monkeypatch):
-        # S (M - c diag(M)) S = A - c I has lambda_min(A) - c < 0
+        # S (M - c diag(M)) S = A - c I has lambda_min(A) - c < 0; the
+        # preconditioner's set-up raises where its Schur complement is
+        # indefinite too (a/V2), PCG and LOBPCG raise otherwise
         M, rhs, ev = level3_spectrum
         c = 1.001 * ev[0]
         shifted = TwoPatchMass(M - c * sp.diags(M.diagonal()),
                                layout=M.layout)
         monkeypatch.setattr(asm_mod, "KRONECKER_CUTOFF", 0)
-        factor = SPDFactor(shifted)
         with pytest.raises(ValueError, match="not positive definite"):
-            factor.solve(rhs)
+            SPDFactor(shifted).solve(rhs)
         with pytest.raises(ValueError, match="not positive definite"):
-            factor.condition_number()
+            SPDFactor(shifted).condition_number()
 
     def test_two_column_kronecker_solve(self, level3_mass):
         M, rhs = level3_mass
@@ -602,9 +626,24 @@ class TestSPDFactor:
         for derived in (sp.csr_matrix(M), M[:, :], M + M, 2.0 * M, M.copy()):
             assert getattr(derived, "layout", None) is None
 
+    def test_preconditioner_inverts_its_block_approximation(self,
+                                                           level3_mass):
+        # B = A with each interior block replaced by its Kronecker
+        # approximation K = W^(-1) (M_u (x) M_v) W^(-1), dense
+        M, _ = level3_mass
+        s = 1.0 / np.sqrt(M.diagonal())
+        B = s[:, None] * M.toarray() * s[None, :]
+        P = KroneckerPreconditioner(M, s, M.layout)
+        G = np.kron(*M.layout.grams)
+        w = np.sqrt(G.diagonal())
+        for block in P.interiors:
+            B[block, block] = G / np.outer(w, w)
+        x = np.random.default_rng(3).standard_normal((M.shape[0], 2))
+        assert_allclose(P(B @ x), x, rtol=0, atol=1e-9 * np.abs(x).max())
+
     def test_shared_grams_inverted_once(self, level3_mass, monkeypatch):
-        # the interface factor and one pair of 1D Gram matrices for both
-        # interiors
+        # one pair of 1D Gram matrices for both interiors; the interface's
+        # Schur complement is factored, not inverted
         M, _ = level3_mass
         inverted = []
         inv = np.linalg.inv
@@ -615,7 +654,7 @@ class TestSPDFactor:
 
         monkeypatch.setattr(np.linalg, "inv", counted)
         KroneckerPreconditioner(M, 1.0 / np.sqrt(M.diagonal()), M.layout)
-        assert inverted == [(43, 43), (24, 24), (27, 27)]
+        assert inverted == [(24, 24), (27, 27)]
 
     def test_study_factors_once_per_level(self, fitted_b, monkeypatch):
         # levels 0-3 have 54, 133, 399 and 1363 dofs; each level sees one
@@ -684,9 +723,10 @@ class TestSPDFactor:
         lanczos, lobpcg = asm_mod.lanczos_largest, spla.lobpcg
         low_start = SPDFactor._low_start
 
-        def recorded_lanczos(apply, x, tol):
-            starts["lanczos"] = x, x.copy()
-            return lanczos(apply, x, tol)
+        def recorded_lanczos(apply, x, tol, **kwargs):
+            if not kwargs:
+                starts["lanczos"] = x, x.copy()
+            return lanczos(apply, x, tol, **kwargs)
 
         def recorded_low_start(self, x):
             start, ceiling = low_start(self, x)
@@ -713,11 +753,22 @@ class TestSPDFactor:
 
 
 @pytest.fixture(scope="module", params=["a/v2", "a/w2", "b/v2", "b/w2"])
-def level4_mass(request):
-    """Level-4 mass of a Table-2 study."""
+def level4_system(request):
+    """Level-4 mass and load of a Table-2 study."""
     name, space = request.param.split("/")
     return _study_system(*request.getfixturevalue(f"fitted_{name}"), space,
-                         level=4)[0]
+                         level=4)
+
+
+def _kronecker_mode_on(P, interior):
+    """The lowest Kronecker mode e_u (x) e_v of the Jacobi-scaled 1D Gram
+    matrices, on one interior of the preconditioner P, zero elsewhere."""
+    e_u, e_v = (np.linalg.eigh(G / np.sqrt(np.outer(G.diagonal(),
+                                                    G.diagonal())))[1][:, 0]
+                for G in P.layout.grams)
+    mode = np.zeros(P.interiors[-1].stop)
+    mode[P.interiors[interior]] = np.outer(e_u, e_v).ravel()
+    return mode
 
 
 def _decoupled(interface=20, grid=(4, 5)):
@@ -752,19 +803,28 @@ class TestEigensolverStarts:
         else:
             assert start is v0
 
-    # level-4 CSR products of lambda_max (a/V2, a/W2, b/V2, b/W2): 60, 48, 40
-    # and 48 from the corner and interface start, 92, 80, 48 and 80 from the
-    # seeded random vector; the length of LOBPCG's residual history for
-    # V2's lambda_min: 13 (a) and 16 (b) from the extended interface mode,
-    # 18 and 22 from the random vector; plus ~10 %
-    LANCZOS_LEVEL4_BOUND = {"a/v2": 66, "a/w2": 53, "b/v2": 44, "b/w2": 53}
-    LOBPCG_LEVEL4_BOUND = {"a/v2": 14, "b/v2": 17}
+    # level-4 counts, plus ~10 % (a/V2, a/W2, b/V2, b/W2).  CSR products of
+    # lambda_max: 48, 36, 36 and 36 from the refined corner or the extended
+    # interface mode, 60, 48, 40 and 48 from the sum of the corner and
+    # interface modes, 92, 80, 48 and 80 from the seeded random vector.  The
+    # length of LOBPCG's residual history for V2's lambda_min: 10 and 10 from
+    # the extended mode of the Schur complement, 13 and 16 from that of
+    # A_II, 18 and 22 from the random vector.  PCG iterations of the load's
+    # solve: 7 each with the interface eliminated exactly, 18, 17, 21 and 21
+    # with the Gauss-Seidel sweep.
+    LANCZOS_LEVEL4_BOUND = {"a/v2": 53, "a/w2": 40, "b/v2": 40, "b/w2": 40}
+    LOBPCG_LEVEL4_BOUND = {"a/v2": 11, "b/v2": 11}
+    PCG_LEVEL4_BOUND = {"a/v2": 8, "a/w2": 8, "b/v2": 8, "b/w2": 8}
 
-    def test_level4_step_counts(self, level4_mass, request, monkeypatch):
+    def test_level4_step_counts(self, level4_system, request, monkeypatch):
         counts = {}
         lanczos, lobpcg = asm_mod.lanczos_largest, spla.lobpcg
+        apply = KroneckerPreconditioner.__call__
 
-        def counted_lanczos(apply, x, tol):
+        def counted_lanczos(apply, x, tol, **kwargs):
+            if kwargs:
+                # the corner refinement of lambda_max's start
+                return lanczos(apply, x, tol, **kwargs)
             calls = []
 
             def counted_apply(y):
@@ -780,20 +840,31 @@ class TestEigensolverStarts:
             counts["lobpcg"] = len(result[-1])
             return result
 
+        def counted_precond(self, r):
+            # one application per PCG iteration
+            counts["pcg"] = counts.get("pcg", 0) + 1
+            return apply(self, r)
+
         monkeypatch.setattr(asm_mod, "lanczos_largest", counted_lanczos)
         monkeypatch.setattr(spla, "lobpcg", counted_lobpcg)
-        factor = SPDFactor(level4_mass)
+        M, rhs = level4_system
+        factor = SPDFactor(M)
         assert factor._precond is not None
+        monkeypatch.setattr(KroneckerPreconditioner, "__call__",
+                            counted_precond)
+        factor.solve(rhs)
+        monkeypatch.setattr(KroneckerPreconditioner, "__call__", apply)
         factor.condition_number()
-        study = request.node.callspec.params["level4_mass"]
+        study = request.node.callspec.params["level4_system"]
+        assert counts["pcg"] <= self.PCG_LEVEL4_BOUND[study]
         assert counts["lanczos"] <= self.LANCZOS_LEVEL4_BOUND[study]
         if study in self.LOBPCG_LEVEL4_BOUND:
             assert counts["lobpcg"] <= self.LOBPCG_LEVEL4_BOUND[study]
 
-    @pytest.mark.parametrize("level4_mass", ["a/v2"], indirect=True)
-    def test_swapped_interiors_give_the_same_cond(self, level4_mass):
+    @pytest.mark.parametrize("level4_system", ["a/v2"], indirect=True)
+    def test_swapped_interiors_give_the_same_cond(self, level4_system):
         # L and R trade places, and the top corner with them
-        M = level4_mass
+        M = level4_system[0]
         factor = SPDFactor(M)
         left, right = factor._precond.interiors
         perm = np.concatenate([np.arange(left.start),
@@ -838,25 +909,35 @@ class TestEigensolverStarts:
         with pytest.raises(ValueError, match="missed"):
             factor.condition_number()
 
-    @pytest.mark.parametrize("level4_mass", ["a/w2"], indirect=True)
-    def test_lobpcg_from_one_interior_is_caught(self, level4_mass,
+    @pytest.mark.parametrize("level4_system", ["a/w2"], indirect=True)
+    def test_lobpcg_from_one_interior_is_caught(self, level4_system,
                                                 monkeypatch):
         # from the lowest Kronecker mode of one interior alone, LOBPCG
         # converges to a higher eigenvalue and its residual test passes; the
         # mode on both interiors has a lower quotient
-        factor = SPDFactor(level4_mass)
-        P = factor._precond
-        e_u, e_v = (np.linalg.eigh(G / np.sqrt(np.outer(G.diagonal(),
-                                                        G.diagonal())))[1][:, 0]
-                    for G in P.layout.grams)
+        factor = SPDFactor(level4_system[0])
         v0 = np.random.default_rng(0).standard_normal(factor.A.shape[0])
-        one_interior = np.zeros_like(v0)
-        one_interior[P.interiors[0]] = np.outer(e_u, e_v).ravel()
+        one_interior = _kronecker_mode_on(factor._precond, 0)
         low_start = factor._low_start
         monkeypatch.setattr(factor, "_low_start",
                             lambda x: (one_interior, low_start(x)[1]))
         with pytest.raises(ValueError, match="LOBPCG missed lambda_min"):
             factor._inverse_smallest(v0)
+
+    @pytest.mark.parametrize("level4_system", ["a/v2"], indirect=True)
+    def test_lanczos_from_one_interior_is_caught(self, level4_system,
+                                                 monkeypatch):
+        # from the lowest Kronecker mode of one interior alone, Lanczos
+        # passes its stop rule 1.2e-3 below lambda_max; the refined corner's
+        # quotient lies within 6e-6 of lambda_max
+        factor = SPDFactor(level4_system[0])
+        v0 = np.random.default_rng(0).standard_normal(factor.A.shape[0])
+        one_interior = _kronecker_mode_on(factor._precond, 0)
+        top_start = factor._top_start
+        monkeypatch.setattr(factor, "_top_start",
+                            lambda x: (one_interior, top_start(x)[1]))
+        with pytest.raises(ValueError, match="Lanczos missed lambda_max"):
+            factor._largest(*factor._top_start(v0))
 
 
 # the overlapped condition number needs both libraries pinned
@@ -924,10 +1005,12 @@ class TestTwoThreadCondition:
         lanczos = asm_mod.lanczos_largest
         inverse_smallest = SPDFactor._inverse_smallest
 
-        def waiting_lanczos(apply, v0, tol):
-            # still running when LOBPCG raises
-            assert lobpcg_raised.wait(timeout=60)
-            return lanczos(apply, v0, tol)
+        def waiting_lanczos(apply, v0, tol, **kwargs):
+            # lambda_max still running when LOBPCG raises; the corner
+            # refinement of its start runs before either
+            if not kwargs:
+                assert lobpcg_raised.wait(timeout=60)
+            return lanczos(apply, v0, tol, **kwargs)
 
         def failing_lobpcg(self, v0):
             try:
