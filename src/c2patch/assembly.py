@@ -50,6 +50,9 @@ LOBPCG_TOL = 1e-9
 FIT_POINTS_PER_CELL = 8
 # u-rows 0..r (r = 2) of each patch carry the interface basis
 INTERFACE_ROWS = 3
+# ``DomainAssembler.mass`` builds a patch's interior band rows in blocks of
+# about this many bytes
+BAND_BLOCK_BYTES = 1 << 20
 # the order of every three-operand cell contraction: the u-values with the
 # middle operand first, then the v-values (no path search per call)
 _CELL_PATH = ("einsum_path", (0, 1), (0, 1))
@@ -127,13 +130,15 @@ def _band_reads(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class PatchAssembler:
-    """Quadrature data of one patch: weights, physical points, |det J|.
+    """Quadrature data of one patch: the measure |det J| w at every point.
 
     The patch's one spline space S serves both directions, so one Gauss
     rule and one table of B-spline values on its cells do too.  Every
     integral is taken over all cells at once: the cells are leading array
     axes ``(ncu, ncv)`` and each cell's local B-spline products are
-    contracted with one ``einsum``.
+    contracted with one ``einsum``.  The physical points are formed only
+    when a field is sampled, and the samples of the last field sampled
+    are kept (``sample_physical``).
     """
 
     def __init__(self, patch: Patch, points_per_cell: int | None = None):
@@ -150,68 +155,68 @@ class PatchAssembler:
         active = self.cells.first[:, None] + np.arange(self.p + 1)
         self._cell_i = active[:, None, :, None]    # (ncu, 1, p+1, 1)
         self._cell_j = active[None, :, None, :]    # (1, ncv, 1, p+1)
-        # flat indices i*n + j of those B-splines: (ncu, ncv, nloc)
-        self._cell_dofs = (self._cell_i * self.n + self._cell_j).reshape(
-            len(active), len(active), -1)
-        w = self.rule.weights
-        self._cell_weights = w[:, None, :, None] * w[None, :, None, :]
-        self._geometry_data()
+        self.measure = self._measure()
+        self._field = self._samples = None
 
-    def _on_cells(self, coeffs: np.ndarray) -> np.ndarray:
-        """The tensor spline with coefficient grid ``coeffs`` (n, n, ...)
-        at every quadrature point: (ncu, ncv, q, r, ...)."""
+    def _on_cells(self, coeffs: np.ndarray, du: int = 0,
+                  dv: int = 0) -> np.ndarray:
+        """The tensor spline with coefficient grid ``coeffs`` (n, n, ...),
+        or its derivative of order (du, dv) <= (1, 1), at every quadrature
+        point: (ncu, ncv, q, r, ...)."""
         local = coeffs[self._cell_i, self._cell_j]    # (ncu, ncv, p+1, p+1, ...)
-        B = self.cells.values[:, :, 0]
-        return np.einsum("uqa,uvab...,vrb->uvqr...", B, local, B,
-                         optimize=_CELL_PATH)
+        B = self.cells.values
+        return np.einsum("uqa,uvab...,vrb->uvqr...", B[:, :, du], local,
+                         B[:, :, dv], optimize=_CELL_PATH)
 
-    def _geometry_data(self):
-        """|det J| and physical coordinates at every quadrature point.
+    def _measure(self) -> np.ndarray:
+        """|det J| times the weights of the tensor rule at every quadrature
+        point: (ncu, ncv, q, r).  J comes from the jets F_u and F_v alone,
+        one contraction each."""
+        cp = self.patch.control_points
+        Fu, Fv = self._on_cells(cp, 1, 0), self._on_cells(cp, 0, 1)
+        w = self.rule.weights
+        return (w[:, None, :, None] * w[None, :, None, :]) * np.abs(
+            Fu[..., 0] * Fv[..., 1] - Fu[..., 1] * Fv[..., 0])
 
-        The control points of each cell are gathered once, and F, F_u and
-        F_v come from one contraction over values and first derivatives.
-        """
-        local = self.patch.control_points[self._cell_i, self._cell_j]
-        B = self.cells.values[:, :, :2]
-        # (ncu, ncv, q, r, du, dv, 2)
-        F = np.einsum("uqda,uvab...,vreb->uvqrde...", B, local, B,
-                      optimize=_CELL_PATH)
-        Fu, Fv = F[..., 1, 0, :], F[..., 0, 1, :]
-        self.absdet = np.abs(Fu[..., 0] * Fv[..., 1] - Fu[..., 1] * Fv[..., 0])
-        self.phys = np.ascontiguousarray(F[..., 0, 0, :])   # (ncu, ncv, q, r, 2)
-
-    def mass_u_stage(self) -> np.ndarray:
+    def mass_u_stage(self, rows: int | None = None) -> np.ndarray:
         """The u-stage of the sum-factorised mass, for the upper half only.
 
-        Returns Y of shape (n, p+1, ncv, r): Y[i, e, c, t] is the integral
-        along u of N_i N_{i+e} |det J| times the weights, at the v-point t
-        of v-cell c.  The u-points are contracted per u-cell for the pairs
-        (a, b), b >= a, of the B-splines active on it.  A cell whose first
-        B-spline is f adds its pairs to the rows f..f+p of Y as one block,
-        with zeros in the slots of the pairs it lacks.
+        Returns Y of shape (rows, p+1, ncv, r), rows = n by default:
+        Y[i, e, c, t] is the integral along u of N_i N_{i+e} |det J| times
+        the weights, at the v-point t of v-cell c.  The u-points are
+        contracted per u-cell for the pairs (a, b), b >= a, of the
+        B-splines active on it, and a cell whose first B-spline is f adds
+        its pairs to the rows f..f+p of Y as one block, with zeros in the
+        slots of the pairs it lacks.  Only the cells with f < ``rows``
+        are contracted, so the first rows come from the first cells alone.
         """
         Bu = self.cells.values[:, :, 0]
         ncu, q, k = Bu.shape
         ncv, r = self.rule.weights.shape
+        rows = self.n if rows is None else rows
         a, b = np.triu_indices(k)
         # pair (a, b) lands in row a, slot b - a of the cell's block
         T = np.zeros((ncu, q, k * k))
         T[:, :, a * k + b - a] = Bu[..., a] * Bu[..., b]
-        W = (self._cell_weights * self.absdet).transpose(0, 2, 1, 3)
-        X = np.matmul(T.transpose(0, 2, 1), W.reshape(ncu, q, ncv * r))
-        Y = np.zeros((self.n * k, ncv * r))
+        W = self.measure.transpose(0, 2, 1, 3)
+        Y = np.zeros((rows * k, ncv * r))
         for cell, f in enumerate(self.cells.first.tolist()):
-            Y[f * k:(f + k) * k] += X[cell]
-        return Y.reshape(self.n, k, ncv, r)
+            if f >= rows:
+                break
+            block = T[cell].T @ W[cell].reshape(q, ncv * r)
+            Y[f * k:(f + k) * k] += block[:(min(f + k, rows) - f) * k]
+        return Y.reshape(rows, k, ncv, r)
 
-    def mass_band(self, u_stage: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    def mass_band(self, u_stage: np.ndarray, lo: int, hi: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
         """Rows lo <= i < hi of the weighted Gram matrix of the tensor
         B-splines, upper half in band form.
 
         Returns ``band`` of shape (hi - lo, p+1, n, 2p+1) with
         ``band[i - lo, e, j, dj]`` the entry M[(i, j), (i + e, j + dj - p)];
-        it is zero for pairs that share no cell.  The v-points of
-        ``u_stage`` (``mass_u_stage``) are contracted per v-cell for the
+        it is zero for pairs that share no cell.  ``out``, of that shape,
+        receives the rows if given.  The v-points of ``u_stage``
+        (``mass_u_stage``) are contracted per v-cell for the
         pairs (c, d) of the B-splines active on it.  A cell whose first
         B-spline is f adds them to the slots (f + c, p - c + d), which lie
         2p apart per c in the flattened (j, dj) plane: one block of k 2p
@@ -230,11 +235,14 @@ class PatchAssembler:
         T = np.zeros((ncv, r, k * (w - 1)))
         T[:, :, c * (w - 1) + d] = (Bv[..., :, None] * Bv[..., None, :]).reshape(
             ncv, r, -1)
-        band = np.zeros((rows, n * w))
+        if out is None:
+            out = np.empty((hi - lo, p + 1, n, w))
+        band = out.reshape(rows, n * w)
+        band.fill(0.0)
         for cell, f in enumerate(self.cells.first.tolist()):
             start = f * w + p
             band[:, start:start + k * (w - 1)] += Y[:, cell] @ T[cell]
-        return band.reshape(hi - lo, p + 1, n, w)
+        return out
 
     def mass_1d(self) -> np.ndarray:
         """The parametric Gram matrix of the spline space, which is that of
@@ -252,8 +260,18 @@ class PatchAssembler:
         return G
 
     def sample_physical(self, f) -> np.ndarray:
-        """f(x1, x2) sampled at every quadrature point: (ncu, ncv, q, r)."""
-        return f(self.phys[..., 0], self.phys[..., 1])
+        """f(x1, x2) sampled at every quadrature point: (ncu, ncv, q, r).
+
+        The physical points are formed here and dropped.  The samples of
+        the last field are kept, keyed by the field object, so a field
+        that is loaded and then measured is evaluated once.
+        """
+        if f is not self._field:
+            self._field = self._samples = None
+            x = self._on_cells(self.patch.control_points)
+            self._samples = f(x[..., 0], x[..., 1])
+            self._field = f
+        return self._samples
 
     def load(self, f=None, values: np.ndarray | None = None) -> np.ndarray:
         """Integrals of the field against every tensor B-spline.
@@ -263,10 +281,12 @@ class PatchAssembler:
         """
         if values is None:
             values = self.sample_physical(f)
-        W = self._cell_weights * self.absdet * values
         B = self.cells.values[:, :, 0]
-        local = np.einsum("uqa,uvqr,vrc->uvac", B, W, B, optimize=_CELL_PATH)
-        return np.bincount(self._cell_dofs.ravel(), local.ravel(),
+        local = np.einsum("uqa,uvqr,vrc->uvac", B, self.measure * values, B,
+                          optimize=_CELL_PATH)
+        # flat indices i n + j of the B-splines active on each cell
+        dofs = self._cell_i * self.n + self._cell_j
+        return np.bincount(dofs.ravel(), local.ravel(),
                            minlength=self.n * self.n)
 
     def integrate_sq_diff(self, coeffs_flat: np.ndarray,
@@ -274,7 +294,7 @@ class PatchAssembler:
                           ) -> tuple[float, float]:
         """(||g - f||^2, ||f||^2) over the patch; f = 0 when f is None."""
         g = self._on_cells(coeffs_flat.reshape(self.n, self.n))
-        W = self._cell_weights * self.absdet
+        W = self.measure
         if f is None:
             return float((W * g ** 2).sum()), 0.0
         fvals = self.sample_physical(f)
@@ -361,12 +381,15 @@ class DomainAssembler:
         zeros dropped) and the couplings A_s M_s[:3n, 3n:] of the interface
         basis with the first interior rows of each patch; the interior band
         rows of L and then R follow.  The band rows i < 3 of both patches
-        come first, and with them the count of every row; then the interior
-        band of one patch at a time is written straight into its rows.  The
+        come first, from the u-stage rows of the first cells, and with them
+        the count of every row.  Then each patch in turn builds its
+        u-stage and its interior band in blocks of ``BAND_BLOCK_BYTES``
+        (at least one u-row), each written straight into its rows.  The
         interface block keeps its upper triangle and mirrors it, the
         couplings are stored once and transposed, and an interior entry
-        below the diagonal is read from its mirror image, so M is exactly
-        symmetric.
+        below the diagonal is read from its mirror image in one of the p
+        band rows above, which are carried from block to block; so M is
+        exactly symmetric.
         """
         m, n = self.basis.num_basis, self.basis.n
         nr = INTERFACE_ROWS
@@ -383,36 +406,41 @@ class DomainAssembler:
             np.arange(nr, n)[:, None] + np.arange(2 * p + 1) - p >= nr)
         interior_counts = np.outer(keep_u.sum(axis=1), keep_v.sum(axis=1)).ravel()
         iface = np.zeros((m, m))
-        counts, couples, u_stages = [], {}, {}
+        counts, couples = [], {}
         for s, A in (("L", self.basis.A_L), ("R", self.basis.A_R)):
             pa = self.asm[s]
-            u_stages[s] = pa.mass_u_stage()
-            T = A @ _band_block(pa.mass_band(u_stages[s], 0, nr), nr + c)
+            T = A @ _band_block(pa.mass_band(pa.mass_u_stage(nr), 0, nr), nr + c)
             iface += T[:, :nr * n] @ A.T
-            couples[s] = T[:, nr * n:]
+            # a copy, so that T is not kept
+            couples[s] = T[:, nr * n:].copy()
             rows = interior_counts.copy()
             rows[:c * n] += np.count_nonzero(couples[s], axis=0)
             counts.append(rows)
+        del T, rows
         iface = np.triu(iface) + np.triu(iface, 1).T
         first = np.hstack([iface, couples["L"], couples["R"]])
+        del iface
         keep = first != 0.0
         counts.insert(0, keep.sum(axis=1))
         dim = m + 2 * n_int
         indptr = np.zeros(dim + 1, dtype=np.int64)
         np.cumsum(np.concatenate(counts), out=indptr[1:])
+        del counts
         data = np.empty(indptr[-1])
         indices = np.empty(indptr[-1], dtype=np.int32)
         data[:indptr[m]] = first[keep]
         first_cols = np.concatenate(
             [np.arange(m)] + [offset + np.arange(c * n)
-                              for offset in offsets.values()])
-        indices[:indptr[m]] = first_cols[np.nonzero(keep)[1]]
+                              for offset in offsets.values()]).astype(np.int32)
+        indices[:indptr[m]] = np.broadcast_to(first_cols, keep.shape)[keep]
+        del first, keep, first_cols
         reads, cols = _band_reads(n, p)
         # the band slots of the first c u-rows (those read outside the band
-        # are not stored); the other u-rows with the same slots share their
-        # reads and columns
+        # are not stored), and the columns of their couplings then slots;
+        # the other u-rows with the same slots share their reads and columns
         near_keep = (keep_u[:c, None, :, None]
-                     & keep_v[None, :, None, :]).reshape(c * n, -1)
+                     & keep_v[None, :, None, :]).reshape(c, n, -1)
+        near_cols = np.concatenate([np.arange(m), cols[0].ravel()])
         patterns, far = {}, []
         for i in range(c, n - nr):
             key = keep_u[i].tobytes()
@@ -420,26 +448,41 @@ class DomainAssembler:
                 mask = keep_v[:, None, :] & keep_u[i][:, None]
                 patterns[key] = reads[mask], cols[mask]
             far.append(patterns[key])
+        # the band entries of one u-row; a block of u-rows is built in the
+        # buffer below the p u-rows above it, which its mirror reads reach,
+        # carried from the block before
+        rs = (p + 1) * n * (2 * p + 1)
+        block = min(max(1, BAND_BLOCK_BYTES // (8 * rs)), n - nr)
+        buf = np.zeros((p + block) * rs)
         for s, offset in offsets.items():
-            band = self.asm[s].mass_band(u_stages.pop(s), nr, n)
-            rs = band[0].size
-            band = band.reshape(-1)
-            # the first c u-rows: the couplings, then the band slots
-            couple = couples[s]
-            near = slice(indptr[offset], indptr[offset + c * n])
-            keep = np.hstack([couple.T != 0.0, near_keep])
-            slots = band.take(np.arange(c)[:, None, None, None] * rs + reads,
-                              mode="clip").reshape(c * n, -1)
-            data[near] = np.hstack([couple.T, slots])[keep]
-            row, slot = np.nonzero(keep)
-            indices[near] = (np.concatenate([np.arange(m), cols[0].ravel()])[slot]
-                             + np.where(slot < m, 0, offset + row))
-            for i, (read, mask_cols) in enumerate(far, start=c):
-                block = slice(indptr[offset + i * n], indptr[offset + (i + 1) * n])
-                band.take(read + i * rs, out=data[block])
-                np.add(mask_cols, offset + i * n, out=indices[block])
-            # the next patch's band is built without this one alive
-            del band
+            pa = self.asm[s]
+            u_stage = pa.mass_u_stage()
+            couple = couples.pop(s)
+            for lo in range(nr, n, block):
+                hi = min(lo + block, n)
+                pa.mass_band(u_stage, lo, hi, out=buf[p * rs:(p + hi - lo) * rs]
+                             .reshape(hi - lo, p + 1, n, -1))
+                for i in range(lo - nr, hi - nr):
+                    at = (i + nr - lo + p) * rs
+                    row = slice(indptr[offset + i * n],
+                                indptr[offset + (i + 1) * n])
+                    if i < c:
+                        # the couplings, then the band slots
+                        couple_i = couple[:, i * n:(i + 1) * n].T
+                        keep = np.hstack([couple_i != 0.0, near_keep[i]])
+                        slots = buf.take(at + reads).reshape(n, -1)
+                        data[row] = np.hstack([couple_i, slots])[keep]
+                        j, slot = np.nonzero(keep)
+                        indices[row] = near_cols[slot] + np.where(
+                            slot < m, 0, offset + i * n + j)
+                    else:
+                        read, mask_cols = far[i - c]
+                        buf.take(read + at, out=data[row])
+                        np.add(mask_cols, offset + i * n, out=indices[row])
+                # the last p rows, above the next block
+                buf[:p * rs] = buf[(hi - lo) * rs:(hi - lo + p) * rs]
+            # the next patch's u-stage is built without this one alive
+            del u_stage, couple
         # both interiors are the grid S x S less the u-rows i < nr
         G = self.asm["L"].mass_1d()
         return TwoPatchMass((data, indices, indptr), shape=(dim, dim),
@@ -524,16 +567,20 @@ class KroneckerPreconditioner:
         Z = self._Iu[:c, :c] @ (X.reshape(2 * m, c, nv) @ self._Iv.T)
         schur -= X @ Z.reshape(m, -1).T
         try:
-            self._schur = sla.cho_factor(schur, lower=True, check_finite=False)
+            self._schur, _ = sla.cho_factor(schur, lower=True,
+                                            check_finite=False)
         except np.linalg.LinAlgError:
             raise ValueError(
                 "preconditioner is not positive definite: the interface's "
                 "Schur complement S = A_II - C K^(-1) C^T has a nonpositive "
                 "pivot") from None
+        # S^(-1) is applied by LAPACK potrs on the factor, without the
+        # checks of scipy's cho_solve
+        self._potrs, = sla.get_lapack_funcs(("potrs",), (self._schur,))
 
     def schur_complement(self) -> np.ndarray:
         """S = L L^T from its Cholesky factor L."""
-        L = np.tril(self._schur[0])
+        L = np.tril(self._schur)
         return L @ L.T
 
     def _grid_solve(self, z: np.ndarray, rows: int) -> np.ndarray:
@@ -552,8 +599,10 @@ class KroneckerPreconditioner:
         # K^(-1) r_K on the coupled unknowns, from the first c u-rows
         coupled = w_coupled * self._grid_solve(z, self._c)[:, self._near].T
         y = np.empty_like(r2)
-        y[:m] = sla.cho_solve(self._schur, r2[:m] - self._coupling @ coupled,
-                              check_finite=False)
+        y[:m], info = self._potrs(self._schur, r2[:m] - self._coupling @ coupled,
+                                  lower=True, overwrite_b=True)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
         z[:, self._flat] -= (w_coupled * (self._coupling.T @ y[:m])).T
         y[m:] = w[:, None] * self._grid_solve(z, len(self._Iu)).T
         return y.reshape(r.shape)

@@ -76,7 +76,7 @@ def mass_band(pa):
     pu = pv = pa.p
     Tu = (Bu[..., :, None] * Bu[..., None, :]).reshape(ncu, q, ku * ku)
     Tv = (Bv[..., :, None] * Bv[..., None, :]).reshape(ncv, r, kv * kv)
-    W = (pa._cell_weights * pa.absdet).transpose(0, 2, 1, 3)
+    W = pa.measure.transpose(0, 2, 1, 3)
     X = np.matmul(Tu.transpose(0, 2, 1), W.reshape(ncu, q, ncv * r))
     Y = band_scatter(pa.cells.first, X.reshape(ncu, ku, ku, ncv, r),
                      np.zeros((n_u, 2 * pu + 1, ncv, r)))

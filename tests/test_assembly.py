@@ -130,6 +130,35 @@ class TestMassAndLoad:
         load = pa.load(values=values)
         assert np.abs(load - load_ref).max() <= 1e-13 * np.abs(load_ref).max()
 
+    def test_measure_is_weighted_jacobian(self, fitted_b):
+        from c2patch.geometry import refine_geometry
+        kv = make_knot_vector(5, 2, 3, uniform_inner_knots(3))
+        pa = PatchAssembler(refine_geometry(fitted_b[0], kv).patch_R)
+        nodes, w = pa.rule.nodes, pa.rule.weights
+        Fu, Fv = (pa.patch.eval(nodes, nodes, du=du, dv=1 - du)
+                  .transpose(0, 2, 1, 3, 4) for du in (1, 0))
+        ref = (np.abs(Fu[..., 0] * Fv[..., 1] - Fu[..., 1] * Fv[..., 0])
+               * w[:, None, :, None] * w[None, :, None, :])
+        assert np.abs(pa.measure - ref).max() <= 1e-13 * ref.max()
+
+    def test_field_sampled_once_per_patch(self, fitted_a):
+        # load, then the error of the same field object: one evaluation
+        # per patch; another field object is evaluated anew
+        asm = _study_assembler(*fitted_a, "v2", level=2)
+        calls = []
+
+        class Counting:
+            def __call__(self, x1, x2):
+                calls.append(x1.shape)
+                return field_osc(x1, x2)
+
+        f, g = Counting(), Counting()
+        b = solve_spd(asm.mass(), asm.load(f))
+        err = asm.relative_l2_error(b, f)
+        assert len(calls) == 2
+        assert asm.relative_l2_error(b, g) == err
+        assert len(calls) == 4
+
     def test_mass_spd_and_permutation(self, fitted_a, unit_setup):
         geo, gluing = fitted_a
         kv = geo.space.kv
@@ -211,6 +240,37 @@ def test_band_rows_split_anywhere(fitted_b):
         assert np.array_equal(pa.mass_band(u_stage, lo, hi), band[lo:hi])
 
 
+@pytest.mark.parametrize("study", ["a/v2", "b/w2"])
+def test_band_blocks_of_any_size(study, request, monkeypatch):
+    # level 4: the interior band built one u-row at a time, or in one block,
+    # gives the frozen writer's M and bitwise the M of the default blocks
+    name, space = study.split("/")
+    asm = _study_assembler(*request.getfixturevalue(f"fitted_{name}"), space,
+                           level=4)
+    M = asm.mass()
+    for budget in (0, 10 ** 12):
+        monkeypatch.setattr(asm_mod, "BAND_BLOCK_BYTES", budget)
+        _assert_matches_frozen_writer(asm)
+        blocked = asm.mass()
+        for a in ("indptr", "indices", "data"):
+            assert getattr(blocked, a).tobytes() == getattr(M, a).tobytes()
+
+
+def test_mass_temporaries_stay_below_m(fitted_a):
+    # a/V2 level 4: beside M (4.79 MiB) the mass holds one patch's u-stage
+    # and a block of band rows, 2.57 MiB at most; the writer of whole
+    # bands and both u-stages needed 4.23 MiB (88 % of M)
+    asm = _study_assembler(*fitted_a, "v2", level=4)
+    tracemalloc.start()
+    try:
+        M = asm.mass()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
+    assert peak - size < 0.6 * size
+
+
 @pytest.mark.parametrize("level", range(6))
 def test_mass_1d_bitwise_equal_to_band_path(level):
     # the Table-2 spaces, and the fit's 8-point rule at level 0
@@ -238,7 +298,7 @@ def test_two_patch_mass_matches_cell_loop(study, request):
     ref = np.zeros(M.shape)
     for s in "LR":
         pa = asm.asm[s]
-        M_s, _ = _cell_loop_reference(pa, np.zeros(pa.absdet.shape))
+        M_s, _ = _cell_loop_reference(pa, np.zeros(pa.measure.shape))
         ref += asm.C[s] @ (asm.C[s] @ M_s).T
     ref = sp.csr_matrix(ref)
     M.sort_indices()
@@ -272,8 +332,7 @@ def _cell_loop_reference(pa, values):
         Bu = pa.cells.values[cu, :, 0, :]
         for cv, fv in enumerate(pa.cells.first):
             Bv = pa.cells.values[cv, :, 0, :]
-            W = (pa.rule.weights[cu][:, None] * pa.rule.weights[cv][None, :]
-                 * pa.absdet[cu, cv])
+            W = pa.measure[cu, cv]
             gi = (np.arange(fu, fu + pa.p + 1)[:, None] * pa.n
                   + np.arange(fv, fv + pa.p + 1)[None, :]).ravel()
             local = np.einsum("qa,qb,qr,rc,rd->acbd", Bu, Bu, W, Bv, Bv)
