@@ -53,6 +53,9 @@ INTERFACE_ROWS = 3
 # ``DomainAssembler.mass`` builds a patch's interior band rows in blocks of
 # about this many bytes
 BAND_BLOCK_BYTES = 1 << 20
+# ``PatchAssembler.sample_physical`` forms the physical points in blocks of
+# about this many bytes
+SAMPLE_BLOCK_BYTES = 1 << 18
 # the order of every three-operand cell contraction: the u-values with the
 # middle operand first, then the v-values (no path search per call)
 _CELL_PATH = ("einsum_path", (0, 1), (0, 1))
@@ -138,7 +141,7 @@ class PatchAssembler:
     axes ``(ncu, ncv)`` and each cell's local B-spline products are
     contracted with one ``einsum``.  The physical points are formed only
     when a field is sampled, and the samples of the last field sampled
-    are kept (``sample_physical``).
+    are kept until the error reads them (``sample_physical``).
     """
 
     def __init__(self, patch: Patch, points_per_cell: int | None = None):
@@ -158,14 +161,16 @@ class PatchAssembler:
         self.measure = self._measure()
         self._field = self._samples = None
 
-    def _on_cells(self, coeffs: np.ndarray, du: int = 0,
-                  dv: int = 0) -> np.ndarray:
+    def _on_cells(self, coeffs: np.ndarray, du: int = 0, dv: int = 0,
+                  ucells: slice = slice(None)) -> np.ndarray:
         """The tensor spline with coefficient grid ``coeffs`` (n, n, ...),
         or its derivative of order (du, dv) <= (1, 1), at every quadrature
-        point: (ncu, ncv, q, r, ...)."""
-        local = coeffs[self._cell_i, self._cell_j]    # (ncu, ncv, p+1, p+1, ...)
+        point of the u-cells ``ucells``, all by default: (ncu, ncv, q, r,
+        ...) with ncu the number of those u-cells."""
+        # (ncu, ncv, p+1, p+1, ...)
+        local = coeffs[self._cell_i[ucells], self._cell_j]
         B = self.cells.values
-        return np.einsum("uqa,uvab...,vrb->uvqr...", B[:, :, du], local,
+        return np.einsum("uqa,uvab...,vrb->uvqr...", B[ucells, :, du], local,
                          B[:, :, dv], optimize=_CELL_PATH)
 
     def _measure(self) -> np.ndarray:
@@ -262,15 +267,24 @@ class PatchAssembler:
     def sample_physical(self, f) -> np.ndarray:
         """f(x1, x2) sampled at every quadrature point: (ncu, ncv, q, r).
 
-        The physical points are formed here and dropped.  The samples of
-        the last field are kept, keyed by the field object, so a field
-        that is loaded and then measured is evaluated once.
+        The physical points are formed and f is evaluated in blocks of
+        u-cells with about ``SAMPLE_BLOCK_BYTES`` of points (at least one
+        u-cell), written into the samples.  The samples of the last field
+        are kept, keyed by the field object, until ``integrate_sq_diff``
+        reads them, so a field that is loaded and then measured is
+        evaluated once.
         """
         if f is not self._field:
             self._field = self._samples = None
-            x = self._on_cells(self.patch.control_points)
-            self._samples = f(x[..., 0], x[..., 1])
-            self._field = f
+            samples = np.empty(self.measure.shape)
+            ncu = len(samples)
+            block = max(1, SAMPLE_BLOCK_BYTES // (16 * samples[0].size))
+            for lo in range(0, ncu, block):
+                cells = slice(lo, min(lo + block, ncu))
+                x = self._on_cells(self.patch.control_points, ucells=cells)
+                samples[cells] = f(x[..., 0], x[..., 1])
+                del x
+            self._samples, self._field = samples, f
         return self._samples
 
     def load(self, f=None, values: np.ndarray | None = None) -> np.ndarray:
@@ -297,8 +311,15 @@ class PatchAssembler:
         W = self.measure
         if f is None:
             return float((W * g ** 2).sum()), 0.0
-        fvals = self.sample_physical(f)
-        return float((W * (g - fvals) ** 2).sum()), float((W * fvals ** 2).sum())
+        # the samples in the layout of g, which the einsum picks by the grid's
+        # size and which the points had when they were sampled whole: numpy
+        # lays out the integrands, and so orders the sums, by the operands
+        samples = np.empty_like(g)
+        samples[...] = self.sample_physical(f)
+        # the error is the last reader of the samples
+        self._field = self._samples = None
+        return (float((W * (g - samples) ** 2).sum()),
+                float((W * samples ** 2).sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +380,31 @@ class TwoPatchMass(sp.csr_matrix):
                  **kwargs):
         super().__init__(arg1, *args, **kwargs)
         self.layout = layout
+
+    def row_block(self, lo: int, hi: int) -> sp.csr_matrix:
+        """Rows lo <= i < hi as a CSR matrix over this matrix's arrays.
+
+        Nothing of size nnz is copied: ``data`` and ``indices`` are
+        read-only views, and only the block's ``indptr`` is new.  Each row
+        keeps the order of its entries, so a product sums it as one with
+        ``self[lo:hi]`` does.  The constructor is not given the views,
+        since it copies slices much smaller than their base.
+        """
+        start, stop = self.indptr[lo], self.indptr[hi]
+        block = sp.csr_matrix((hi - lo, self.shape[1]), dtype=self.dtype)
+        block.data = self.data[start:stop]
+        block.indices = self.indices[start:stop]
+        block.indptr = self.indptr[lo:hi + 1] - start
+        for a in (block.data, block.indices):
+            a.flags.writeable = False
+        return block
+
+
+def _runs(index: np.ndarray) -> list[tuple[int, int]]:
+    """The ranges [lo, hi) of consecutive values of a sorted index array."""
+    breaks = np.flatnonzero(np.diff(index) != 1) + 1
+    return [(int(run[0]), int(run[-1]) + 1)
+            for run in np.split(index, breaks) if len(run)]
 
 
 class DomainAssembler:
@@ -530,18 +576,21 @@ class KroneckerPreconditioner:
     over the interior unknowns that touch the interface.
     """
 
-    def __init__(self, M: sp.csr_matrix, scale: np.ndarray, layout: MassLayout):
+    def __init__(self, M: TwoPatchMass, scale: np.ndarray, layout: MassLayout):
         m = layout.interface
         # the interface rows of A, dense over the interface columns and the
-        # interior columns they couple with
-        rows = M[:m]
+        # interior columns they couple with, read in place and scaled in
+        # place (each entry times s_i s_j, as in A)
+        rows = M.row_block(0, m)
         touched = np.zeros(M.shape[0], dtype=bool)
         touched[rows.indices] = True
         touched[:m] = False
         coupled = np.flatnonzero(touched)
         s = scale[:m, None]
-        schur = rows[:, :m].toarray() * (s * scale[:m])
-        self._coupling = rows[:, coupled].toarray() * (s * scale[coupled])
+        schur = rows[:, :m].toarray()
+        schur *= s * scale[:m]
+        self._coupling = rows[:, coupled].toarray()
+        self._coupling *= s * scale[coupled]
         # the interior unknowns that couple with the interface
         self.coupled = coupled
         self.layout = layout
@@ -561,11 +610,20 @@ class KroneckerPreconditioner:
         interior, grid = np.divmod(self._flat, size)
         self._c = c = int(grid.max()) // nv + 1 if len(grid) else 0
         self._near = interior * c * nv + grid
-        # S = A_II - C K^(-1) C^T, from W C^T on the first c u-rows
-        X = np.zeros((m, 2 * c * nv))
-        X[:, self._near] = self._coupling * self._w_coupled.T
-        Z = self._Iu[:c, :c] @ (X.reshape(2 * m, c, nv) @ self._Iv.T)
-        schur -= X @ Z.reshape(m, -1).T
+        # S = A_II - C K^(-1) C^T, from X = W C^T on the first c u-rows of
+        # both interiors and Z = (M_u^(-1) (x) M_v^(-1)) X, each formed one
+        # interior at a time; X Z^T stays one product, since a sum of one
+        # per interior would move the last bits of S
+        X = np.zeros((m, 2, c * nv))
+        Z = np.empty((m, 2, c, nv))
+        bounds = np.searchsorted(interior, [0, 1, 2])
+        for k in range(2):
+            cols = slice(bounds[k], bounds[k + 1])
+            X[:, k, grid[cols]] = (self._coupling[:, cols]
+                                   * self._w_coupled[cols].T)
+            np.matmul(self._Iu[:c, :c],
+                      X[:, k].reshape(m, c, nv) @ self._Iv.T, out=Z[:, k])
+        schur -= X.reshape(m, -1) @ Z.reshape(m, -1).T
         try:
             self._schur, _ = sla.cho_factor(schur, lower=True,
                                             check_finite=False)
@@ -616,6 +674,25 @@ class KroneckerPreconditioner:
         return np.concatenate([x_I, x_K])
 
 
+def _scaled_operator(M: sp.csr_matrix, scale: np.ndarray
+                     ) -> spla.LinearOperator:
+    """A = S M S applied as s * (M (s * x)), for x of shape (n,) or (n, k).
+
+    The operator holds M and s, not the ``SPDFactor`` that keeps it, so no
+    reference cycle keeps a factor, or its M, alive once its last
+    reference goes.
+    """
+    def product(x: np.ndarray) -> np.ndarray:
+        s = scale.reshape((-1,) + (1,) * (x.ndim - 1))
+        y = M @ (s * x)
+        y *= s
+        return y
+
+    n = M.shape[0]
+    return spla.LinearOperator((n, n), matvec=product, matmat=product,
+                               dtype=float)
+
+
 class SPDFactor:
     """Solves and the condition number of a symmetric positive definite M.
 
@@ -645,8 +722,7 @@ class SPDFactor:
         n = M.shape[0]
         layout = getattr(M, "layout", None)
         if layout is not None and n >= KRONECKER_CUTOFF:
-            self.A = spla.LinearOperator((n, n), matvec=self._product,
-                                         matmat=self._product, dtype=float)
+            self.A = _scaled_operator(M, self.scale)
             self._precond = KroneckerPreconditioner(M, self.scale, layout)
         else:
             # each s_i s_j is formed before it multiplies M_ij, so a
@@ -660,11 +736,6 @@ class SPDFactor:
             except np.linalg.LinAlgError:
                 raise ValueError(
                     "matrix is not positive definite") from None
-
-    def _product(self, x: np.ndarray) -> np.ndarray:
-        """A x = s * (M (s * x)) for x of shape (n,) or (n, k)."""
-        s = self.scale.reshape((-1,) + (1,) * (x.ndim - 1))
-        return s * (self._M @ (s * x))
 
     def _pcg(self, b: np.ndarray) -> np.ndarray:
         """A^(-1) b by preconditioned CG.
@@ -717,6 +788,14 @@ class SPDFactor:
         return np.stack([block.start + (last + j + np.arange(cv)).ravel()
                          for block in P.interiors for j in (0, nv - cv)])
 
+    def _principal(self, unknowns: np.ndarray) -> sp.csr_matrix:
+        """The principal submatrix of M over the sorted ``unknowns``, with
+        each row's entries in M's order; the rows they span are read in
+        place."""
+        lo = unknowns[0]
+        span = self._M.row_block(lo, unknowns[-1] + 1)
+        return span[:, unknowns][unknowns - lo]
+
     def _top_corner(self) -> tuple[np.ndarray, np.ndarray, float, int]:
         """The outer-corner principal submatrix of A whose top eigenvalue is
         the largest of the four: its unknowns, top eigenvector, top
@@ -728,10 +807,9 @@ class SPDFactor:
         Mv = self._precond.layout.grams[1]
         corners = self._corners(np.count_nonzero(Mv[-1]) + 3)
         k = corners.shape[1]
-        rows = self._M[corners.ravel()]
         # one corner at a time, so that no dense temporary spans all four
-        blocks = np.stack([rows[c * k:(c + 1) * k][:, corner].toarray()
-                           for c, corner in enumerate(corners)])
+        blocks = np.stack([self._principal(corner).toarray()
+                           for corner in corners])
         s = self.scale[corners]
         blocks *= s[:, :, None] * s[:, None, :]
         pairs = [sla.eigh(block, subset_by_index=[k - 1, k - 1])
@@ -748,7 +826,7 @@ class SPDFactor:
         corner, vector, _, top = self._top_corner()
         Mv = self._precond.layout.grams[1]
         block = self._corners(4 * np.count_nonzero(Mv[-1]))[top]
-        sub = self._M[block][:, block]
+        sub = self._principal(block)
         s = self.scale[block]
 
         def apply(x):
@@ -774,16 +852,21 @@ class SPDFactor:
         m, n = P.layout.interface, self.A.shape[0]
         near = np.zeros(n, dtype=bool)
         near[:m] = True
-        near[self._M[P.coupled].indices] = True
+        for lo, hi in _runs(P.coupled):
+            near[self._M.row_block(lo, hi).indices] = True
         near = np.flatnonzero(near)
-        rows = self._M[near]
+        # the rows near the interface: the interface and the first u-rows
+        # of each interior, read in place
+        blocks = [self._M.row_block(lo, hi) for lo, hi in _runs(near)]
         s = self.scale[near]
 
         def apply(x):
             """(A x) on the rows ``near``, for x zero elsewhere."""
-            return s * (rows @ (self.scale * x))
+            y = self.scale * x
+            return s * np.concatenate([block @ y for block in blocks])
 
-        value, vector = sla.eigh(rows[:m, :m].toarray() * (s[:m, None] * s[:m]),
+        A_II = self._M.row_block(0, m)[:, :m].toarray()
+        value, vector = sla.eigh(A_II * (s[:m, None] * s[:m]),
                                  subset_by_index=[m - 1, m - 1])
         x = np.zeros(n)
         x[:m] = _signed(vector[:, 0])
@@ -829,7 +912,7 @@ class SPDFactor:
         mode = np.zeros_like(v0)
         for block in P.interiors:
             mode[block] = np.outer(e_u, e_v).ravel()
-        q_ext, q_mode = (x @ self._product(x) / (x @ x)
+        q_ext, q_mode = (x @ (self.A @ x) / (x @ x)
                          for x in (extended, mode))
         ceiling = float(min(q_ext, q_mode))
         if q_ext < q_mode:
@@ -943,7 +1026,11 @@ def lanczos_largest(apply: Callable[[np.ndarray], np.ndarray],
             basis.append(q)
         w = apply(q)
         alpha.append(q @ w)
-        w -= alpha[-1] * q + b * q_prev
+        # w -= alpha_k q + b q_prev, the sum formed in place
+        step = alpha[-1] * q
+        step += b * q_prev
+        w -= step
+        del step
         b = np.linalg.norm(w)
         if b == 0.0 or k % LANCZOS_CHECK == 0:
             theta, s = sla.eigh_tridiagonal(alpha, beta, select="i",
@@ -953,7 +1040,8 @@ def lanczos_largest(apply: Callable[[np.ndarray], np.ndarray],
                     return float(theta[0]), s[:, 0] @ np.array(basis)
                 return float(theta[0])
         beta.append(b)
-        q_prev, q = q, w / b
+        w /= b
+        q_prev, q = q, w
     raise ValueError(f"Lanczos did not converge within {LANCZOS_CAP} steps")
 
 
@@ -1002,7 +1090,8 @@ def convergence_study(F0: TwoPatchGeometry, gluing: GluingData, space: str,
     exactly by knot insertion; the gluing data is level-independent.  Each level's mass matrix gets one
     ``SPDFactor``, which serves the solve and the condition number: dense
     Cholesky below ``KRONECKER_CUTOFF`` unknowns (levels 0-2), the
-    preconditioned iterations from there on.  ``on_report`` is called with
+    preconditioned iterations from there on.  A level's mass and factor are
+    freed before the next level is built.  ``on_report`` is called with
     each finished per-level report, which allows callers to flush partial
     results.  Inputs that ``check_study_input`` rejects raise before any
     level.
@@ -1015,27 +1104,32 @@ def convergence_study(F0: TwoPatchGeometry, gluing: GluingData, space: str,
     prev_cond = None
     for L in range(levels + 1):
         k = 2 ** L - 1
-        kv = make_knot_vector(p, base_r, k, uniform_inner_knots(k))
-        geo = refine_geometry(F0, kv)
-        inv = gluing_invariants(gluing, kv)
-        if space == "v2":
-            basis = build_basis_v2(gluing, inv, p, base_r, k)
-        else:
-            basis = build_basis_w2(gluing, inv, p, base_r, k)
-        asm = DomainAssembler(geo, basis)
-        factor = SPDFactor(asm.mass())
-        b = factor.solve(asm.load(f))
-        err = asm.relative_l2_error(b, f)
-        cond = factor.condition_number()
+        dim, err, cond = _study_level(F0, gluing, space, p, base_r, k, f)
         rate = None if prev_err is None else float(np.log2(prev_err / err))
         cond_rate = None if prev_cond is None else float(np.log2(prev_cond / cond))
-        report = ApproxReport(L, dim_v1(p, base_r, k), basis.num_basis,
+        report = ApproxReport(L, dim_v1(p, base_r, k), dim,
                               err, rate, cond, cond_rate)
         reports.append(report)
         if on_report is not None:
             on_report(report)
         prev_err, prev_cond = err, cond
     return reports
+
+
+def _study_level(F0: TwoPatchGeometry, gluing: GluingData, space: str,
+                 p: int, base_r: int, k: int, f) -> tuple[int, float, float]:
+    """One level of ``convergence_study``: (dim of the space, relative L2
+    error, condition number).  Its basis, assembler, mass and factor are
+    freed on return, before the next level is built."""
+    kv = make_knot_vector(p, base_r, k, uniform_inner_knots(k))
+    inv = gluing_invariants(gluing, kv)
+    build = build_basis_v2 if space == "v2" else build_basis_w2
+    basis = build(gluing, inv, p, base_r, k)
+    asm = DomainAssembler(refine_geometry(F0, kv), basis)
+    factor = SPDFactor(asm.mass())
+    b = factor.solve(asm.load(f))
+    return (basis.num_basis, asm.relative_l2_error(b, f),
+            factor.condition_number())
 
 
 def reports_to_csv(reports: list[ApproxReport]) -> str:

@@ -1,11 +1,13 @@
 """Tests for quadrature, assembly, projection and geometry fitting."""
 
+import gc
 import os
 import subprocess
 import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -269,6 +271,55 @@ def test_mass_temporaries_stay_below_m(fitted_a):
         tracemalloc.stop()
     size = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
     assert peak - size < 0.6 * size
+
+
+# Level 4, a/V2 and b/W2: the peak of each stage after the mass above the
+# arrays live before it, as a fraction of M's bytes.  Measured: the load
+# 0.222 and 0.227 (0.259 and 0.265 with the physical points formed whole);
+# the solve, SPDFactor(M) and one solve, 0.203 and 0.179 (0.264 and 0.222
+# with M's interface rows copied and the Schur complement's products formed
+# for both interiors at once); the condition number 0.210 and 0.215 (0.274
+# and 0.240 with the rows near the interface and at the corners copied).
+WORKING_SET_BOUND = {
+    "a/v2": {"load": 0.24, "solve": 0.22, "cond": 0.23},
+    "b/w2": {"load": 0.24, "solve": 0.20, "cond": 0.23},
+}
+
+
+@pytest.mark.parametrize("study", ["a/v2", "b/w2"])
+def test_working_set_after_the_mass(study, request):
+    name, space = study.split("/")
+    asm = _study_assembler(*request.getfixturevalue(f"fitted_{name}"), space,
+                           level=4)
+    M = asm.mass()
+    arrays = [getattr(M, a).tobytes() for a in ("data", "indices", "indptr")]
+    peaks = {}
+
+    def stage(name, run):
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = run()
+        peaks[name] = tracemalloc.get_traced_memory()[1] - live
+        return result
+
+    def solve():
+        factor = SPDFactor(M)
+        factor.solve(rhs)
+        return factor
+
+    tracemalloc.start()
+    try:
+        rhs = stage("load", lambda: asm.load(field_osc))
+        factor = stage("solve", solve)
+        stage("cond", factor.condition_number)
+    finally:
+        tracemalloc.stop()
+    size = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
+    for name, bound in WORKING_SET_BOUND[study].items():
+        assert peaks[name] < bound * size, name
+    # the solver reads M's rows in place and leaves them as they were
+    assert [getattr(M, a).tobytes()
+            for a in ("data", "indices", "indptr")] == arrays
 
 
 @pytest.mark.parametrize("level", range(6))
@@ -685,6 +736,18 @@ class TestSPDFactor:
         for derived in (sp.csr_matrix(M), M[:, :], M + M, 2.0 * M, M.copy()):
             assert getattr(derived, "layout", None) is None
 
+    def test_row_block_reads_m_in_place(self, level3_mass):
+        # a view of M's arrays, read-only, with M[lo:hi]'s entries in order
+        M, _ = level3_mass
+        block, copy = M.row_block(40, 90), M[40:90]
+        for a in ("data", "indices"):
+            assert np.shares_memory(getattr(block, a), getattr(M, a))
+            assert not getattr(block, a).flags.writeable
+        for a in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(block, a), getattr(copy, a))
+        x = np.random.default_rng(0).standard_normal(M.shape[0])
+        assert (block @ x).tobytes() == (copy @ x).tobytes()
+
     def test_preconditioner_inverts_its_block_approximation(self,
                                                            level3_mass):
         # B = A with each interior block replaced by its Kronecker
@@ -840,6 +903,56 @@ def _decoupled(interface=20, grid=(4, 5)):
                         -c * np.ones(k - 1)], [-1, 0, 1])
               for c, k in ((1.9, interface), (0.5, size), (1.5, size))]
     return _with_layout(sp.block_diag(blocks), interface, grid)
+
+
+class TestSolverLifetime:
+    """A solver is freed with its last reference: no reference cycle keeps
+    an ``SPDFactor``, its preconditioner or its M alive until the cyclic
+    collector runs, which is disabled here."""
+
+    @staticmethod
+    def _tracked(monkeypatch, cls):
+        """Weak references to every instance of ``cls`` built from now on."""
+        refs = []
+        init = cls.__init__
+
+        def tracked(self, *args, **kwargs):
+            refs.append(weakref.ref(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", tracked)
+        return refs
+
+    def test_solver_freed_on_return(self, level3_mass, monkeypatch):
+        M, rhs = level3_mass
+        factors = self._tracked(monkeypatch, SPDFactor)
+        preconditioners = self._tracked(monkeypatch, KroneckerPreconditioner)
+        gc.disable()
+        try:
+            solve_spd(M, rhs)
+            scaled_condition_number(M)
+            alive = [ref for ref in factors + preconditioners
+                     if ref() is not None]
+        finally:
+            gc.enable()
+        assert len(factors) == len(preconditioners) == 2
+        assert alive == []
+
+    def test_study_holds_one_factor(self, fitted_a, monkeypatch):
+        # levels 3 and 4 take the preconditioned path
+        factors = self._tracked(monkeypatch, SPDFactor)
+        alive = []
+
+        def on_report(report):
+            alive.append(sum(ref() is not None for ref in factors))
+
+        gc.disable()
+        try:
+            convergence_study(*fitted_a, "v2", 4, field_osc, on_report)
+        finally:
+            gc.enable()
+        assert len(factors) == 5
+        assert max(alive) <= 1
 
 
 class TestEigensolverStarts:
