@@ -2,12 +2,12 @@
 
 Each patch mass is assembled over the tensor B-spline basis with cell-wise
 Gauss quadrature by sum factorisation, as a band of the entries of B-spline
-pairs that share a cell; only the upper half of the band is integrated, and
-the lower half is read from it.  The two-patch mass of the smooth basis is
-written once into preallocated CSR arrays: a dense interface block, its
-couplings with the first interior rows, and the interior band rows.  The
-convergence study performs dyadic h-refinement with the geometry refined
-exactly by knot insertion.
+pairs that share a cell; only the upper half of the band is integrated.  The
+two-patch mass of the smooth basis stores its upper triangle, written once
+into preallocated CSR arrays: the upper triangle of a dense interface block,
+its couplings with the first interior rows, and the interior band rows from
+their diagonals on.  The convergence study performs dyadic h-refinement with
+the geometry refined exactly by knot insertion.
 """
 
 from __future__ import annotations
@@ -110,26 +110,19 @@ def _band_block(band: np.ndarray, cols: int) -> np.ndarray:
     return block
 
 
-def _band_reads(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+def _upper_reads(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Where the slots of the rows of an upper band are read, and their columns.
 
-    The slot (di, dj) of row (i, j) is the entry M[(i, j), (i + di - p,
-    j + dj - p)].  ``reads[j, di, dj]`` is its position in the flattened
-    band of ``mass_band`` less that of row i's first entry, and
-    ``cols[j, di, dj]`` its flat column less i n.  The lexicographically
-    lower slots read their mirror images in the rows above, so that a
-    matrix written from the reads is exactly symmetric.
+    The slot (e, dj) of row (i, j) is the entry M[(i, j), (i + e,
+    j + dj - p)] of ``mass_band``'s band.  ``reads[j, e, dj]`` is its
+    position in the flattened band less that of row i's first entry, and
+    ``cols[j, e, dj]`` its flat column less i n.
     """
-    j = np.arange(n)[:, None, None]
-    di = np.arange(2 * p + 1)[:, None] - p
-    dj = np.arange(2 * p + 1) - p
     w = 2 * p + 1
-    es = n * w               # one slot e further
-    rs = (p + 1) * es        # one row i further
-    reads = np.where((di > 0) | ((di == 0) & (dj >= 0)),
-                     di * es + j * w + dj + p,
-                     di * (rs - es) + (j + dj) * w + p - dj)
-    return reads, (j + di * n + dj).astype(np.int32)
+    j = np.arange(n)[:, None, None]
+    e = np.arange(p + 1)[:, None]
+    dj = np.arange(w)
+    return e * (n * w) + j * w + dj, (j + e * n + dj - p).astype(np.int32)
 
 
 class PatchAssembler:
@@ -306,20 +299,29 @@ class PatchAssembler:
     def integrate_sq_diff(self, coeffs_flat: np.ndarray,
                           f: Callable[[np.ndarray, np.ndarray], np.ndarray] | None,
                           ) -> tuple[float, float]:
-        """(||g - f||^2, ||f||^2) over the patch; f = 0 when f is None."""
+        """(||g - f||^2, ||f||^2) over the patch; f = 0 when f is None.
+
+        Each integrand is formed in place in one C-ordered array, so its
+        sum runs in one fixed order, whatever layout the einsum gives g.
+        """
         g = self._on_cells(coeffs_flat.reshape(self.n, self.n))
         W = self.measure
         if f is None:
-            return float((W * g ** 2).sum()), 0.0
-        # the samples in the layout of g, which the einsum picks by the grid's
-        # size and which the points had when they were sampled whole: numpy
-        # lays out the integrands, and so orders the sums, by the operands
-        samples = np.empty_like(g)
-        samples[...] = self.sample_physical(f)
+            return _weighted_sum_sq(W, g, 0.0), 0.0
+        samples = self.sample_physical(f)
         # the error is the last reader of the samples
         self._field = self._samples = None
-        return (float((W * (g - samples) ** 2).sum()),
-                float((W * samples ** 2).sum()))
+        return (_weighted_sum_sq(W, g, samples),
+                _weighted_sum_sq(W, samples, 0.0))
+
+
+def _weighted_sum_sq(W: np.ndarray, a: np.ndarray, b) -> float:
+    """sum W (a - b)^2, the integrand formed in place in one C-ordered
+    array and summed in that order."""
+    d = np.subtract(a, b, order="C")
+    d *= d
+    d *= W
+    return float(d.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -367,44 +369,84 @@ class MassLayout:
     grams: tuple[np.ndarray, np.ndarray]
 
 
-class TwoPatchMass(sp.csr_matrix):
-    """A symmetric two-patch mass matrix that carries its ``MassLayout``.
+class TwoPatchMass:
+    """A symmetric two-patch mass matrix M, stored as its upper triangle.
 
-    Matrices derived from it (``sp.csr_matrix(M)``, copies, slices, sums)
-    carry no layout.
+    ``upper`` is U, the entries of M on and above the diagonal, in CSR
+    arrays whose every row starts with its diagonal entry (Saad,
+    "Iterative Methods for Sparse Linear Systems", 2003, sec. 3.4); M
+    carries its ``MassLayout``, or None.  M is applied as
+    M x = U x + U^T x - diag(M) x, with U^T the CSC view ``upper.T`` of
+    the same arrays, so no product copies anything of size nnz.  The
+    solver reads the upper rows in place (``row_block``) and principal
+    submatrices (``principal``); ``toarray`` is the dense M.  It is not a
+    scipy matrix, so no method of one acts on the triangle as if it were M.
     """
 
-    layout: MassLayout | None = None
-
-    def __init__(self, arg1, *args, layout: MassLayout | None = None,
-                 **kwargs):
-        super().__init__(arg1, *args, **kwargs)
+    def __init__(self, upper: sp.csr_matrix, layout: MassLayout | None = None):
+        n = upper.shape[0]
+        if upper.shape != (n, n) or not (
+                (np.diff(upper.indptr) > 0).all()
+                and np.array_equal(upper.indices[upper.indptr[:-1]],
+                                   np.arange(n))):
+            raise ValueError("each row of the upper triangle must start "
+                             "with its diagonal entry")
+        self.upper = upper
         self.layout = layout
+        self.shape = upper.shape
+        self.dtype = upper.dtype
+        self._diag = self.diagonal()
+        self._transpose = upper.T
+
+    @property
+    def nnz(self) -> int:
+        """The stored entries of the full matrix M."""
+        return 2 * self.upper.nnz - self.shape[0]
+
+    def diagonal(self) -> np.ndarray:
+        """diag(M), the first stored entry of each row (O(n))."""
+        return self.upper.data[self.upper.indptr[:-1]]
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """M x for x of shape (n,) or (n, k): U x + U^T x - diag(M) x."""
+        x = np.asarray(x)
+        y = self.upper @ x
+        y += self._transpose @ x
+        y -= self._diag.reshape((-1,) + (1,) * (x.ndim - 1)) * x
+        return y
+
+    def toarray(self) -> np.ndarray:
+        """The dense M, each entry below the diagonal copied from above."""
+        M = self.upper.toarray()
+        M += np.triu(M, 1).T
+        return M
 
     def row_block(self, lo: int, hi: int) -> sp.csr_matrix:
-        """Rows lo <= i < hi as a CSR matrix over this matrix's arrays.
+        """Rows lo <= i < hi of U as a CSR matrix over U's arrays.
 
         Nothing of size nnz is copied: ``data`` and ``indices`` are
         read-only views, and only the block's ``indptr`` is new.  Each row
         keeps the order of its entries, so a product sums it as one with
-        ``self[lo:hi]`` does.  The constructor is not given the views,
+        ``upper[lo:hi]`` does.  The constructor is not given the views,
         since it copies slices much smaller than their base.
         """
-        start, stop = self.indptr[lo], self.indptr[hi]
+        U = self.upper
+        start, stop = U.indptr[lo], U.indptr[hi]
         block = sp.csr_matrix((hi - lo, self.shape[1]), dtype=self.dtype)
-        block.data = self.data[start:stop]
-        block.indices = self.indices[start:stop]
-        block.indptr = self.indptr[lo:hi + 1] - start
+        block.data = U.data[start:stop]
+        block.indices = U.indices[start:stop]
+        block.indptr = U.indptr[lo:hi + 1] - start
         for a in (block.data, block.indices):
             a.flags.writeable = False
         return block
 
-
-def _runs(index: np.ndarray) -> list[tuple[int, int]]:
-    """The ranges [lo, hi) of consecutive values of a sorted index array."""
-    breaks = np.flatnonzero(np.diff(index) != 1) + 1
-    return [(int(run[0]), int(run[-1]) + 1)
-            for run in np.split(index, breaks) if len(run)]
+    def principal(self, unknowns: np.ndarray) -> TwoPatchMass:
+        """The principal submatrix of M over the sorted ``unknowns``, with
+        no layout: the upper triangle of the rows of U that they span, read
+        in place, over the ``unknowns``."""
+        lo = unknowns[0]
+        span = self.row_block(lo, unknowns[-1] + 1)
+        return TwoPatchMass(span[:, unknowns][unknowns - lo])
 
 
 class DomainAssembler:
@@ -422,20 +464,18 @@ class DomainAssembler:
     def mass(self) -> TwoPatchMass:
         """Mass matrix of the full smooth space, C_L M_L C_L^T + C_R M_R C_R^T.
 
-        It is written once into preallocated CSR arrays.  The first rows
-        hold the interface block sum_s A_s M_s[:3n, :3n] A_s^T (dense, its
-        zeros dropped) and the couplings A_s M_s[:3n, 3n:] of the interface
-        basis with the first interior rows of each patch; the interior band
-        rows of L and then R follow.  The band rows i < 3 of both patches
-        come first, from the u-stage rows of the first cells, and with them
-        the count of every row.  Then each patch in turn builds its
-        u-stage and its interior band in blocks of ``BAND_BLOCK_BYTES``
-        (at least one u-row), each written straight into its rows.  The
-        interface block keeps its upper triangle and mirrors it, the
-        couplings are stored once and transposed, and an interior entry
-        below the diagonal is read from its mirror image in one of the p
-        band rows above, which are carried from block to block; so M is
-        exactly symmetric.
+        Its upper triangle is written once into preallocated CSR arrays.
+        The first rows hold the upper triangle of the interface block
+        sum_s A_s M_s[:3n, :3n] A_s^T (dense, its zeros dropped) and the
+        couplings A_s M_s[:3n, 3n:] of the interface basis with the first
+        interior rows of each patch; the interior band rows of L and then R
+        follow, each from its diagonal on.  The interface rows come first,
+        from the u-stage rows of the first cells, and with them the count
+        of every row.  Then each patch in turn builds its u-stage and its
+        interior band in blocks of ``BAND_BLOCK_BYTES`` (at least one
+        u-row), each written straight into its rows: the slots of the band
+        on and above the diagonal, which is all a band row holds but the
+        slots e = 0, dj < p.
         """
         m, n = self.basis.num_basis, self.basis.n
         nr = INTERFACE_ROWS
@@ -443,35 +483,32 @@ class DomainAssembler:
         offsets = {"L": m, "R": m + n_int}
         space = self.F.space
         p = space.degree
-        # interior u-rows nr..nr+c-1 share cells with the interface rows
-        c = min(p, n - nr)
-        # stored slots of the interior rows, the same in both patches: the
-        # pairs sharing a cell, without the columns i' < nr
+        # stored slots (e, dj) of the interior rows, the same in both
+        # patches: the pairs sharing a cell, on or above the diagonal
         keep_v = space.overlap()
-        keep_u = keep_v[nr:] & (
-            np.arange(nr, n)[:, None] + np.arange(2 * p + 1) - p >= nr)
-        interior_counts = np.outer(keep_u.sum(axis=1), keep_v.sum(axis=1)).ravel()
+        # the interior u-rows nr..nr+c-1 share cells with the interface
+        # rows, those that share one with u-row nr-1
+        c = int(np.count_nonzero(keep_v[nr - 1, p + 1:]))
+        keep_u = keep_v[nr:, p:]
+        upper = (np.arange(p + 1)[:, None] > 0) | (np.arange(2 * p + 1) >= p)
+        interior_counts = (keep_u.astype(np.int64)
+                           @ (upper.astype(np.int64) @ keep_v.T)).ravel()
         iface = np.zeros((m, m))
-        counts, couples = [], {}
+        couples = []
         for s, A in (("L", self.basis.A_L), ("R", self.basis.A_R)):
             pa = self.asm[s]
             T = A @ _band_block(pa.mass_band(pa.mass_u_stage(nr), 0, nr), nr + c)
             iface += T[:, :nr * n] @ A.T
             # a copy, so that T is not kept
-            couples[s] = T[:, nr * n:].copy()
-            rows = interior_counts.copy()
-            rows[:c * n] += np.count_nonzero(couples[s], axis=0)
-            counts.append(rows)
-        del T, rows
-        iface = np.triu(iface) + np.triu(iface, 1).T
-        first = np.hstack([iface, couples["L"], couples["R"]])
-        del iface
+            couples.append(T[:, nr * n:].copy())
+        del T
+        first = np.hstack([np.triu(iface)] + couples)
+        del iface, couples
         keep = first != 0.0
-        counts.insert(0, keep.sum(axis=1))
         dim = m + 2 * n_int
         indptr = np.zeros(dim + 1, dtype=np.int64)
-        np.cumsum(np.concatenate(counts), out=indptr[1:])
-        del counts
+        np.cumsum(np.concatenate([keep.sum(axis=1), interior_counts,
+                                  interior_counts]), out=indptr[1:])
         data = np.empty(indptr[-1])
         indices = np.empty(indptr[-1], dtype=np.int32)
         data[:indptr[m]] = first[keep]
@@ -480,59 +517,40 @@ class DomainAssembler:
                               for offset in offsets.values()]).astype(np.int32)
         indices[:indptr[m]] = np.broadcast_to(first_cols, keep.shape)[keep]
         del first, keep, first_cols
-        reads, cols = _band_reads(n, p)
-        # the band slots of the first c u-rows (those read outside the band
-        # are not stored), and the columns of their couplings then slots;
-        # the other u-rows with the same slots share their reads and columns
-        near_keep = (keep_u[:c, None, :, None]
-                     & keep_v[None, :, None, :]).reshape(c, n, -1)
-        near_cols = np.concatenate([np.arange(m), cols[0].ravel()])
-        patterns, far = {}, []
-        for i in range(c, n - nr):
+        # the reads and columns of the stored slots of each u-row; the
+        # u-rows with the same slots share them
+        reads, cols = _upper_reads(n, p)
+        patterns, slots = {}, []
+        for i in range(n - nr):
             key = keep_u[i].tobytes()
             if key not in patterns:
-                mask = keep_v[:, None, :] & keep_u[i][:, None]
+                mask = keep_v[:, None, :] & (keep_u[i][:, None] & upper)
                 patterns[key] = reads[mask], cols[mask]
-            far.append(patterns[key])
-        # the band entries of one u-row; a block of u-rows is built in the
-        # buffer below the p u-rows above it, which its mirror reads reach,
-        # carried from the block before
+            slots.append(patterns[key])
+        # the band entries of one u-row
         rs = (p + 1) * n * (2 * p + 1)
         block = min(max(1, BAND_BLOCK_BYTES // (8 * rs)), n - nr)
-        buf = np.zeros((p + block) * rs)
+        buf = np.empty(block * rs)
         for s, offset in offsets.items():
             pa = self.asm[s]
             u_stage = pa.mass_u_stage()
-            couple = couples.pop(s)
             for lo in range(nr, n, block):
                 hi = min(lo + block, n)
-                pa.mass_band(u_stage, lo, hi, out=buf[p * rs:(p + hi - lo) * rs]
+                pa.mass_band(u_stage, lo, hi, out=buf[:(hi - lo) * rs]
                              .reshape(hi - lo, p + 1, n, -1))
                 for i in range(lo - nr, hi - nr):
-                    at = (i + nr - lo + p) * rs
                     row = slice(indptr[offset + i * n],
                                 indptr[offset + (i + 1) * n])
-                    if i < c:
-                        # the couplings, then the band slots
-                        couple_i = couple[:, i * n:(i + 1) * n].T
-                        keep = np.hstack([couple_i != 0.0, near_keep[i]])
-                        slots = buf.take(at + reads).reshape(n, -1)
-                        data[row] = np.hstack([couple_i, slots])[keep]
-                        j, slot = np.nonzero(keep)
-                        indices[row] = near_cols[slot] + np.where(
-                            slot < m, 0, offset + i * n + j)
-                    else:
-                        read, mask_cols = far[i - c]
-                        buf.take(read + at, out=data[row])
-                        np.add(mask_cols, offset + i * n, out=indices[row])
-                # the last p rows, above the next block
-                buf[:p * rs] = buf[(hi - lo) * rs:(hi - lo + p) * rs]
+                    read, row_cols = slots[i]
+                    buf.take(read + (i + nr - lo) * rs, out=data[row])
+                    np.add(row_cols, offset + i * n, out=indices[row])
             # the next patch's u-stage is built without this one alive
-            del u_stage, couple
+            del u_stage
         # both interiors are the grid S x S less the u-rows i < nr
         G = self.asm["L"].mass_1d()
-        return TwoPatchMass((data, indices, indptr), shape=(dim, dim),
-                            layout=MassLayout(m, (G[nr:, nr:], G)))
+        return TwoPatchMass(sp.csr_matrix((data, indices, indptr),
+                                          shape=(dim, dim)),
+                            MassLayout(m, (G[nr:, nr:], G)))
 
     def load(self, f) -> np.ndarray:
         return sum(self.C[s] @ self.asm[s].load(f) for s in ("L", "R"))
@@ -579,8 +597,9 @@ class KroneckerPreconditioner:
     def __init__(self, M: TwoPatchMass, scale: np.ndarray, layout: MassLayout):
         m = layout.interface
         # the interface rows of A, dense over the interface columns and the
-        # interior columns they couple with, read in place and scaled in
-        # place (each entry times s_i s_j, as in A)
+        # interior columns they couple with, read in place from M's upper
+        # triangle (A_II mirrored, the couplings all above the diagonal)
+        # and scaled in place (each entry times s_i s_j, as in A)
         rows = M.row_block(0, m)
         touched = np.zeros(M.shape[0], dtype=bool)
         touched[rows.indices] = True
@@ -588,6 +607,7 @@ class KroneckerPreconditioner:
         coupled = np.flatnonzero(touched)
         s = scale[:m, None]
         schur = rows[:, :m].toarray()
+        schur += np.triu(schur, 1).T
         schur *= s * scale[:m]
         self._coupling = rows[:, coupled].toarray()
         self._coupling *= s * scale[coupled]
@@ -674,7 +694,7 @@ class KroneckerPreconditioner:
         return np.concatenate([x_I, x_K])
 
 
-def _scaled_operator(M: sp.csr_matrix, scale: np.ndarray
+def _scaled_operator(M: TwoPatchMass, scale: np.ndarray
                      ) -> spla.LinearOperator:
     """A = S M S applied as s * (M (s * x)), for x of shape (n,) or (n, k).
 
@@ -727,7 +747,7 @@ class SPDFactor:
         else:
             # each s_i s_j is formed before it multiplies M_ij, so a
             # symmetric M gives an exactly symmetric A
-            A = ((M.toarray() if sp.issparse(M) else M)
+            A = ((M if isinstance(M, np.ndarray) else M.toarray())
                  * np.outer(self.scale, self.scale))
             # a TwoPatchMass is exactly symmetric already
             self.A = A if layout is not None else (A + A.T) * 0.5
@@ -788,14 +808,6 @@ class SPDFactor:
         return np.stack([block.start + (last + j + np.arange(cv)).ravel()
                          for block in P.interiors for j in (0, nv - cv)])
 
-    def _principal(self, unknowns: np.ndarray) -> sp.csr_matrix:
-        """The principal submatrix of M over the sorted ``unknowns``, with
-        each row's entries in M's order; the rows they span are read in
-        place."""
-        lo = unknowns[0]
-        span = self._M.row_block(lo, unknowns[-1] + 1)
-        return span[:, unknowns][unknowns - lo]
-
     def _top_corner(self) -> tuple[np.ndarray, np.ndarray, float, int]:
         """The outer-corner principal submatrix of A whose top eigenvalue is
         the largest of the four: its unknowns, top eigenvector, top
@@ -808,7 +820,7 @@ class SPDFactor:
         corners = self._corners(np.count_nonzero(Mv[-1]) + 3)
         k = corners.shape[1]
         # one corner at a time, so that no dense temporary spans all four
-        blocks = np.stack([self._principal(corner).toarray()
+        blocks = np.stack([self._M.principal(corner).toarray()
                            for corner in corners])
         s = self.scale[corners]
         blocks *= s[:, :, None] * s[:, None, :]
@@ -826,7 +838,7 @@ class SPDFactor:
         corner, vector, _, top = self._top_corner()
         Mv = self._precond.layout.grams[1]
         block = self._corners(4 * np.count_nonzero(Mv[-1]))[top]
-        sub = self._principal(block)
+        sub = self._M.principal(block)
         s = self.scale[block]
 
         def apply(x):
@@ -845,35 +857,20 @@ class SPDFactor:
         Rayleigh quotient in A.
 
         The steps reach the interior unknowns that couple with the
-        interface, then those that couple with them, so only the rows of A
-        at these and at the interface are read.
+        interface, then those that couple with them: (A x)_K is zero
+        elsewhere, so x stays zero there.
         """
-        P = self._precond
-        m, n = P.layout.interface, self.A.shape[0]
-        near = np.zeros(n, dtype=bool)
-        near[:m] = True
-        for lo, hi in _runs(P.coupled):
-            near[self._M.row_block(lo, hi).indices] = True
-        near = np.flatnonzero(near)
-        # the rows near the interface: the interface and the first u-rows
-        # of each interior, read in place
-        blocks = [self._M.row_block(lo, hi) for lo, hi in _runs(near)]
-        s = self.scale[near]
-
-        def apply(x):
-            """(A x) on the rows ``near``, for x zero elsewhere."""
-            y = self.scale * x
-            return s * np.concatenate([block @ y for block in blocks])
-
-        A_II = self._M.row_block(0, m)[:, :m].toarray()
-        value, vector = sla.eigh(A_II * (s[:m, None] * s[:m]),
+        m, n = self._precond.layout.interface, self.A.shape[0]
+        s = self.scale[:m]
+        A_II = self._M.principal(np.arange(m)).toarray()
+        value, vector = sla.eigh(A_II * (s[:, None] * s),
                                  subset_by_index=[m - 1, m - 1])
         x = np.zeros(n)
         x[:m] = _signed(vector[:, 0])
         # theta = 1 only where A_II = I
         for _ in range(2 if value[0] > 1.0 else 0):
-            x[near[m:]] = apply(x)[m:] / (value[0] - 1.0)
-        return x, float(x[near] @ apply(x) / (x @ x))
+            x[m:] = (self.A @ x)[m:] / (value[0] - 1.0)
+        return x, float(x @ (self.A @ x) / (x @ x))
 
     def _top_start(self, v0: np.ndarray) -> tuple[np.ndarray, float]:
         """lambda_max's start on the preconditioned path, and a Rayleigh

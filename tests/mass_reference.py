@@ -2,8 +2,9 @@
 writer that the upper-half band replaced.  Each patch band is built over all
 2p+1 x 2p+1 slots, its lower half is taken from a sliding-window mirror
 view, and the CSR rows are gathered block by block and concatenated.  The
-tests require the same sparsity pattern as ``DomainAssembler.mass`` and
-values within 1e-15 of max |M|.  The 1D Gram matrix is kept in band form
+tests require the upper triangle that ``DomainAssembler.mass`` stores to
+have the sparsity pattern of this matrix's upper triangle, and values
+within 1e-15 of max |M|; its product is the reference for ``M @ x``.  The 1D Gram matrix is kept in band form
 here, as the assembler kept it before it built it densely; the stored
 slots are those whose 1D Gram entries are positive.
 """

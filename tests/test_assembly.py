@@ -195,16 +195,43 @@ class TestMassAndLoad:
         assert_allclose(M @ b, rhs, atol=1e-12 * np.abs(rhs).max())
 
 
+def _full_csr(M):
+    """The full CSR matrix of a ``TwoPatchMass``, mirrored from its upper
+    triangle, with sorted rows."""
+    U = M.upper
+    return (U + sp.triu(U, 1).T).tocsr()
+
+
+def _full_csr_bytes(M):
+    """The bytes of M as a full CSR matrix: 2 nnz(U) - n entries."""
+    U = M.upper
+    return (M.nnz * (U.data.itemsize + U.indices.itemsize)
+            + U.indptr.nbytes)
+
+
+def _stored_bytes(M):
+    U = M.upper
+    return U.data.nbytes + U.indices.nbytes + U.indptr.nbytes
+
+
+def _assert_upper_triangle(M):
+    """M stores no entry below its diagonal, so it is exactly symmetric."""
+    assert sp.tril(M.upper, -1).nnz == 0
+    dense = M.toarray()
+    assert np.array_equal(dense, dense.T)
+
+
 def _assert_matches_frozen_writer(asm):
-    """The same pattern as the full-band writer in ``mass_reference``,
-    M exactly equal to M^T, and values within 1e-15 max |M|."""
+    """The upper triangle of the full-band writer's M in ``mass_reference``:
+    the same pattern, and values within 1e-15 max |M|; M exactly
+    symmetric."""
     M = asm.mass()
-    ref = mass_reference.mass(asm)
-    assert np.array_equal(M.indptr, ref.indptr)
-    assert np.array_equal(M.indices, ref.indices)
+    ref = sp.triu(mass_reference.mass(asm), format="csr")
+    assert np.array_equal(M.upper.indptr, ref.indptr)
+    assert np.array_equal(M.upper.indices, ref.indices)
     scale = np.abs(ref.data).max()
-    assert np.abs(M.data - ref.data).max() <= 1e-15 * scale
-    assert (M != M.T).nnz == 0
+    assert np.abs(M.upper.data - ref.data).max() <= 1e-15 * scale
+    _assert_upper_triangle(M)
 
 
 @pytest.mark.parametrize("study", ["a/v2", "a/w2", "b/v2", "b/w2"])
@@ -255,13 +282,16 @@ def test_band_blocks_of_any_size(study, request, monkeypatch):
         _assert_matches_frozen_writer(asm)
         blocked = asm.mass()
         for a in ("indptr", "indices", "data"):
-            assert getattr(blocked, a).tobytes() == getattr(M, a).tobytes()
+            assert (getattr(blocked.upper, a).tobytes()
+                    == getattr(M.upper, a).tobytes())
 
 
 def test_mass_temporaries_stay_below_m(fitted_a):
-    # a/V2 level 4: beside M (4.79 MiB) the mass holds one patch's u-stage
-    # and a block of band rows, 2.57 MiB at most; the writer of whole
-    # bands and both u-stages needed 4.23 MiB (88 % of M)
+    # a/V2 level 4: beside M's stored triangle the mass holds one patch's
+    # u-stage and a block of band rows, 0.38 of M's 4.79 MiB as a full CSR
+    # matrix (0.54 when the band rows above each block were carried for the
+    # mirror reads); the writer of whole bands and both u-stages needed
+    # 4.23 MiB (88 % of M)
     asm = _study_assembler(*fitted_a, "v2", level=4)
     tracemalloc.start()
     try:
@@ -269,17 +299,40 @@ def test_mass_temporaries_stay_below_m(fitted_a):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    size = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
-    assert peak - size < 0.6 * size
+    assert peak - _stored_bytes(M) < 0.6 * _full_csr_bytes(M)
+
+
+def test_mass_stores_half_of_the_full_csr(fitted_a):
+    # a/V2 level 4: the upper triangle, diagonal included, against the
+    # 2 nnz(U) - n entries of M as a full CSR matrix
+    M = _study_assembler(*fitted_a, "v2", level=4).mass()
+    assert _stored_bytes(M) <= 0.52 * _full_csr_bytes(M)
+
+
+@pytest.mark.parametrize("study", ["a/v2", "b/w2"])
+def test_product_matches_full_csr(study, request):
+    # level 3: M x = U x + U^T x - diag(M) x against the frozen writer's
+    # full CSR product, for a vector and an (n, 3) block
+    name, space = study.split("/")
+    asm = _study_assembler(*request.getfixturevalue(f"fitted_{name}"), space)
+    M, ref = asm.mass(), mass_reference.mass(asm)
+    x = np.random.default_rng(0).standard_normal((M.shape[0], 3))
+    for v in (x[:, 0], x):
+        want = ref @ v
+        got = M @ v
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
 
 
 # Level 4, a/V2 and b/W2: the peak of each stage after the mass above the
-# arrays live before it, as a fraction of M's bytes.  Measured: the load
-# 0.222 and 0.227 (0.259 and 0.265 with the physical points formed whole);
-# the solve, SPDFactor(M) and one solve, 0.203 and 0.179 (0.264 and 0.222
-# with M's interface rows copied and the Schur complement's products formed
-# for both interiors at once); the condition number 0.210 and 0.215 (0.274
-# and 0.240 with the rows near the interface and at the corners copied).
+# arrays live before it, as a fraction of M's bytes as a full CSR matrix
+# (twice those of its stored triangle, less the diagonal).  Measured: the
+# load 0.222 and 0.227 (0.259 and 0.265 with the physical points formed
+# whole); the solve, SPDFactor(M) and one solve, 0.204 and 0.179 (0.264 and
+# 0.222 with M's interface rows copied and the Schur complement's products
+# formed for both interiors at once); the condition number 0.205 and 0.210
+# (0.210 and 0.215 with M stored whole, 0.274 and 0.240 with the rows near
+# the interface and at the corners copied).
 WORKING_SET_BOUND = {
     "a/v2": {"load": 0.24, "solve": 0.22, "cond": 0.23},
     "b/w2": {"load": 0.24, "solve": 0.20, "cond": 0.23},
@@ -292,7 +345,8 @@ def test_working_set_after_the_mass(study, request):
     asm = _study_assembler(*request.getfixturevalue(f"fitted_{name}"), space,
                            level=4)
     M = asm.mass()
-    arrays = [getattr(M, a).tobytes() for a in ("data", "indices", "indptr")]
+    arrays = [getattr(M.upper, a).tobytes()
+              for a in ("data", "indices", "indptr")]
     peaks = {}
 
     def stage(name, run):
@@ -314,11 +368,11 @@ def test_working_set_after_the_mass(study, request):
         stage("cond", factor.condition_number)
     finally:
         tracemalloc.stop()
-    size = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
+    size = _full_csr_bytes(M)
     for name, bound in WORKING_SET_BOUND[study].items():
         assert peaks[name] < bound * size, name
     # the solver reads M's rows in place and leaves them as they were
-    assert [getattr(M, a).tobytes()
+    assert [getattr(M.upper, a).tobytes()
             for a in ("data", "indices", "indptr")] == arrays
 
 
@@ -351,14 +405,13 @@ def test_two_patch_mass_matches_cell_loop(study, request):
         pa = asm.asm[s]
         M_s, _ = _cell_loop_reference(pa, np.zeros(pa.measure.shape))
         ref += asm.C[s] @ (asm.C[s] @ M_s).T
-    ref = sp.csr_matrix(ref)
-    M.sort_indices()
-    ref.sort_indices()
-    assert M.has_sorted_indices
-    assert np.array_equal(M.indptr, ref.indptr)
-    assert np.array_equal(M.indices, ref.indices)
-    assert np.abs(M.data - ref.data).max() <= 1e-13 * np.abs(ref.data).max()
-    assert (M != M.T).nnz == 0
+    ref = sp.csr_matrix(np.triu(ref))
+    U = M.upper
+    assert U.has_sorted_indices
+    assert np.array_equal(U.indptr, ref.indptr)
+    assert np.array_equal(U.indices, ref.indices)
+    assert np.abs(U.data - ref.data).max() <= 1e-13 * np.abs(ref.data).max()
+    _assert_upper_triangle(M)
     for side in "LR":
         pa = asm.asm[side]
         gram = np.zeros((pa.n, pa.n))
@@ -487,7 +540,7 @@ def _tridiagonal(coupling, n=60):
 def _with_layout(M, interface, grid):
     """M as a ``TwoPatchMass``: ``interface`` unknowns, then two interiors
     on ``grid`` = (n_u, n_v) tensor grids with identity 1D Gram matrices."""
-    return TwoPatchMass(sp.csr_matrix(M), layout=MassLayout(
+    return TwoPatchMass(sp.triu(sp.csr_matrix(M), format="csr"), MassLayout(
         interface, (np.eye(grid[0]), np.eye(grid[1]))))
 
 
@@ -544,7 +597,7 @@ class TestSPDFactor:
     def test_level3_without_layout_factored_densely(self, level3_mass):
         # the layout stripped: dense Cholesky at any size
         M, rhs = level3_mass
-        M = sp.csr_matrix(M)
+        M = _full_csr(M)
         assert M.shape[0] == 1339 >= asm_mod.KRONECKER_CUTOFF
         factor = SPDFactor(M)
         s = 1.0 / np.sqrt(M.diagonal())
@@ -557,7 +610,7 @@ class TestSPDFactor:
     def test_level3_kronecker_path_matches_lu(self, level3_spectrum,
                                               monkeypatch):
         M, rhs, ev = level3_spectrum
-        dense = SPDFactor(sp.csr_matrix(M)).solve(rhs)
+        dense = SPDFactor(_full_csr(M)).solve(rhs)
         monkeypatch.setattr(asm_mod, "KRONECKER_CUTOFF", 0)
         factor = SPDFactor(M)
         x = factor.solve(rhs)
@@ -573,7 +626,7 @@ class TestSPDFactor:
         M, rhs = asm.mass(), asm.load(field_osc)
         factor = SPDFactor(M)
         assert factor._precond is not None
-        direct = spla.splu(sp.csc_matrix(M)).solve(rhs)
+        direct = spla.splu(_full_csr(M).tocsc()).solve(rhs)
         err, ref = (asm.relative_l2_error(x, field_osc)
                     for x in (factor.solve(rhs), direct))
         assert abs(err - ref) <= 1e-9 * ref
@@ -581,7 +634,7 @@ class TestSPDFactor:
     def test_preconditioned_setup_copies_nothing(self, level3_spectrum,
                                                 monkeypatch):
         M, rhs, ev = level3_spectrum
-        dense = SPDFactor(sp.csr_matrix(M)).solve(rhs)
+        dense = SPDFactor(_full_csr(M)).solve(rhs)
         monkeypatch.setattr(asm_mod, "KRONECKER_CUTOFF", 0)
         tracemalloc.start()
         try:
@@ -589,7 +642,8 @@ class TestSPDFactor:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < M.data.nbytes
+        # below the values of M as a full CSR matrix
+        assert peak < M.nnz * M.upper.data.itemsize
         x = factor.solve(rhs)
         assert np.linalg.norm(x - dense) <= 1e-9 * np.linalg.norm(dense)
         assert factor.condition_number() == pytest.approx(ev[-1] / ev[0],
@@ -646,7 +700,7 @@ class TestSPDFactor:
         if path == "kronecker":
             monkeypatch.setattr(asm_mod, "KRONECKER_CUTOFF", 0)
         else:
-            M = sp.csr_matrix(M)
+            M = _full_csr(M)
         runs = []
         lanczos = asm_mod.lanczos_largest
 
@@ -692,8 +746,8 @@ class TestSPDFactor:
         # indefinite too (a/V2), PCG and LOBPCG raise otherwise
         M, rhs, ev = level3_spectrum
         c = 1.001 * ev[0]
-        shifted = TwoPatchMass(M - c * sp.diags(M.diagonal()),
-                               layout=M.layout)
+        shifted = TwoPatchMass(sp.triu(_full_csr(M) - c * sp.diags(M.diagonal()),
+                                       format="csr"), M.layout)
         monkeypatch.setattr(asm_mod, "KRONECKER_CUTOFF", 0)
         with pytest.raises(ValueError, match="not positive definite"):
             SPDFactor(shifted).solve(rhs)
@@ -727,21 +781,31 @@ class TestSPDFactor:
         err = capsys.readouterr().err
         assert "error: convergence study failed: PCG did not converge" in err
 
-    def test_derived_matrices_carry_no_layout(self, level3_mass):
+    def test_mass_is_no_sparse_matrix(self, level3_mass):
+        # the layout is M's own, and no scipy method (indexing, sums, the
+        # transpose, copies) can act on the stored triangle as if it were M
         M, _ = level3_mass
         layout = M.layout
         assert layout.interface == 43      # dim V2 at level 3
         # both interiors are (n - 3) x n grids, n = 27
         assert [G.shape for G in layout.grams] == [(24, 24), (27, 27)]
-        for derived in (sp.csr_matrix(M), M[:, :], M + M, 2.0 * M, M.copy()):
-            assert getattr(derived, "layout", None) is None
+        assert not sp.issparse(M)
+        for attribute in ("T", "copy", "sum", "tocsr"):
+            assert not hasattr(M, attribute)
+        for derived in (lambda: M[:, :], lambda: M + M, lambda: 2.0 * M):
+            with pytest.raises(TypeError):
+                derived()
+        assert M.nnz == 2 * M.upper.nnz - M.shape[0] == _full_csr(M).nnz
+        assert np.array_equal(M.diagonal(), _full_csr(M).diagonal())
 
     def test_row_block_reads_m_in_place(self, level3_mass):
-        # a view of M's arrays, read-only, with M[lo:hi]'s entries in order
+        # a view of the upper triangle's arrays, read-only, with the upper
+        # rows lo..hi-1 of M, entries in order
         M, _ = level3_mass
-        block, copy = M.row_block(40, 90), M[40:90]
+        block = M.row_block(40, 90)
+        copy = sp.triu(_full_csr(M), format="csr")[40:90]
         for a in ("data", "indices"):
-            assert np.shares_memory(getattr(block, a), getattr(M, a))
+            assert np.shares_memory(getattr(block, a), getattr(M.upper, a))
             assert not getattr(block, a).flags.writeable
         for a in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(block, a), getattr(copy, a))
@@ -813,7 +877,7 @@ class TestSPDFactor:
         kv = make_knot_vector(5, 2, 3, uniform_inner_knots(3))
         basis = build_basis_v2(gluing, gluing_invariants(gluing, kv), 5, 2, 3)
         level2 = DomainAssembler(refine_geometry(geo0, kv), basis).mass()
-        for M in (level2, sp.csr_matrix(level3_mass[0])):
+        for M in (level2, _full_csr(level3_mass[0])):
             s = 1.0 / np.sqrt(M.diagonal())
             A = M.toarray() * np.outer(s, s)
             if getattr(M, "layout", None) is None:
@@ -1042,7 +1106,9 @@ class TestEigensolverStarts:
         perm = np.concatenate([np.arange(left.start),
                                np.arange(right.start, right.stop),
                                np.arange(left.start, left.stop)])
-        swapped = SPDFactor(TwoPatchMass(M[perm][:, perm], layout=M.layout))
+        full = _full_csr(M)
+        swapped = SPDFactor(TwoPatchMass(
+            sp.triu(full[perm][:, perm], format="csr"), M.layout))
         corner = factor._top_corner()[0]
         moved = swapped._top_corner()[0]
         assert np.array_equal(perm[moved], corner)
