@@ -325,40 +325,12 @@ def _weighted_sum_sq(W: np.ndarray, a: np.ndarray, b) -> float:
 
 
 # ---------------------------------------------------------------------------
-# full-space coefficient matrices
-
-
-def full_space_matrices(basis: SmoothBasis) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Sparse per-patch coefficient matrices C_S of the full smooth space.
-
-    Row order: the interface basis first (in family order), then the
-    interface-untouched tensor B-splines of patch L, then of patch R.
-    Columns are flattened (i, j) -> i*n + j grids.
-    """
-    n = basis.n
-    dim2 = basis.num_basis
-    n_int = (n - INTERFACE_ROWS) * n
-    dim = dim2 + 2 * n_int
-    int_cols = np.arange(INTERFACE_ROWS * n, n * n)
-    mats = []
-    for offset, A in ((dim2, basis.A_L), (dim2 + n_int, basis.A_R)):
-        # A columns are (i, j) -> i*n + j with i < 3: the same flat layout
-        r_idx, c_idx = np.nonzero(A)
-        mats.append(sp.coo_matrix(
-            (np.concatenate([A[r_idx, c_idx], np.ones(n_int)]),
-             (np.concatenate([r_idx, offset + np.arange(n_int)]),
-              np.concatenate([c_idx, int_cols]))),
-            shape=(dim, n * n)).tocsr())
-    return mats[0], mats[1]
-
-
-# ---------------------------------------------------------------------------
 # assembly over the whole two-patch domain
 
 
 @dataclass(frozen=True)
 class MassLayout:
-    """Block layout of a two-patch mass matrix (see ``full_space_matrices``).
+    """Block layout of a two-patch mass matrix (see ``DomainAssembler``).
 
     The first ``interface`` unknowns are the interface basis.  The interior
     grids of L and R follow, the same tensor grid in both patches, whose
@@ -450,7 +422,16 @@ class TwoPatchMass:
 
 
 class DomainAssembler:
-    """Mass/load assembly for a smooth basis over a two-patch geometry."""
+    """Mass/load assembly for a smooth basis over a two-patch geometry.
+
+    The unknowns of the smooth space are the interface basis, in family
+    order, then the tensor B-splines of the u-rows i >= 3 of patch L, which
+    the interface leaves untouched, then those of patch R: the slices
+    ``interiors[s]``.  A patch grid, flattened (i, j) -> i n + j, maps to
+    them through C_s: its first 3n entries (the u-rows i < 3) through the
+    interface rows A_s of the basis (``basis.A_L``, ``basis.A_R``), the
+    others one to one onto ``interiors[s]``.
+    """
 
     def __init__(self, F: TwoPatchGeometry, basis: SmoothBasis,
                  points_per_cell: int | None = None):
@@ -458,8 +439,12 @@ class DomainAssembler:
         self.basis = basis
         self.asm = {side: PatchAssembler(F.patch(side), points_per_cell)
                     for side in F.sides}
-        self.C = dict(zip(("L", "R"), full_space_matrices(basis)))
-        self.dim = self.C["L"].shape[0]
+        m, n = basis.num_basis, basis.n
+        n_int = (n - INTERFACE_ROWS) * n
+        self.dim = m + 2 * n_int
+        self.interiors = {"L": slice(m, m + n_int),
+                          "R": slice(m + n_int, self.dim)}
+        self._maps = {"L": basis.A_L, "R": basis.A_R}
 
     def mass(self) -> TwoPatchMass:
         """Mass matrix of the full smooth space, C_L M_L C_L^T + C_R M_R C_R^T.
@@ -479,8 +464,7 @@ class DomainAssembler:
         """
         m, n = self.basis.num_basis, self.basis.n
         nr = INTERFACE_ROWS
-        n_int = (n - nr) * n
-        offsets = {"L": m, "R": m + n_int}
+        offsets = {s: block.start for s, block in self.interiors.items()}
         space = self.F.space
         p = space.degree
         # stored slots (e, dj) of the interior rows, the same in both
@@ -495,7 +479,7 @@ class DomainAssembler:
                            @ (upper.astype(np.int64) @ keep_v.T)).ravel()
         iface = np.zeros((m, m))
         couples = []
-        for s, A in (("L", self.basis.A_L), ("R", self.basis.A_R)):
+        for s, A in self._maps.items():
             pa = self.asm[s]
             T = A @ _band_block(pa.mass_band(pa.mass_u_stage(nr), 0, nr), nr + c)
             iface += T[:, :nr * n] @ A.T
@@ -505,7 +489,7 @@ class DomainAssembler:
         first = np.hstack([np.triu(iface)] + couples)
         del iface, couples
         keep = first != 0.0
-        dim = m + 2 * n_int
+        dim = self.dim
         indptr = np.zeros(dim + 1, dtype=np.int64)
         np.cumsum(np.concatenate([keep.sum(axis=1), interior_counts,
                                   interior_counts]), out=indptr[1:])
@@ -552,11 +536,24 @@ class DomainAssembler:
                                           shape=(dim, dim)),
                             MassLayout(m, (G[nr:, nr:], G)))
 
+    def from_patches(self, vectors: dict[str, np.ndarray]) -> np.ndarray:
+        """C_L v_L + C_R v_R for the patch vectors v_s of ``vectors``, keyed
+        by side, such as the loads of the tensor B-splines."""
+        m, head = self.basis.num_basis, INTERFACE_ROWS * self.basis.n
+        b = np.zeros(self.dim)
+        for s, v in vectors.items():
+            b[:m] += self._maps[s] @ v[:head]
+            b[self.interiors[s]] = v[head:]
+        return b
+
     def load(self, f) -> np.ndarray:
-        return sum(self.C[s] @ self.asm[s].load(f) for s in ("L", "R"))
+        return self.from_patches({s: self.asm[s].load(f) for s in self.F.sides})
 
     def patch_coefficients(self, b: np.ndarray, side: str) -> np.ndarray:
-        return self.C[side].T @ b
+        """C_s^T b: the coefficient grid of patch ``side``, flattened."""
+        m = self.basis.num_basis
+        return np.concatenate([self._maps[side].T @ b[:m],
+                               b[self.interiors[side]]])
 
     def relative_l2_error(self, b: np.ndarray, f) -> float:
         err = 0.0
@@ -617,12 +614,16 @@ class KroneckerPreconditioner:
         # the two interiors: one tensor grid and one pair of Gram matrices,
         # inverted once
         Mu, Mv = layout.grams
-        nv, size = len(Mv), Mu.shape[0] * Mv.shape[0]
+        nu, nv = len(Mu), len(Mv)
+        size = nu * nv
         self.interiors = (slice(m, m + size), slice(m + size, m + 2 * size))
         # W on both interiors, which lie one after the other
         w = np.sqrt(np.outer(Mu.diagonal(), Mv.diagonal())).ravel()
         self._w = np.tile(w, 2)
         self._Iu, self._Iv = np.linalg.inv(Mu), np.linalg.inv(Mv)
+        # the interior work arrays of one vector, W r_K and M_u^(-1) W r_K
+        # on both interiors, kept for every call on a vector
+        self._work = np.empty((1, len(self._w))), np.empty((2, nu, nv))
         # the coupled unknowns: their indices in both interiors, W there,
         # and their indices in the first c u-rows of both
         self._flat = coupled - m
@@ -661,29 +662,51 @@ class KroneckerPreconditioner:
         L = np.tril(self._schur)
         return L @ L.T
 
-    def _grid_solve(self, z: np.ndarray, rows: int) -> np.ndarray:
+    def _grid_solve(self, z: np.ndarray, rows: int,
+                    work: np.ndarray | None = None) -> np.ndarray:
         """(M_u^(-1) (x) M_v^(-1)) z on both interiors, for z of shape
-        (k, n - m): its first ``rows`` u-rows in each, (k, 2 rows nv)."""
+        (k, n - m): its first ``rows`` u-rows in each, (k, 2 rows nv).
+        With ``work``, of shape (2k, nu, nv), all rows are formed in
+        ``work`` and then in z, which is returned."""
         Iu, Iv = self._Iu, self._Iv
         x = z.reshape(-1, len(Iu), len(Iv))
-        return (Iu[:rows] @ x @ Iv.T).reshape(len(z), -1)
+        if work is None:
+            return (Iu[:rows] @ x @ Iv.T).reshape(len(z), -1)
+        np.matmul(Iu, x, out=work)
+        np.matmul(work, Iv.T, out=x)
+        return z
 
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        """B^(-1) r for r of shape (n,) or (n, k)."""
+    def __call__(self, r: np.ndarray, out: np.ndarray | None = None
+                 ) -> np.ndarray:
+        """B^(-1) r for r of shape (n,) or (n, k), written into ``out``, a
+        C-contiguous array of r's shape, if given.
+
+        A vector's interior work arrays are kept from call to call, so
+        B^(-1) r allocates nothing of size n but its result, and nothing
+        with ``out``; calls on vectors must not overlap.
+        """
         r2 = r.reshape(r.shape[0], -1)
         m, w, w_coupled = self.layout.interface, self._w, self._w_coupled
+        if r2.shape[1] == 1:
+            z, work = self._work
+        else:
+            z = np.empty((r2.shape[1], len(w)))
+            work = np.empty((2 * len(z),) + self._work[1].shape[1:])
         # W r_K, one row per column of r
-        z = np.ascontiguousarray((w[:, None] * r2[m:]).T)
+        np.multiply(w[:, None], r2[m:], out=z.T)
         # K^(-1) r_K on the coupled unknowns, from the first c u-rows
         coupled = w_coupled * self._grid_solve(z, self._c)[:, self._near].T
-        y = np.empty_like(r2)
-        y[:m], info = self._potrs(self._schur, r2[:m] - self._coupling @ coupled,
-                                  lower=True, overwrite_b=True)
+        y = np.empty_like(r) if out is None else out
+        y2 = y.reshape(r2.shape)
+        y2[:m], info = self._potrs(self._schur,
+                                   r2[:m] - self._coupling @ coupled,
+                                   lower=True, overwrite_b=True)
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
-        z[:, self._flat] -= (w_coupled * (self._coupling.T @ y[:m])).T
-        y[m:] = w[:, None] * self._grid_solve(z, len(self._Iu)).T
-        return y.reshape(r.shape)
+        z[:, self._flat] -= (w_coupled * (self._coupling.T @ y2[:m])).T
+        np.multiply(w[:, None], self._grid_solve(z, len(self._Iu), work).T,
+                    out=y2[m:])
+        return y
 
     def extend(self, x_I: np.ndarray) -> np.ndarray:
         """x_I on the interface, extended into the interiors by
@@ -770,6 +793,8 @@ class SPDFactor:
         r = b.copy()
         z = self._precond(r)
         p = z.copy()
+        # alpha p, alpha q and the unscaled residual, in turn
+        step = np.empty_like(b)
         rz = r @ z
         for _ in range(ITERATION_CAP):
             q = self.A @ p
@@ -777,13 +802,16 @@ class SPDFactor:
             if curvature <= 0.0:
                 raise ValueError("matrix is not positive definite")
             alpha = rz / curvature
-            x += alpha * p
-            r -= alpha * q
-            if np.linalg.norm(r / self.scale) <= stop:
+            x += np.multiply(alpha, p, out=step)
+            r -= np.multiply(alpha, q, out=step)
+            del q
+            if np.linalg.norm(np.divide(r, self.scale, out=step)) <= stop:
                 return x
-            z = self._precond(r)
+            self._precond(r, out=z)
             rz, rz_old = r @ z, rz
-            p = z + (rz / rz_old) * p
+            # p = z + beta p, in place
+            p *= rz / rz_old
+            p += z
         raise ValueError(
             f"PCG did not converge within {ITERATION_CAP} iterations")
 
@@ -918,31 +946,21 @@ class SPDFactor:
         return v0, ceiling
 
     def _inverse_smallest(self, v0: np.ndarray) -> float:
-        """1 / lambda_min of A by LOBPCG, from a copy of ``_low_start(v0)``.
+        """1 / lambda_min of A by ``lobpcg_smallest``, preconditioned, from
+        ``_low_start(v0)``.
 
         A lambda that lies above the start's Rayleigh quotient by more than
-        the residual norm is not lambda_min, and raises.  The warning
-        filters are left alone, since they are process-wide state: a run
-        that does not converge warns and then raises.
+        the residual norm is not lambda_min, and raises.
         """
         start, ceiling = self._low_start(v0)
-        # lobpcg normalises its start block in place
-        lam, _, residuals = spla.lobpcg(
-            self.A, start[:, None].copy(), M=self._precond, tol=LOBPCG_TOL,
-            maxiter=ITERATION_CAP, largest=False,
-            retResidualNormsHistory=True)
-        # a Rayleigh quotient bounds lambda_min from above
-        if lam[0] <= 0.0:
-            raise ValueError("matrix is not positive definite")
-        if residuals[-1] > LOBPCG_TOL:
-            raise ValueError(
-                f"LOBPCG did not converge within {ITERATION_CAP} iterations")
+        lam = lobpcg_smallest(lambda x: self.A @ x, self._precond, start,
+                              LOBPCG_TOL)
         # an eigenvalue lies within the residual norm of lam
-        if lam[0] - LOBPCG_TOL > ceiling:
+        if lam - LOBPCG_TOL > ceiling:
             raise ValueError(
-                f"LOBPCG missed lambda_min: {float(lam[0])!r} lies above "
+                f"LOBPCG missed lambda_min: {lam!r} lies above "
                 f"the Rayleigh quotient {ceiling!r}")
-        return 1.0 / lam[0]
+        return 1.0 / lam
 
     def _largest(self, start: np.ndarray, floor: float) -> float:
         """lambda_max of A by ``lanczos_largest``, from ``start``.
@@ -964,9 +982,10 @@ class SPDFactor:
 
         ``lanczos_largest`` finds lambda_max of A to the relative tolerance
         ``LANCZOS_TOL``.
-        1 / lambda_min comes from LOBPCG (absolute residual ``LOBPCG_TOL``)
-        when A is preconditioned, and otherwise is the largest eigenvalue of
-        A^(-1), found the same way through the Cholesky factor.  Where A is
+        1 / lambda_min comes from ``lobpcg_smallest`` (absolute residual
+        ``LOBPCG_TOL``) when A is preconditioned, and otherwise is the
+        largest eigenvalue of A^(-1), found the same way through the
+        Cholesky factor.  Where A is
         factored, both start from a seeded random vector v0.  On the
         preconditioned path each starts where its eigenvector lives
         (``_top_start``, ``_low_start``), with a part of v0, and a result
@@ -1040,6 +1059,81 @@ def lanczos_largest(apply: Callable[[np.ndarray], np.ndarray],
         w /= b
         q_prev, q = q, w
     raise ValueError(f"Lanczos did not converge within {LANCZOS_CAP} steps")
+
+
+def lobpcg_smallest(apply: Callable[[np.ndarray], np.ndarray],
+                    precondition: Callable[[np.ndarray], np.ndarray],
+                    x0: np.ndarray, tol: float) -> float:
+    """Smallest eigenvalue of the symmetric positive definite operator
+    ``apply``, from x0, by single-vector preconditioned LOBPCG.
+
+    Each step takes the lowest Ritz pair of A over the basis [x, w, p]
+    (Knyazev, SIAM J. Sci. Comput. 23, 2001): the iterate x, the
+    preconditioned residual w = T (A x - lambda x), orthogonalised against
+    x, and the last step's direction p = x_new - c_x x, w and p normalised.
+    A 3 x 3 Gram matrix that is not positive definite drops p for that step
+    (Hetmaniuk & Lehoucq, J. Comput. Phys. 218, 2006).  x, A x, p and A p
+    are updated in place from w and A w, so a step applies A and T once
+    each; ``precondition`` returns T r in an array that the iteration may
+    overwrite.  It stops when ||A x - lambda x|| <= tol for the Rayleigh
+    quotient lambda of x, and raises ``ValueError`` past ``ITERATION_CAP``
+    steps, or at a Rayleigh quotient <= 0, which shows that A is not
+    positive definite.  x0 is not written to.
+    """
+    x = x0 / np.linalg.norm(x0)
+    Ax = apply(x)
+    p = Ap = None
+    for steps in range(ITERATION_CAP + 1):
+        lam = float(x @ Ax)
+        if lam <= 0.0:
+            raise ValueError("matrix is not positive definite")
+        r = np.multiply(lam, x)
+        np.subtract(Ax, r, out=r)
+        if np.linalg.norm(r) <= tol:
+            return lam
+        if steps == ITERATION_CAP:
+            break
+        w = precondition(r)
+        del r
+        w -= (x @ w) * x
+        w /= np.linalg.norm(w)
+        Aw = apply(w)
+        basis, images = [x, w, p], [Ax, Aw, Ap]
+        k = 2 if p is None else 3
+        G, H = np.empty((k, k)), np.empty((k, k))
+        for i in range(k):
+            for j in range(i, k):
+                G[i, j] = G[j, i] = basis[i] @ basis[j]
+                H[i, j] = H[j, i] = basis[i] @ images[j]
+        del basis, images
+        try:
+            c = sla.eigh(H, G, check_finite=False)[1][:, 0]
+        except np.linalg.LinAlgError:
+            if k == 2:
+                raise
+            c = sla.eigh(H[:2, :2], G[:2, :2], check_finite=False)[1][:, 0]
+            p = Ap = None
+        # p <- c_w w + c_p p and A p likewise, in place; p takes over w's
+        # arrays where it was dropped
+        w *= c[1]
+        Aw *= c[1]
+        if p is None:
+            p, Ap = w, Aw
+        else:
+            p *= c[2]
+            p += w
+            Ap *= c[2]
+            Ap += Aw
+        del w, Aw
+        x *= c[0]
+        x += p
+        Ax *= c[0]
+        Ax += Ap
+        for v, Av in ((x, Ax), (p, Ap)):
+            norm = np.linalg.norm(v)
+            v /= norm
+            Av /= norm
+    raise ValueError(f"LOBPCG did not converge within {ITERATION_CAP} iterations")
 
 
 def solve_spd(M, rhs: np.ndarray) -> np.ndarray:
@@ -1172,14 +1266,14 @@ def reference_projection(F_tilde: TwoPatchGeometry, F_hat: TwoPatchGeometry,
     basis = build_basis_v2(gluing, gluing_invariants(gluing, kv), 5, 2, 0)
     domain = represent_geometry(F_hat, kv) if weighted else _identity_geometry(kv)
     asm = DomainAssembler(domain, basis, FIT_POINTS_PER_CELL)
-    loads = np.zeros((2, asm.dim))
-    for side in ("L", "R"):
-        pa = asm.asm[side]
+    values = {}
+    for side, pa in asm.asm.items():
         # input patch on the quadrature grid, laid out (ncu, ncv, q, r, 2)
-        values = F_tilde.patch(side).eval(pa.rule.nodes, pa.rule.nodes)
-        values = values.transpose(0, 2, 1, 3, 4)
-        for c in (0, 1):
-            loads[c] += asm.C[side] @ pa.load(values=values[..., c])
+        values[side] = F_tilde.patch(side).eval(
+            pa.rule.nodes, pa.rule.nodes).transpose(0, 2, 1, 3, 4)
+    loads = np.stack([asm.from_patches({
+        side: asm.asm[side].load(values=v[..., c]) for side, v in values.items()})
+        for c in (0, 1)])
     return asm, asm.mass().toarray(), loads
 
 

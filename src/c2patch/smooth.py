@@ -32,6 +32,8 @@ ORACLE_OVERSAMPLE = 4     # the oracle collocates 4 (p + 1) points per knot span
 ORACLE_ZERO_TOL = np.finfo(float).eps
 # the oracle raises when kept and dropped singular values are closer
 ORACLE_MIN_GAP = 1e2
+# the oracle takes its row norms over C-ordered copies of this many rows
+ORACLE_NORM_ROWS = 64
 
 
 class DegreeBudgetError(ValueError):
@@ -462,14 +464,33 @@ def constraint_nullspace_dim(F: TwoPatchGeometry, g: GluingData, p: int,
     Nu = space.jets_at_zero[:, :3]
     Nv = space.basis_matrix(vs, 2)
 
-    # unknown layout: d[(side, i, j)] -> side * 3n + i * n + j
-    C = np.einsum("vesab,ai,bvj->vesij", W, Nu, Nv, optimize=True)
-    C = C.reshape(3 * len(vs), 6 * n)
-    norms = np.linalg.norm(C, axis=1)
-    C = C[norms > 0.0] / norms[norms > 0.0, None]
+    import scipy.linalg as sla
 
-    sv = np.linalg.svd(C, compute_uv=False)
-    cutoff = ORACLE_ZERO_TOL * max(C.shape) * sv[0]
+    # unknown layout: d[(side, i, j)] -> side * 3n + i * n + j.  The system
+    # C is built once, Fortran-ordered so that LAPACK factors it in place:
+    # the rows of equation e in the unknowns of one side, (v, i, j), are one
+    # batched product each, written into C's columns of that side
+    rows = 3 * len(vs)
+    C = np.empty((rows, 6 * n), order="F")
+    blocks = C.reshape(len(vs), 3, 2, 3, n)
+    WN = np.einsum("vesab,ai->sevib", W, Nu, optimize=True)
+    Nv = np.ascontiguousarray(Nv.transpose(1, 0, 2))
+    for side in range(2):
+        for e in range(3):
+            blocks[:, e, side] = WN[side, e] @ Nv
+    # the row norms, from C-ordered blocks of rows, and the rows scaled in
+    # place; a zero row stays zero and adds no singular value, so the
+    # system's rows are its nonzero ones
+    norms = np.concatenate([
+        np.linalg.norm(np.ascontiguousarray(C[lo:lo + ORACLE_NORM_ROWS]), axis=1)
+        for lo in range(0, rows, ORACLE_NORM_ROWS)])
+    nonzero = norms > 0.0
+    np.divide(C, norms[:, None], out=C, where=nonzero[:, None])
+    rows = int(np.count_nonzero(nonzero))
+
+    sv = sla.svd(C, compute_uv=False, overwrite_a=True,
+                 check_finite=False)[:min(rows, 6 * n)]
+    cutoff = ORACLE_ZERO_TOL * max(rows, 6 * n) * sv[0]
     rank = int((sv > cutoff).sum())
     nullity = 6 * n - rank
     if rank == len(sv) or rank == 0:

@@ -6,7 +6,11 @@ tests require the upper triangle that ``DomainAssembler.mass`` stores to
 have the sparsity pattern of this matrix's upper triangle, and values
 within 1e-15 of max |M|; its product is the reference for ``M @ x``.  The 1D Gram matrix is kept in band form
 here, as the assembler kept it before it built it densely; the stored
-slots are those whose 1D Gram entries are positive.
+slots are those whose 1D Gram entries are positive.  The sparse coefficient
+matrices C_s of the smooth space (``full_space_matrices``) are those that
+the assembler built before it mapped through the interface rows of the
+basis and an index offset; they are the reference for its loads and patch
+coefficients.
 """
 
 import numpy as np
@@ -137,3 +141,27 @@ def mass(asm):
     indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
     return sp.csr_matrix((np.concatenate(data), np.concatenate(indices),
                           indptr), shape=(dim, dim))
+
+
+def full_space_matrices(basis):
+    """Sparse per-patch coefficient matrices C_S of the full smooth space.
+
+    Row order: the interface basis first (in family order), then the
+    interface-untouched tensor B-splines of patch L, then of patch R.
+    Columns are flattened (i, j) -> i*n + j grids.
+    """
+    n = basis.n
+    dim2 = basis.num_basis
+    n_int = (n - INTERFACE_ROWS) * n
+    dim = dim2 + 2 * n_int
+    int_cols = np.arange(INTERFACE_ROWS * n, n * n)
+    mats = []
+    for offset, A in ((dim2, basis.A_L), (dim2 + n_int, basis.A_R)):
+        # A columns are (i, j) -> i*n + j with i < 3: the same flat layout
+        r_idx, c_idx = np.nonzero(A)
+        mats.append(sp.coo_matrix(
+            (np.concatenate([A[r_idx, c_idx], np.ones(n_int)]),
+             (np.concatenate([r_idx, offset + np.arange(n_int)]),
+              np.concatenate([c_idx, int_cols]))),
+            shape=(dim, n * n)).tocsr())
+    return mats[0], mats[1]

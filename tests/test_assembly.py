@@ -400,11 +400,12 @@ def test_two_patch_mass_matches_cell_loop(study, request):
     basis = build(gluing, gluing_invariants(gluing, kv), 5, 2, 3)
     asm = DomainAssembler(refine_geometry(geo0, kv), basis)
     M = asm.mass()
+    C = dict(zip("LR", mass_reference.full_space_matrices(basis)))
     ref = np.zeros(M.shape)
     for s in "LR":
         pa = asm.asm[s]
         M_s, _ = _cell_loop_reference(pa, np.zeros(pa.measure.shape))
-        ref += asm.C[s] @ (asm.C[s] @ M_s).T
+        ref += C[s] @ (C[s] @ M_s).T
     ref = sp.csr_matrix(np.triu(ref))
     U = M.upper
     assert U.has_sorted_indices
@@ -453,6 +454,24 @@ def _basis_value(space, j, x):
     return 0.0
 
 
+@pytest.mark.parametrize("study", ["a/v2", "b/w2"])
+def test_maps_match_the_coefficient_matrices(study, request):
+    # level 3: the load and the patch coefficients, mapped through A_L, A_R
+    # and the interiors' index offsets, against the products with the
+    # sparse coefficient matrices C_s that the maps replaced
+    name, space = study.split("/")
+    asm = _study_assembler(*request.getfixturevalue(f"fitted_{name}"), space)
+    C = dict(zip("LR", mass_reference.full_space_matrices(asm.basis)))
+    assert asm.dim == C["L"].shape[0]
+    pairs = [(asm.load(field_osc),
+              sum(C[s] @ asm.asm[s].load(field_osc) for s in "LR"))]
+    b = np.random.default_rng(0).standard_normal(asm.dim)
+    pairs += [(asm.patch_coefficients(b, s), C[s].T @ b) for s in "LR"]
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+
 class TestProjection:
     def test_reproduces_member_function(self, fitted_b):
         geo, gluing = fitted_b
@@ -470,7 +489,7 @@ class TestProjection:
 
         # integrate directly in parameter space on each patch
         M = asm.mass()
-        rhs = np.zeros(asm.dim)
+        loads = {}
         for s in "LR":
             pa = asm.asm[s]
             n = basis.n
@@ -478,8 +497,8 @@ class TestProjection:
             patch = Patch(geo.space, np.dstack([grid, grid]))
             vals = patch.eval(pa.rule.nodes, pa.rule.nodes)[..., 0]
             vals = vals.transpose(0, 2, 1, 3)       # (ncu, ncv, q, r)
-            rhs += asm.C[s] @ pa.load(values=vals)
-        b = solve_spd(M, rhs)
+            loads[s] = pa.load(values=vals)
+        b = solve_spd(M, asm.from_patches(loads))
         resid = 0.0
         for s in "LR":
             e, _ = asm.asm[s].integrate_sq_diff(
@@ -672,9 +691,9 @@ class TestSPDFactor:
         calls = []
         apply = KroneckerPreconditioner.__call__
 
-        def counted(self, r):
+        def counted(self, r, out=None):
             calls.append(None)
-            return apply(self, r)
+            return apply(self, r, out)
 
         monkeypatch.setattr(KroneckerPreconditioner, "__call__", counted)
         factor.solve(rhs)
@@ -772,9 +791,7 @@ class TestSPDFactor:
         factor = SPDFactor(M)
         with pytest.raises(ValueError, match="PCG did not converge"):
             factor.solve(rhs)
-        # LOBPCG warns that it stopped unconverged, then the factor raises
-        with pytest.warns(UserWarning), \
-                pytest.raises(ValueError, match="LOBPCG did not converge"):
+        with pytest.raises(ValueError, match="LOBPCG did not converge"):
             factor.condition_number()
         assert cli.main(["table2", "--geometry", "builtin:fitted_a",
                          "--levels", "3"]) == 1
@@ -884,15 +901,25 @@ class TestSPDFactor:
                 A = (A + A.T) * 0.5
             assert np.array_equal(SPDFactor(M).A, A)
 
-    def test_converged_lobpcg_warns_nothing(self, level3_spectrum):
+    def test_converged_lobpcg_warns_nothing(self, level3_spectrum,
+                                            monkeypatch):
         # the solver sets no warning filter of its own (process-wide state);
         # a converged lambda_min emits no warning at all
         M, _, _ = level3_spectrum
         factor = SPDFactor(M)
         assert factor._precond is not None
+        runs = []
+        lobpcg = asm_mod.lobpcg_smallest
+
+        def recorded(*args):
+            runs.append(lobpcg(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(asm_mod, "lobpcg_smallest", recorded)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             factor.condition_number()
+        assert len(runs) == 1
 
     def test_lobpcg_keeps_the_callers_start_vector(self, level3_mass,
                                                    fitted_a, monkeypatch):
@@ -906,7 +933,7 @@ class TestSPDFactor:
         # solver writes to; LOBPCG normalises a copy of its start.  V2 (a)
         # starts LOBPCG from the interface, W2 from the seeded vector.
         starts = {}
-        lanczos, lobpcg = asm_mod.lanczos_largest, spla.lobpcg
+        lanczos, lobpcg = asm_mod.lanczos_largest, asm_mod.lobpcg_smallest
         low_start = SPDFactor._low_start
 
         def recorded_lanczos(apply, x, tol, **kwargs):
@@ -919,21 +946,20 @@ class TestSPDFactor:
             starts["lobpcg"] = start, start.copy()
             return start, ceiling
 
-        def recorded_lobpcg(A, X, *args, **kwargs):
-            starts["lobpcg block"] = X
-            return lobpcg(A, X, *args, **kwargs)
+        def recorded_lobpcg(apply, precondition, x, tol):
+            starts["lobpcg x0"] = x
+            return lobpcg(apply, precondition, x, tol)
 
         monkeypatch.setattr(asm_mod, "lanczos_largest", recorded_lanczos)
         monkeypatch.setattr(SPDFactor, "_low_start", recorded_low_start)
-        monkeypatch.setattr(spla, "lobpcg", recorded_lobpcg)
+        monkeypatch.setattr(asm_mod, "lobpcg_smallest", recorded_lobpcg)
         monkeypatch.setattr(blas, "can_overlap", lambda: True)
         for mass in (M, _study_system(*fitted_a, "w2")[0]):
             SPDFactor(mass).condition_number()
             (x_max, x_max_before), (x_min, x_min_before) = (
                 starts["lanczos"], starts["lobpcg"])
-            block = starts["lobpcg block"]
-            for a, b in ((x_max, x_min), (x_max, block), (x_min, block)):
-                assert not np.shares_memory(a, b)
+            assert starts["lobpcg x0"] is x_min
+            assert not np.shares_memory(x_max, x_min)
             assert np.array_equal(x_max, x_max_before)
             assert np.array_equal(x_min, x_min_before)
 
@@ -1042,10 +1068,11 @@ class TestEigensolverStarts:
     # level-4 counts, plus ~10 % (a/V2, a/W2, b/V2, b/W2).  CSR products of
     # lambda_max: 48, 36, 36 and 36 from the refined corner or the extended
     # interface mode, 60, 48, 40 and 48 from the sum of the corner and
-    # interface modes, 92, 80, 48 and 80 from the seeded random vector.  The
-    # length of LOBPCG's residual history for V2's lambda_min: 10 and 10 from
-    # the extended mode of the Schur complement, 13 and 16 from that of
-    # A_II, 18 and 22 from the random vector.  PCG iterations of the load's
+    # interface modes, 92, 80, 48 and 80 from the seeded random vector.
+    # LOBPCG's count for V2's lambda_min, its products with A plus one (the
+    # length of scipy's residual history, which the count replaced): 10 and
+    # 10 from the extended mode of the Schur complement, 13 and 16 from that
+    # of A_II, 18 and 22 from the random vector.  PCG iterations of the load's
     # solve: 7 each with the interface eliminated exactly, 18, 17, 21 and 21
     # with the Gauss-Seidel sweep.
     LANCZOS_LEVEL4_BOUND = {"a/v2": 53, "a/w2": 40, "b/v2": 40, "b/w2": 40}
@@ -1054,7 +1081,7 @@ class TestEigensolverStarts:
 
     def test_level4_step_counts(self, level4_system, request, monkeypatch):
         counts = {}
-        lanczos, lobpcg = asm_mod.lanczos_largest, spla.lobpcg
+        lanczos, lobpcg = asm_mod.lanczos_largest, asm_mod.lobpcg_smallest
         apply = KroneckerPreconditioner.__call__
 
         def counted_lanczos(apply, x, tol, **kwargs):
@@ -1071,18 +1098,26 @@ class TestEigensolverStarts:
             counts["lanczos"] = len(calls)
             return theta
 
-        def counted_lobpcg(*args, **kwargs):
-            result = lobpcg(*args, **kwargs)
-            counts["lobpcg"] = len(result[-1])
-            return result
+        def counted_lobpcg(apply, precondition, x, tol):
+            calls = []
 
-        def counted_precond(self, r):
+            def counted_apply(y):
+                calls.append(None)
+                return apply(y)
+
+            lam = lobpcg(counted_apply, precondition, x, tol)
+            # a product for the start and one a step; scipy's residual
+            # history held one norm more, after its final Rayleigh-Ritz
+            counts["lobpcg"] = len(calls) + 1
+            return lam
+
+        def counted_precond(self, r, out=None):
             # one application per PCG iteration
             counts["pcg"] = counts.get("pcg", 0) + 1
-            return apply(self, r)
+            return apply(self, r, out)
 
         monkeypatch.setattr(asm_mod, "lanczos_largest", counted_lanczos)
-        monkeypatch.setattr(spla, "lobpcg", counted_lobpcg)
+        monkeypatch.setattr(asm_mod, "lobpcg_smallest", counted_lobpcg)
         M, rhs = level4_system
         factor = SPDFactor(M)
         assert factor._precond is not None
@@ -1178,6 +1213,75 @@ class TestEigensolverStarts:
             factor._largest(*factor._top_start(v0))
 
 
+class TestLobpcgSmallest:
+    """Single-vector LOBPCG (``lobpcg_smallest``)."""
+
+    @staticmethod
+    def _system(n=60):
+        """A = tridiag(-1, 4, -1) plus a random diagonal in [0, 4), its
+        lowest eigenvalue, and the Jacobi preconditioner diag(A)^(-1)."""
+        rng = np.random.default_rng(5)
+        A = _tridiagonal(-1.0, n).toarray() + np.diag(rng.uniform(0.0, 4.0, n))
+        d = 1.0 / A.diagonal()
+        return A, np.linalg.eigvalsh(A)[0], (lambda r: d * r)
+
+    def test_matches_eigh(self):
+        A, lam_min, T = self._system()
+        x0 = np.random.default_rng(0).standard_normal(len(A))
+        kept = x0.copy()
+        lam = asm_mod.lobpcg_smallest(lambda x: A @ x, T, x0, 1e-10)
+        assert lam == pytest.approx(lam_min, rel=1e-12)
+        # the start vector is left as it was
+        assert np.array_equal(x0, kept)
+
+    def test_without_p_still_converges(self, monkeypatch):
+        # every 3 x 3 Gram matrix reported not positive definite: each step
+        # drops p and is one of preconditioned steepest descent
+        A, lam_min, T = self._system()
+        eigh = sla.eigh
+        steps = []
+
+        def no_three(a, b=None, **kwargs):
+            steps.append(len(a))
+            if len(a) == 3:
+                raise np.linalg.LinAlgError("not positive definite")
+            return eigh(a, b, **kwargs)
+
+        monkeypatch.setattr(asm_mod.sla, "eigh", no_three)
+        x0 = np.random.default_rng(0).standard_normal(len(A))
+        lam = asm_mod.lobpcg_smallest(lambda x: A @ x, T, x0, 1e-10)
+        assert lam == pytest.approx(lam_min, rel=1e-12)
+        assert 3 in steps
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        A, _, T = self._system()
+        x0 = np.random.default_rng(0).standard_normal(len(A))
+        monkeypatch.setattr(asm_mod, "ITERATION_CAP", 1)
+        with pytest.raises(ValueError, match="LOBPCG did not converge "
+                                             "within 1 iterations"):
+            asm_mod.lobpcg_smallest(lambda x: A @ x, T, x0, 1e-10)
+
+    def test_indefinite_raises(self):
+        A = _tridiagonal(5.0).toarray()
+        x0 = np.random.default_rng(0).standard_normal(len(A))
+        with pytest.raises(ValueError, match="not positive definite"):
+            asm_mod.lobpcg_smallest(lambda x: A @ x, lambda r: r, x0, 1e-10)
+
+    def test_level4_memory(self, level4_system):
+        # lambda_min's tracemalloc peak in vectors of n: 8.2-9.2 (x, A x, w,
+        # A w, p, A p, the start and a product's temporaries); 18.4-18.6
+        # with scipy's block LOBPCG
+        factor = SPDFactor(level4_system[0])
+        v0 = np.random.default_rng(0).standard_normal(factor.A.shape[0])
+        tracemalloc.start()
+        try:
+            factor._inverse_smallest(v0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 13 * v0.nbytes
+
+
 # the overlapped condition number needs both libraries pinned
 needs_pin = pytest.mark.skipif(len(blas.thread_controls()) < 2,
                                reason="no thread setter in a vendored OpenBLAS")
@@ -1262,8 +1366,7 @@ class TestTwoThreadCondition:
         monkeypatch.setattr(SPDFactor, "_inverse_smallest", failing_lobpcg)
         factor = SPDFactor(M)
         threads = threading.active_count()
-        with pytest.warns(UserWarning), \
-                pytest.raises(ValueError, match="LOBPCG did not converge"):
+        with pytest.raises(ValueError, match="LOBPCG did not converge"):
             factor.condition_number()
         assert alive_at_raise == [threads + 1]
         assert threading.active_count() == threads
