@@ -20,7 +20,6 @@ from typing import Callable
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import blas
 from .bspline import (KnotVector, QuadratureRule, SplineSpace1D, make_knot_vector,
@@ -31,8 +30,8 @@ from .gluing import GluingData, gluing_from_bilinear, gluing_invariants
 from .smooth import SmoothBasis, build_basis_v2, build_basis_w2, dim_v1
 
 # Smallest two-patch mass (``TwoPatchMass``) solved without a factorization,
-# by Kronecker-preconditioned CG and LOBPCG: Table-2 levels 3 and up.
-# Every other matrix is factored densely (notes/decisions.md).
+# by Kronecker-preconditioned CG and LOBPCG: Table-2 levels 3 and up.  A
+# smaller one, or one with no layout, is factored densely (notes/decisions.md).
 KRONECKER_CUTOFF = 1000
 # PCG and LOBPCG raise past this many iterations (level 6 needs < 100).
 ITERATION_CAP = 500
@@ -297,17 +296,15 @@ class PatchAssembler:
                            minlength=self.n * self.n)
 
     def integrate_sq_diff(self, coeffs_flat: np.ndarray,
-                          f: Callable[[np.ndarray, np.ndarray], np.ndarray] | None,
+                          f: Callable[[np.ndarray, np.ndarray], np.ndarray],
                           ) -> tuple[float, float]:
-        """(||g - f||^2, ||f||^2) over the patch; f = 0 when f is None.
+        """(||g - f||^2, ||f||^2) over the patch.
 
         Each integrand is formed in place in one C-ordered array, so its
         sum runs in one fixed order, whatever layout the einsum gives g.
         """
         g = self._on_cells(coeffs_flat.reshape(self.n, self.n))
         W = self.measure
-        if f is None:
-            return _weighted_sum_sq(W, g, 0.0), 0.0
         samples = self.sample_physical(f)
         # the error is the last reader of the samples
         self._field = self._samples = None
@@ -593,21 +590,17 @@ class KroneckerPreconditioner:
 
     def __init__(self, M: TwoPatchMass, scale: np.ndarray, layout: MassLayout):
         m = layout.interface
-        # the interface rows of A, dense over the interface columns and the
-        # interior columns they couple with, read in place from M's upper
-        # triangle (A_II mirrored, the couplings all above the diagonal)
-        # and scaled in place (each entry times s_i s_j, as in A)
+        # A_II, and the couplings of the interface rows with the interior
+        # columns they reach, read in place from M's upper triangle and
+        # scaled in place, each entry times s_i s_j as in A
+        schur = _scaled_block(M, scale, np.arange(m))
         rows = M.row_block(0, m)
         touched = np.zeros(M.shape[0], dtype=bool)
         touched[rows.indices] = True
         touched[:m] = False
         coupled = np.flatnonzero(touched)
-        s = scale[:m, None]
-        schur = rows[:, :m].toarray()
-        schur += np.triu(schur, 1).T
-        schur *= s * scale[:m]
         self._coupling = rows[:, coupled].toarray()
-        self._coupling *= s * scale[coupled]
+        self._coupling *= scale[:m, None] * scale[coupled]
         # the interior unknowns that couple with the interface
         self.coupled = coupled
         self.layout = layout
@@ -621,13 +614,13 @@ class KroneckerPreconditioner:
         w = np.sqrt(np.outer(Mu.diagonal(), Mv.diagonal())).ravel()
         self._w = np.tile(w, 2)
         self._Iu, self._Iv = np.linalg.inv(Mu), np.linalg.inv(Mv)
-        # the interior work arrays of one vector, W r_K and M_u^(-1) W r_K
-        # on both interiors, kept for every call on a vector
-        self._work = np.empty((1, len(self._w))), np.empty((2, nu, nv))
+        # the interior work arrays, W r_K and M_u^(-1) W r_K on both
+        # interiors, kept for every call
+        self._work = np.empty(len(self._w)), np.empty((2, nu, nv))
         # the coupled unknowns: their indices in both interiors, W there,
         # and their indices in the first c u-rows of both
         self._flat = coupled - m
-        self._w_coupled = self._w[self._flat, None]
+        self._w_coupled = self._w[self._flat]
         interior, grid = np.divmod(self._flat, size)
         self._c = c = int(grid.max()) // nv + 1 if len(grid) else 0
         self._near = interior * c * nv + grid
@@ -640,8 +633,7 @@ class KroneckerPreconditioner:
         bounds = np.searchsorted(interior, [0, 1, 2])
         for k in range(2):
             cols = slice(bounds[k], bounds[k + 1])
-            X[:, k, grid[cols]] = (self._coupling[:, cols]
-                                   * self._w_coupled[cols].T)
+            X[:, k, grid[cols]] = self._coupling[:, cols] * self._w_coupled[cols]
             np.matmul(self._Iu[:c, :c],
                       X[:, k].reshape(m, c, nv) @ self._Iv.T, out=Z[:, k])
         schur -= X.reshape(m, -1) @ Z.reshape(m, -1).T
@@ -665,115 +657,110 @@ class KroneckerPreconditioner:
     def _grid_solve(self, z: np.ndarray, rows: int,
                     work: np.ndarray | None = None) -> np.ndarray:
         """(M_u^(-1) (x) M_v^(-1)) z on both interiors, for z of shape
-        (k, n - m): its first ``rows`` u-rows in each, (k, 2 rows nv).
-        With ``work``, of shape (2k, nu, nv), all rows are formed in
-        ``work`` and then in z, which is returned."""
+        (n - m,): its first ``rows`` u-rows in each, flattened.  With
+        ``work``, of shape (2, nu, nv), all rows are formed in ``work`` and
+        then in z, which is returned."""
         Iu, Iv = self._Iu, self._Iv
-        x = z.reshape(-1, len(Iu), len(Iv))
+        x = z.reshape(2, len(Iu), len(Iv))
         if work is None:
-            return (Iu[:rows] @ x @ Iv.T).reshape(len(z), -1)
+            return (Iu[:rows] @ x @ Iv.T).ravel()
         np.matmul(Iu, x, out=work)
         np.matmul(work, Iv.T, out=x)
         return z
 
     def __call__(self, r: np.ndarray, out: np.ndarray | None = None
                  ) -> np.ndarray:
-        """B^(-1) r for r of shape (n,) or (n, k), written into ``out``, a
-        C-contiguous array of r's shape, if given.
+        """B^(-1) r for a vector r, written into ``out``, a C-contiguous
+        vector, if given.
 
-        A vector's interior work arrays are kept from call to call, so
-        B^(-1) r allocates nothing of size n but its result, and nothing
-        with ``out``; calls on vectors must not overlap.
+        The interior work arrays are kept from call to call, so B^(-1) r
+        allocates nothing of size n but its result, and nothing with
+        ``out``; calls must not overlap.
         """
-        r2 = r.reshape(r.shape[0], -1)
         m, w, w_coupled = self.layout.interface, self._w, self._w_coupled
-        if r2.shape[1] == 1:
-            z, work = self._work
-        else:
-            z = np.empty((r2.shape[1], len(w)))
-            work = np.empty((2 * len(z),) + self._work[1].shape[1:])
-        # W r_K, one row per column of r
-        np.multiply(w[:, None], r2[m:], out=z.T)
+        z, work = self._work
+        np.multiply(w, r[m:], out=z)
         # K^(-1) r_K on the coupled unknowns, from the first c u-rows
-        coupled = w_coupled * self._grid_solve(z, self._c)[:, self._near].T
+        coupled = w_coupled * self._grid_solve(z, self._c)[self._near]
         y = np.empty_like(r) if out is None else out
-        y2 = y.reshape(r2.shape)
-        y2[:m], info = self._potrs(self._schur,
-                                   r2[:m] - self._coupling @ coupled,
-                                   lower=True, overwrite_b=True)
+        y[:m], info = self._potrs(self._schur, r[:m] - self._coupling @ coupled,
+                                  lower=True, overwrite_b=True)
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
-        z[:, self._flat] -= (w_coupled * (self._coupling.T @ y2[:m])).T
-        np.multiply(w[:, None], self._grid_solve(z, len(self._Iu), work).T,
-                    out=y2[m:])
+        z[self._flat] -= w_coupled * (self._coupling.T @ y[:m])
+        np.multiply(w, self._grid_solve(z, len(self._Iu), work), out=y[m:])
         return y
 
     def extend(self, x_I: np.ndarray) -> np.ndarray:
         """x_I on the interface, extended into the interiors by
         x_K = -K^(-1) C^T x_I."""
-        z = np.zeros((1, len(self._w)))
-        z[0, self._flat] = -(self._w_coupled[:, 0] * (self._coupling.T @ x_I))
-        x_K = self._w * self._grid_solve(z, len(self._Iu))[0]
+        z = np.zeros(len(self._w))
+        z[self._flat] = -(self._w_coupled * (self._coupling.T @ x_I))
+        x_K = self._w * self._grid_solve(z, len(self._Iu))
         return np.concatenate([x_I, x_K])
 
 
-def _scaled_operator(M: TwoPatchMass, scale: np.ndarray
-                     ) -> spla.LinearOperator:
-    """A = S M S applied as s * (M (s * x)), for x of shape (n,) or (n, k).
+def _scaled_product(M: TwoPatchMass, scale: np.ndarray
+                    ) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> A x = s * (M (s * x)) for vectors x, with A = S M S.
 
-    The operator holds M and s, not the ``SPDFactor`` that keeps it, so no
+    The function holds M and s, not the ``SPDFactor`` that keeps it, so no
     reference cycle keeps a factor, or its M, alive once its last
     reference goes.
     """
     def product(x: np.ndarray) -> np.ndarray:
-        s = scale.reshape((-1,) + (1,) * (x.ndim - 1))
-        y = M @ (s * x)
-        y *= s
+        y = M @ (scale * x)
+        y *= scale
         return y
 
-    n = M.shape[0]
-    return spla.LinearOperator((n, n), matvec=product, matmat=product,
-                               dtype=float)
+    return product
+
+
+def _scaled_block(M: TwoPatchMass, scale: np.ndarray,
+                  unknowns: np.ndarray) -> np.ndarray:
+    """The dense principal submatrix of A = S M S over the sorted
+    ``unknowns``, each entry M_ij times s_i s_j."""
+    s = scale[unknowns]
+    block = M.principal(unknowns).toarray()
+    block *= s[:, None] * s
+    return block
 
 
 class SPDFactor:
-    """Solves and the condition number of a symmetric positive definite M.
+    """Solves and the condition number of a symmetric positive definite
+    two-patch mass M (``TwoPatchMass``).
 
     The matrix is scaled diagonally, A = S M S with S = diag(M)^(-1/2).  A
-    ``TwoPatchMass`` of ``KRONECKER_CUTOFF`` or more unknowns is not
-    factored, nor copied: A is applied as s * (M (s * x)), solves run
+    mass of ``KRONECKER_CUTOFF`` or more unknowns with a ``MassLayout`` is
+    not factored, nor copied: A is applied as s * (M (s * x)), solves run
     preconditioned CG and lambda_min comes from LOBPCG, both with a
     ``KroneckerPreconditioner``, which eliminates the interface exactly
     against Kronecker approximations of the two patch interiors.  An
     iteration that does not converge within ``ITERATION_CAP`` steps raises
-    ``ValueError``.  Any other matrix is scaled into a dense copy and
-    factored by Cholesky.  A matrix that is not positive definite raises
+    ``ValueError``.  A smaller mass, or a principal submatrix with no
+    layout, is scaled into a dense copy ``A`` and factored by Cholesky;
+    each s_i s_j is formed before it multiplies M_ij, so A is exactly
+    symmetric, as M is.  A matrix that is not positive definite raises
     ``ValueError``: Cholesky fails, CG meets a direction of nonpositive
     curvature, or LOBPCG a Rayleigh quotient <= 0; so does a preconditioner
-    whose Schur complement is not positive definite.  An eigenvalue of the condition number that a
-    Rayleigh quotient of its start shows to be no extreme one raises
-    ``ValueError`` too.
+    whose Schur complement is not positive definite.  An eigenvalue of the
+    condition number that a Rayleigh quotient of its start shows to be no
+    extreme one raises ``ValueError`` too.
     """
 
-    def __init__(self, M):
+    def __init__(self, M: TwoPatchMass):
         d = M.diagonal()
         if not (d > 0.0).all():
             raise ValueError("matrix has a nonpositive diagonal entry")
         self.scale = 1.0 / np.sqrt(d)
         self._M = M
         self._precond = None
-        n = M.shape[0]
-        layout = getattr(M, "layout", None)
-        if layout is not None and n >= KRONECKER_CUTOFF:
-            self.A = _scaled_operator(M, self.scale)
-            self._precond = KroneckerPreconditioner(M, self.scale, layout)
+        if M.layout is not None and M.shape[0] >= KRONECKER_CUTOFF:
+            self._product = _scaled_product(M, self.scale)
+            self._precond = KroneckerPreconditioner(M, self.scale, M.layout)
         else:
-            # each s_i s_j is formed before it multiplies M_ij, so a
-            # symmetric M gives an exactly symmetric A
-            A = ((M if isinstance(M, np.ndarray) else M.toarray())
-                 * np.outer(self.scale, self.scale))
-            # a TwoPatchMass is exactly symmetric already
-            self.A = A if layout is not None else (A + A.T) * 0.5
+            self.A = M.toarray() * np.outer(self.scale, self.scale)
+            self._product = self.A.__matmul__
             try:
                 self._cho = sla.cho_factor(self.A)
             except np.linalg.LinAlgError:
@@ -797,7 +784,7 @@ class SPDFactor:
         step = np.empty_like(b)
         rz = r @ z
         for _ in range(ITERATION_CAP):
-            q = self.A @ p
+            q = self._product(p)
             curvature = p @ q
             if curvature <= 0.0:
                 raise ValueError("matrix is not positive definite")
@@ -848,12 +835,9 @@ class SPDFactor:
         corners = self._corners(np.count_nonzero(Mv[-1]) + 3)
         k = corners.shape[1]
         # one corner at a time, so that no dense temporary spans all four
-        blocks = np.stack([self._M.principal(corner).toarray()
-                           for corner in corners])
-        s = self.scale[corners]
-        blocks *= s[:, :, None] * s[:, None, :]
-        pairs = [sla.eigh(block, subset_by_index=[k - 1, k - 1])
-                 for block in blocks]
+        pairs = [sla.eigh(_scaled_block(self._M, self.scale, corner),
+                          subset_by_index=[k - 1, k - 1])
+                 for corner in corners]
         top = int(np.argmax([value[0] for value, _ in pairs]))
         value, vector = pairs[top]
         return corners[top], _signed(vector[:, 0]), float(value[0]), top
@@ -866,16 +850,11 @@ class SPDFactor:
         corner, vector, _, top = self._top_corner()
         Mv = self._precond.layout.grams[1]
         block = self._corners(4 * np.count_nonzero(Mv[-1]))[top]
-        sub = self._M.principal(block)
-        s = self.scale[block]
-
-        def apply(x):
-            return s * (sub @ (s * x))
-
+        apply = _scaled_product(self._M.principal(block), self.scale[block])
         start = np.zeros(len(block))
         start[np.searchsorted(block, corner)] = vector
         _, x = lanczos_largest(apply, start, 1e-4, ritz_vector=True)
-        extended = np.zeros(self.A.shape[0])
+        extended = np.zeros(len(self.scale))
         extended[block] = x
         return extended, float(x @ apply(x) / (x @ x))
 
@@ -888,17 +867,16 @@ class SPDFactor:
         interface, then those that couple with them: (A x)_K is zero
         elsewhere, so x stays zero there.
         """
-        m, n = self._precond.layout.interface, self.A.shape[0]
-        s = self.scale[:m]
-        A_II = self._M.principal(np.arange(m)).toarray()
-        value, vector = sla.eigh(A_II * (s[:, None] * s),
+        m = self._precond.layout.interface
+        value, vector = sla.eigh(_scaled_block(self._M, self.scale,
+                                               np.arange(m)),
                                  subset_by_index=[m - 1, m - 1])
-        x = np.zeros(n)
+        x = np.zeros(len(self.scale))
         x[:m] = _signed(vector[:, 0])
         # theta = 1 only where A_II = I
         for _ in range(2 if value[0] > 1.0 else 0):
-            x[m:] = (self.A @ x)[m:] / (value[0] - 1.0)
-        return x, float(x @ (self.A @ x) / (x @ x))
+            x[m:] = self._product(x)[m:] / (value[0] - 1.0)
+        return x, float(x @ self._product(x) / (x @ x))
 
     def _top_start(self, v0: np.ndarray) -> tuple[np.ndarray, float]:
         """lambda_max's start on the preconditioned path, and a Rayleigh
@@ -937,7 +915,7 @@ class SPDFactor:
         mode = np.zeros_like(v0)
         for block in P.interiors:
             mode[block] = np.outer(e_u, e_v).ravel()
-        q_ext, q_mode = (x @ (self.A @ x) / (x @ x)
+        q_ext, q_mode = (x @ self._product(x) / (x @ x)
                          for x in (extended, mode))
         ceiling = float(min(q_ext, q_mode))
         if q_ext < q_mode:
@@ -953,8 +931,7 @@ class SPDFactor:
         the residual norm is not lambda_min, and raises.
         """
         start, ceiling = self._low_start(v0)
-        lam = lobpcg_smallest(lambda x: self.A @ x, self._precond, start,
-                              LOBPCG_TOL)
+        lam = lobpcg_smallest(self._product, self._precond, start, LOBPCG_TOL)
         # an eigenvalue lies within the residual norm of lam
         if lam - LOBPCG_TOL > ceiling:
             raise ValueError(
@@ -969,7 +946,7 @@ class SPDFactor:
         lies below it by more than the stop rule's tolerance is not
         lambda_max, and raises.
         """
-        theta = lanczos_largest(lambda x: self.A @ x, start, LANCZOS_TOL)
+        theta = lanczos_largest(self._product, start, LANCZOS_TOL)
         # the stop rule puts an eigenvalue within LANCZOS_TOL theta of theta
         if theta * (1.0 + LANCZOS_TOL) < floor:
             raise ValueError(
@@ -993,13 +970,12 @@ class SPDFactor:
         by side when ``blas.can_overlap()``, with the same result as one
         after the other.
         """
-        v0 = np.random.default_rng(0).standard_normal(self.A.shape[0])
+        v0 = np.random.default_rng(0).standard_normal(len(self.scale))
         if self._precond is None:
             # the factor was checked once; the Lanczos vectors are finite
             inverse_min = partial(lanczos_largest, lambda y: sla.cho_solve(
                 self._cho, y, check_finite=False), v0, LANCZOS_TOL)
-            largest = partial(lanczos_largest, lambda x: self.A @ x, v0,
-                              LANCZOS_TOL)
+            largest = partial(lanczos_largest, self._product, v0, LANCZOS_TOL)
         else:
             inverse_min = partial(self._inverse_smallest, v0)
             # lambda_max's start is built on this thread, so that the worker
@@ -1136,12 +1112,12 @@ def lobpcg_smallest(apply: Callable[[np.ndarray], np.ndarray],
     raise ValueError(f"LOBPCG did not converge within {ITERATION_CAP} iterations")
 
 
-def solve_spd(M, rhs: np.ndarray) -> np.ndarray:
+def solve_spd(M: TwoPatchMass, rhs: np.ndarray) -> np.ndarray:
     """M^(-1) rhs for an SPD matrix M (one ``SPDFactor``)."""
     return SPDFactor(M).solve(rhs)
 
 
-def scaled_condition_number(M) -> float:
+def scaled_condition_number(M: TwoPatchMass) -> float:
     """Condition number of the diagonally scaled SPD matrix (see ``SPDFactor``)."""
     return SPDFactor(M).condition_number()
 
@@ -1259,8 +1235,8 @@ def reference_projection(F_tilde: TwoPatchGeometry, F_hat: TwoPatchGeometry,
 
     The space is V2 at k = 0 over the bilinear reference ``F_hat``.  The
     weight is the reference Jacobian (``weighted=False`` projects in the
-    parameter domain instead).  Returns the assembler, the dense mass
-    matrix and the loads of both input coordinates, shape (2, dim).
+    parameter domain instead).  Returns the assembler, the mass matrix and
+    the loads of both input coordinates, shape (2, dim).
     """
     kv = make_knot_vector(5, 2, 0)
     basis = build_basis_v2(gluing, gluing_invariants(gluing, kv), 5, 2, 0)
@@ -1274,7 +1250,7 @@ def reference_projection(F_tilde: TwoPatchGeometry, F_hat: TwoPatchGeometry,
     loads = np.stack([asm.from_patches({
         side: asm.asm[side].load(values=v[..., c]) for side, v in values.items()})
         for c in (0, 1)])
-    return asm, asm.mass().toarray(), loads
+    return asm, asm.mass(), loads
 
 
 def geometry_from_solutions(asm: DomainAssembler,

@@ -172,19 +172,19 @@ class SplineSpace1D:
         span = np.minimum(np.maximum(span, self.degree), self.dim - 1)
         return int(span) if span.ndim == 0 else span
 
-    def eval_basis(self, xs, max_deriv: int = 0, side: str = "right"):
+    def eval_basis(self, xs, max_deriv: int = 0):
         """Values/derivatives of the <= p+1 basis functions nonzero at ``xs``.
 
         For a scalar ``xs`` returns ``(first_index, ders)`` where
         ``ders[m, j]`` is the m-th derivative of basis function
         ``first_index + j``.  For an array ``xs`` returns ``first`` of shape
         ``xs.shape`` and ``ders`` of shape ``xs.shape + (max_deriv + 1,
-        p + 1)``, indexed the same way per point.  Derivative orders beyond
-        the degree are identically zero.
+        p + 1)``, indexed the same way per point; right limits at knots.
+        Derivative orders beyond the degree are identically zero.
         """
         x = np.asarray(xs, dtype=float)
         pts = x.reshape(-1)
-        span = self.find_span(pts, side=side)
+        span = self.find_span(pts)
         ders = self._eval_spans(pts, span, max_deriv)
         first = (span - self.degree).reshape(x.shape)
         ders = ders.reshape(x.shape + ders.shape[1:])

@@ -211,6 +211,7 @@ def reference_fitted_geometry(name: str) -> TwoPatchGeometry:
                 f"pinned interface rows of {name!r}/{coord} are not smooth "
                 f"(span residual {resid:.2e})")
         sol[c, :dim2] = cint
-    r = loads - sol @ M
-    sol[:, dim2:] = SPDFactor(M[dim2:, dim2:]).solve(r[:, dim2:].T).T
+    r = loads - sol @ M.toarray()
+    interior = M.principal(np.arange(dim2, asm.dim))
+    sol[:, dim2:] = SPDFactor(interior).solve(r[:, dim2:].T).T
     return geometry_from_solutions(asm, sol)

@@ -169,6 +169,8 @@ def cmd_basis(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not 0.0 < args.tol < float("inf"):
+        raise CommandError(f"--tol must be finite and positive, got {args.tol}")
     geo, gluing_raw, file_r = _load(args.geometry)
     g = _gluing_for(geo, gluing_raw)
     ok = verify_sign_condition(g)

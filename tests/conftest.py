@@ -69,3 +69,14 @@ def fitted_b():
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def left_limits(space, xs, max_deriv=0):
+    """``space.eval_basis(xs, max_deriv)`` as arrays, with left limits at
+    knots: the path of ``smooth.select_refined_bspline``, ``find_span(x,
+    "left")`` and then ``_eval_spans``, over the points of ``xs``."""
+    x = np.asarray(xs, dtype=float)
+    span = space.find_span(x.reshape(-1), "left")
+    ders = space._eval_spans(x.reshape(-1), span, max_deriv)
+    return ((span - space.degree).reshape(x.shape),
+            ders.reshape(x.shape + ders.shape[1:]))

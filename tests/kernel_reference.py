@@ -9,7 +9,8 @@ import numpy as np
 
 
 def eval_basis_loops(space, xs, max_deriv=0, side="right"):
-    """Same contract as ``space.eval_basis(xs, max_deriv, side)``."""
+    """Same contract as ``space.eval_basis(xs, max_deriv)``; ``side="left"``
+    gives the left limits at knots (``find_span``)."""
     x = np.asarray(xs, dtype=float)
     pts = x.reshape(-1)
     span = space.find_span(pts, side=side)

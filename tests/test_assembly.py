@@ -502,7 +502,8 @@ class TestProjection:
         resid = 0.0
         for s in "LR":
             e, _ = asm.asm[s].integrate_sq_diff(
-                asm.patch_coefficients(b - b_true, s), None)
+                asm.patch_coefficients(b - b_true, s),
+                lambda x1, x2: np.zeros_like(x1))
             resid += e
         assert np.sqrt(resid) < 1e-9
 
@@ -521,14 +522,14 @@ class TestProjection:
 
 class TestScaledCondition:
     def test_identity(self):
-        assert scaled_condition_number(sp.eye(10).tocsr()) == pytest.approx(1.0)
+        assert scaled_condition_number(_layoutless(sp.eye(10))) == pytest.approx(1.0)
 
     def test_diagonal_scaling_removed(self):
-        M = sp.diags([1.0, 1e6]).tocsr()
+        M = _layoutless(sp.diags([1.0, 1e6]))
         assert scaled_condition_number(M) == pytest.approx(1.0)
 
     def test_nonpositive_diagonal_rejected(self):
-        M = sp.diags([1.0, -2.0]).tocsr()
+        M = _layoutless(sp.diags([1.0, -2.0]))
         with pytest.raises(ValueError):
             scaled_condition_number(M)
 
@@ -538,7 +539,7 @@ class TestScaledCondition:
         M = A @ A.T + 80 * np.eye(80)
         s = 1.0 / np.sqrt(np.diag(M))
         ev = np.linalg.eigvalsh(s[:, None] * M * s[None, :])
-        dense = scaled_condition_number(sp.csr_matrix(M))
+        dense = scaled_condition_number(_layoutless(M))
         monkeypatch.setattr(asm_mod, "KRONECKER_CUTOFF", 0)
         monkeypatch.setattr(asm_mod, "LANCZOS_TOL", 1e-10)
         it = scaled_condition_number(_with_layout(M, 20, (5, 6)))
@@ -554,6 +555,12 @@ def _tridiagonal(coupling, n=60):
                  [-1, 0, 1]).tolil()
     M[10, 11] = M[11, 10] = coupling
     return M.tocsr()
+
+
+def _layoutless(M):
+    """The symmetric matrix M, sparse or dense, as a ``TwoPatchMass`` with
+    no layout, which ``SPDFactor`` factors densely at any size."""
+    return TwoPatchMass(sp.triu(M, format="csr"))
 
 
 def _with_layout(M, interface, grid):
@@ -616,7 +623,7 @@ class TestSPDFactor:
     def test_level3_without_layout_factored_densely(self, level3_mass):
         # the layout stripped: dense Cholesky at any size
         M, rhs = level3_mass
-        M = _full_csr(M)
+        M = _layoutless(_full_csr(M))
         assert M.shape[0] == 1339 >= asm_mod.KRONECKER_CUTOFF
         factor = SPDFactor(M)
         s = 1.0 / np.sqrt(M.diagonal())
@@ -629,7 +636,7 @@ class TestSPDFactor:
     def test_level3_kronecker_path_matches_lu(self, level3_spectrum,
                                               monkeypatch):
         M, rhs, ev = level3_spectrum
-        dense = SPDFactor(_full_csr(M)).solve(rhs)
+        dense = SPDFactor(_layoutless(_full_csr(M))).solve(rhs)
         monkeypatch.setattr(asm_mod, "KRONECKER_CUTOFF", 0)
         factor = SPDFactor(M)
         x = factor.solve(rhs)
@@ -653,7 +660,7 @@ class TestSPDFactor:
     def test_preconditioned_setup_copies_nothing(self, level3_spectrum,
                                                 monkeypatch):
         M, rhs, ev = level3_spectrum
-        dense = SPDFactor(_full_csr(M)).solve(rhs)
+        dense = SPDFactor(_layoutless(_full_csr(M))).solve(rhs)
         monkeypatch.setattr(asm_mod, "KRONECKER_CUTOFF", 0)
         tracemalloc.start()
         try:
@@ -719,7 +726,7 @@ class TestSPDFactor:
         if path == "kronecker":
             monkeypatch.setattr(asm_mod, "KRONECKER_CUTOFF", 0)
         else:
-            M = _full_csr(M)
+            M = _layoutless(_full_csr(M))
         runs = []
         lanczos = asm_mod.lanczos_largest
 
@@ -753,7 +760,7 @@ class TestSPDFactor:
     def test_lanczos_cap_raises(self, level3_mass, monkeypatch):
         monkeypatch.setattr(asm_mod, "LANCZOS_CAP", 1)
         with pytest.raises(ValueError, match="did not converge"):
-            SPDFactor(_tridiagonal(-2.0)).condition_number()
+            SPDFactor(_layoutless(_tridiagonal(-2.0))).condition_number()
         monkeypatch.setattr(asm_mod, "KRONECKER_CUTOFF", 0)
         with pytest.raises(ValueError, match="did not converge"):
             SPDFactor(level3_mass[0]).condition_number()
@@ -842,7 +849,9 @@ class TestSPDFactor:
         for block in P.interiors:
             B[block, block] = G / np.outer(w, w)
         x = np.random.default_rng(3).standard_normal((M.shape[0], 2))
-        assert_allclose(P(B @ x), x, rtol=0, atol=1e-9 * np.abs(x).max())
+        for column in x.T:
+            assert_allclose(P(B @ column), column, rtol=0,
+                            atol=1e-9 * np.abs(x).max())
 
     def test_shared_grams_inverted_once(self, level3_mass, monkeypatch):
         # one pair of 1D Gram matrices for both interiors; the interface's
@@ -888,17 +897,16 @@ class TestSPDFactor:
         assert all(n >= cutoff for n in sizes["kronecker"])
 
     def test_dense_setup_scales_entries_once(self, fitted_a, level3_mass):
-        # the scaled copy equals M.toarray() * outer(s, s) bit for bit
+        # the scaled copy equals M.toarray() * outer(s, s) bit for bit, with
+        # a layout and without
         from c2patch.geometry import refine_geometry
         geo0, gluing = fitted_a
         kv = make_knot_vector(5, 2, 3, uniform_inner_knots(3))
         basis = build_basis_v2(gluing, gluing_invariants(gluing, kv), 5, 2, 3)
         level2 = DomainAssembler(refine_geometry(geo0, kv), basis).mass()
-        for M in (level2, _full_csr(level3_mass[0])):
+        for M in (level2, _layoutless(_full_csr(level3_mass[0]))):
             s = 1.0 / np.sqrt(M.diagonal())
             A = M.toarray() * np.outer(s, s)
-            if getattr(M, "layout", None) is None:
-                A = (A + A.T) * 0.5
             assert np.array_equal(SPDFactor(M).A, A)
 
     def test_converged_lobpcg_warns_nothing(self, level3_spectrum,
@@ -1167,7 +1175,7 @@ class TestEigensolverStarts:
         # lowest one
         monkeypatch.setattr(asm_mod, "KRONECKER_CUTOFF", 0)
         factor = SPDFactor(_decoupled())
-        v0 = np.random.default_rng(0).standard_normal(factor.A.shape[0])
+        v0 = np.random.default_rng(0).standard_normal(len(factor.scale))
         on_left = np.zeros_like(v0)
         on_left[factor._precond.interiors[0]] = 1.0
         top_start, low_start = factor._top_start, factor._low_start
@@ -1189,7 +1197,7 @@ class TestEigensolverStarts:
         # converges to a higher eigenvalue and its residual test passes; the
         # mode on both interiors has a lower quotient
         factor = SPDFactor(level4_system[0])
-        v0 = np.random.default_rng(0).standard_normal(factor.A.shape[0])
+        v0 = np.random.default_rng(0).standard_normal(len(factor.scale))
         one_interior = _kronecker_mode_on(factor._precond, 0)
         low_start = factor._low_start
         monkeypatch.setattr(factor, "_low_start",
@@ -1204,7 +1212,7 @@ class TestEigensolverStarts:
         # passes its stop rule 1.2e-3 below lambda_max; the refined corner's
         # quotient lies within 6e-6 of lambda_max
         factor = SPDFactor(level4_system[0])
-        v0 = np.random.default_rng(0).standard_normal(factor.A.shape[0])
+        v0 = np.random.default_rng(0).standard_normal(len(factor.scale))
         one_interior = _kronecker_mode_on(factor._precond, 0)
         top_start = factor._top_start
         monkeypatch.setattr(factor, "_top_start",
@@ -1272,7 +1280,7 @@ class TestLobpcgSmallest:
         # A w, p, A p, the start and a product's temporaries); 18.4-18.6
         # with scipy's block LOBPCG
         factor = SPDFactor(level4_system[0])
-        v0 = np.random.default_rng(0).standard_normal(factor.A.shape[0])
+        v0 = np.random.default_rng(0).standard_normal(len(factor.scale))
         tracemalloc.start()
         try:
             factor._inverse_smallest(v0)

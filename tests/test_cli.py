@@ -397,6 +397,15 @@ class TestExitCodes:
         assert run_cli("dim", "--geometry", str(path)) == 1
         assert "patch 'L': malformed control points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    def test_tol_that_checks_nothing_exits_one(self, tol, capsys):
+        # inf would pass every check, and nan, 0 or -1 fail every one
+        assert run_cli("verify", "--geometry", "builtin:fitted_a", "--k", "1",
+                       "--tol", tol) == 1
+        out = self._assert_one_error_line(capsys, "--tol must be finite and "
+                                                  "positive")
+        assert out == ""
+
     def test_negative_k_exits_one(self, capsys):
         assert run_cli("dim", "--geometry", "builtin:fitted_a", "--k", "-1") == 1
         assert "--k must be at least 0, got -1" in capsys.readouterr().err

@@ -51,14 +51,16 @@ def test_package_import_does_not_load_scipy():
 
 def test_package_import_does_not_load_scipy_interpolate():
     # scipy.interpolate costs ~0.3 s and ~17 MB at start-up; it is used only
-    # as an independent reference in the tests
+    # as an independent reference in the tests.  scipy.sparse.linalg is
+    # used by no module: the solver applies its operators as functions
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "import c2patch.cli, c2patch.assembly, c2patch.builtin; "
-            "print('scipy.interpolate' in sys.modules)")
+            "print(sorted(m for m in ('scipy.interpolate', "
+            "'scipy.sparse.linalg') if m in sys.modules))")
     out = subprocess.run(
         [sys.executable, "-c", code, str(Path(c2patch.__file__).parents[1])],
         capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_import_does_not_load_scipy_linalg_or_sparse():

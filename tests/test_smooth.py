@@ -19,7 +19,7 @@ from c2patch.smooth import (TRACE_RESID_TOL, DegreeBudgetError, Family,
                             dim_v2, dim_v2_from_numbers, dim_w2, edge_rows,
                             interface_jets, select_refined_bspline,
                             verify_c2_at_interface)
-from tests.conftest import load_asset, scaled
+from tests.conftest import left_limits, load_asset, scaled
 from tests.test_gluing import (mirrored_squares, squares_with_linear_beta,
                                squares_with_quadratic_beta)
 
@@ -166,9 +166,9 @@ class TestSelectRefinedBspline:
         tau = 0.7
         # jump in the third derivative: function is C^2 only
         fr = s.find_span(tau, "right") - 5
-        _, dr = s.eval_basis(tau, 3, side="right")
+        _, dr = s.eval_basis(tau, 3)
         fl = s.find_span(tau, "left") - 5
-        _, dl = s.eval_basis(tau, 3, side="left")
+        _, dl = left_limits(s, tau, 3)
         jr = np.zeros(s.dim)
         jr[fr:fr + 6] += dr[3]
         jr[fl:fl + 6] -= dl[3]
@@ -176,8 +176,8 @@ class TestSelectRefinedBspline:
         assert abs(jump) > 1e-6 * max(np.abs(dr[3]).max(), 1.0)
         # but C^2 below
         for order in (0, 1, 2):
-            _, dr = s.eval_basis(tau, order, side="right")
-            _, dl = s.eval_basis(tau, order, side="left")
+            _, dr = s.eval_basis(tau, order)
+            _, dl = left_limits(s, tau, order)
             jr = np.zeros(s.dim)
             jr[fr:fr + 6] += dr[order]
             jr[fl:fl + 6] -= dl[order]
