@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from . import blas
 from .bspline import (KnotVector, QuadratureRule, SplineSpace1D, make_knot_vector,
@@ -35,7 +36,7 @@ from .smooth import SmoothBasis, build_basis_v2, build_basis_w2, dim_v1
 KRONECKER_CUTOFF = 1000
 # PCG and LOBPCG raise past this many iterations (level 6 needs < 100).
 ITERATION_CAP = 500
-# ``lanczos_largest`` checks its stop rule every few steps (~85 us a check,
+# ``lanczos_largest`` checks its stop rule every few steps (~30 us a check,
 # ~1.5 ms a level-5 product) and raises past the cap (level 5 needs ~110).
 LANCZOS_CHECK = 4
 LANCZOS_CAP = 2000
@@ -347,9 +348,10 @@ class TwoPatchMass:
     carries its ``MassLayout``, or None.  M is applied as
     M x = U x + U^T x - diag(M) x, with U^T the CSC view ``upper.T`` of
     the same arrays, so no product copies anything of size nnz.  The
-    solver reads the upper rows in place (``row_block``) and principal
-    submatrices (``principal``); ``toarray`` is the dense M.  It is not a
-    scipy matrix, so no method of one acts on the triangle as if it were M.
+    solver reads dense blocks of U (``block``) and principal submatrices,
+    dense (``principal_array``) or sparse (``principal``), straight from
+    U's rows; ``toarray`` is the dense M.  It is not a scipy matrix, so no
+    method of one acts on the triangle as if it were M.
     """
 
     def __init__(self, upper: sp.csr_matrix, layout: MassLayout | None = None):
@@ -377,11 +379,14 @@ class TwoPatchMass:
         return self.upper.data[self.upper.indptr[:-1]]
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """M x for x of shape (n,) or (n, k): U x + U^T x - diag(M) x."""
+        """M x for a vector x: U x + U^T x - diag(M) x."""
         x = np.asarray(x)
+        if x.shape != self.shape[1:]:
+            raise ValueError(f"expected a vector of {self.shape[1]} entries, "
+                             f"got shape {x.shape}")
         y = self.upper @ x
         y += self._transpose @ x
-        y -= self._diag.reshape((-1,) + (1,) * (x.ndim - 1)) * x
+        y -= self._diag * x
         return y
 
     def toarray(self) -> np.ndarray:
@@ -390,32 +395,90 @@ class TwoPatchMass:
         M += np.triu(M, 1).T
         return M
 
-    def row_block(self, lo: int, hi: int) -> sp.csr_matrix:
-        """Rows lo <= i < hi of U as a CSR matrix over U's arrays.
+    def product_on(self, runs, x: np.ndarray) -> np.ndarray:
+        """M x on the rows lo <= i < hi of the ascending, disjoint ``runs``
+        (lo, hi), for a vector x that is zero outside them, and zero
+        elsewhere.
 
-        Nothing of size nnz is copied: ``data`` and ``indices`` are
-        read-only views, and only the block's ``indptr`` is new.  Each row
-        keeps the order of its entries, so a product sums it as one with
-        ``upper[lo:hi]`` does.  The constructor is not given the views,
-        since it copies slices much smaller than their base.
+        Only the runs' rows of U are read, in place.  Each row of U x sums
+        the row's entries in order, and U^T x adds the runs' rows of U one
+        after another into one vector, as the full product adds all rows:
+        so the entries equal those of ``M @ x`` bit for bit, up to the
+        signs of zeros.  scipy's own kernels for CSR and CSC products
+        (``_sparsetools``) are called on the runs, since a product of a
+        sparse matrix starts each of its sums from zero.
+        """
+        U, n = self.upper, self.shape[0]
+        # the kernels take raw buffers: a C-contiguous float vector of n
+        x = np.ascontiguousarray(x, dtype=float)
+        if x.shape != (n,):
+            raise ValueError(f"expected a vector of {n} entries, "
+                             f"got shape {x.shape}")
+        y, transposed = np.zeros(n), np.zeros(n)
+        for lo, hi in runs:
+            start, stop = U.indptr[lo], U.indptr[hi]
+            rows = (U.indptr[lo:hi + 1] - start, U.indices[start:stop],
+                    U.data[start:stop])
+            _sparsetools.csr_matvec(hi - lo, n, *rows, x, y[lo:hi])
+            _sparsetools.csc_matvec(n, hi - lo, *rows, x[lo:hi], transposed)
+        y += transposed
+        y -= self._diag * x
+        edges = [0] + [i for run in runs for i in run] + [n]
+        for gap in zip(edges[::2], edges[1::2]):
+            y[slice(*gap)] = 0.0
+        return y
+
+    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The dense U[rows][:, cols] for sorted ``rows`` and ``cols``;
+        M[rows][:, cols] where no column lies below a row.
+
+        Each run of consecutive rows is read from views of U's arrays, its
+        entries put straight into the block, those outside ``cols`` into
+        one spare entry past its end.
         """
         U = self.upper
-        start, stop = U.indptr[lo], U.indptr[hi]
-        block = sp.csr_matrix((hi - lo, self.shape[1]), dtype=self.dtype)
-        block.data = U.data[start:stop]
-        block.indices = U.indices[start:stop]
-        block.indptr = U.indptr[lo:hi + 1] - start
-        for a in (block.data, block.indices):
-            a.flags.writeable = False
-        return block
+        width = len(cols)
+        where = np.full(self.shape[1], -1, dtype=np.intp)
+        where[cols] = np.arange(width)
+        out = np.zeros(len(rows) * width + 1)
+        for run in np.split(np.arange(len(rows)),
+                            np.flatnonzero(np.diff(rows) != 1) + 1):
+            lo, hi = rows[run[0]], rows[run[-1]] + 1
+            start, stop = U.indptr[lo], U.indptr[hi]
+            flat = where[U.indices[start:stop]]
+            outside = flat < 0
+            flat += np.repeat(run * width, np.diff(U.indptr[lo:hi + 1]))
+            flat[outside] = len(out) - 1
+            np.put(out, flat, U.data[start:stop])
+        return out[:-1].reshape(len(rows), width)
+
+    def principal_array(self, unknowns: np.ndarray) -> np.ndarray:
+        """The dense principal submatrix of M over the sorted ``unknowns``,
+        each entry below the diagonal copied from above."""
+        out = self.block(unknowns, unknowns)
+        out += np.triu(out, 1).T
+        return out
 
     def principal(self, unknowns: np.ndarray) -> TwoPatchMass:
         """The principal submatrix of M over the sorted ``unknowns``, with
-        no layout: the upper triangle of the rows of U that they span, read
-        in place, over the ``unknowns``."""
-        lo = unknowns[0]
-        span = self.row_block(lo, unknowns[-1] + 1)
-        return TwoPatchMass(span[:, unknowns][unknowns - lo])
+        no layout: the upper triangle of their rows of U over the
+        ``unknowns``, each row in the order U stores it."""
+        U = self.upper
+        start = U.indptr[unknowns]
+        counts = U.indptr[unknowns + 1] - start
+        # where U holds the entries of the rows, row after row
+        at = np.repeat(start - np.cumsum(counts) + counts, counts)
+        at += np.arange(len(at))
+        where = np.full(self.shape[1], -1, dtype=np.int32)
+        where[unknowns] = np.arange(len(unknowns), dtype=np.int32)
+        col = where[U.indices[at]]
+        inside = col >= 0
+        row = np.repeat(np.arange(len(unknowns)), counts)[inside]
+        indptr = np.zeros(len(unknowns) + 1, dtype=np.int32)
+        np.cumsum(np.bincount(row, minlength=len(unknowns)), out=indptr[1:])
+        return TwoPatchMass(sp.csr_matrix(
+            (U.data[at[inside]], col[inside], indptr),
+            shape=(len(unknowns),) * 2))
 
 
 class DomainAssembler:
@@ -590,16 +653,21 @@ class KroneckerPreconditioner:
 
     def __init__(self, M: TwoPatchMass, scale: np.ndarray, layout: MassLayout):
         m = layout.interface
-        # A_II, and the couplings of the interface rows with the interior
-        # columns they reach, read in place from M's upper triangle and
-        # scaled in place, each entry times s_i s_j as in A
-        schur = _scaled_block(M, scale, np.arange(m))
-        rows = M.row_block(0, m)
+        # A_II, kept for the condition number's start, and the couplings of
+        # the interface rows with the interior columns they reach, read in
+        # one pass over M's upper rows of I and scaled in place, each entry
+        # times s_i s_j as in A
         touched = np.zeros(M.shape[0], dtype=bool)
-        touched[rows.indices] = True
+        touched[M.upper.indices[:M.upper.indptr[m]]] = True
         touched[:m] = False
         coupled = np.flatnonzero(touched)
-        self._coupling = rows[:, coupled].toarray()
+        interface = np.arange(m)
+        rows = M.block(interface, np.concatenate([interface, coupled]))
+        self.interface_block = rows[:, :m].copy()
+        self.interface_block += np.triu(self.interface_block, 1).T
+        self.interface_block *= scale[:m, None] * scale[:m]
+        self._coupling = rows[:, m:].copy()
+        del rows
         self._coupling *= scale[:m, None] * scale[coupled]
         # the interior unknowns that couple with the interface
         self.coupled = coupled
@@ -636,7 +704,9 @@ class KroneckerPreconditioner:
             X[:, k, grid[cols]] = self._coupling[:, cols] * self._w_coupled[cols]
             np.matmul(self._Iu[:c, :c],
                       X[:, k].reshape(m, c, nv) @ self._Iv.T, out=Z[:, k])
-        schur -= X.reshape(m, -1) @ Z.reshape(m, -1).T
+        schur = X.reshape(m, -1) @ Z.reshape(m, -1).T
+        np.subtract(self.interface_block, schur, out=schur)
+        del X, Z
         try:
             self._schur, _ = sla.cho_factor(schur, lower=True,
                                             check_finite=False)
@@ -721,7 +791,7 @@ def _scaled_block(M: TwoPatchMass, scale: np.ndarray,
     """The dense principal submatrix of A = S M S over the sorted
     ``unknowns``, each entry M_ij times s_i s_j."""
     s = scale[unknowns]
-    block = M.principal(unknowns).toarray()
+    block = M.principal_array(unknowns)
     block *= s[:, None] * s
     return block
 
@@ -803,13 +873,15 @@ class SPDFactor:
             f"PCG did not converge within {ITERATION_CAP} iterations")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """M^(-1) rhs for a right-hand side of shape (n,) or (n, m)."""
-        s = self.scale.reshape((-1,) + (1,) * (np.ndim(rhs) - 1))
-        b = s * rhs
+        """M^(-1) rhs for a vector rhs."""
+        rhs = np.asarray(rhs)
+        if rhs.shape != self.scale.shape:
+            raise ValueError(f"expected a vector of {len(self.scale)} "
+                             f"entries, got shape {rhs.shape}")
+        b = self.scale * rhs
         if self._precond is None:
-            return s * sla.cho_solve(self._cho, b)
-        cols = [self._pcg(c) for c in b.reshape(len(b), -1).T]
-        return s * np.stack(cols, axis=1).reshape(b.shape)
+            return self.scale * sla.cho_solve(self._cho, b)
+        return self.scale * self._pcg(b)
 
     def _corners(self, size: int) -> np.ndarray:
         """The unknowns of the four outer corners of the interiors, one row
@@ -864,19 +936,32 @@ class SPDFactor:
         Rayleigh quotient in A.
 
         The steps reach the interior unknowns that couple with the
-        interface, then those that couple with them: (A x)_K is zero
-        elsewhere, so x stays zero there.
+        interface, in the first c u-rows of each interior, then those that
+        couple with them, in the u-rows that M_u couples with those: (A x)
+        is zero elsewhere, so x stays zero there, and all three products
+        read only the rows of I and of those u-rows
+        (``TwoPatchMass.product_on``).
         """
-        m = self._precond.layout.interface
-        value, vector = sla.eigh(_scaled_block(self._M, self.scale,
-                                               np.arange(m)),
+        P = self._precond
+        m = P.layout.interface
+        value, vector = sla.eigh(P.interface_block,
                                  subset_by_index=[m - 1, m - 1])
+        Mu, Mv = P.layout.grams
+        reach = int(np.flatnonzero(Mu[P._c - 1])[-1]) + 1 if P._c else 0
+        runs = [(0, m)] + [(block.start, block.start + reach * len(Mv))
+                           for block in P.interiors]
+
+        def product(x: np.ndarray) -> np.ndarray:
+            y = self._M.product_on(runs, self.scale * x)
+            y *= self.scale
+            return y
+
         x = np.zeros(len(self.scale))
         x[:m] = _signed(vector[:, 0])
         # theta = 1 only where A_II = I
         for _ in range(2 if value[0] > 1.0 else 0):
-            x[m:] = self._product(x)[m:] / (value[0] - 1.0)
-        return x, float(x @ self._product(x) / (x @ x))
+            x[m:] = product(x)[m:] / (value[0] - 1.0)
+        return x, float(x @ product(x) / (x @ x))
 
     def _top_start(self, v0: np.ndarray) -> tuple[np.ndarray, float]:
         """lambda_max's start on the preconditioned path, and a Rayleigh
@@ -1012,29 +1097,48 @@ def lanczos_largest(apply: Callable[[np.ndarray], np.ndarray],
     keeps the Lanczos vectors q_i and returns (theta, sum_i s_i q_i).
     """
     q, q_prev, b = v0 / np.linalg.norm(v0), 0.0, 0.0
-    alpha, beta, basis = [], [], []
+    alpha, beta, basis = np.empty(LANCZOS_CAP), np.empty(LANCZOS_CAP), []
+    stebz, stein = sla.get_lapack_funcs(("stebz", "stein"), (alpha,))
     for k in range(1, LANCZOS_CAP + 1):
         if ritz_vector:
             basis.append(q)
         w = apply(q)
-        alpha.append(q @ w)
+        alpha[k - 1] = q @ w
         # w -= alpha_k q + b q_prev, the sum formed in place
-        step = alpha[-1] * q
+        step = alpha[k - 1] * q
         step += b * q_prev
         w -= step
         del step
         b = np.linalg.norm(w)
         if b == 0.0 or k % LANCZOS_CHECK == 0:
-            theta, s = sla.eigh_tridiagonal(alpha, beta, select="i",
-                                            select_range=(k - 1, k - 1))
-            if b * abs(s[-1, 0]) <= tol * abs(theta[0]):
+            theta, s = _top_ritz_pair(stebz, stein, alpha[:k], beta[:k - 1])
+            if b * abs(s[-1]) <= tol * abs(theta):
                 if ritz_vector:
-                    return float(theta[0]), s[:, 0] @ np.array(basis)
-                return float(theta[0])
-        beta.append(b)
+                    return theta, s @ np.array(basis)
+                return theta
+        beta[k - 1] = b
         w /= b
         q_prev, q = q, w
     raise ValueError(f"Lanczos did not converge within {LANCZOS_CAP} steps")
+
+
+def _top_ritz_pair(stebz, stein, alpha: np.ndarray, beta: np.ndarray
+                   ) -> tuple[float, np.ndarray]:
+    """The largest eigenvalue of the tridiagonal matrix with diagonal alpha
+    and off-diagonal beta, and its eigenvector: LAPACK stebz (bisection)
+    and stein (inverse iteration), the calls of scipy's
+    ``eigh_tridiagonal(select="i")`` without its checks."""
+    k = len(alpha)
+    if k == 1:
+        return float(alpha[0]), np.ones(1)
+    m, w, iblock, isplit, info = stebz(alpha, beta, 2, 0.0, 1.0, k, k, 0.0,
+                                       "B")
+    if info == 0:
+        v, info = stein(alpha, beta, w[:m], iblock, isplit)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"LAPACK stebz/stein failed on the Lanczos matrix (info {info})")
+    return float(w[0]), v[:, 0]
 
 
 def lobpcg_smallest(apply: Callable[[np.ndarray], np.ndarray],
@@ -1279,7 +1383,8 @@ def fit_bilinear_like(F_tilde: TwoPatchGeometry,
     if gluing is None:
         gluing = gluing_from_bilinear(F_hat)
     asm, M, loads = reference_projection(F_tilde, F_hat, gluing, weighted)
-    sol = SPDFactor(M).solve(loads.T).T
+    factor = SPDFactor(M)
+    sol = np.stack([factor.solve(load) for load in loads])
     fitted = geometry_from_solutions(asm, sol)
     return FitResult(fitted, discrete_relative_error(F_tilde, fitted))
 

@@ -3,14 +3,14 @@
 Open knot vectors with per-knot multiplicity bookkeeping, basis evaluation
 with derivatives, Greville abscissae, collocation interpolation, knot
 insertion and Gauss rules on the knot spans.  ``SplineSpace1D.eval_basis``
-is the one Cox-de Boor evaluator: it takes whole arrays of points, and
-every other evaluation (spline functions, dense collocation matrices, the
-tensor-product patches of ``geometry.Patch``) is built on its output with
-array operations instead of per-point loops.  It is ``find_span`` followed by
-``SplineSpace1D._eval_spans``, the pass that takes the spans and runs the
-recurrences over all points and all basis functions at once; the float rule
-of ``smooth.select_refined_bspline`` calls that pass directly, with both
-one-sided limits at a knot in one call.  Everything is immutable after
+takes whole arrays of points, and every other evaluation of a space (spline
+functions, dense collocation matrices, the tensor-product patches of
+``geometry.Patch``) is built on its output with array operations instead of
+per-point loops.  It is ``find_span`` followed by ``cox_de_boor``, the one
+Cox-de Boor pass, which takes the knots and the spans and runs the
+recurrences over all points and all basis functions at once; the refined
+B-splines of ``smooth.RaisedBsplines`` call that pass directly, over many
+knot vectors laid end to end.  Everything is immutable after
 construction; operations are pure functions of their inputs.
 """
 
@@ -135,6 +135,68 @@ def uniform_inner_knots(k: int) -> tuple[float, ...]:
     return tuple((i + 1) / (k + 1) for i in range(k))
 
 
+def cox_de_boor(knots: np.ndarray, degree: int, pts: np.ndarray,
+                span: np.ndarray, max_deriv: int) -> np.ndarray:
+    """The Cox-de Boor pass of ``SplineSpace1D.eval_basis``: values and
+    derivatives of the ``degree`` + 1 B-splines nonzero at each 1D point
+    of ``pts`` in its knot span of ``knots``, shape ``(len(pts),
+    max_deriv + 1, degree + 1)``.
+
+    ``knots`` may hold several knot vectors of one degree laid end to end;
+    a span then indexes the knot vector of its point, since the pass reads
+    the knots ``span - degree + 1 .. span + degree`` only.  The recurrences of The NURBS Book, A2.3, with each step taken over
+    all points and all basis functions at once.  Every value goes
+    through the same floating-point operations as in A2.3, in the same
+    order, so the results equal the per-function loops bit for bit
+    (signs of zeros included).  A point may appear with two spans, as
+    the left and right limits at a knot.
+    """
+    p, t = degree, knots
+    nd = min(max_deriv, p)
+    ders = np.zeros((max_deriv + 1, p + 1, len(pts)))
+    steps = np.arange(p)[:, None]
+    left = pts - t[span - steps]            # left[i] = x - t[span - i]
+    right = t[span + 1 + steps] - pts       # right[i] = t[span + 1 + i] - x
+
+    # Degree-j values N[r] of the functions span - j + r (r = 0..j) and
+    # the denominators den[r] = t[span + r + 1] - t[span + r + 1 - j];
+    # the derivative pass reads those of degrees p - nd .. p only.
+    N = 1.0
+    vals, dens = {0: N}, {}
+    for j in range(1, p + 1):
+        den = right[:j] + left[j - 1::-1]
+        temp = N / den
+        N = ders[0] if j == p else np.zeros((j + 1, len(pts)))
+        np.multiply(left[j - 1::-1], temp, out=N[1:])
+        N[:j] += right[:j] * temp
+        if j >= p - nd:
+            vals[j], dens[j] = N, den
+
+    del left, right
+    # a[j, i] is A2.3's a_{k,j} of function r = i + k - j, the only r
+    # for which it is used, so every row i at order k has p - k + 1 r's.
+    a = np.ones((1, p + 1, 1))
+    fac = float(p)
+    for k in range(1, nd + 1):
+        den, low = dens[p - k + 1], vals[p - k]
+        nxt = np.empty((k + 1, p - k + 1, len(pts)))
+        np.divide(a[0, 1:], den, out=nxt[0])
+        np.subtract(a[1:, 1:], a[:-1, :-1], out=nxt[1:k])
+        np.divide(nxt[1:k], den, out=nxt[1:k])
+        np.negative(a[k - 1, :-1], out=nxt[k])
+        np.divide(nxt[k], den, out=nxt[k])
+        a = nxt
+        # d_r sums the terms a_{k,j} N_{r-k+j,p-k} of j = 0..k in order;
+        # A2.3 starts from the j = 0 term where r >= k and from 0.0 below
+        d = ders[k]
+        np.multiply(a[0], low, out=d[k:])
+        for j in range(1, k + 1):
+            d[k - j:p + 1 - j] += a[j] * low
+        d *= fac
+        fac *= p - k
+    return ders.transpose(2, 0, 1).copy()
+
+
 class SplineSpace1D:
     """Univariate spline space S(T, [0, 1]) over an open knot vector."""
 
@@ -192,60 +254,9 @@ class SplineSpace1D:
 
     def _eval_spans(self, pts: np.ndarray, span: np.ndarray,
                     max_deriv: int) -> np.ndarray:
-        """The Cox-de Boor pass of ``eval_basis`` at 1D points ``pts`` with
-        given knot spans: shape ``(len(pts), max_deriv + 1, p + 1)``.
-
-        The recurrences of The NURBS Book, A2.3, with each step taken over
-        all points and all basis functions at once.  Every value goes
-        through the same floating-point operations as in A2.3, in the same
-        order, so the results equal the per-function loops bit for bit
-        (signs of zeros included).  A point may appear with two spans, as
-        the left and right limits at a knot.
-        """
-        p, t = self.degree, self.knots
-        nd = min(max_deriv, p)
-        ders = np.zeros((max_deriv + 1, p + 1, len(pts)))
-        steps = np.arange(p)[:, None]
-        left = pts - t[span - steps]            # left[i] = x - t[span - i]
-        right = t[span + 1 + steps] - pts       # right[i] = t[span + 1 + i] - x
-
-        # Degree-j values N[r] of the functions span - j + r (r = 0..j) and
-        # the denominators den[r] = t[span + r + 1] - t[span + r + 1 - j];
-        # the derivative pass reads those of degrees p - nd .. p only.
-        N = 1.0
-        vals, dens = {0: N}, {}
-        for j in range(1, p + 1):
-            den = right[:j] + left[j - 1::-1]
-            temp = N / den
-            N = ders[0] if j == p else np.zeros((j + 1, len(pts)))
-            np.multiply(left[j - 1::-1], temp, out=N[1:])
-            N[:j] += right[:j] * temp
-            if j >= p - nd:
-                vals[j], dens[j] = N, den
-
-        del left, right
-        # a[j, i] is A2.3's a_{k,j} of function r = i + k - j, the only r
-        # for which it is used, so every row i at order k has p - k + 1 r's.
-        a = np.ones((1, p + 1, 1))
-        fac = float(p)
-        for k in range(1, nd + 1):
-            den, low = dens[p - k + 1], vals[p - k]
-            nxt = np.empty((k + 1, p - k + 1, len(pts)))
-            np.divide(a[0, 1:], den, out=nxt[0])
-            np.subtract(a[1:, 1:], a[:-1, :-1], out=nxt[1:k])
-            np.divide(nxt[1:k], den, out=nxt[1:k])
-            np.negative(a[k - 1, :-1], out=nxt[k])
-            np.divide(nxt[k], den, out=nxt[k])
-            a = nxt
-            # d_r sums the terms a_{k,j} N_{r-k+j,p-k} of j = 0..k in order;
-            # A2.3 starts from the j = 0 term where r >= k and from 0.0 below
-            d = ders[k]
-            np.multiply(a[0], low, out=d[k:])
-            for j in range(1, k + 1):
-                d[k - j:p + 1 - j] += a[j] * low
-            d *= fac
-            fac *= p - k
-        return ders.transpose(2, 0, 1).copy()
+        """``cox_de_boor`` over this space's knots: shape ``(len(pts),
+        max_deriv + 1, p + 1)``."""
+        return cox_de_boor(self.knots, self.degree, pts, span, max_deriv)
 
     def basis_matrix(self, xs, max_deriv: int = 0) -> np.ndarray:
         """Dense collocation matrices, shape (max_deriv + 1, len(xs), dim).

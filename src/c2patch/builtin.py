@@ -212,6 +212,7 @@ def reference_fitted_geometry(name: str) -> TwoPatchGeometry:
                 f"(span residual {resid:.2e})")
         sol[c, :dim2] = cint
     r = loads - sol @ M.toarray()
-    interior = M.principal(np.arange(dim2, asm.dim))
-    sol[:, dim2:] = SPDFactor(interior).solve(r[:, dim2:].T).T
+    interior = SPDFactor(M.principal(np.arange(dim2, asm.dim)))
+    for c in (0, 1):
+        sol[c, dim2:] = interior.solve(r[c, dim2:])
     return geometry_from_solutions(asm, sol)

@@ -169,8 +169,11 @@ def cmd_basis(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not 0.0 < args.tol < float("inf"):
-        raise CommandError(f"--tol must be finite and positive, got {args.tol}")
+    # a bilinear-like residual is at most 1 (|sum w j| <= sum |w| |j|), so
+    # a tolerance of 1 or more passes that check whatever the input
+    if not 0.0 < args.tol < 1.0:
+        raise CommandError(f"--tol must be finite and positive and below 1, "
+                           f"the largest bilinear-like residual, got {args.tol}")
     geo, gluing_raw, file_r = _load(args.geometry)
     g = _gluing_for(geo, gluing_raw)
     ok = verify_sign_condition(g)

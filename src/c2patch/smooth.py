@@ -19,7 +19,7 @@ from math import comb
 
 import numpy as np
 
-from .bspline import KnotVector, SplineSpace1D, make_knot_vector
+from .bspline import KNOT_TOL, SplineSpace1D, cox_de_boor, make_knot_vector
 from .geometry import TwoPatchGeometry
 from .gluing import (GluingData, GluingInvariants, interface_samples,
                      matching_weights)
@@ -131,13 +131,16 @@ def edge_rows(space: SplineSpace1D) -> np.ndarray:
 class Family:
     """Basis functions built from the B-splines N_cols[j] of one space.
 
-    A part ``(slot, order, poly, scalars)`` puts scalars[j] * poly(v) *
-    D^order N_cols[j](v) (``poly`` None stands for 1) into trace slot 0, 1
-    or 2; a slot takes at most one part and is zero without one.
+    ``space`` is a ``SplineSpace1D``, or the ``RaisedBsplines`` that its
+    functions share with other families; ``space.basis_matrix`` gives the
+    columns ``cols``.  A part ``(slot, order, poly, scalars)`` puts
+    scalars[j] * poly(v) * D^order N_cols[j](v) (``poly`` None stands for
+    1) into trace slot 0, 1 or 2; a slot takes at most one part and is zero
+    without one, or where scalars[j] is zero.
     """
 
     name: str
-    space: SplineSpace1D
+    space: SplineSpace1D | RaisedBsplines
     cols: np.ndarray
     parts: tuple
 
@@ -148,57 +151,144 @@ def _regular(name: str, space: SplineSpace1D, slot: int, poly=None) -> Family:
                   ((slot, 0, poly, np.ones(space.dim)),))
 
 
-def _refined(name: str, base: KnotVector, which: int, extra_mult: int,
-             parts) -> Family:
-    """One new B-spline of ``base`` raised at breakpoint ``which``; parts
-    with a zero scalar are structurally zero and dropped."""
-    space, index = select_refined_bspline(base, which, extra_mult)
-    return Family(name, space, np.array([index]),
-                  tuple((slot, order, poly, np.array([c]))
-                        for slot, order, poly, c in parts if c))
+class RaisedBsplines:
+    """New B-splines of multiplicity-raised spline spaces of one degree,
+    one per space, with the raised knot vectors laid end to end.
 
-
-def select_refined_bspline(base: KnotVector, which: int,
-                           extra_mult: int) -> tuple[SplineSpace1D, int]:
-    """A B-spline of the multiplicity-raised space that is genuinely new,
-    as (raised space, index).
-
-    The selected B-spline is nonzero at the raised knot and exhibits the
-    full smoothness defect there (nonzero jump in the derivative of order
-    p - new_multiplicity + 1), which certifies that it does not belong to
-    the unrefined space.
+    Function f is B-spline ``index[f]`` of the space of degree ``degree``
+    over ``breakpoints`` with the multiplicities ``multiplicities[f]``.
+    Its knot vector starts at ``start[f]`` in ``knots``, so a span of it
+    plus ``start[f]`` is a span in ``knots``, and one ``cox_de_boor`` pass
+    evaluates all functions at once.
     """
-    if extra_mult not in (1, 2):
+
+    def __init__(self, degree: int, breakpoints: np.ndarray,
+                 multiplicities: np.ndarray, index: np.ndarray):
+        self.degree = degree
+        self.breakpoints = breakpoints
+        self.multiplicities = multiplicities
+        self.index = index
+        # counts[f, b]: the knots of function f below breakpoint b
+        F, B = multiplicities.shape
+        self._counts = np.zeros((F, B + 1), dtype=int)
+        np.cumsum(multiplicities, axis=1, out=self._counts[:, 1:])
+        lengths = self._counts[:, -1]
+        self.start = np.cumsum(lengths) - lengths
+        self.dim = lengths - degree - 1
+        self.knots = np.repeat(np.tile(breakpoints, F), multiplicities.ravel())
+
+    def basis_matrix(self, xs, max_deriv: int = 0) -> np.ndarray:
+        """Values and derivatives of every function at ``xs``, shape
+        (max_deriv + 1, len(xs), F), as ``SplineSpace1D.basis_matrix``
+        gives them: right limits at knots, left limits at 1.
+
+        Each point's span in a raised space is the count of its knots at
+        or below the point, less one, clamped as in ``find_span``; one
+        pass evaluates each function at the points whose span it is
+        active in, and the rest of its column is zero.
+        """
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        outside = (xs < -KNOT_TOL) | (xs > 1.0 + KNOT_TOL)
+        if outside.any():
+            raise ValueError(f"evaluation point {xs[outside][0]} outside [0, 1]")
+        p = self.degree
+        count = self._counts[:, np.searchsorted(self.breakpoints, xs, "right")]
+        span = np.minimum(np.maximum(count - 1, p), self.dim[:, None] - 1)
+        local = self.index[:, None] - (span - p)
+        f, x = np.nonzero((local >= 0) & (local <= p))
+        ders = cox_de_boor(self.knots, p, xs[x], self.start[f] + span[f, x],
+                           max_deriv)
+        out = np.zeros((max_deriv + 1, len(xs), len(self.index)))
+        out[:, x, f] = ders[np.arange(len(f)), :, local[f, x]].T
+        return out
+
+
+def select_refined_bsplines(bases, which, extra_mult) -> RaisedBsplines:
+    """For each f, a B-spline that is genuinely new in the base knot vector
+    ``bases[f]`` raised by ``extra_mult[f]`` (1 or 2) at interior
+    breakpoint ``which[f]`` (1-based).
+
+    The selected B-spline is nonzero at the raised knot tau and exhibits
+    the full smoothness defect there (nonzero jump in the derivative of
+    order p - new_multiplicity + 1), which certifies that it does not
+    belong to the unrefined space.  The bases must share degree and
+    breakpoints; the limits from both sides at every tau take one
+    ``cox_de_boor`` pass.
+    """
+    if len({(kv.degree, kv.breakpoints) for kv in bases}) != 1:
+        raise ValueError("the bases must share degree and breakpoints")
+    base = bases[0]
+    p, bp = base.degree, np.asarray(base.breakpoints)
+    which, extra_mult = np.asarray(which), np.asarray(extra_mult)
+    if not np.isin(extra_mult, (1, 2)).all():
         raise ValueError("extra_mult must be 1 or 2")
-    raised = base.with_raised_multiplicity(which, extra_mult)
-    space = SplineSpace1D(raised)
-    p = base.degree
-    tau = base.breakpoints[which]
-    new_mult = raised.multiplicities[which]
+    if not ((which >= 1) & (which <= base.num_inner)).all():
+        raise ValueError(f"interior knot index outside 1..{base.num_inner}")
+    rows = np.arange(len(which))
+    mult = np.array([kv.multiplicities for kv in bases])
+    mult[rows, which] += extra_mult
+    new_mult = mult[rows, which]
+    if (new_mult > p).any():
+        raise ValueError(f"multiplicity {new_mult.max()} exceeds degree {p}")
     jump_order = p - new_mult + 1
+    raised = RaisedBsplines(p, bp, mult, rows)
 
-    # right and left limits at tau in one kernel pass
-    spans = np.array([space.find_span(tau, "right"),
-                      space.find_span(tau, "left")])
-    ders_r, ders_l = space._eval_spans(np.array([tau, tau]), spans, jump_order)
-    first_r, first_l = spans - p
+    # right and left limits at every tau in one pass
+    right = raised._counts[rows, which + 1] - 1
+    left = raised._counts[rows, which] - 1
+    spans = raised.start[:, None] + np.stack([right, left], axis=1)
+    tau = bp[which]
+    ders = cox_de_boor(raised.knots, p, np.repeat(tau, 2), spans.ravel(),
+                       int(jump_order.max())).reshape(len(rows), 2, -1, p + 1)
+    ders_r, ders_l = ders[:, 0], ders[:, 1]
+    jump_r, jump_l = ders_r[rows, jump_order], ders_l[rows, jump_order]
 
-    jumps = np.zeros(space.dim)
-    values = np.zeros(space.dim)
-    jumps[first_r:first_r + p + 1] += ders_r[jump_order]
-    jumps[first_l:first_l + p + 1] -= ders_l[jump_order]
-    values[first_r:first_r + p + 1] = ders_r[0]
+    # the B-splines left - p .. right, the only ones nonzero at tau
+    shift = (right - left)[:, None] + np.arange(p + 1)
+    jumps = np.zeros((len(rows), int(shift.max()) + 1))
+    values = np.zeros_like(jumps)
+    jumps[rows[:, None], shift] += jump_r
+    jumps[:, :p + 1] -= jump_l
+    values[rows[:, None], shift] = ders_r[:, 0]
 
-    scale = max(np.abs(ders_r[jump_order]).max(), np.abs(ders_l[jump_order]).max())
-    candidates = [i for i in range(space.dim)
-                  if abs(values[i]) > 1e-12 and abs(jumps[i]) > 1e-6 * scale]
-    if not candidates:
-        raise ValueError(
-            f"no refined B-spline with a defect of order {jump_order} at {tau}")
+    scale = np.maximum(np.abs(jump_r).max(axis=1), np.abs(jump_l).max(axis=1))
+    certified = (np.abs(values) > 1e-12) & (np.abs(jumps) > 1e-6 * scale[:, None])
+    found = certified.sum(axis=1)
+    if not found.all():
+        f = int(np.argmin(found))
+        raise ValueError(f"no refined B-spline with a defect of order "
+                         f"{jump_order[f]} at {tau[f]}")
     # Tie-break among certified candidates: the central one reproduces the
     # conditioning benchmarks of the bundled experiments; any other choice
     # changes only the basis, not the space.
-    return space, candidates[(len(candidates) - 1) // 2]
+    rank = np.cumsum(certified, axis=1) - 1
+    central = np.argmax(certified & (rank == (found[:, None] - 1) // 2), axis=1)
+    return RaisedBsplines(p, bp, mult, left - p + central)
+
+
+def _raised_families(requests) -> list[list[Family]]:
+    """Families of new B-splines of raised spaces, from requests ``(name,
+    base, knots, extra_mult, parts)``: function j of a family is selected
+    in ``base`` raised by ``extra_mult`` at the interior knot ``knots[j]``
+    (0-based), and the scalars of ``parts`` are lists over j.  Returns,
+    per request, its family, or none if it has no functions.  The families
+    of one degree share one ``RaisedBsplines``.
+    """
+    families = {}
+    for degree in {base.degree for _, base, knots, _, _ in requests if knots}:
+        group = [r for r in requests if r[1].degree == degree and r[2]]
+        raised = select_refined_bsplines(
+            [base for _, base, knots, _, _ in group for _ in knots],
+            [j + 1 for _, _, knots, _, _ in group for j in knots],
+            [extra for _, _, knots, extra, _ in group for _ in knots])
+        start = 0
+        for name, _, knots, _, parts in group:
+            families[name] = Family(
+                name, raised, np.arange(start, start + len(knots)),
+                tuple((slot, order, poly, np.array(scalars))
+                      for slot, order, poly, scalars in parts))
+            start += len(knots)
+    return [[families[r[0]]] if r[0] in families else [] for r in requests]
 
 
 # ---------------------------------------------------------------------------
@@ -210,17 +300,23 @@ def _component_derivs(families, xs: np.ndarray) -> list[np.ndarray]:
 
     Entry s has shape (3 - s, len(xs), T) and holds derivatives 0..2-s of
     the s-th component of the T basis functions, family after family.  Each
-    family takes one ``basis_matrix`` of its space, evaluated up to the
-    highest order its parts need.
+    space takes one ``basis_matrix``, evaluated up to the highest order the
+    parts of its families need.
     """
     T = sum(len(f.cols) for f in families)
     out = [np.zeros((3 - s, len(xs), T)) for s in range(3)]
+    # each space, shared by its families, and the highest order they need
+    tops: dict = {}
+    for f in families:
+        top = max(order + 2 - slot for slot, order, _, _ in f.parts)
+        tops[id(f.space)] = f.space, max(top, tops.get(id(f.space), (0, 0))[1])
+    matrices = {key: space.basis_matrix(xs, top)
+                for key, (space, top) in tops.items()}
     start = 0
     for f in families:
         block = slice(start, start + len(f.cols))
         start = block.stop
-        top = max(order + 2 - slot for slot, order, _, _ in f.parts)
-        svals = f.space.basis_matrix(xs, top)[:, :, f.cols]     # (top + 1, x, C)
+        svals = matrices[id(f.space)][:, :, f.cols]             # (top + 1, x, C)
         # scalars * D^i (poly * N^(order))
         for slot, order, poly, scalars in f.parts:
             nd = 2 - slot
@@ -233,7 +329,8 @@ def _component_derivs(families, xs: np.ndarray) -> list[np.ndarray]:
                 for i in range(nd + 1):
                     for j in range(i + 1):
                         ders[i] += comb(i, j) * pd[j] * svals[order + i - j]
-            out[slot][:, :, block] = scalars * ders
+            np.multiply(scalars, ders, out=out[slot][:, :, block],
+                        where=scalars != 0.0)
     return out
 
 
@@ -382,37 +479,31 @@ def build_basis_v2(g: GluingData, inv: GluingInvariants, p: int, r: int,
     h_poly = inv.h if inv.d_h else None
     q_poly = inv.q if inv.d_atilde < inv.d_alpha else None
 
-    # trace family: plain B-splines of the smoother space
-    families = [_regular("Gamma0_regular", s0, 0)]
-
     # the gluing data at the interior knots
     aL, aR, bL, bR, qk = (f(np.array(inner)).tolist() for f in (
         inv.atilde_L, inv.atilde_R, g.beta_L, g.beta_R, inv.q))
-
-    # one function per interior knot, from the once-raised space
-    for j in range(k):
-        c1 = -(aR[j] * bL[j] + aL[j] * bR[j]) / (2.0 * aR[j] * aL[j] * qk[j])
-        c2 = (bL[j] * bR[j]) / (aL[j] * aR[j])
-        families.append(_refined("Gamma0_knot", s0.kv, j + 1, 1, (
-            (0, 0, None, 1.0), (1, 1, q_poly, c1), (2, 2, None, c2))))
-
-    # extra trace functions at the roots of beta, from the twice-raised space
-    for ell in inv.Z_beta:
-        j = ell - 1
-        c1 = -bL[j] / (qk[j] * aL[j])
-        c2 = (bL[j] / aL[j]) ** 2
-        families.append(_refined("Gamma0_zbeta", s0.kv, ell, 2, (
-            (0, 0, None, 1.0), (1, 1, q_poly, c1), (2, 2, None, c2))))
-
-    # first transversal family
-    families.append(_regular("Gamma1_regular", s1_base, 1, h_poly))
-    for ell in inv.Z_beta:
-        c2 = -2.0 * bL[ell - 1] / aL[ell - 1]
-        families.append(_refined("Gamma1_zbeta", s1_base.kv, ell, 1, (
-            (1, 0, h_poly, 1.0), (2, 1, h_poly, c2))))
-
-    # second transversal family
-    families.append(_regular("Gamma2", s2, 2))
+    # the trace, first and second transversal families, each of plain
+    # B-splines of its space and then of functions at knots: one per
+    # interior knot from the once-raised space, and at the roots of beta
+    # one from the twice-raised space (trace) and one from the once-raised
+    # space (first transversal); their scalars, knot by knot
+    knot, zbeta = range(k), [ell - 1 for ell in inv.Z_beta]
+    g0_knot, g0_zbeta, g1_zbeta = _raised_families((
+        ("Gamma0_knot", s0.kv, knot, 1, (
+            (0, 0, None, [1.0 for j in knot]),
+            (1, 1, q_poly, [-(aR[j] * bL[j] + aL[j] * bR[j])
+                            / (2.0 * aR[j] * aL[j] * qk[j]) for j in knot]),
+            (2, 2, None, [(bL[j] * bR[j]) / (aL[j] * aR[j]) for j in knot]))),
+        ("Gamma0_zbeta", s0.kv, zbeta, 2, (
+            (0, 0, None, [1.0 for j in zbeta]),
+            (1, 1, q_poly, [-bL[j] / (qk[j] * aL[j]) for j in zbeta]),
+            (2, 2, None, [(bL[j] / aL[j]) ** 2 for j in zbeta]))),
+        ("Gamma1_zbeta", s1_base.kv, zbeta, 1, (
+            (1, 0, h_poly, [1.0 for j in zbeta]),
+            (2, 1, h_poly, [-2.0 * bL[j] / aL[j] for j in zbeta])))))
+    families = [_regular("Gamma0_regular", s0, 0), *g0_knot, *g0_zbeta,
+                _regular("Gamma1_regular", s1_base, 1, h_poly), *g1_zbeta,
+                _regular("Gamma2", s2, 2)]
 
     assert sum(len(f.cols) for f in families) == count
     return _assemble_basis("v2", families, g, inv, trace_space)

@@ -312,16 +312,18 @@ def test_mass_stores_half_of_the_full_csr(fitted_a):
 @pytest.mark.parametrize("study", ["a/v2", "b/w2"])
 def test_product_matches_full_csr(study, request):
     # level 3: M x = U x + U^T x - diag(M) x against the frozen writer's
-    # full CSR product, for a vector and an (n, 3) block
+    # full CSR product, for vectors; M applies to vectors only
     name, space = study.split("/")
     asm = _study_assembler(*request.getfixturevalue(f"fitted_{name}"), space)
     M, ref = asm.mass(), mass_reference.mass(asm)
     x = np.random.default_rng(0).standard_normal((M.shape[0], 3))
-    for v in (x[:, 0], x):
+    for v in x.T:
         want = ref @ v
         got = M @ v
         assert got.shape == want.shape
         assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+    with pytest.raises(ValueError, match="expected a vector"):
+        M @ x
 
 
 # Level 4, a/V2 and b/W2: the peak of each stage after the mass above the
@@ -613,12 +615,18 @@ class TestSPDFactor:
 
     @pytest.mark.parametrize("cutoff", [0, 10 ** 9])
     def test_two_column_solve(self, cutoff, monkeypatch):
+        # two right-hand sides, one at a time on one factor; a block of
+        # them is no vector and raises
         monkeypatch.setattr(asm_mod, "KRONECKER_CUTOFF", cutoff)
         M = _with_layout(_tridiagonal(-2.0), 20, (4, 5))
         rhs = np.random.default_rng(2).standard_normal((M.shape[0], 2))
-        x = solve_spd(M, rhs)
-        assert x.shape == rhs.shape
-        assert_allclose(M @ x, rhs, atol=1e-13)
+        factor = SPDFactor(M)
+        for column in rhs.T:
+            x = factor.solve(column)
+            assert x.shape == column.shape
+            assert_allclose(M @ x, column, atol=1e-13)
+        with pytest.raises(ValueError, match="expected a vector"):
+            factor.solve(rhs)
 
     def test_level3_without_layout_factored_densely(self, level3_mass):
         # the layout stripped: dense Cholesky at any size
@@ -781,16 +789,19 @@ class TestSPDFactor:
             SPDFactor(shifted).condition_number()
 
     def test_two_column_kronecker_solve(self, level3_mass):
+        # two right-hand sides, one after the other on one preconditioned
+        # factor: the second solve leaves no trace on the first's result
         M, rhs = level3_mass
         second = np.random.default_rng(4).standard_normal(len(rhs))
-        rhs = np.stack([rhs, second], axis=1)
         factor = SPDFactor(M)
         assert factor._precond is not None
-        x = factor.solve(rhs)
-        for j in range(2):
-            assert np.array_equal(x[:, j], factor.solve(rhs[:, j]))
-            assert (np.linalg.norm(M @ x[:, j] - rhs[:, j])
-                    < 1e-12 * np.linalg.norm(rhs[:, j]))
+        first = factor.solve(rhs)
+        for b in (second, rhs):
+            x = factor.solve(b)
+            assert np.linalg.norm(M @ x - b) < 1e-12 * np.linalg.norm(b)
+        assert np.array_equal(x, first)
+        with pytest.raises(ValueError, match="expected a vector"):
+            factor.solve(np.stack([rhs, second], axis=1))
 
     def test_iteration_cap_raises(self, level3_mass, monkeypatch, capsys):
         M, rhs = level3_mass
@@ -822,19 +833,48 @@ class TestSPDFactor:
         assert M.nnz == 2 * M.upper.nnz - M.shape[0] == _full_csr(M).nnz
         assert np.array_equal(M.diagonal(), _full_csr(M).diagonal())
 
-    def test_row_block_reads_m_in_place(self, level3_mass):
-        # a view of the upper triangle's arrays, read-only, with the upper
-        # rows lo..hi-1 of M, entries in order
+    def test_blocks_read_from_upper_rows(self, level3_mass):
+        # dense blocks and principal submatrices of M, read from U's rows
+        # over runs of consecutive unknowns, equal those of the dense M bit
+        # for bit; a sparse principal submatrix keeps U's order in each row
         M, _ = level3_mass
-        block = M.row_block(40, 90)
-        copy = sp.triu(_full_csr(M), format="csr")[40:90]
-        for a in ("data", "indices"):
-            assert np.shares_memory(getattr(block, a), getattr(M.upper, a))
-            assert not getattr(block, a).flags.writeable
-        for a in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(block, a), getattr(copy, a))
-        x = np.random.default_rng(0).standard_normal(M.shape[0])
-        assert (block @ x).tobytes() == (copy @ x).tobytes()
+        dense, U = M.toarray(), M.upper
+        m = M.layout.interface
+        rng = np.random.default_rng(6)
+        picks = [np.arange(m), np.arange(40, 90),
+                 np.sort(rng.choice(M.shape[0], 60, replace=False)),
+                 np.concatenate([np.arange(5, 9), np.arange(300, 340)])]
+        for unknowns in picks:
+            square = dense[np.ix_(unknowns, unknowns)]
+            assert M.principal_array(unknowns).tobytes() == square.tobytes()
+            sub = M.principal(unknowns)
+            assert sub.toarray().tobytes() == square.tobytes()
+            for row in range(0, len(unknowns), 7):
+                i = unknowns[row]
+                kept = np.isin(U.indices[U.indptr[i]:U.indptr[i + 1]], unknowns)
+                want = U.data[U.indptr[i]:U.indptr[i + 1]][kept]
+                got = sub.upper.data[sub.upper.indptr[row]:
+                                     sub.upper.indptr[row + 1]]
+                assert got.tobytes() == want.tobytes()
+        coupled = np.arange(m, 3 * m)
+        assert (M.block(np.arange(m), coupled).tobytes()
+                == dense[:m, m:3 * m].tobytes())
+
+    def test_product_on_runs_equals_full_rows(self, level3_mass):
+        # M x on runs of rows, for x zero outside them: the full product's
+        # entries there, bit for bit, and zero elsewhere
+        M, _ = level3_mass
+        n, m = M.shape[0], M.layout.interface
+        runs = [(0, m + 60), (700, 790)]
+        x = np.zeros(n)
+        for lo, hi in runs:
+            x[lo:hi] = np.random.default_rng(lo).standard_normal(hi - lo)
+        got, full = M.product_on(runs, x), M @ x
+        inside = np.zeros(n, dtype=bool)
+        for lo, hi in runs:
+            inside[lo:hi] = True
+        assert got[inside].tobytes() == full[inside].tobytes()
+        assert not got[~inside].any()
 
     def test_preconditioner_inverts_its_block_approximation(self,
                                                            level3_mass):
@@ -852,6 +892,24 @@ class TestSPDFactor:
         for column in x.T:
             assert_allclose(P(B @ column), column, rtol=0,
                             atol=1e-9 * np.abs(x).max())
+
+    def test_setup_reads_m_without_sparse_temporaries(self, fitted_a):
+        # a/V2 level 4: the set-up's tracemalloc peak, 25.6 vectors of n,
+        # sits in the Schur complement's X and Z beside the couplings; A_II
+        # and the couplings are read from M's upper rows into dense arrays,
+        # and A_II is kept for the condition number's start
+        M = _study_assembler(*fitted_a, "v2", level=4).mass()
+        s = 1.0 / np.sqrt(M.diagonal())
+        tracemalloc.start()
+        try:
+            P = KroneckerPreconditioner(M, s, M.layout)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 27.0 * 8 * M.shape[0]
+        m = M.layout.interface
+        dense = M.toarray()[:m, :m] * np.outer(s[:m], s[:m])
+        assert P.interface_block.tobytes() == dense.tobytes()
 
     def test_shared_grams_inverted_once(self, level3_mass, monkeypatch):
         # one pair of 1D Gram matrices for both interiors; the interface's

@@ -397,13 +397,17 @@ class TestExitCodes:
         assert run_cli("dim", "--geometry", str(path)) == 1
         assert "patch 'L': malformed control points" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1", "1", "2",
+                                     "1e30"])
     def test_tol_that_checks_nothing_exits_one(self, tol, capsys):
-        # inf would pass every check, and nan, 0 or -1 fail every one
+        # a tolerance of 1 or more passes the bilinear-like check, whose
+        # residuals are at most 1, whatever the input (a C2 residual is at
+        # most 2), and nan, 0 or -1 fail every check
         assert run_cli("verify", "--geometry", "builtin:fitted_a", "--k", "1",
                        "--tol", tol) == 1
-        out = self._assert_one_error_line(capsys, "--tol must be finite and "
-                                                  "positive")
+        out = self._assert_one_error_line(
+            capsys, "--tol must be finite and positive and below 1, the "
+                    "largest bilinear-like residual, got")
         assert out == ""
 
     def test_negative_k_exits_one(self, capsys):

@@ -7,18 +7,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from c2patch import smooth
-from c2patch.bspline import SplineSpace1D, make_knot_vector, uniform_inner_knots
+from c2patch import bspline, smooth
+from c2patch.bspline import (KnotVector, SplineSpace1D, make_knot_vector,
+                             uniform_inner_knots)
 from c2patch.geometry import Patch, refine_geometry, represent_geometry
 from c2patch.gluing import (gluing_from_bilinear, gluing_invariants,
                             verify_bilinear_like)
 from c2patch.smooth import (TRACE_RESID_TOL, DegreeBudgetError, Family,
-                            IndeterminateRankError, RepresentationError,
-                            build_basis_v2, build_basis_w2,
-                            constraint_nullspace_dim, dim_gamma, dim_v1,
-                            dim_v2, dim_v2_from_numbers, dim_w2, edge_rows,
-                            interface_jets, select_refined_bspline,
-                            verify_c2_at_interface)
+                            IndeterminateRankError, RaisedBsplines,
+                            RepresentationError, build_basis_v2,
+                            build_basis_w2, constraint_nullspace_dim,
+                            dim_gamma, dim_v1, dim_v2, dim_v2_from_numbers,
+                            dim_w2, edge_rows, interface_jets,
+                            select_refined_bsplines, verify_c2_at_interface)
 from tests.conftest import left_limits, load_asset, scaled
 from tests.test_gluing import (mirrored_squares, squares_with_linear_beta,
                                squares_with_quadratic_beta)
@@ -152,17 +153,38 @@ class TestEdgeFunctions:
         assert s.eval_function(c, [0.0])[0, 0] == pytest.approx(1.0)
 
 
+def _member(raised, f):
+    """Function f of ``raised`` as (its raised space, its index there)."""
+    kv = KnotVector(raised.degree, tuple(raised.breakpoints.tolist()),
+                    tuple(raised.multiplicities[f].tolist()))
+    return SplineSpace1D(kv), int(raised.index[f])
+
+
+def _count_passes(monkeypatch):
+    """The Cox-de Boor passes, counted in both modules that call it."""
+    passes = []
+    original = bspline.cox_de_boor
+
+    def counting(*args, **kwargs):
+        passes.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bspline, "cox_de_boor", counting)
+    monkeypatch.setattr(smooth, "cox_de_boor", counting)
+    return passes
+
+
 class TestSelectRefinedBspline:
     def test_single_insertion_is_new_function(self):
         base = make_knot_vector(5, 4, 3, (0.25, 0.5, 0.75))
-        s, index = select_refined_bspline(base, 1, 1)
+        s, index = _member(select_refined_bsplines([base], [1], [1]), 0)
         raised = base.with_raised_multiplicity(1, 1)
         assert s.kv == raised
         assert s.eval_function(unit(s, index), [0.25])[0, 0] > 1e-6
 
     def test_double_insertion_smoothness_defect(self):
         base = make_knot_vector(5, 4, 2, (0.3, 0.7))
-        s, index = select_refined_bspline(base, 2, 2)
+        s, index = _member(select_refined_bsplines([base], [2], [2]), 0)
         tau = 0.7
         # jump in the third derivative: function is C^2 only
         fr = s.find_span(tau, "right") - 5
@@ -185,28 +207,70 @@ class TestSelectRefinedBspline:
 
     def test_multiplicity_overflow(self):
         base = make_knot_vector(5, 2, 1, (0.5,))  # multiplicity 3
-        with pytest.raises(ValueError):
-            select_refined_bspline(base, 1, 3)
+        with pytest.raises(ValueError, match="extra_mult must be 1 or 2"):
+            select_refined_bsplines([base], [1], [3])
+        base = make_knot_vector(5, 1, 1, (0.5,))  # multiplicity 4
+        with pytest.raises(ValueError, match="multiplicity 6 exceeds degree 5"):
+            select_refined_bsplines([base, base], [1, 1], [1, 2])
+        with pytest.raises(ValueError, match="interior knot index"):
+            select_refined_bsplines([base], [2], [1])
 
     def test_one_kernel_pass_per_knot_function(self, monkeypatch):
-        # both limits at the raised knot come from one pass that takes the
-        # right and the left span, not from two eval_basis calls
-        calls = _count_eval_basis(monkeypatch)
-        passes = []
-        original = SplineSpace1D._eval_spans
-
-        def counting(self, *args, **kwargs):
-            passes.append(1)
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(SplineSpace1D, "_eval_spans", counting)
+        # the limits from both sides at every raised knot, for any number
+        # of knot functions, come from one pass, and no eval_basis call;
+        # each function is the one selected in its raised space alone
         base = make_knot_vector(5, 2, 3, uniform_inner_knots(3))
-        for which in (1, 2, 3):
-            for extra_mult in (1, 2):
-                passes.clear()
-                select_refined_bspline(base, which, extra_mult)
-                assert len(passes) == 1
+        which, extra = [1, 2, 3, 1, 2, 3], [1, 1, 1, 2, 2, 2]
+        alone = [select_refined_bsplines([base], [w], [e]).index[0]
+                 for w, e in zip(which, extra)]
+        calls, passes = _count_eval_basis(monkeypatch), _count_passes(monkeypatch)
+        raised = select_refined_bsplines([base] * 6, which, extra)
+        assert len(passes) == 1
         assert not calls
+        assert raised.index.tolist() == alone
+        for f, (w, e) in enumerate(zip(which, extra)):
+            space, index = _member(raised, f)
+            assert space.kv == base.with_raised_multiplicity(w, e)
+            assert index == alone[f]
+
+    def test_bases_of_other_breakpoints_raise(self):
+        with pytest.raises(ValueError, match="share degree and breakpoints"):
+            select_refined_bsplines([make_knot_vector(5, 2, 1, (0.5,)),
+                                     make_knot_vector(5, 2, 1, (0.25,))],
+                                    [1, 1], [1, 1])
+
+
+class TestRaisedBsplines:
+    def test_columns_equal_the_raised_spaces_matrices(self, monkeypatch):
+        # every column, at knots, at 0 and 1 and between, bit for bit the
+        # column of its raised space's basis_matrix, from one pass
+        base = make_knot_vector(5, 2, 7, uniform_inner_knots(7))
+        other = make_knot_vector(5, 3, 7, uniform_inner_knots(7))
+        raised = select_refined_bsplines([base] * 7 + [other] * 2,
+                                         [*range(1, 8), 3, 6],
+                                         [1, 2, 1, 2, 1, 2, 1, 2, 2])
+        xs = np.concatenate([np.linspace(0.0, 1.0, 97),
+                             np.random.default_rng(2).uniform(0, 1, 50)])
+        passes = _count_passes(monkeypatch)
+        got = raised.basis_matrix(xs, 3)
+        assert len(passes) == 1
+        for f in range(len(raised.index)):
+            space, index = _member(raised, f)
+            want = space.basis_matrix(xs, 3)[:, :, index]
+            assert got[:, :, f].tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="outside"):
+            raised.basis_matrix([0.5, 1.5])
+
+    def test_knot_vectors_laid_end_to_end(self):
+        base = make_knot_vector(5, 2, 3, uniform_inner_knots(3))
+        raised = select_refined_bsplines([base] * 3, [1, 2, 3], [1, 1, 2])
+        assert isinstance(raised, RaisedBsplines)
+        for f in range(3):
+            space, _ = _member(raised, f)
+            knots = raised.knots[raised.start[f]:raised.start[f] + len(space.knots)]
+            assert np.array_equal(knots, space.knots)
+            assert raised.dim[f] == space.dim
+        assert len(raised.knots) == raised.start[-1] + raised.dim[-1] + 6
 
 
 @pytest.fixture(scope="module")
@@ -639,7 +703,10 @@ def _basis_reference(basis, g, inv, p=5, r=2):
     m = 0
     for f in basis.families:
         for j, col in enumerate(f.cols):
-            comps = {slot: (f.space, col, order, poly, scalars[j])
+            space, col = (_member(f.space, col)
+                          if isinstance(f.space, RaisedBsplines)
+                          else (f.space, col))
+            comps = {slot: (space, col, order, poly, scalars[j])
                      for slot, order, poly, scalars in f.parts}
             rows_L, rows_R = (
                 _surface_from_function_reference(basis.space_kind, comps, g,
@@ -691,16 +758,35 @@ class TestBatchedBasis:
             _assert_matches_reference(basis, g, inv)
 
     @pytest.mark.parametrize("build,most", [(build_basis_w2, 8),
-                                            (build_basis_v2, 170)])
+                                            (build_basis_v2, 6)])
     def test_eval_basis_calls_per_build(self, gluing_a, gluing_b, monkeypatch,
                                         build, most):
-        # one evaluation per family: W2 has three families, V2 adds one
-        # refined space per knot and zbeta function
+        # one evaluation per regular family, and two of the trace space
+        # (5 at k = 31 for both spaces); V2's knot functions take none
         for g in (gluing_a, gluing_b):
             inv = invariants_for(g, k=31)
             calls = _count_eval_basis(monkeypatch)
             build(g, inv, 5, 2, 31)
             assert 0 < len(calls) <= most
+
+    @pytest.mark.parametrize("maker", ["a", "b", squares_with_linear_beta])
+    def test_kernel_passes_do_not_grow_with_k(self, gluing_a, gluing_b,
+                                             maker, monkeypatch):
+        # V2's knot and zbeta functions of one degree take two passes over
+        # their raised knot vectors, one selecting them and one for their
+        # jets, at any k (here all three families are of degree p)
+        g = {"a": gluing_a, "b": gluing_b}.get(maker) or \
+            gluing_from_bilinear(maker())
+        passes = _count_passes(monkeypatch)
+        counts = {}
+        for k in (3, 31):
+            inv = invariants_for(g, k=k)
+            for build in (build_basis_v2, build_basis_w2):
+                passes.clear()
+                build(g, inv, 5, 2, k)
+                counts[build, k] = len(passes)
+        assert counts[build_basis_v2, 3] == counts[build_basis_v2, 31]
+        assert counts[build_basis_v2, 31] == counts[build_basis_w2, 31] + 2
 
     def test_trace_residual_is_kept(self, gluing_b):
         inv = invariants_for(gluing_b, k=3)
