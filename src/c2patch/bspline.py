@@ -296,9 +296,8 @@ class SplineSpace1D:
     def greville(self) -> np.ndarray:
         """Greville abscissae xi_i = (t_{i+1} + ... + t_{i+p}) / p."""
         p = self.degree
-        t = self.knots
-        out = np.array([t[i + 1:i + p + 1].sum() / p for i in range(self.dim)])
-        return np.clip(out, 0.0, 1.0)
+        windows = np.lib.stride_tricks.sliding_window_view(self.knots[1:-1], p)
+        return np.clip(windows.sum(axis=1) / p, 0.0, 1.0)
 
     @cached_property
     def _collocation_banded(self) -> np.ndarray:
@@ -384,58 +383,77 @@ def space_rule(space: SplineSpace1D, points_per_cell: int) -> QuadratureRule:
     return gauss_rule(points_per_cell, [(a, b) for _, a, b in space.spans()])
 
 
+def _insert_knots(kv: KnotVector, coeffs, xs) -> tuple[np.ndarray, np.ndarray]:
+    """Knots and coefficients (along axis 0) of the spline ``coeffs`` of
+    S(kv) after inserting the nondecreasing knots ``xs`` one at a time by
+    Boehm's step, into buffers allocated once.
+
+    Rows past an insertion's span are its input's rows moved down by one;
+    they are copied into the buffer only when a later insertion reaches
+    them, so every row is copied about once.  A knot within ``KNOT_TOL``
+    of ``x`` is repeated in place of ``x``, so that equal breakpoints stay
+    bitwise equal.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    p, n = kv.degree, kv.dim
+    if coeffs.shape[0] != n:
+        raise ValueError(f"expected {n} coefficient rows, got {coeffs.shape[0]}")
+    t = np.empty(n + p + 1 + len(xs))
+    t[:n + p + 1] = kv.knots
+    out = np.empty((n + len(xs),) + coeffs.shape[1:])
+    done = 0                # out[:done] is set; row j >= done is coeffs[j - m]
+    for m, x in enumerate(xs):
+        dim = n + m
+        span = int(np.searchsorted(t[:dim + p + 1], x, side="right")) - 1
+        span = min(max(span, p), dim - 1)
+        lo = span - p + 1
+        if done <= span:
+            out[done:span + 1] = coeffs[done - m:span + 1 - m]
+            done = span + 1
+        out[span + 1:done + 1] = out[span:done]
+        done += 1
+        i = np.arange(lo, span + 1)
+        a = ((x - t[i]) / (t[i + p] - t[i])).reshape((-1,) + (1,) * (coeffs.ndim - 1))
+        out[lo:span + 1] = a * out[lo:span + 1] + (1.0 - a) * out[lo - 1:span]
+        if x - t[span] <= KNOT_TOL:
+            x = t[span]
+        elif t[span + 1] - x <= KNOT_TOL:
+            x = t[span + 1]
+        t[span + 2:dim + p + 2] = t[span + 1:dim + p + 1]
+        t[span + 1] = x
+    out[done:] = coeffs[done - len(xs):]
+    return t, out
+
+
 def insert_knot(kv: KnotVector, coeffs: np.ndarray, x: float) -> tuple[KnotVector, np.ndarray]:
     """Insert the knot ``x`` once (Boehm); coefficients along axis 0.
 
     Reproduces the same spline in the refined space.
     """
-    p = kv.degree
-    t = kv.knots
-    n = kv.dim
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape[0] != n:
-        raise ValueError(f"expected {n} coefficient rows, got {coeffs.shape[0]}")
     if not KNOT_TOL < x < 1.0 - KNOT_TOL:
         raise ValueError("can only insert interior knots")
-
-    span = int(np.searchsorted(t, x, side="right")) - 1
-    span = min(max(span, p), n - 1)
-
-    new = np.empty((n + 1,) + coeffs.shape[1:], dtype=float)
-    lo = span - p + 1
-    new[:lo] = coeffs[:lo]
-    i = np.arange(lo, span + 1)
-    a = ((x - t[i]) / (t[i + p] - t[i])).reshape((-1,) + (1,) * (coeffs.ndim - 1))
-    new[lo:span + 1] = a * coeffs[lo:span + 1] + (1.0 - a) * coeffs[lo - 1:span]
-    new[span + 1:] = coeffs[span:]
-
-    bp = list(kv.breakpoints)
-    mult = list(kv.multiplicities)
-    for idx, b in enumerate(bp):
-        if abs(b - x) <= KNOT_TOL:
-            mult[idx] += 1
-            break
-    else:
-        idx = int(np.searchsorted(np.asarray(bp), x))
-        bp.insert(idx, float(x))
-        mult.insert(idx, 1)
-    return KnotVector(p, tuple(bp), tuple(mult)), new
+    t, new = _insert_knots(kv, coeffs, [x])
+    bp, mult = np.unique(t, return_counts=True)
+    return KnotVector(kv.degree, tuple(bp.tolist()), tuple(mult.tolist())), new
 
 
 def refine_to(kv: KnotVector, target: KnotVector, coeffs: np.ndarray) -> np.ndarray:
     """Coefficients of the same spline in the finer space ``target``.
 
     ``target`` must refine ``kv``: same degree, knot multiset containment.
+    The missing knots of ``target`` are inserted in increasing order into
+    one buffer, bit for bit as by chained ``insert_knot``.
     """
     if target.degree != kv.degree:
         raise ValueError("refinement requires equal degrees")
-    cur_kv, cur = kv, np.asarray(coeffs, dtype=float)
-    for b, m in zip(target.breakpoints[1:-1], target.multiplicities[1:-1]):
-        have = cur_kv.multiplicity_of(b)
-        if have > m:
-            raise ValueError(f"target is coarser than source at knot {b}")
-        for _ in range(m - have):
-            cur_kv, cur = insert_knot(cur_kv, cur, b)
-    if cur_kv != target:
+    bp = np.asarray(target.breakpoints[1:-1])
+    have = (np.searchsorted(kv.knots, bp + KNOT_TOL, side="right")
+            - np.searchsorted(kv.knots, bp - KNOT_TOL, side="left"))
+    missing = np.asarray(target.multiplicities[1:-1], dtype=int) - have
+    if (missing < 0).any():
+        raise ValueError(f"target is coarser than source at knot "
+                         f"{bp[np.argmax(missing < 0)]}")
+    t, out = _insert_knots(kv, coeffs, np.repeat(bp, missing).tolist())
+    if len(t) != len(target.knots) or np.abs(t - target.knots).max() > KNOT_TOL:
         raise ValueError("target does not refine the source knot vector")
-    return cur
+    return out

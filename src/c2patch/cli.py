@@ -343,7 +343,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, smooth.RepresentationError) as exc:
         # every OSError comes from a path the user gave
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

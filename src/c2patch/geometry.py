@@ -136,6 +136,16 @@ class TwoPatchGeometry:
             raise GeometryError("patch Jacobian vanishes on the sample grid")
 
 
+def _stacked(geo: TwoPatchGeometry) -> np.ndarray:
+    """The control grids of both patches side by side, shape (n, n, 4)."""
+    return np.concatenate([geo.patch(side).control_points for side in geo.sides],
+                          axis=-1)
+
+
+def _from_stacked(space: SplineSpace1D, cp: np.ndarray) -> TwoPatchGeometry:
+    return TwoPatchGeometry(Patch(space, cp[..., :2]), Patch(space, cp[..., 2:]))
+
+
 def refine_geometry(geo: TwoPatchGeometry, target_kv: KnotVector) -> TwoPatchGeometry:
     """Exact knot-insertion refinement of both patches into S(target)^2.
 
@@ -143,40 +153,38 @@ def refine_geometry(geo: TwoPatchGeometry, target_kv: KnotVector) -> TwoPatchGeo
     and refined by one ``refine_to`` along u and one along v.
     """
     kv = geo.space.kv
-    cp = np.concatenate([geo.patch(side).control_points for side in geo.sides],
-                        axis=-1)
-    cp = refine_to(kv, target_kv, cp)                      # along u
+    cp = refine_to(kv, target_kv, _stacked(geo))            # along u
     cp = np.swapaxes(refine_to(kv, target_kv, np.swapaxes(cp, 0, 1)), 0, 1)
-    space = SplineSpace1D(target_kv)
-    return TwoPatchGeometry(Patch(space, cp[..., :2]), Patch(space, cp[..., 2:]))
+    return _from_stacked(SplineSpace1D(target_kv), cp)
 
 
 def represent_geometry(geo: TwoPatchGeometry,
                        target_kv: KnotVector) -> TwoPatchGeometry:
-    """Represent both patches in S(target)^2 by Greville-grid interpolation.
+    """A bilinear geometry in S(target)^2, for any target of degree >= 1.
 
-    Exact (up to roundoff) when the patches already lie in the target space,
-    e.g. low-degree polynomial patches re-expressed at a higher degree; a
-    residual check at off-grid points guards against inexact inputs.
+    A bilinear map's B-spline coefficients in S x S are its values at the
+    Greville grid (linear precision), so both patches are evaluated there,
+    stacked, from one basis matrix of their space.  Each patch must be one
+    bilinear map: every control point on the bilinear interpolant of the
+    patch's corners, at the Greville grid of its own space.
     """
-    space = SplineSpace1D(target_kv)
-    xi = space.greville()
-    check_us, check_vs = np.array([0.37, 0.73]), np.array([0.51, 0.18])
-    patches = {}
-    for side in geo.sides:
-        patch = geo.patch(side)
-        samples = patch.eval(xi, xi)
-        cp = space.interpolate(samples)                              # along u
-        cp = np.swapaxes(space.interpolate(np.swapaxes(cp, 0, 1)), 0, 1)  # along v
-        new = Patch(space, cp)
-        err = np.abs(new.eval(check_us, check_vs)
-                     - patch.eval(check_us, check_vs)).max()
-        if err > 1e-9 * np.abs(samples).max():
+    cp = _stacked(geo)
+    g = geo.space.greville()
+    hat = np.stack([1.0 - g, g], axis=1)                     # (n, 2)
+    bilinear = np.einsum("ua,abc,vb->uvc", hat, cp[::len(g) - 1, ::len(g) - 1],
+                         hat)
+    tol = INTERFACE_TOL * max(geo.diameter, 1e-30)
+    for side, d in zip(geo.sides, np.split(bilinear - cp, 2, axis=-1)):
+        off = np.hypot(d[..., 0], d[..., 1]).max()
+        if not off <= tol:
             raise GeometryError(
-                f"patch {side!r} is not representable in the target space "
-                f"(residual {err:.2e})")
-        patches[side] = new
-    return TwoPatchGeometry(patches["L"], patches["R"])
+                f"patch {side!r} is not representable in the target space: "
+                f"not one bilinear map (a control point lies {off:.2e} off "
+                f"the bilinear interpolant of its corners)")
+    space = SplineSpace1D(target_kv)
+    B = geo.space.basis_matrix(space.greville())[0]          # (m, n)
+    cp = np.tensordot(np.tensordot(B, cp, 1), B, (1, 1)).transpose(0, 2, 1)
+    return _from_stacked(space, cp)
 
 
 def bilinear_from_vertices(initial: TwoPatchGeometry) -> TwoPatchGeometry:

@@ -4,6 +4,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from c2patch.bspline import SplineSpace1D
 from c2patch.builtin import initial_geometry
 from c2patch.geometry import (Patch, TwoPatchGeometry, bilinear_from_vertices,
                               geometry_from_dict)
@@ -80,3 +81,16 @@ def left_limits(space, xs, max_deriv=0):
     ders = space._eval_spans(x.reshape(-1), span, max_deriv)
     return ((span - space.degree).reshape(x.shape),
             ders.reshape(x.shape + ders.shape[1:]))
+
+
+def count_eval_basis(monkeypatch):
+    """A list that grows by one per ``SplineSpace1D.eval_basis`` call."""
+    calls = []
+    original = SplineSpace1D.eval_basis
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SplineSpace1D, "eval_basis", counting)
+    return calls

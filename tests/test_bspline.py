@@ -13,6 +13,27 @@ from tests.conftest import left_limits
 from tests.kernel_reference import eval_basis_loops
 
 
+knot_counts = st.integers(min_value=0, max_value=4)
+degrees = st.integers(min_value=1, max_value=7)
+
+
+@st.composite
+def random_spaces_with_targets(draw):
+    """A knot vector and a refinement of it: more knots, or higher
+    multiplicities at its own."""
+    p = draw(degrees)
+    fine = sorted(draw(st.sets(st.integers(1, 15), min_size=1, max_size=6)))
+    coarse = sorted(draw(st.sets(st.sampled_from(fine), max_size=len(fine))))
+    mult = {t: draw(st.integers(1, p)) for t in fine}
+    low = {t: draw(st.integers(1, mult[t])) for t in coarse}
+
+    def knot_vector(ts, m):
+        bp = (0.0,) + tuple(t / 16 for t in ts) + (1.0,)
+        return KnotVector(p, bp, (p + 1,) + tuple(m[t] for t in ts) + (p + 1,))
+
+    return knot_vector(coarse, low), knot_vector(fine, mult)
+
+
 def space(p, r, k, inner=None):
     inner = uniform_inner_knots(k) if inner is None else inner
     return SplineSpace1D(make_knot_vector(p, r, k, inner))
@@ -331,6 +352,17 @@ class TestGreville:
         assert_allclose(g[:3], [0.0, 1 / 20, 1 / 10])
         assert g[-1] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("p", [1, 2, 5, 8, 13, 30])
+    def test_window_sums_bit_for_bit(self, p):
+        # one sum over each window of p knots, as the per-function formula
+        for r, k in ((0, 0), (p - 1, 5), (max(p - 3, 0), 31)):
+            s = space(p, r, k, np.sort(np.random.default_rng(p).uniform(
+                0.01, 0.99, k)))
+            t = s.knots
+            want = [min(max(t[i + 1:i + p + 1].sum() / p, 0.0), 1.0)
+                    for i in range(s.dim)]
+            assert s.greville().tolist() == want
+
     def test_strictly_increasing_for_moderate_multiplicity(self):
         for p, r, k in [(5, 2, 3), (6, 3, 2), (5, 4, 4)]:
             s = space(p, r, k)
@@ -418,6 +450,32 @@ class TestInsertion:
         with pytest.raises(ValueError):
             refine_to(fine, coarse, np.zeros(fine.dim))
 
+    def test_refine_to_checks_rows_before_inserting(self):
+        kv = make_knot_vector(5, 2, 1, (0.5,))
+        fine = make_knot_vector(5, 2, 3, uniform_inner_knots(3))
+        for target in (kv, fine):
+            for rows in (kv.dim - 1, kv.dim + 3):
+                with pytest.raises(ValueError, match="coefficient rows"):
+                    refine_to(kv, target, np.zeros(rows))
+
+    def test_refine_to_rejects_a_target_without_a_source_knot(self):
+        kv = make_knot_vector(5, 2, 1, (0.3,))
+        target = make_knot_vector(5, 2, 3, uniform_inner_knots(3))
+        with pytest.raises(ValueError, match="does not refine"):
+            refine_to(kv, target, np.zeros(kv.dim))
+
+    @given(random_spaces_with_targets())
+    @settings(max_examples=40, deadline=None)
+    def test_refine_to_is_chained_insert_knot(self, spaces):
+        kv, target = spaces
+        c = np.random.default_rng(3).standard_normal((kv.dim, 2))
+        want = c
+        for x in target.knots[kv.degree + 1:-kv.degree - 1]:
+            if kv.multiplicity_of(x) < target.multiplicity_of(x):
+                kv, want = insert_knot(kv, want, x)
+        assert kv == target
+        assert np.array_equal(refine_to(spaces[0], target, c), want)
+
     def test_insert_knot_matches_row_by_row_boehm(self):
         # the affected rows are updated at once, bit for bit as one by one
         kv = make_knot_vector(5, 2, 3, (0.2, 0.5, 0.7))
@@ -432,6 +490,26 @@ class TestInsertion:
                 a = (x - t[i]) / (t[i + p] - t[i])
                 want[i] = a * c[i] + (1.0 - a) * c[i - 1]
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", ["a", "b"])
+    def test_refine_geometry_is_chained_insert_knot(self, name, request):
+        # k = 31 on the stacked patches, each knot inserted by insert_knot
+        # along u, then along v
+        from c2patch.geometry import refine_geometry
+        geo, _ = request.getfixturevalue(f"fitted_{name}")
+        target = make_knot_vector(5, 2, 31, uniform_inner_knots(31))
+        fine = refine_geometry(geo, target)
+        cp = np.concatenate([geo.patch(side).control_points
+                             for side in geo.sides], axis=-1)
+        for axis in (0, 1):
+            kv, cp = geo.space.kv, np.swapaxes(cp, 0, axis)
+            for x in target.inner_knots:
+                for _ in range(target.multiplicity_of(x)):
+                    kv, cp = insert_knot(kv, cp, x)
+            assert kv == target
+            cp = np.swapaxes(cp, 0, axis)
+        assert np.array_equal(fine.patch_L.control_points, cp[..., :2])
+        assert np.array_equal(fine.patch_R.control_points, cp[..., 2:])
 
     @pytest.mark.parametrize("name", ["a", "b"])
     def test_refine_geometry_is_patchwise_refine_to(self, name, request):
@@ -452,8 +530,6 @@ class TestInsertion:
                 assert fine.patch(side).space.kv == target
 
 
-knot_counts = st.integers(min_value=0, max_value=4)
-degrees = st.integers(min_value=1, max_value=7)
 
 
 @st.composite

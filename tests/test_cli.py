@@ -5,6 +5,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from c2patch import assembly, cli
 from c2patch.fields import FieldError, parse_expression, resolve_field
@@ -14,7 +15,7 @@ from c2patch.geometry import (GeometryError, Patch, TwoPatchGeometry,
                               geometry_from_dict, geometry_to_dict,
                               load_geometry, refine_geometry,
                               represent_geometry, save_geometry)
-from tests.conftest import load_asset, scaled
+from tests.conftest import count_eval_basis, load_asset, scaled
 
 
 def run_cli(*argv):
@@ -107,6 +108,45 @@ class TestGeometryFormat:
             with pytest.raises(GeometryError, match="not representable"):
                 represent_geometry(scaled(moved, s), make_knot_vector(5, 2, 0))
 
+    def test_represent_rejects_a_piecewise_bilinear_patch(self):
+        # degree 1 with an interior knot: one bilinear map until a control
+        # point leaves the bilinear interpolant of the corners
+        geo, _ = load_asset("bilinear_a")
+        fine = refine_geometry(geo, make_knot_vector(1, 0, 1, (0.5,)))
+        kv = make_knot_vector(5, 2, 3, uniform_inner_knots(3))
+        want = represent_geometry(geo, kv)
+        got = represent_geometry(fine, kv)
+        for side in geo.sides:
+            assert_allclose(got.patch(side).control_points,
+                            want.patch(side).control_points,
+                            rtol=0, atol=1e-14 * geo.diameter)
+        cp = fine.patch_R.control_points.copy()
+        cp[1, 1] += 1e-6 * fine.diameter
+        moved = TwoPatchGeometry(fine.patch_L, Patch(fine.space, cp))
+        with pytest.raises(GeometryError, match="not representable"):
+            represent_geometry(moved, kv)
+
+    def test_represent_evaluates_the_basis_once(self, monkeypatch):
+        calls = count_eval_basis(monkeypatch)
+        geo, _ = load_asset("bilinear_b")
+        for k in (0, 31):
+            calls.clear()
+            represent_geometry(geo, make_knot_vector(5, 2, k,
+                                                     uniform_inner_knots(k)))
+            assert len(calls) <= 1
+
+    def test_represent_is_exact_at_high_degree(self):
+        # the coefficients of a bilinear map are its Greville values; an
+        # interpolation at p = 20 and 30 was off by 1e-2 and 1e7 diameters
+        geo, _ = load_asset("bilinear_a")
+        us = np.linspace(0.0, 1.0, 9)
+        for p in (20, 30, 40):
+            F = represent_geometry(geo, make_knot_vector(p, 2, 3,
+                                                         uniform_inner_knots(3)))
+            for side in geo.sides:
+                d = F.patch(side).eval(us, us) - geo.patch(side).eval(us, us)
+                assert np.abs(d).max() < 1e-13 * geo.diameter
+
     @pytest.mark.parametrize("s", [1e-8, 1e-4, 1.0, 1e4, 1e8])
     def test_represent_bilinear_at_any_scale(self, s):
         kv = make_knot_vector(5, 2, 3, uniform_inner_knots(3))
@@ -183,6 +223,14 @@ class TestCommands:
         line, = [line for line in capsys.readouterr().out.splitlines()
                  if line.startswith("interface residuals:")]
         assert line.endswith("FAIL"), line
+
+    def test_verify_passes_at_degree_20(self, capsys):
+        # an interpolated reference left the check at grad 3.3e-7 and
+        # hess 1.4e-6 here
+        assert run_cli("verify", "--geometry", "builtin:bilinear_a",
+                       "--p", "20", "--k", "0") == 0
+        out = capsys.readouterr().out
+        assert "60 basis functions (v2)" in out and "FAIL" not in out
 
     def test_basis_export(self, tmp_path):
         out = tmp_path / "basis.jsonl"
@@ -409,6 +457,14 @@ class TestExitCodes:
             capsys, "--tol must be finite and positive and below 1, the "
                     "largest bilinear-like residual, got")
         assert out == ""
+
+    def test_unrepresentable_trace_exits_one(self, capsys):
+        # at p = 40 a trace combination is not representable to the
+        # collocation check's tolerance
+        assert run_cli("verify", "--geometry", "builtin:bilinear_a",
+                       "--p", "40", "--k", "0") == 1
+        self._assert_one_error_line(capsys, "not representable in the patch "
+                                            "space")
 
     def test_negative_k_exits_one(self, capsys):
         assert run_cli("dim", "--geometry", "builtin:fitted_a", "--k", "-1") == 1

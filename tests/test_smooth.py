@@ -20,7 +20,7 @@ from c2patch.smooth import (TRACE_RESID_TOL, DegreeBudgetError, Family,
                             dim_gamma, dim_v1, dim_v2, dim_v2_from_numbers,
                             dim_w2, edge_rows, interface_jets,
                             select_refined_bsplines, verify_c2_at_interface)
-from tests.conftest import left_limits, load_asset, scaled
+from tests.conftest import count_eval_basis, left_limits, load_asset, scaled
 from tests.test_gluing import (mirrored_squares, squares_with_linear_beta,
                                squares_with_quadratic_beta)
 
@@ -223,7 +223,7 @@ class TestSelectRefinedBspline:
         which, extra = [1, 2, 3, 1, 2, 3], [1, 1, 1, 2, 2, 2]
         alone = [select_refined_bsplines([base], [w], [e]).index[0]
                  for w, e in zip(which, extra)]
-        calls, passes = _count_eval_basis(monkeypatch), _count_passes(monkeypatch)
+        calls, passes = count_eval_basis(monkeypatch), _count_passes(monkeypatch)
         raised = select_refined_bsplines([base] * 6, which, extra)
         assert len(passes) == 1
         assert not calls
@@ -725,18 +725,6 @@ def _assert_matches_reference(basis, g, inv):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def _count_eval_basis(monkeypatch):
-    calls = []
-    original = SplineSpace1D.eval_basis
-
-    def counting(self, *args, **kwargs):
-        calls.append(1)
-        return original(self, *args, **kwargs)
-
-    monkeypatch.setattr(SplineSpace1D, "eval_basis", counting)
-    return calls
-
-
 class TestBatchedBasis:
     @pytest.mark.parametrize("k", [0, 1, 3, 31])
     @pytest.mark.parametrize("build", [build_basis_v2, build_basis_w2])
@@ -765,7 +753,7 @@ class TestBatchedBasis:
         # (5 at k = 31 for both spaces); V2's knot functions take none
         for g in (gluing_a, gluing_b):
             inv = invariants_for(g, k=31)
-            calls = _count_eval_basis(monkeypatch)
+            calls = count_eval_basis(monkeypatch)
             build(g, inv, 5, 2, 31)
             assert 0 < len(calls) <= most
 
@@ -917,7 +905,7 @@ class TestC2CheckRows:
         kv = make_knot_vector(5, 2, 3, uniform_inner_knots(3))
         F = refine_geometry(fitted_a[0], kv)
         basis = build_basis_v2(gluing_a, gluing_invariants(gluing_a, kv), 5, 2, 3)
-        calls = _count_eval_basis(monkeypatch)
+        calls = count_eval_basis(monkeypatch)
         for m in range(basis.num_basis):
             verify_c2_at_interface(F, basis.rows("L", m), basis.rows("R", m), 30)
         # the u-jets at zero and the v-basis at the samples, each once:
